@@ -3,7 +3,10 @@
 The phase point x is a real antisymmetric 2M x 2M matrix.  Lambda(x) is the
 unit-trace, normal-ordered Gaussian operator at that point: at x = 0 it is
 the maximally mixed state, in the interior a full-rank mixed Gaussian, and on
-the boundary x^2 = -I a pure-state projector.
+the boundary x^2 = -I a pure-state projector.  The library builds it from the
+real Schur form x = O T O^T as 2^-M prod_k (I + i lambda_k gamma'_{2k-1}
+gamma'_{2k}) with rotated Majoranas gamma' = O^T gamma; the test suite checks
+this against the normal-ordered exponential that defines Lambda.
 """
 
 import numpy as np
@@ -54,8 +57,8 @@ for seed in (3, 4):
 
 print("\n=== the basis covariance reproduces the phase point ===")
 print("Tr[Lambda(x) Xhat_mn] with Xhat = (i/2)[gamma_m, gamma_n] equals x")
-print("exactly at M = 1; the same holds numerically at M = 2, 3 (observed,")
-print("machine precision):")
+print("exactly at M = 1; the tests assert it to 1e-12 at M = 2, 3, on interior")
+print("and boundary points:")
 for M in (1, 2, 3):
     majo = build_majoranas(M)
     x = random_interior_point(M, seed=11)

@@ -1,10 +1,9 @@
 """Exact finite-dimensional oracle on the 2^M Fock space.
 
 Everything the phase-space kernel claims is checked here against dense matrix
-quantum mechanics: Jordan-Wigner Majorana operators, the normal-ordered
-Gaussian basis Lambda(x), exact Q-function values and Liouville time
-derivatives, and numerical verification of the operator differential
-identities.
+quantum mechanics: Jordan-Wigner Majorana operators, the Gaussian basis
+Lambda(x), exact Q-function values and Liouville time derivatives, and
+numerical verification of the operator differential identities.
 
 Conventions: modes k = 1..M carry ladder operators a_k with Jordan-Wigner
 sign strings on the preceding modes; gamma_k = a_k + a_k^dag and
@@ -13,38 +12,39 @@ gamma_{M+k} = i (a_k^dag - a_k).  In the basis ordering used here
 and gamma_2 is Pauli Y.  All verification quantities are traces or residuals
 and do not depend on these sign/phase choices.
 
-The Gaussian basis is built exactly as defined: the quadratic form
-C(x) = -(i/2) [J + (J + J x J)^{-1}] with J the block mode-pairing matrix
-squaring to -I, the exponent gamma^T C gamma is expanded in ladder-operator
-monomials, and the normal-ordered exponential is summed term by term.
-Normal ordering moves creations left with the permutation sign and no
-contraction terms, so a monomial with a repeated label vanishes and the
-series terminates at order M.
+The Gaussian basis is built in its fermionic Gaussian-state product form
+(Bravyi, quant-ph/0404180; Corney & Drummond, PRB 73, 125112).  The real
+Schur form x = O T O^T is block diagonal with 2x2 blocks of weight lambda_k;
+in the rotated Majoranas gamma'_m = sum_a O_{am} gamma_a,
+
+    Lambda(x) = 2^-M prod_k (I + i lambda_k gamma'_{2k-1} gamma'_{2k}),
+
+which has unit trace by construction.  The normal-ordered exponential of the
+quadratic form C(x) = -(i/2) [J + (J + J x J)^{-1}] that defines Lambda is
+kept only in the test suite (``tests/basis_oracle.py``), where it is
+asserted equal to this construction.  Points where J + J x J is singular,
+and the definition is not evaluable, are rejected by
+:func:`check_basis_evaluable` on both routes.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
-from .errors import (
-    DegenerateBasisError,
-    DimensionError,
-    SingularBasisError,
-    StencilError,
-)
+from .errors import DimensionError, SingularBasisError, StencilError
 from .kernel import drift_alternative, fpe_rhs, diffusion, div_diffusion
 from .tensors import HamiltonianSpec, PhasePoint, _pairs0, pair_count
 
 __all__ = [
     "MajoranaSet",
-    "NormalOrderedPolynomial",
     "build_majoranas",
     "jordan_wigner_ladders",
     "build_hamiltonian",
+    "check_basis_evaluable",
     "gaussian_basis",
     "qfunction",
     "covariance_of_basis",
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 _LADDER_CACHE: dict = {}
-_MONOMIAL_CACHE: dict = {}
+_GAMMA_CACHE: dict = {}
 
 
 def jordan_wigner_ladders(M: int) -> tuple[np.ndarray, ...]:
@@ -96,6 +96,18 @@ class MajoranaSet:
         return 2 ** self.M
 
 
+def _gamma_stack(M: int) -> np.ndarray:
+    """Read-only (2M, 2^M, 2^M) stack of the Majorana operators, cached per M."""
+    if M not in _GAMMA_CACHE:
+        a = jordan_wigner_ladders(M)
+        gammas = [a[k] + a[k].conj().T for k in range(M)]
+        gammas += [1j * (a[k].conj().T - a[k]) for k in range(M)]
+        stack = np.stack(gammas)
+        stack.flags.writeable = False
+        _GAMMA_CACHE[M] = stack
+    return _GAMMA_CACHE[M]
+
+
 def build_majoranas(M: int) -> MajoranaSet:
     """gamma_k = a_k + a_k^dag, gamma_{M+k} = i (a_k^dag - a_k)."""
     if M > 3:
@@ -103,15 +115,7 @@ def build_majoranas(M: int) -> MajoranaSet:
             f"dense oracle at M={M} needs {2**M}-dimensional matrices; expect slow sweeps",
             stacklevel=2,
         )
-    a = jordan_wigner_ladders(M)
-    gammas = [a[k] + a[k].conj().T for k in range(M)]
-    gammas += [1j * (a[k].conj().T - a[k]) for k in range(M)]
-    frozen = []
-    for g in gammas:
-        g = g.copy()
-        g.flags.writeable = False
-        frozen.append(g)
-    return MajoranaSet(M, tuple(frozen))
+    return MajoranaSet(M, tuple(_gamma_stack(M)))
 
 
 def build_hamiltonian(spec: HamiltonianSpec, majoranas: MajoranaSet) -> np.ndarray:
@@ -134,102 +138,6 @@ def build_hamiltonian(spec: HamiltonianSpec, majoranas: MajoranaSet) -> np.ndarr
     return H
 
 
-# ---------------------------------------------------------------------------
-# normal-ordered ladder polynomials
-# ---------------------------------------------------------------------------
-# A symbol is (kind, mode): kind 0 = creation, 1 = annihilation.  A canonical
-# monomial is a tuple of symbols sorted by (kind, mode): strictly increasing
-# creation labels first, then strictly increasing annihilation labels.
-
-
-def _normal_order_word(word: tuple) -> tuple | None:
-    """Canonicalize a product of ladder symbols; None if a label repeats."""
-    if len(set(word)) != len(word):
-        return None
-    order = sorted(range(len(word)), key=lambda i: word[i])
-    sign = 1
-    seen = [False] * len(word)
-    for start in range(len(word)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(sorted(word)), sign
-
-
-class NormalOrderedPolynomial:
-    """Sparse polynomial in normal-ordered ladder monomials."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = dict(terms) if terms else {}
-
-    @classmethod
-    def one(cls) -> "NormalOrderedPolynomial":
-        return cls({(): 1.0 + 0j})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def add_term(self, word: tuple, coeff: complex) -> None:
-        if coeff == 0:
-            return
-        new = self.terms.get(word, 0j) + coeff
-        if new == 0:
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = new
-
-    def multiply(self, other: "NormalOrderedPolynomial") -> "NormalOrderedPolynomial":
-        out = NormalOrderedPolynomial()
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                res = _normal_order_word(w1 + w2)
-                if res is None:
-                    continue
-                word, sign = res
-                out.add_term(word, sign * c1 * c2)
-        return out
-
-    def scaled(self, factor: complex) -> "NormalOrderedPolynomial":
-        return NormalOrderedPolynomial({w: factor * c for w, c in self.terms.items()})
-
-    def iadd(self, other: "NormalOrderedPolynomial") -> None:
-        for w, c in other.terms.items():
-            self.add_term(w, c)
-
-    def to_matrix(self, M: int) -> np.ndarray:
-        dim = 2 ** M
-        out = np.zeros((dim, dim), dtype=complex)
-        for word, coeff in self.terms.items():
-            out += coeff * _monomial_matrix(M, word)
-        return out
-
-
-def _monomial_matrix(M: int, word: tuple) -> np.ndarray:
-    key = (M, word)
-    if key not in _MONOMIAL_CACHE:
-        a = jordan_wigner_ladders(M)
-        mat = np.eye(2 ** M, dtype=complex)
-        for kind, mode in word:
-            mat = mat @ (a[mode].conj().T if kind == 0 else a[mode])
-        _MONOMIAL_CACHE[key] = mat
-    return _MONOMIAL_CACHE[key]
-
-
-def _gamma_symbols(M: int, a: int) -> list[tuple[tuple, complex]]:
-    if a < M:
-        return [((0, a), 1.0 + 0j), ((1, a), 1.0 + 0j)]
-    return [((0, a - M), 1j), ((1, a - M), -1j)]
-
-
 def _mode_pairing_matrix(M: int) -> np.ndarray:
     J = np.zeros((2 * M, 2 * M))
     J[:M, M:] = np.eye(M)
@@ -237,58 +145,44 @@ def _mode_pairing_matrix(M: int) -> np.ndarray:
     return J
 
 
-def _quadratic_polynomial(M: int, C: np.ndarray) -> NormalOrderedPolynomial:
-    """gamma^T C gamma as a normal-ordered ladder polynomial."""
-    K = NormalOrderedPolynomial()
-    n = 2 * M
-    for a in range(n):
-        for b in range(n):
-            cab = C[a, b]
-            if a == b or cab == 0:
-                continue
-            for s1, c1 in _gamma_symbols(M, a):
-                for s2, c2 in _gamma_symbols(M, b):
-                    res = _normal_order_word((s1, s2))
-                    if res is None:
-                        continue
-                    word, sign = res
-                    K.add_term(word, sign * cab * c1 * c2)
-    return K
+def check_basis_evaluable(x: PhasePoint) -> None:
+    """Raise :class:`SingularBasisError` where Lambda(x) is not evaluable.
+
+    The defining quadratic form inverts J + J x J; points where that matrix
+    has an eigenvalue below 1e-10 in modulus are rejected, so callers can
+    probe a sample point without building Lambda.
+    """
+    J = _mode_pairing_matrix(x.M)
+    eigs = np.linalg.eigvals(J + J @ x.matrix() @ J)
+    smallest = eigs[np.argmin(np.abs(eigs))]
+    if abs(smallest) < 1e-10:
+        raise SingularBasisError(smallest)
 
 
 def gaussian_basis(x: PhasePoint, majoranas: MajoranaSet | None = None) -> np.ndarray:
     """Unit-trace Gaussian basis operator Lambda(x).
 
-    Builds C(x) = -(i/2)[J + (J + J x J)^{-1}], expands the normal-ordered
-    exponential of gamma^T C gamma (the series terminates at order M), and
-    rescales the resulting matrix to unit trace.
+    Product form over the 2x2 blocks of the real Schur form x = O T O^T:
+    Lambda = 2^-M prod_k (I + i T_{k,k+1} gamma'_k gamma'_{k+1}) with
+    gamma'_m = sum_a O_{am} gamma_a; 1x1 (zero) blocks contribute I.
     """
     M = x.M
     if majoranas is not None and majoranas.M != M:
         raise DimensionError(f"majoranas M={majoranas.M} != phase point M={M}")
-    J = _mode_pairing_matrix(M)
-    xm = x.matrix()
-    A = J + J @ xm @ J
-    eigs = np.linalg.eigvals(A)
-    smallest = eigs[np.argmin(np.abs(eigs))]
-    if abs(smallest) < 1e-10:
-        raise SingularBasisError(smallest)
-    C = -0.5j * (J + np.linalg.inv(A))
-    K = _quadratic_polynomial(M, C)
-    series = NormalOrderedPolynomial.one()
-    power = NormalOrderedPolynomial.one()
-    for order in range(1, M + 1):
-        power = power.multiply(K)
-        if not power:
-            break
-        series.iadd(power.scaled(1.0 / math.factorial(order)))
-    mat = series.to_matrix(M)
-    trace = np.trace(mat)
-    if abs(trace) < 1e-12 * 2 ** M:
-        raise DegenerateBasisError(
-            f"normal-ordered exponential has near-zero trace {trace:.3e}"
-        )
-    return mat / trace
+    check_basis_evaluable(x)
+    gam = _gamma_stack(M) if majoranas is None else np.asarray(majoranas.gammas)
+    T, O = schur(x.matrix(), output="real")
+    rotated = (O.T @ gam.reshape(2 * M, -1)).reshape(gam.shape)
+    dim = 2 ** M
+    lam = np.eye(dim, dtype=complex) / dim
+    k = 0
+    while k < 2 * M - 1:
+        if T[k + 1, k] == 0.0:
+            k += 1
+            continue
+        lam = lam + 1j * T[k, k + 1] * (lam @ rotated[k] @ rotated[k + 1])
+        k += 2
+    return lam
 
 
 def qfunction(rho: np.ndarray, x: PhasePoint, majoranas: MajoranaSet | None = None) -> float:
@@ -334,7 +228,7 @@ def exact_dqdt(
 def _q_eval(rho: np.ndarray, M: int, packed: np.ndarray) -> float:
     try:
         lam = gaussian_basis(PhasePoint(M, packed))
-    except (SingularBasisError, DegenerateBasisError) as exc:
+    except SingularBasisError as exc:
         raise StencilError(
             f"stencil point not evaluable ({exc}); try a smaller step"
         ) from exc
@@ -404,7 +298,7 @@ def fd_hessian(
 def _lambda_at(M: int, packed: np.ndarray) -> np.ndarray:
     try:
         return gaussian_basis(PhasePoint(M, packed))
-    except (SingularBasisError, DegenerateBasisError) as exc:
+    except SingularBasisError as exc:
         raise StencilError(
             f"stencil point not evaluable ({exc}); try a smaller step"
         ) from exc

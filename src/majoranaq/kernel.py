@@ -40,12 +40,14 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DimensionError, IndexRangeError, OffBoundaryError
+from .errors import DimensionError, OffBoundaryError
 from .tensors import (
     CouplingMatrix,
     PhasePoint,
     QuarticCoupling,
-    _pairs0,
+    _check_index,
+    _pack,
+    _pair_rows_cols,
     _sort_sign,
     domain_margin,
     pair_count,
@@ -82,12 +84,6 @@ def x_plus_minus(x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     return xm + 1j * eye, xm - 1j * eye
 
 
-def _check_range(M: int, *idx: int) -> None:
-    for i in idx:
-        if not 1 <= i <= 2 * M:
-            raise IndexRangeError(f"index {i} outside [1, {2 * M}]")
-
-
 def x_component(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> complex:
     """The complex scalar X_{ij}^{(alpha beta)} = x+_{i alpha} x-_{beta j}.
 
@@ -95,14 +91,14 @@ def x_component(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> complex
     x-_{i alpha} x+_{beta j}; :func:`re_x` and :func:`im_x` are its closed-form
     real and imaginary parts.
     """
-    _check_range(x.M, i, j, alpha, beta)
+    _check_index(x.M, i, j, alpha, beta)
     xp, xm = x_plus_minus(x)
     return complex(xp[i - 1, alpha - 1] * xm[beta - 1, j - 1])
 
 
 def re_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
     """Re X_{ij}^{(alpha beta)} = x_{i alpha} x_{beta j} + d_{i alpha} d_{beta j}."""
-    _check_range(x.M, i, j, alpha, beta)
+    _check_index(x.M, i, j, alpha, beta)
     xm = x.matrix()
     i, j, a, b = i - 1, j - 1, alpha - 1, beta - 1
     return float(xm[i, a] * xm[b, j] + (i == a) * (b == j))
@@ -110,7 +106,7 @@ def re_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
 
 def im_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
     """Im X_{ij}^{(alpha beta)} = -x_{i alpha} d_{beta j} + d_{i alpha} x_{beta j}."""
-    _check_range(x.M, i, j, alpha, beta)
+    _check_index(x.M, i, j, alpha, beta)
     xm = x.matrix()
     i, j, a, b = i - 1, j - 1, alpha - 1, beta - 1
     return float(-xm[i, a] * (b == j) + (i == a) * xm[b, j])
@@ -118,8 +114,7 @@ def im_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
 
 def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RE[i, j, p] and IM[i, j, p] over all index pairs and packed pairs p."""
-    pairs = np.array(_pairs0(M))
-    al, be = pairs[:, 0], pairs[:, 1]
+    al, be = _pair_rows_cols(M)
     n = 2 * M
     eye = np.eye(n)
     # x_{i alpha} -> (n, npairs); x_{beta j} -> (npairs, n)
@@ -207,8 +202,7 @@ def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     M = x.M
     xm = x.matrix()
     npairs = pair_count(M)
-    pairs = np.array(_pairs0(M))
-    al, be = pairs[:, 0], pairs[:, 1]
+    al, be = _pair_rows_cols(M)
     eye = np.eye(2 * M)
     D = np.zeros((npairs, npairs))
     dense = g.dense()
@@ -280,15 +274,10 @@ def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecompositio
     return ChannelDecomposition(x.M, tuple(terms))
 
 
-def _pack_antisym(M: int, mat: np.ndarray) -> np.ndarray:
-    pairs = _pairs0(M)
-    return np.array([mat[a, b] for a, b in pairs])
-
-
 def _commutator_drift(x: PhasePoint, c: np.ndarray) -> np.ndarray:
     """sum_{ij} c_{ij} Im X_{ij}^{(ab)} = [x, c]_{ab}, packed over pairs."""
     xm = x.matrix()
-    return _pack_antisym(x.M, xm @ c - c @ xm)
+    return _pack(x.M, xm @ c - c @ xm)
 
 
 def drift_bar(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:

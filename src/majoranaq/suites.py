@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import platform
 import time
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +153,21 @@ def _timed(fn):
     return out, time.perf_counter() - start
 
 
+class _CheckClock:
+    """Accumulates the time spent inside ``with clock(name):`` blocks, per name."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = defaultdict(float)
+
+    @contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] += time.perf_counter() - start
+
+
 def _random_coupling_matrix(M: int, rng: np.random.Generator, scale: float = 0.5) -> CouplingMatrix:
     a = rng.normal(size=(2 * M, 2 * M)) * scale
     return CouplingMatrix.from_matrix(a - a.T)
@@ -172,7 +189,7 @@ def _interior_point(M: int, seed: int, scale: float = 0.35) -> PhasePoint:
     for attempt in range(16):
         x = random_interior_point(M, seed + 7919 * attempt, scale=scale)
         try:
-            fock.gaussian_basis(x)
+            fock.check_basis_evaluable(x)
             return x
         except SingularBasisError:
             continue
@@ -185,7 +202,7 @@ def _boundary_point(M: int, seed: int, need_basis: bool = False) -> PhasePoint:
         if not need_basis:
             return x
         try:
-            fock.gaussian_basis(x)
+            fock.check_basis_evaluable(x)
             return x
         except SingularBasisError:
             continue
@@ -374,20 +391,21 @@ def run_traceless_and_channels(
     tol_sum = TOLERANCES["traceless-eigsum"]
     tol_rec = TOLERANCES["channel-reconstruction"]
     tol_psd = TOLERANCES["channel-psd"]
-    def body():
-        worst_diag = worst_sum = worst_rec = 0.0
-        worst_psd = 0.0
-        for i in range(cases):
-            rng = np.random.default_rng(seed + i)
-            gi = g if g is not None else _random_quartic(M, rng)
-            if i % 2 == 0:
-                x = random_interior_point(M, seed + 10000 + i, scale=0.5)
-            else:
-                x = random_boundary_point(M, seed + 10000 + i)
+    clock = _CheckClock()
+    worst_diag = worst_sum = worst_rec = worst_psd = 0.0
+    for i in range(cases):
+        rng = np.random.default_rng(seed + i)
+        gi = g if g is not None else _random_quartic(M, rng)
+        if i % 2 == 0:
+            x = random_interior_point(M, seed + 10000 + i, scale=0.5)
+        else:
+            x = random_boundary_point(M, seed + 10000 + i)
+        with clock("traceless"):
             D = kernel.diffusion(x, gi)
             worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(D)))) if D.size else 0.0)
             eigs = np.linalg.eigvalsh(D)
             worst_sum = max(worst_sum, abs(float(np.sum(eigs))))
+        with clock("channels"):
             decomp = kernel.diffusion_channels(x, gi)
             recon = decomp.reconstruct()
             # unit denominator floor: couplings are order-one rates, and at
@@ -398,16 +416,14 @@ def run_traceless_and_channels(
                 if term.weight > 0:
                     forward = term.weight * np.outer(term.b_minus, term.b_minus)
                     worst_psd = max(worst_psd, -float(np.min(np.linalg.eigvalsh(forward))))
-        return worst_diag, worst_sum, worst_rec, worst_psd
-    (wd, ws, wr, wp), secs = _timed(body)
-    half = secs / 2
     return [
-        CheckResult(f"traceless-m{M}", cases, wd, tol_diag, wd <= tol_diag, half,
-                    info={"eigsum": ws, "eigsum_tol": tol_sum,
-                          "eigsum_pass": ws <= tol_sum}),
-        CheckResult(f"channels-m{M}", cases, wr, tol_rec,
-                    wr <= tol_rec and wp <= tol_psd, half,
-                    info={"psd_defect": wp}),
+        CheckResult(f"traceless-m{M}", cases, worst_diag, tol_diag, worst_diag <= tol_diag,
+                    clock.seconds["traceless"],
+                    info={"eigsum": worst_sum, "eigsum_tol": tol_sum,
+                          "eigsum_pass": worst_sum <= tol_sum}),
+        CheckResult(f"channels-m{M}", cases, worst_rec, tol_rec,
+                    worst_rec <= tol_rec and worst_psd <= tol_psd, clock.seconds["channels"],
+                    info={"psd_defect": worst_psd}),
     ]
 
 
@@ -471,22 +487,26 @@ def run_appendix_c(
     tol_da = TOLERANCES["drift-divergence-free"]
     tol_dd = TOLERANCES["double-divergence"]
     tol_eq = TOLERANCES["conservative-equivalence"]
-    def body():
-        w_div = w_da = w_dd = w_eq = 0.0
-        count = 0
-        per_m = max(1, cases // len(Ms))
-        for M in Ms:
-            npairs = pair_count(M)
-            for i in range(per_m):
-                rng = np.random.default_rng(seed + 1000 * M + i)
-                x = random_interior_point(M, seed + 1000 * M + i, scale=0.5)
-                t = _random_coupling_matrix(M, rng)
-                g = _random_quartic(M, rng)
+    clock = _CheckClock()
+    w_div = w_da = w_dd = w_eq = 0.0
+    count = 0
+    per_m = max(1, cases // len(Ms))
+    for M in Ms:
+        npairs = pair_count(M)
+        for i in range(per_m):
+            rng = np.random.default_rng(seed + 1000 * M + i)
+            x = random_interior_point(M, seed + 1000 * M + i, scale=0.5)
+            t = _random_coupling_matrix(M, rng)
+            g = _random_quartic(M, rng)
+            with clock("divergence-closed-form"):
                 closed = kernel.div_diffusion(x, g)
                 fd = _fd_div_diffusion(x, g, h=1e-4)
                 w_div = max(w_div, float(np.max(np.abs(closed - fd))))
+            with clock("drift-divergence-free"):
                 w_da = max(w_da, abs(_fd_div_drift(x, t, g, h=1e-3)))
+            with clock("double-divergence"):
                 w_dd = max(w_dd, abs(_fd_double_div_diffusion(x, g, h=1e-3)))
+            with clock("conservative-equivalence"):
                 grad = rng.normal(size=npairs)
                 hess = rng.normal(size=(npairs, npairs))
                 hess = (hess + hess.T) / 2
@@ -494,15 +514,17 @@ def run_appendix_c(
                 r1 = kernel.fpe_rhs(x, t, g, grad, hess)
                 r2 = kernel.conservative_rhs(x, t, g, q, grad, hess)
                 w_eq = max(w_eq, abs(r1 - r2) / max(abs(r1), 1e-12))
-                count += 1
-        return w_div, w_da, w_dd, w_eq, count
-    (w_div, w_da, w_dd, w_eq, count), secs = _timed(body)
-    quarter = secs / 4
+            count += 1
+    secs = clock.seconds
     return [
-        CheckResult("divergence-closed-form", count, w_div, tol_div, w_div <= tol_div, quarter),
-        CheckResult("drift-divergence-free", count, w_da, tol_da, w_da <= tol_da, quarter),
-        CheckResult("double-divergence", count, w_dd, tol_dd, w_dd <= tol_dd, quarter),
-        CheckResult("conservative-equivalence", count, w_eq, tol_eq, w_eq <= tol_eq, quarter),
+        CheckResult("divergence-closed-form", count, w_div, tol_div, w_div <= tol_div,
+                    secs["divergence-closed-form"]),
+        CheckResult("drift-divergence-free", count, w_da, tol_da, w_da <= tol_da,
+                    secs["drift-divergence-free"]),
+        CheckResult("double-divergence", count, w_dd, tol_dd, w_dd <= tol_dd,
+                    secs["double-divergence"]),
+        CheckResult("conservative-equivalence", count, w_eq, tol_eq, w_eq <= tol_eq,
+                    secs["conservative-equivalence"]),
     ]
 
 

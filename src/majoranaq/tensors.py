@@ -80,16 +80,25 @@ def _check_index(M: int, *idx: int) -> None:
             raise IndexRangeError(f"index {i} outside [1, {2 * M}]")
 
 
+@lru_cache(maxsize=None)
+def _pair_rows_cols(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of the packed pairs, in ``_pairs0`` order."""
+    rows, cols = np.triu_indices(2 * M, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def _pack(M: int, mat: np.ndarray) -> np.ndarray:
-    pairs = _pairs0(M)
-    return np.array([mat[a, b] for a, b in pairs], dtype=float)
+    rows, cols = _pair_rows_cols(M)
+    return np.array(mat[rows, cols], dtype=float)
 
 
 def _unpack(M: int, packed: np.ndarray) -> np.ndarray:
+    rows, cols = _pair_rows_cols(M)
     x = np.zeros((2 * M, 2 * M))
-    for p, (a, b) in enumerate(_pairs0(M)):
-        x[a, b] = packed[p]
-        x[b, a] = -packed[p]
+    x[rows, cols] = packed
+    x[cols, rows] = -packed
     return x
 
 

@@ -1,0 +1,169 @@
+"""Definition oracle for the Gaussian basis Lambda(x), used only by the tests.
+
+Builds Lambda(x) exactly as it is defined: the quadratic form
+C(x) = -(i/2) [J + (J + J x J)^{-1}] with J the block mode-pairing matrix
+squaring to -I, the exponent gamma^T C gamma expanded in ladder-operator
+monomials, and the normal-ordered exponential summed term by term and
+rescaled to unit trace.  Normal ordering moves creations left with the
+permutation sign and no contraction terms, so a monomial with a repeated
+label vanishes and the series terminates at order M.
+
+The production route, :func:`majoranaq.fock.gaussian_basis`, uses the
+real-Schur product form instead; the two share nothing but the ladder
+operators, so their agreement is an independent check.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from majoranaq.errors import SingularBasisError
+from majoranaq.fock import jordan_wigner_ladders
+from majoranaq.tensors import PhasePoint
+
+_MONOMIAL_CACHE: dict = {}
+
+
+# A symbol is (kind, mode): kind 0 = creation, 1 = annihilation.  A canonical
+# monomial is a tuple of symbols sorted by (kind, mode): strictly increasing
+# creation labels first, then strictly increasing annihilation labels.
+
+
+def _normal_order_word(word: tuple) -> tuple | None:
+    """Canonicalize a product of ladder symbols; None if a label repeats."""
+    if len(set(word)) != len(word):
+        return None
+    order = sorted(range(len(word)), key=lambda i: word[i])
+    sign = 1
+    seen = [False] * len(word)
+    for start in range(len(word)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return tuple(sorted(word)), sign
+
+
+class NormalOrderedPolynomial:
+    """Sparse polynomial in normal-ordered ladder monomials."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = dict(terms) if terms else {}
+
+    @classmethod
+    def one(cls) -> "NormalOrderedPolynomial":
+        return cls({(): 1.0 + 0j})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def add_term(self, word: tuple, coeff: complex) -> None:
+        if coeff == 0:
+            return
+        new = self.terms.get(word, 0j) + coeff
+        if new == 0:
+            self.terms.pop(word, None)
+        else:
+            self.terms[word] = new
+
+    def multiply(self, other: "NormalOrderedPolynomial") -> "NormalOrderedPolynomial":
+        out = NormalOrderedPolynomial()
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                res = _normal_order_word(w1 + w2)
+                if res is None:
+                    continue
+                word, sign = res
+                out.add_term(word, sign * c1 * c2)
+        return out
+
+    def scaled(self, factor: complex) -> "NormalOrderedPolynomial":
+        return NormalOrderedPolynomial({w: factor * c for w, c in self.terms.items()})
+
+    def iadd(self, other: "NormalOrderedPolynomial") -> None:
+        for w, c in other.terms.items():
+            self.add_term(w, c)
+
+    def to_matrix(self, M: int) -> np.ndarray:
+        dim = 2 ** M
+        out = np.zeros((dim, dim), dtype=complex)
+        for word, coeff in self.terms.items():
+            out += coeff * _monomial_matrix(M, word)
+        return out
+
+
+def _monomial_matrix(M: int, word: tuple) -> np.ndarray:
+    key = (M, word)
+    if key not in _MONOMIAL_CACHE:
+        a = jordan_wigner_ladders(M)
+        mat = np.eye(2 ** M, dtype=complex)
+        for kind, mode in word:
+            mat = mat @ (a[mode].conj().T if kind == 0 else a[mode])
+        _MONOMIAL_CACHE[key] = mat
+    return _MONOMIAL_CACHE[key]
+
+
+def _gamma_symbols(M: int, a: int) -> list[tuple[tuple, complex]]:
+    if a < M:
+        return [((0, a), 1.0 + 0j), ((1, a), 1.0 + 0j)]
+    return [((0, a - M), 1j), ((1, a - M), -1j)]
+
+
+def _quadratic_polynomial(M: int, C: np.ndarray) -> NormalOrderedPolynomial:
+    """gamma^T C gamma as a normal-ordered ladder polynomial."""
+    K = NormalOrderedPolynomial()
+    n = 2 * M
+    for a in range(n):
+        for b in range(n):
+            cab = C[a, b]
+            if a == b or cab == 0:
+                continue
+            for s1, c1 in _gamma_symbols(M, a):
+                for s2, c2 in _gamma_symbols(M, b):
+                    res = _normal_order_word((s1, s2))
+                    if res is None:
+                        continue
+                    word, sign = res
+                    K.add_term(word, sign * cab * c1 * c2)
+    return K
+
+
+def definition_basis(x: PhasePoint) -> np.ndarray:
+    """Unit-trace Lambda(x) from the normal-ordered exponential of gamma^T C gamma.
+
+    Raises :class:`SingularBasisError` where J + J x J is too close to
+    singular to invert, the same points the production route rejects.
+    """
+    M = x.M
+    J = np.zeros((2 * M, 2 * M))
+    J[:M, M:] = np.eye(M)
+    J[M:, :M] = -np.eye(M)
+    A = J + J @ x.matrix() @ J
+    eigs = np.linalg.eigvals(A)
+    smallest = eigs[np.argmin(np.abs(eigs))]
+    if abs(smallest) < 1e-10:
+        raise SingularBasisError(smallest)
+    C = -0.5j * (J + np.linalg.inv(A))
+    K = _quadratic_polynomial(M, C)
+    series = NormalOrderedPolynomial.one()
+    power = NormalOrderedPolynomial.one()
+    for order in range(1, M + 1):
+        power = power.multiply(K)
+        if not power:
+            break
+        series.iadd(power.scaled(1.0 / math.factorial(order)))
+    mat = series.to_matrix(M)
+    trace = np.trace(mat)
+    if abs(trace) < 1e-12 * 2 ** M:
+        raise ArithmeticError(f"normal-ordered exponential has near-zero trace {trace:.3e}")
+    return mat / trace

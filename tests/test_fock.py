@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from basis_oracle import NormalOrderedPolynomial, _normal_order_word, definition_basis
 from majoranaq import (
     CouplingMatrix,
     HamiltonianSpec,
@@ -11,6 +12,7 @@ from majoranaq import (
     QuarticCoupling,
     build_hamiltonian,
     build_majoranas,
+    check_basis_evaluable,
     check_density_matrix,
     covariance_of_basis,
     exact_dqdt,
@@ -36,11 +38,9 @@ def interior(M, seed, scale=0.35):
 
 
 class TestNormalOrdering:
-    """Direct checks of the ladder-monomial algebra behind the basis."""
+    """Direct checks of the ladder-monomial algebra behind the definition oracle."""
 
     def test_swap_sign_without_contraction(self):
-        from majoranaq import NormalOrderedPolynomial
-
         # a_0 a_0^dag normal-orders to -a_0^dag a_0: no contraction constant
         p = NormalOrderedPolynomial({((1, 0),): 1.0})   # a_0
         q = NormalOrderedPolynomial({((0, 0),): 1.0})   # a_0^dag
@@ -48,14 +48,10 @@ class TestNormalOrdering:
         assert prod.terms == {((0, 0), (1, 0)): -1.0}
 
     def test_repeated_label_vanishes(self):
-        from majoranaq import NormalOrderedPolynomial
-
         p = NormalOrderedPolynomial({((1, 0),): 1.0})
         assert p.multiply(p).terms == {}
 
     def test_canonical_order_and_parity(self):
-        from majoranaq.fock import _normal_order_word
-
         # a_1 a_0^dag a_0 -> creations first, then annihilations ascending
         word = ((1, 1), (0, 0), (1, 0))
         canonical, sign = _normal_order_word(word)
@@ -64,7 +60,7 @@ class TestNormalOrdering:
         assert sign == 1
 
     def test_matrix_of_monomial(self):
-        from majoranaq import NormalOrderedPolynomial, jordan_wigner_ladders
+        from majoranaq import jordan_wigner_ladders
 
         a = jordan_wigner_ladders(2)
         poly = NormalOrderedPolynomial({((0, 0), (1, 1)): 2.0})  # 2 a_0^dag a_1
@@ -74,8 +70,6 @@ class TestNormalOrdering:
 
     def test_polynomial_degree_truncation(self):
         # squaring a full-degree monomial annihilates it, terminating series
-        from majoranaq import NormalOrderedPolynomial
-
         full = NormalOrderedPolynomial({((0, 0), (1, 0)): 1.0})
         assert full.multiply(full).terms == {}
 
@@ -189,6 +183,43 @@ class TestGaussianBasis:
             lam = gaussian_basis(x)
             assert np.max(np.abs(lam @ lam - lam)) <= 1e-10
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_matches_definition_oracle(self, M):
+        # the product form against the normal-ordered exponential that defines
+        # Lambda; about half of the random boundary points are singular for it
+        boundary_used = 0
+        for seed in range(16):
+            x = random_interior_point(M, seed + 300)
+            np.testing.assert_allclose(gaussian_basis(x), definition_basis(x), rtol=0, atol=1e-13)
+            xb = random_boundary_point(M, seed + 300)
+            try:
+                ref = definition_basis(xb)
+            except SingularBasisError:
+                continue
+            np.testing.assert_allclose(gaussian_basis(xb), ref, rtol=0, atol=1e-13)
+            boundary_used += 1
+        assert boundary_used >= 4
+
+    def test_explicit_majoranas_match_cached(self):
+        x = interior(3, 5)
+        np.testing.assert_array_equal(gaussian_basis(x), gaussian_basis(x, build_majoranas(3)))
+        with pytest.raises(DimensionError):
+            gaussian_basis(x, build_majoranas(2))
+
+    def test_default_majoranas_do_not_warn(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = gaussian_basis(random_interior_point(4, 1))
+        assert abs(np.trace(lam) - 1) <= 1e-12
+
+    def test_evaluability_probe(self):
+        check_basis_evaluable(PhasePoint.zero(2))
+        with pytest.raises(SingularBasisError) as err:
+            check_basis_evaluable(PhasePoint(1, np.array([1.0])))
+        assert "eigenvalue" in str(err.value)
+
 
 class TestQFunction:
     @pytest.mark.parametrize("M", [1, 2])
@@ -237,6 +268,16 @@ class TestCovariance:
         majo = build_majoranas(2)
         cov = covariance_of_basis(interior(2, 21), majo)
         np.testing.assert_allclose(cov, -cov.T, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_equals_point(self, M):
+        from majoranaq.suites import _boundary_point
+
+        majo = build_majoranas(M)
+        for seed in range(4):
+            for x in (interior(M, seed + 60), _boundary_point(M, seed + 60, need_basis=True)):
+                cov = covariance_of_basis(x, majo)
+                np.testing.assert_allclose(cov, x.matrix(), rtol=0, atol=1e-12)
 
 
 class TestExactRate:

@@ -3,7 +3,9 @@
 Every diagonal entry of D vanishes identically, so its spectrum splits into
 positive (forward-time) and negative (backward-time) diffusion directions
 whose eigenvalues sum to zero.  D also decomposes into rank-1 channels
-4g (B- B-^T - B+ B+^T), one per ordered coupling tuple.
+4g (B- B-^T - B+ B+^T), one row per ordered coupling tuple of the channel
+arrays; their sum is an independent route to D, which itself is contracted
+with the compiled pair-space coupling matrix.
 """
 
 import numpy as np
@@ -38,10 +40,10 @@ print(f"eigenvalue sum (traceless): {np.sum(spec.eigenvalues):+.2e}")
 decomp = diffusion_channels(x, g)
 recon = decomp.reconstruct()
 print("\n=== rank-1 channel decomposition ===")
-print(f"channels               : {len(decomp.terms)} (24 per stored coupling)")
+print(f"channels               : {len(decomp.weights)} (24 per stored coupling)")
 print(f"reconstruction defect  : {np.max(np.abs(recon - D)):.2e}")
-pos = [t for t in decomp.terms if t.weight > 0]
-fwd = pos[0].weight * np.outer(pos[0].b_minus, pos[0].b_minus)
+t = int(np.flatnonzero(decomp.weights > 0)[0])
+fwd = decomp.weights[t] * np.outer(decomp.b_minus[t], decomp.b_minus[t])
 print(f"a forward term's lowest eigenvalue: {np.min(np.linalg.eigvalsh(fwd)):+.2e}"
       "  (positive semidefinite)")
 

@@ -33,7 +33,6 @@ from .kernel import (
     diffusion,
     diffusion_expanded,
     diffusion_channels,
-    ChannelTerm,
     ChannelDecomposition,
     drift_bar,
     div_diffusion,

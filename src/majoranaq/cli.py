@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,6 +117,10 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
 
 
 def cmd_flow(args) -> int:
+    if args.steps < 1:
+        raise ConfigError(f"must be >= 1, got {args.steps}", field="--steps")
+    if not (math.isfinite(args.dt) and args.dt > 0.0):
+        raise ConfigError(f"must be finite and positive, got {args.dt!r}", field="--dt")
     cfg = load_config(args.config)
     spec, _shift = config_to_spec(cfg)
     x0 = _load_x0(args, cfg)

@@ -14,16 +14,20 @@ Schema::
 
 Either explicit entries or a preset may be given, not both.  Entries must be
 in canonical (strictly increasing) index order and unique; anything else is a
-user error and is rejected rather than silently antisymmetrized.
+user error and is rejected rather than silently antisymmetrized.  Coupling
+values must be finite numbers, and tolerance overrides must name a pinned
+tolerance of :data:`majoranaq.suites.TOLERANCES` and be finite and positive.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .hubbard import preset_hubbard
+from .suites import TOLERANCES
 from .tensors import CouplingMatrix, HamiltonianSpec, QuarticCoupling
 
 __all__ = ["ModelConfig", "load_config", "parse_config", "emit_config", "config_to_spec"]
@@ -47,6 +51,40 @@ def _require_int(value, name: str) -> int:
     return value
 
 
+def _require_list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"expected a list, got {value!r}", field=name)
+    return value
+
+
+def _require_number(value, name: str) -> float:
+    """A finite real number; booleans, strings and NaN/inf are config errors."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {value!r}", field=name)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value!r}", field=name)
+    return value
+
+
+def _parse_tolerances(tolerances) -> dict:
+    """Overrides of named pinned tolerances; each must be finite and positive."""
+    if not isinstance(tolerances, dict):
+        raise ConfigError("must be a map of named tolerances", field="tolerances")
+    parsed = {}
+    for name, value in tolerances.items():
+        if name not in TOLERANCES:
+            raise ConfigError(
+                f"unknown tolerance {name!r}; known: {', '.join(sorted(TOLERANCES))}",
+                field="tolerances",
+            )
+        value = _require_number(value, f"tolerances.{name}")
+        if value <= 0.0:
+            raise ConfigError(f"must be positive, got {value!r}", field=f"tolerances.{name}")
+        parsed[name] = value
+    return parsed
+
+
 def parse_config(data: dict) -> ModelConfig:
     """Validate a decoded configuration dictionary."""
     if not isinstance(data, dict):
@@ -62,8 +100,8 @@ def parse_config(data: dict) -> ModelConfig:
     n = 2 * M
     t_entries = []
     seen_t = set()
-    for pos, entry in enumerate(data.get("t_entries", [])):
-        if len(entry) != 3:
+    for pos, entry in enumerate(_require_list(data.get("t_entries", []), "t_entries")):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ConfigError(f"entry {pos} must be [i, j, value]", field="t_entries")
         i, j, v = entry
         i = _require_int(i, f"t_entries[{pos}].i")
@@ -77,11 +115,11 @@ def parse_config(data: dict) -> ModelConfig:
         if (i, j) in seen_t:
             raise ConfigError(f"duplicate canonical entry ({i},{j})", field="t_entries")
         seen_t.add((i, j))
-        t_entries.append((i, j, float(v)))
+        t_entries.append((i, j, _require_number(v, f"t_entries[{pos}].value")))
     g_entries = []
     seen_g = set()
-    for pos, entry in enumerate(data.get("g_entries", [])):
-        if len(entry) != 5:
+    for pos, entry in enumerate(_require_list(data.get("g_entries", []), "g_entries")):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 5:
             raise ConfigError(
                 f"entry {pos} must be [i, j, k, l, value]", field="g_entries"
             )
@@ -102,7 +140,7 @@ def parse_config(data: dict) -> ModelConfig:
         if idx in seen_g:
             raise ConfigError(f"duplicate canonical quadruple {idx}", field="g_entries")
         seen_g.add(idx)
-        g_entries.append((*idx, float(v)))
+        g_entries.append((*idx, _require_number(v, f"g_entries[{pos}].value")))
     preset = data.get("preset")
     if preset is not None:
         if not isinstance(preset, dict) or "name" not in preset:
@@ -124,10 +162,7 @@ def parse_config(data: dict) -> ModelConfig:
                 field="preset",
             )
     seed = _require_int(data.get("seed", 0), "seed")
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("must be a map of named tolerances", field="tolerances")
-    tolerances = {str(k): float(v) for k, v in tolerances.items()}
+    tolerances = _parse_tolerances(data.get("tolerances", {}))
     return ModelConfig(M, tuple(t_entries), tuple(g_entries), preset, seed, tolerances)
 
 

@@ -24,6 +24,14 @@ Conventions (hbar = 1 throughout; couplings are rates):
   the symmetric part enters the equation of motion.  D is symmetric with
   identically vanishing diagonal, hence traceless.
 
+* Compiled coupling:  every contraction with g runs through the pair-space
+  matrix G[P, Q] = g_{PQ} (P = (i<j), Q = (k<l) packed), compiled once per
+  coupling as :attr:`QuarticCoupling.pair_matrix`.  Antisymmetry folds each
+  sum over ordered (i, j) onto packed pairs, so (g.x) = 2 G x and
+  E = REa^T G IMa with REa[P] = Re X_{ij} - Re X_{ji} (likewise IMa).  Only
+  the channel decomposition expands the 24 signed orderings of each stored
+  quadruple, as array rows cached on the coupling.
+
 * Divergence of the diffusion (closed form):
   (div D)^a = sum_m d_m D^{am} = -8 (3 - 2M) sum g_{ijkl} x_{kl} Im X_{ij}^a,
   and the full drift is A = Abar + div D
@@ -36,7 +44,6 @@ Conventions (hbar = 1 throughout; couplings are rates):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -48,7 +55,7 @@ from .tensors import (
     _check_index,
     _pack,
     _pair_rows_cols,
-    _sort_sign,
+    _unpack,
     domain_margin,
     pair_count,
 )
@@ -62,7 +69,6 @@ __all__ = [
     "diffusion",
     "diffusion_expanded",
     "diffusion_channels",
-    "ChannelTerm",
     "ChannelDecomposition",
     "drift_bar",
     "div_diffusion",
@@ -127,43 +133,13 @@ def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return RE, IM
 
 
-def _ordered_tuples(g: QuarticCoupling) -> tuple[np.ndarray, np.ndarray]:
-    """All 24 ordered index tuples per stored quadruple, with signed weights.
-
-    Returns (tuples[nt, 4] 0-based, weights[nt]) where weights carry the
-    permutation sign times the canonical value.
-    """
-    tuples = []
-    weights = []
-    for (i, j, k, l), v in g.items():
-        base = (i - 1, j - 1, k - 1, l - 1)
-        for perm in permutations(range(4)):
-            _, sign = _sort_sign(perm)
-            tuples.append(tuple(base[p] for p in perm))
-            weights.append(sign * v)
-    if not tuples:
-        return np.zeros((0, 4), dtype=int), np.zeros(0)
-    return np.array(tuples, dtype=int), np.array(weights)
-
-
 def contract_quartic(g: QuarticCoupling, xm: np.ndarray) -> np.ndarray:
-    """(g.x)_{ij} = sum_{kl} g_{ijkl} x_{kl}, without materializing dense g.
+    """(g.x)_{ij} = sum_{kl} g_{ijkl} x_{kl}, as one product with the pair matrix.
 
-    For a stored quadruple the two remaining indices contribute twice (both
-    orderings), so each ordered pair (i, j) picks up 2 * g_{ijpq} * x_{pq}.
+    The sum over ordered (k, l) counts each packed pair twice, so
+    (g.x)_P = 2 (G x_packed)_P for P = (i<j), unpacked antisymmetrically.
     """
-    n = xm.shape[0]
-    out = np.zeros((n, n))
-    for (i, j, k, l), v in g.items():
-        quad = (i - 1, j - 1, k - 1, l - 1)
-        for a in range(4):
-            for b in range(4):
-                if a == b:
-                    continue
-                rest = [quad[c] for c in range(4) if c not in (a, b)]
-                _, sign = _sort_sign((a, b) + tuple(c for c in range(4) if c not in (a, b)))
-                out[quad[a], quad[b]] += 2.0 * sign * v * xm[rest[0], rest[1]]
-    return out
+    return _unpack(g.M, 2.0 * (g.pair_matrix @ _pack(g.M, xm)))
 
 
 def _check_dims(x: PhasePoint, *couplings) -> None:
@@ -172,22 +148,23 @@ def _check_dims(x: PhasePoint, *couplings) -> None:
             raise DimensionError(f"coupling M={c.M} does not match phase point M={x.M}")
 
 
+def _antisymmetric_rows(M: int, table: np.ndarray) -> np.ndarray:
+    """table[i, j, :] - table[j, i, :] for packed pairs (i<j), one row per pair."""
+    rows, cols = _pair_rows_cols(M)
+    return table[rows, cols] - table[cols, rows]
+
+
 def diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     """Diffusion matrix D^{am} = -8 sum g Im(X^a X^m) over packed pair indices.
 
-    Symmetric with identically vanishing diagonal (traceless); the sum over
-    Latin indices runs over the 24 signed permutations of each stored
-    quadruple, never over a dense rank-4 tensor.
+    Symmetric with identically vanishing diagonal (traceless).  The Latin
+    sums contract with the compiled pair matrix: E = REa^T (G IMa) with
+    REa[P, :] = RE[i, j, :] - RE[j, i, :] for P = (i<j) and IMa likewise, and
+    D = -8 (E + E^T).
     """
     _check_dims(x, g)
-    npairs = pair_count(x.M)
-    tuples, weights = _ordered_tuples(g)
-    if len(weights) == 0:
-        return np.zeros((npairs, npairs))
     RE, IM = _re_im_tables(x.M, x.matrix())
-    U = RE[tuples[:, 0], tuples[:, 1]]  # (nt, npairs)
-    V = IM[tuples[:, 2], tuples[:, 3]]
-    E = np.einsum("t,tp,tq->pq", weights, U, V)
+    E = _antisymmetric_rows(x.M, RE).T @ (g.pair_matrix @ _antisymmetric_rows(x.M, IM))
     return -8.0 * (E + E.T)
 
 
@@ -218,60 +195,42 @@ def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChannelTerm:
-    """One rank-1 forward/backward channel of the diffusion.
+class ChannelDecomposition:
+    """Diffusion split into rank-1 channels, one row per ordered nonzero tuple.
 
-    ``weight`` is 4 * g for the ordered index tuple; the channel contributes
-    weight * (b_minus b_minus^T - b_plus b_plus^T) to the diffusion matrix.
+    Row t holds the 1-based ordered tuple ``indices[t]``, the weight
+    ``weights[t]`` = 4 g for that ordering, and the forward/backward channel
+    vectors ``b_minus[t]``, ``b_plus[t]`` over packed pairs; the channel
+    contributes weights[t] (b_minus b_minus^T - b_plus b_plus^T) to D.
     """
 
-    indices: tuple[int, int, int, int]
-    weight: float
+    M: int
+    indices: np.ndarray
+    weights: np.ndarray
     b_minus: np.ndarray
     b_plus: np.ndarray
 
-
-@dataclass(frozen=True)
-class ChannelDecomposition:
-    """Diffusion split into rank-1 channels, one per ordered nonzero tuple."""
-
-    M: int
-    terms: tuple
-
     def reconstruct(self) -> np.ndarray:
-        D = np.zeros((pair_count(self.M), pair_count(self.M)))
-        for term in self.terms:
-            D += term.weight * (
-                np.outer(term.b_minus, term.b_minus) - np.outer(term.b_plus, term.b_plus)
-            )
-        return D
+        """Sum of all rank-1 channels: (w B-)^T B- - (w B+)^T B+."""
+        w = self.weights[:, None]
+        return (w * self.b_minus).T @ self.b_minus - (w * self.b_plus).T @ self.b_plus
 
 
 def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecomposition:
     """Forward/backward channel vectors B(+-)^a = Re X_{ij}^a +- Im X_{kl}^a.
 
-    One channel per ordered tuple (24 per stored quadruple): the permutation
+    One channel per ordered tuple (24 per stored quadruple), taken row-wise
+    from the Re/Im tables by the ordered tuples cached on the coupling: the
     expansion cannot be collapsed onto canonical quadruples because each
-    ordering carries a distinct rank-1 geometry.
+    ordering carries a distinct rank-1 geometry.  The sum over channels is an
+    independent route to :func:`diffusion`, which contracts with G instead.
     """
     _check_dims(x, g)
-    tuples, weights = _ordered_tuples(g)
-    if len(weights) == 0:
-        return ChannelDecomposition(x.M, ())
+    tuples, weights = g.ordered_tuples
     RE, IM = _re_im_tables(x.M, x.matrix())
-    terms = []
-    for (i, j, k, l), w in zip(tuples, weights):
-        u = RE[i, j]
-        v = IM[k, l]
-        terms.append(
-            ChannelTerm(
-                (int(i) + 1, int(j) + 1, int(k) + 1, int(l) + 1),
-                4.0 * float(w),
-                u - v,
-                u + v,
-            )
-        )
-    return ChannelDecomposition(x.M, tuple(terms))
+    u = RE[tuples[:, 0], tuples[:, 1]]  # (nt, npairs)
+    v = IM[tuples[:, 2], tuples[:, 3]]
+    return ChannelDecomposition(x.M, tuples + 1, 4.0 * weights, u - v, u + v)
 
 
 def _commutator_drift(x: PhasePoint, c: np.ndarray) -> np.ndarray:

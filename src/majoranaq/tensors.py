@@ -9,7 +9,10 @@ antisymmetric orthogonal matrices, i.e. complex structures).
 
 Quadratic couplings t_{ij} use the same packed antisymmetric storage; quartic
 couplings g_{ijkl} are stored on sorted quadruples i<j<k<l with the
-permutation sign applied on access.
+permutation sign applied on access.  Each quartic coupling is compiled once,
+on first use, into the symmetric pair-space matrix G[P, Q] = g_{PQ} over
+packed pairs P = (i<j), Q = (k<l) (a sparse array with six entries per
+stored quadruple), which is the only form the kernel contracts with.
 
 All indices in the public API are 1-based, matching the conventions of the
 file formats; internal numpy arrays are 0-based.
@@ -18,10 +21,12 @@ file formats; internal numpy arrays are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import permutations
 from types import MappingProxyType
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionError, IndexRangeError
 
@@ -87,6 +92,16 @@ def _pair_rows_cols(M: int) -> tuple[np.ndarray, np.ndarray]:
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
+
+
+@lru_cache(maxsize=None)
+def _pair_index_matrix(M: int) -> np.ndarray:
+    """(2M, 2M) array whose (a, b) and (b, a) entries are the packed index of a < b."""
+    rows, cols = _pair_rows_cols(M)
+    idx = np.zeros((2 * M, 2 * M), dtype=np.intp)
+    idx[rows, cols] = idx[cols, rows] = np.arange(len(rows))
+    idx.flags.writeable = False
+    return idx
 
 
 def _pack(M: int, mat: np.ndarray) -> np.ndarray:
@@ -216,6 +231,11 @@ def _sort_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
+# The 24 orderings of a quadruple (itertools order) and their permutation signs.
+_PERMUTATIONS4 = np.array(list(permutations(range(4))), dtype=np.intp)
+_PERMUTATION_SIGNS4 = np.array([float(_sort_sign(tuple(p))[1]) for p in _PERMUTATIONS4])
+
+
 @dataclass(frozen=True)
 class QuarticCoupling:
     """Fully antisymmetric rank-4 coupling g_{ijkl}; canonical quadruples stored."""
@@ -262,10 +282,48 @@ class QuarticCoupling:
         """Canonical (i, j, k, l) -> value pairs, 1-based, sorted for determinism."""
         return sorted(self.table.items())
 
+    def _canonical_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted canonical quadruples as a 0-based (nq, 4) array, and their values."""
+        items = self.items()
+        quads = np.array([key for key, _ in items], dtype=np.intp).reshape(-1, 4) - 1
+        return quads, np.array([v for _, v in items], dtype=float)
+
+    @cached_property
+    def pair_matrix(self) -> sparse.csr_array:
+        """Symmetric pair-space matrix G[P, Q] = g_{PQ}, P = (i<j) and Q = (k<l) packed.
+
+        A canonical quadruple a<b<c<d fills its three pair splits
+        (ab|cd), (ac|bd), (ad|bc) with signs +, -, +, each in both orders, so
+        (g.x)_{ij} = 2 (G x_packed)_P and G has 6 entries per stored quadruple.
+        """
+        quads, values = self._canonical_arrays()
+        idx = _pair_index_matrix(self.M)
+        a, b, c, d = quads.T
+        left = [idx[a, b], idx[a, c], idx[a, d]]
+        right = [idx[c, d], idx[b, d], idx[b, c]]
+        rows = np.concatenate(left + right)
+        cols = np.concatenate(right + left)
+        data = np.concatenate([values, -values, values] * 2)
+        npairs = pair_count(self.M)
+        return sparse.csr_array((data, (rows, cols)), shape=(npairs, npairs))
+
+    @cached_property
+    def ordered_tuples(self) -> tuple[np.ndarray, np.ndarray]:
+        """All 24 orderings of every stored quadruple, with signed values.
+
+        Returns (tuples (24 nq, 4) 0-based, weights (24 nq,)), quadruples in
+        :meth:`items` order and orderings in ``itertools.permutations`` order;
+        each weight is the permutation sign times the canonical value.
+        """
+        quads, values = self._canonical_arrays()
+        tuples = quads[:, _PERMUTATIONS4].reshape(-1, 4)
+        weights = (values[:, None] * _PERMUTATION_SIGNS4[None, :]).reshape(-1)
+        for arr in (tuples, weights):
+            arr.flags.writeable = False
+        return tuples, weights
+
     def dense(self) -> np.ndarray:
         """Materialized (2M)^4 tensor; intended for small-M cross-checks."""
-        from itertools import permutations
-
         n = 2 * self.M
         out = np.zeros((n, n, n, n))
         for (i, j, k, l), v in self.table.items():
@@ -281,7 +339,7 @@ def antisymmetrize_quartic(dense: np.ndarray, M: int) -> QuarticCoupling:
     The canonical value on i<j<k<l is (1/4!) sum_sigma sign(sigma) *
     dense[sigma(i,j,k,l)]; the accessor then reproduces the full projection.
     """
-    from itertools import combinations, permutations
+    from itertools import combinations
 
     dense = np.asarray(dense, dtype=float)
     n = 2 * M

@@ -75,6 +75,19 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--suite", "traceless"]) == 2
         assert "g_entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data,field", [
+        ({"M": 1, "t_entries": [[1, 2, "a"]]}, "t_entries[0].value"),
+        ({"M": 2, "g_entries": [[1, 2, 3, 4, float("nan")]]}, "g_entries[0].value"),
+        ({"M": 1, "tolerances": {"tangencyy": 1e-9}}, "tangencyy"),
+        ({"M": 1, "tolerances": {"tangency": -1.0}}, "tolerances.tangency"),
+    ], ids=["non-numeric", "nan-coupling", "unknown-tolerance", "negative-tolerance"])
+    def test_malformed_config_numbers_exit_2(self, tmp_path, capsys, data, field):
+        # json.dumps writes NaN, which Python's json reader accepts
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", "--config", cfg, "--suite", "tangency"]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         assert main(["verify", "--config", "/nonexistent.json"]) == 2
 
@@ -150,6 +163,19 @@ class TestFlowCommand:
                      "--out", str(tmp_path / "t.csv")])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--steps", "0"), ("--steps", "-3"),
+        ("--dt", "0"), ("--dt", "-1e-3"), ("--dt", "nan"), ("--dt", "inf"),
+    ])
+    def test_invalid_step_arguments_exit_2(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        out_csv = tmp_path / "t.csv"
+        code = main(["flow", "--config", cfg, f"{flag}={value}", "--out", str(out_csv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out_csv.exists()
 
     def test_x0_file_m_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "seed": 0})

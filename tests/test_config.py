@@ -56,6 +56,35 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown"):
             parse_config({"M": 1, "coupling": []})
 
+    @pytest.mark.parametrize("value", ["a", True, None, [0.5], float("nan"), float("inf")])
+    def test_malformed_quadratic_value_rejected(self, value):
+        with pytest.raises(ConfigError, match=r"t_entries\[0\]\.value"):
+            parse_config({"M": 1, "t_entries": [[1, 2, value]]})
+
+    @pytest.mark.parametrize("value", ["a", False, float("nan"), float("-inf")])
+    def test_malformed_quartic_value_rejected(self, value):
+        with pytest.raises(ConfigError, match=r"g_entries\[1\]\.value"):
+            parse_config({"M": 3, "g_entries": [[1, 2, 3, 4, 0.5], [1, 2, 3, 5, value]]})
+
+    def test_malformed_entry_lists_rejected(self):
+        with pytest.raises(ConfigError, match="t_entries"):
+            parse_config({"M": 1, "t_entries": 5})
+        with pytest.raises(ConfigError, match="g_entries"):
+            parse_config({"M": 2, "g_entries": [7]})
+
+    def test_unknown_tolerance_rejected(self):
+        with pytest.raises(ConfigError, match="tangencyy"):
+            parse_config({"M": 1, "tolerances": {"tangencyy": 1e-9}})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"), "1e-9", True])
+    def test_tolerance_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match=r"tolerances\.tangency"):
+            parse_config({"M": 1, "tolerances": {"tangency": value}})
+
+    def test_known_tolerance_accepted(self):
+        cfg = parse_config({"M": 1, "tolerances": {"tangency": 1e-9, "fpe": 1}})
+        assert cfg.tolerances == {"tangency": 1e-9, "fpe": 1.0}
+
 
 class TestFiles:
     def test_round_trip(self, tmp_path):

@@ -34,6 +34,13 @@ from majoranaq import (
 from majoranaq.errors import IndexRangeError, OffBoundaryError
 
 
+def all_quadruples(M, seed):
+    """A coupling storing every canonical quadruple, values uniform in [-1, 1)."""
+    rng = np.random.default_rng(seed)
+    quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
+    return QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])
+
+
 def random_t(M, seed, scale=0.5):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2 * M, 2 * M)) * scale
@@ -112,6 +119,13 @@ class TestContractQuartic:
         ref = np.einsum("ijkl,kl->ij", g.dense(), x.matrix())
         np.testing.assert_allclose(contract_quartic(g, x.matrix()), ref, atol=1e-13)
 
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_all_quadruples_against_dense_einsum(self, M):
+        g = all_quadruples(M, seed=10 + M)
+        for x in (random_interior_point(M, M), random_boundary_point(M, M)):
+            ref = np.einsum("ijkl,kl->ij", g.dense(), x.matrix())
+            np.testing.assert_allclose(contract_quartic(g, x.matrix()), ref, rtol=0, atol=1e-12)
+
 
 class TestDiffusion:
     def test_zero_coupling(self):
@@ -130,6 +144,13 @@ class TestDiffusion:
         for x in (random_boundary_point(M, seed), random_interior_point(M, seed)):
             D = diffusion(x, g)
             np.testing.assert_allclose(D, diffusion_expanded(x, g), atol=1e-12)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_all_quadruples_match_expanded_form(self, M):
+        g = all_quadruples(M, seed=20 + M)
+        for x in (random_boundary_point(M, M), random_interior_point(M, M)):
+            np.testing.assert_allclose(diffusion(x, g), diffusion_expanded(x, g),
+                                       rtol=0, atol=1e-12)
 
     def test_symmetric_zero_diagonal(self):
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 1.0)])
@@ -166,8 +187,13 @@ class TestChannels:
     def test_empty(self):
         x = random_interior_point(2, 3)
         dec = diffusion_channels(x, QuarticCoupling.zero(2))
-        assert dec.terms == ()
-        np.testing.assert_array_equal(dec.reconstruct(), 0.0)
+        npairs = pair_count(2)
+        assert dec.indices.shape == (0, 4)
+        assert dec.weights.shape == (0,)
+        assert dec.b_minus.shape == dec.b_plus.shape == (0, npairs)
+        recon = dec.reconstruct()
+        assert recon.shape == (npairs, npairs)
+        np.testing.assert_array_equal(recon, 0.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reconstruction(self, seed):
@@ -180,6 +206,16 @@ class TestChannels:
         recon = diffusion_channels(x, g).reconstruct()
         assert np.max(np.abs(recon - D)) / np.max(np.abs(D)) <= 1e-12
 
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_reconstruction_all_quadruples_m4(self, boundary):
+        g = all_quadruples(4, seed=4)
+        x = random_boundary_point(4, 5) if boundary else random_interior_point(4, 5)
+        D = diffusion(x, g)
+        assert np.max(np.abs(D)) > 0.01
+        dec = diffusion_channels(x, g)
+        assert len(dec.weights) == 24 * 70
+        assert np.max(np.abs(dec.reconstruct() - D)) / np.max(np.abs(D)) <= 1e-12
+
     def test_m2_quartic_sector_vanishes_identically(self):
         # (g.x) is the Hodge dual of x at M=2, so [x, g.x] = 0 and D = 0
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.8)])
@@ -191,18 +227,34 @@ class TestChannels:
     def test_forward_terms_psd(self):
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.8)])
         x = random_boundary_point(2, 4)
-        for term in diffusion_channels(x, g).terms:
-            if term.weight > 0:
-                forward = term.weight * np.outer(term.b_minus, term.b_minus)
-                assert np.min(np.linalg.eigvalsh(forward)) >= -1e-12
+        dec = diffusion_channels(x, g)
+        positive = np.flatnonzero(dec.weights > 0)
+        assert len(positive) == 12
+        for t in positive:
+            forward = dec.weights[t] * np.outer(dec.b_minus[t], dec.b_minus[t])
+            assert np.min(np.linalg.eigvalsh(forward)) >= -1e-12
 
     def test_term_bookkeeping(self):
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
         x = random_interior_point(2, 6)
         dec = diffusion_channels(x, g)
-        assert len(dec.terms) == 24
-        canonical = [t for t in dec.terms if t.indices == (1, 2, 3, 4)]
-        assert len(canonical) == 1 and canonical[0].weight == pytest.approx(4 * 0.5)
+        assert len(dec.weights) == len(dec.indices) == 24
+        canonical = np.flatnonzero((dec.indices == (1, 2, 3, 4)).all(axis=1))
+        assert len(canonical) == 1 and dec.weights[canonical[0]] == pytest.approx(4 * 0.5)
+
+    def test_rows_are_signed_orderings(self):
+        # each row is one ordering of a stored quadruple, weighted by 4 g there
+        g = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.5), (2, 3, 5, 6, -0.7)])
+        x = random_interior_point(3, 7)
+        dec = diffusion_channels(x, g)
+        assert len({tuple(row) for row in dec.indices}) == 48
+        for row, w in zip(dec.indices, dec.weights):
+            assert w == 4.0 * g.entry(*row)
+        i, j, k, l = dec.indices[5]
+        u = np.array([re_x(x, i, j, p.alpha, p.beta) for p in pair_enumerate(3)])
+        v = np.array([im_x(x, k, l, p.alpha, p.beta) for p in pair_enumerate(3)])
+        np.testing.assert_allclose(dec.b_minus[5], u - v, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dec.b_plus[5], u + v, rtol=0, atol=1e-15)
 
 
 class TestDriftBar:

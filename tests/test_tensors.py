@@ -146,6 +146,46 @@ class TestQuarticAccessor:
             QuarticCoupling.from_entries(2, [(1, 2, 3, 5, 1.0)])
 
 
+class TestCompiledQuartic:
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_pair_matrix_is_dense_restricted_to_pairs(self, M):
+        rng = np.random.default_rng(M)
+        quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
+        g = QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])
+        rows, cols = np.triu_indices(2 * M, k=1)
+        G = g.pair_matrix.toarray()
+        np.testing.assert_array_equal(G, g.dense()[rows, cols][:, rows, cols])
+        np.testing.assert_array_equal(G, G.T)
+        assert g.pair_matrix.nnz == 6 * len(quads)
+
+    def test_pair_matrix_signs_of_the_three_splits(self):
+        # pairs of M = 2 in packed order: 12, 13, 14, 23, 24, 34
+        g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
+        G = g.pair_matrix.toarray()
+        assert (G[0, 5], G[1, 4], G[2, 3]) == (0.5, -0.5, 0.5)
+        assert (G[5, 0], G[4, 1], G[3, 2]) == (0.5, -0.5, 0.5)
+
+    def test_compiled_once(self):
+        g = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.5)])
+        assert g.pair_matrix is g.pair_matrix
+        assert g.ordered_tuples is g.ordered_tuples
+
+    def test_empty(self):
+        g = QuarticCoupling.zero(3)
+        assert g.pair_matrix.shape == (pair_count(3), pair_count(3))
+        assert g.pair_matrix.nnz == 0
+        tuples, weights = g.ordered_tuples
+        assert tuples.shape == (0, 4) and weights.shape == (0,)
+
+    def test_ordered_tuples_carry_signed_values(self):
+        g = QuarticCoupling.from_entries(3, [(1, 3, 4, 6, -0.8), (2, 3, 4, 5, 0.3)])
+        tuples, weights = g.ordered_tuples
+        assert tuples.shape == (48, 4)
+        assert len({tuple(t) for t in tuples}) == 48
+        for t, w in zip(tuples, weights):
+            assert w == g.entry(*(t + 1))
+
+
 class TestCouplings:
     def test_coupling_matrix_antisymmetry(self):
         t = CouplingMatrix.from_entries(2, [(1, 2, 0.5), (2, 4, -0.3)])

@@ -108,12 +108,28 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
     if not args.x0_file:
         raise ConfigError("--x0 file requires --x0-file PATH")
     with open(args.x0_file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
+                field="--x0-file",
+            ) from exc
+    if not isinstance(data, dict):
+        raise ConfigError("top level must be a JSON object", field="--x0-file")
     if data.get("M") != cfg.M:
         raise ConfigError(
             f"initial point M = {data.get('M')} does not match config M = {cfg.M}"
         )
-    return PhasePoint(cfg.M, np.asarray(data["packed"], dtype=float))
+    if "packed" not in data:
+        raise ConfigError('missing "packed" list', field="--x0-file")
+    try:
+        packed = np.asarray(data["packed"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'"packed" must be a list of numbers: {exc}', field="--x0-file") from exc
+    if not np.all(np.isfinite(packed)):
+        raise ConfigError('"packed" values must be finite', field="--x0-file")
+    return PhasePoint(cfg.M, packed)
 
 
 def cmd_flow(args) -> int:

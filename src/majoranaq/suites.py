@@ -64,6 +64,7 @@ TOLERANCES = {
     "traceless-eigsum": 1e-10,
     "channel-reconstruction": 1e-12,
     "channel-psd": 1e-12,
+    "channel-balance": 1e-12,
     "divergence-closed-form": 1e-6,
     "drift-divergence-free": 1e-6,
     "double-divergence": 1e-5,
@@ -380,29 +381,37 @@ def acceptance_fpe_cases(seed: int) -> list[tuple[str, HamiltonianSpec, int]]:
     return cases
 
 
-# Forward channel matrices handed to one batched eigvalsh call; bounded so the
-# stack stays small next to the rest of the process at M = 4 with all quadruples.
-_PSD_STACK = 64
-
-
 def run_traceless_and_channels(
     M: int,
     seed: int,
     cases: int = 100,
     g: QuarticCoupling | None = None,
 ) -> list[CheckResult]:
-    """Diagonal/trace/eigensum of D plus channel reconstruction, one sweep.
+    """Diagonal/trace/eigensum of D plus its forward/backward split, one sweep.
 
     The traceless check passes only if both the worst diagonal entry and the
-    worst eigenvalue sum are within their tolerances; the channel check needs
-    the reconstruction and every positive-weight forward channel PSD.
+    worst eigenvalue sum are within their tolerances.
+
+    The channel check assembles, per instance, the forward part
+    F = sum_t |w_t| f_t f_t^T and the backward part Bk = sum_t |w_t| k_t k_t^T,
+    where f_t is the channel's b_minus when w_t > 0 and its b_plus otherwise,
+    and k_t is the other vector, so that F - Bk = D.  It needs three things:
+    the channel reconstruction (an independent route to D) within tolerance,
+    F and Bk positive semidefinite, and the power balance
+    |tr F - tr Bk| / max(tr F, 1) -- the traceless theorem written over the
+    channels -- within tolerance.  Each single channel |w| f f^T has the
+    closed-form spectrum {|w| |f|^2, 0, ...}, so F and Bk are tested as
+    assembled sums rather than one eigensolve per channel; as sums of such
+    terms they are PSD up to round-off, so a wrong decomposition shows in
+    the balance and the reconstruction.
     """
     tol_diag = TOLERANCES["traceless-diagonal"]
     tol_sum = TOLERANCES["traceless-eigsum"]
     tol_rec = TOLERANCES["channel-reconstruction"]
     tol_psd = TOLERANCES["channel-psd"]
+    tol_bal = TOLERANCES["channel-balance"]
     clock = _CheckClock()
-    worst_diag = worst_sum = worst_rec = worst_psd = 0.0
+    worst_diag = worst_sum = worst_rec = worst_psd = worst_bal = 0.0
     for i in range(cases):
         rng = np.random.default_rng(seed + i)
         gi = g if g is not None else _random_quartic(M, rng)
@@ -422,12 +431,16 @@ def run_traceless_and_channels(
             # M=2 the only quartic channel gives an identically zero D
             denom = max(float(np.max(np.abs(D))), 1.0)
             worst_rec = max(worst_rec, float(np.max(np.abs(recon - D))) / denom)
-            positive = decomp.weights > 0
-            w, b = decomp.weights[positive], decomp.b_minus[positive]
-            for s in range(0, len(w), _PSD_STACK):
-                ws, bs = w[s:s + _PSD_STACK], b[s:s + _PSD_STACK]
-                forward = ws[:, None, None] * (bs[:, :, None] * bs[:, None, :])
-                worst_psd = max(worst_psd, -float(np.min(np.linalg.eigvalsh(forward))))
+            forward_is_minus = (decomp.weights > 0)[:, None]
+            fwd = np.where(forward_is_minus, decomp.b_minus, decomp.b_plus)
+            bwd = np.where(forward_is_minus, decomp.b_plus, decomp.b_minus)
+            w = np.abs(decomp.weights)[:, None]
+            F = (w * fwd).T @ fwd
+            Bk = (w * bwd).T @ bwd
+            lowest = min(float(np.linalg.eigvalsh(F)[0]), float(np.linalg.eigvalsh(Bk)[0]))
+            worst_psd = max(worst_psd, -lowest)
+            trace_f = float(np.trace(F))
+            worst_bal = max(worst_bal, abs(trace_f - float(np.trace(Bk))) / max(trace_f, 1.0))
     return [
         CheckResult(f"traceless-m{M}", cases, worst_diag, tol_diag,
                     worst_diag <= tol_diag and worst_sum <= tol_sum,
@@ -435,8 +448,9 @@ def run_traceless_and_channels(
                     info={"eigsum": worst_sum, "eigsum_tol": tol_sum,
                           "eigsum_pass": worst_sum <= tol_sum}),
         CheckResult(f"channels-m{M}", cases, worst_rec, tol_rec,
-                    worst_rec <= tol_rec and worst_psd <= tol_psd, clock.seconds["channels"],
-                    info={"psd_defect": worst_psd}),
+                    worst_rec <= tol_rec and worst_psd <= tol_psd and worst_bal <= tol_bal,
+                    clock.seconds["channels"],
+                    info={"psd_defect": worst_psd, "balance": worst_bal}),
     ]
 
 

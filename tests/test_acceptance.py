@@ -102,6 +102,7 @@ def test_criteria_05_06_traceless_and_decomposition(M):
     assert traceless.info["eigsum"] <= 1e-10        # eigenvalue sum
     assert channels.max_residual <= 1e-12           # reconstruction, relative
     assert channels.info["psd_defect"] <= 1e-12     # forward channels PSD
+    assert channels.info["balance"] <= 1e-12        # tr F = tr Bk
     assert traceless.passed and channels.passed
 
 
@@ -159,6 +160,8 @@ def test_default_tolerances_are_the_pinned_ones():
     assert TOLERANCES["traceless-diagonal"] == 1e-12
     assert TOLERANCES["traceless-eigsum"] == 1e-10
     assert TOLERANCES["channel-reconstruction"] == 1e-12
+    assert TOLERANCES["channel-psd"] == 1e-12
+    assert TOLERANCES["channel-balance"] == 1e-12
     assert TOLERANCES["divergence-closed-form"] == 1e-6
     assert TOLERANCES["drift-divergence-free"] == 1e-6
     assert TOLERANCES["double-divergence"] == 1e-5

@@ -185,6 +185,25 @@ class TestFlowCommand:
                      "--x0-file", str(x0_path), "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"M": 1}',
+        '{"M": 1, "packed": [',
+        '[0.5]',
+        '{"M": 1, "packed": ["a"]}',
+        '{"M": 1, "packed": [NaN]}',
+    ], ids=["no-packed", "truncated", "not-object", "non-numeric", "non-finite"])
+    def test_malformed_x0_file_exit_2(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text(text)
+        out_csv = tmp_path / "t.csv"
+        code = main(["flow", "--config", cfg, "--x0", "file",
+                     "--x0-file", str(x0_path), "--out", str(out_csv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--x0-file" in err and "Traceback" not in err
+        assert not out_csv.exists()
+
 
 class TestPresetCommand:
     def test_writes_loadable_config(self, tmp_path, capsys):

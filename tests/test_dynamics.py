@@ -1,9 +1,15 @@
 """Drift flow, boundary preservation, diffusion spectra, covariance transport."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import majoranaq
 from majoranaq import (
     CouplingMatrix,
     HamiltonianSpec,
@@ -165,3 +171,25 @@ class TestCovarianceTransport:
         assert np.std(rates) <= 1e-5
         # the fitted transport rate matches the flow generator normalization
         assert rates[0] == pytest.approx(4.0, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_m2_deviation_at_generator_rate(self, seed):
+        from majoranaq.suites import _boundary_point
+
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 4)) * 0.6
+        t = CouplingMatrix.from_matrix(a - a.T)
+        x0 = _boundary_point(2, seed + 40, need_basis=True)
+        dev, _ = gaussian_covariance_comparison(x0, t, horizon=1.0, dt=1e-3)
+        assert dev <= 1e-12
+
+    def test_package_import_leaves_scipy_optimize_unloaded(self):
+        # the rate fit imports scipy.optimize on use; at package import it
+        # would add a large share of every CLI start-up
+        src = str(Path(majoranaq.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = "import sys, majoranaq; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -4,7 +4,8 @@ The phase point x is a real antisymmetric 2M x 2M matrix.  Lambda(x) is the
 unit-trace, normal-ordered Gaussian operator at that point: at x = 0 it is
 the maximally mixed state, in the interior a full-rank mixed Gaussian, and on
 the boundary x^2 = -I a pure-state projector.  The library builds it from the
-real Schur form x = O T O^T as 2^-M prod_k (I + i lambda_k gamma'_{2k-1}
+block form x = O T O^T (the eigenpairs of the Hermitian i x give O and the
+block weights lambda_k) as 2^-M prod_k (I + i lambda_k gamma'_{2k-1}
 gamma'_{2k}) with rotated Majoranas gamma' = O^T gamma; the test suite checks
 this against the normal-ordered exponential that defines Lambda.
 """

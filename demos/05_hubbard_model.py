@@ -54,6 +54,6 @@ for seed in range(31, 40):  # skip the measure-zero singular boundary points
         break
     except SingularBasisError:
         continue
-dev, rate = gaussian_covariance_comparison(x0, preset.t, horizon=1.0, dt=1e-3)
+dev, rate = gaussian_covariance_comparison(x0, preset.t, horizon=1.0)
 print(f"fitted transport rate: {rate:.8f} (flow generator normalization: 4)")
 print(f"max covariance deviation over the horizon at rate 4: {dev:.2e}")

@@ -3,11 +3,11 @@
 A phase point is a real antisymmetric 2M x 2M matrix; the Q-function of a
 fermionic state is its overlap with a normal-ordered Gaussian basis operator
 at that point, built here as a product of commuting two-Majorana factors over
-the real Schur form of the phase point.  This package evaluates the
-closed-form drift and diffusion of the resulting generalized Fokker-Planck
-equation, exposes an exact Fock-space oracle for M <= 3, and verifies the
-structural claims (traceless diffusion, divergence-free drift, boundary
-tangency, equivalence with exact Liouville dynamics) against it.
+the 2x2 blocks of the phase point (from the eigenpairs of i x).  This package
+evaluates the closed-form drift and diffusion of the resulting generalized
+Fokker-Planck equation, exposes an exact Fock-space oracle for M <= 3, and
+verifies the structural claims (traceless diffusion, divergence-free drift,
+boundary tangency, equivalence with exact Liouville dynamics) against it.
 """
 
 from .tensors import (

@@ -27,13 +27,15 @@ from .tensors import PhasePoint, pair_enumerate, random_boundary_point
 
 SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 
-_M_CAPS = {"identities": 3, "fpe": 3, "traceless": 4, "tangency": 4}
+# mode-count caps per verify suite and for the flow command; at the flow cap
+# the dense pair matrix G is 496 x 496 (2 MB)
+_M_CAPS = {"identities": 3, "fpe": 3, "traceless": 4, "tangency": 4, "flow": 16}
 
 
-def _check_cap(suite: str, M: int) -> None:
-    cap = _M_CAPS.get(suite)
+def _check_cap(name: str, M: int) -> None:
+    cap = _M_CAPS.get(name)
     if cap is not None and M > cap:
-        raise ConfigError(f"suite '{suite}' supports M <= {cap}, config has M = {M}")
+        raise ConfigError(f"'{name}' supports M <= {cap}, config has M = {M}")
 
 
 def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> list:
@@ -138,6 +140,7 @@ def cmd_flow(args) -> int:
     if not (math.isfinite(args.dt) and args.dt > 0.0):
         raise ConfigError(f"must be finite and positive, got {args.dt!r}", field="--dt")
     cfg = load_config(args.config)
+    _check_cap("flow", cfg.M)
     spec, _shift = config_to_spec(cfg)
     x0 = _load_x0(args, cfg)
     traj = flow(x0, spec, args.dt, args.steps, method=args.method)

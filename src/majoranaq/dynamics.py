@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError, DivergenceError
 from .fock import build_majoranas, build_hamiltonian, covariance_of_basis, gaussian_basis
@@ -144,7 +143,6 @@ def gaussian_covariance_comparison(
     x0: PhasePoint,
     t: CouplingMatrix,
     horizon: float,
-    dt: float,
     n_samples: int = 8,
 ) -> tuple[float, float]:
     """Quadratic-sector cross-validation against exact quantum evolution.
@@ -159,6 +157,11 @@ def gaussian_covariance_comparison(
     """
     if t.M != x0.M:
         raise DimensionError(f"coupling M={t.M} != initial point M={x0.M}")
+    # scipy is imported on use: no CLI command reaches this comparison, and
+    # keeping scipy off the package import path halves CLI start-up
+    from scipy.linalg import expm
+    from scipy.optimize import minimize_scalar
+
     M = x0.M
     majo = build_majoranas(M)
     spec = HamiltonianSpec.free(t)
@@ -193,10 +196,6 @@ def gaussian_covariance_comparison(
 
     exact = [first] + [exact_cov(tau) for tau in taus[1:]]
     deviation = max(mismatch(4.0, tau, e) for tau, e in zip(taus, exact))
-    # imported on use: this informational fit is the package's only use of
-    # scipy.optimize, whose import is a large share of CLI start-up
-    from scipy.optimize import minimize_scalar
-
     fit = minimize_scalar(lambda c: mismatch(c, taus[0], first), bounds=(0.0, 16.0),
                           method="bounded", options={"xatol": 1e-12})
     return deviation, float(fit.x)

@@ -13,9 +13,12 @@ and gamma_2 is Pauli Y.  All verification quantities are traces or residuals
 and do not depend on these sign/phase choices.
 
 The Gaussian basis is built in its fermionic Gaussian-state product form
-(Bravyi, quant-ph/0404180; Corney & Drummond, PRB 73, 125112).  The real
-Schur form x = O T O^T is block diagonal with 2x2 blocks of weight lambda_k;
-in the rotated Majoranas gamma'_m = sum_a O_{am} gamma_a,
+(Bravyi, quant-ph/0404180; Corney & Drummond, PRB 73, 125112).  The
+Hermitian matrix i x has eigenvalues +-lambda_k; an eigenvector a_k + i b_k
+of +lambda_k >= 0 gives x a_k = lambda_k b_k and x b_k = -lambda_k a_k, so
+the real orthonormal pairs (sqrt2 b_k, sqrt2 a_k) bring x to the block form
+x = O T O^T with 2x2 blocks of weight lambda_k.  In the rotated
+Majoranas gamma'_m = sum_a O_{am} gamma_a,
 
     Lambda(x) = 2^-M prod_k (I + i lambda_k gamma'_{2k-1} gamma'_{2k}),
 
@@ -33,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import DimensionError, SingularBasisError, StencilError
 from .kernel import drift_alternative, fpe_rhs, diffusion, div_diffusion
@@ -162,26 +164,24 @@ def check_basis_evaluable(x: PhasePoint) -> None:
 def gaussian_basis(x: PhasePoint, majoranas: MajoranaSet | None = None) -> np.ndarray:
     """Unit-trace Gaussian basis operator Lambda(x).
 
-    Product form over the 2x2 blocks of the real Schur form x = O T O^T:
-    Lambda = 2^-M prod_k (I + i T_{k,k+1} gamma'_k gamma'_{k+1}) with
-    gamma'_m = sum_a O_{am} gamma_a; 1x1 (zero) blocks contribute I.
+    Product form over the 2x2 blocks of x, from the top M eigenpairs
+    (lambda_k, a_k + i b_k) of the Hermitian i x:
+    Lambda = 2^-M prod_k (I + i lambda_k gamma'_{b_k} gamma'_{a_k}) with
+    gamma'_v = sqrt2 sum_a v_a gamma_a.  A zero lambda_k contributes I.
     """
     M = x.M
     if majoranas is not None and majoranas.M != M:
         raise DimensionError(f"majoranas M={majoranas.M} != phase point M={M}")
     check_basis_evaluable(x)
     gam = _gamma_stack(M) if majoranas is None else np.asarray(majoranas.gammas)
-    T, O = schur(x.matrix(), output="real")
+    weights, vecs = np.linalg.eigh(1j * x.matrix())
+    top = np.sqrt(2.0) * vecs[:, M:]
+    O = np.concatenate([top.imag, top.real], axis=1)
     rotated = (O.T @ gam.reshape(2 * M, -1)).reshape(gam.shape)
     dim = 2 ** M
     lam = np.eye(dim, dtype=complex) / dim
-    k = 0
-    while k < 2 * M - 1:
-        if T[k + 1, k] == 0.0:
-            k += 1
-            continue
-        lam = lam + 1j * T[k, k + 1] * (lam @ rotated[k] @ rotated[k + 1])
-        k += 2
+    for k in range(M):
+        lam = lam + 1j * weights[M + k] * (lam @ rotated[k] @ rotated[M + k])
     return lam
 
 

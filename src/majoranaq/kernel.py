@@ -26,7 +26,8 @@ Conventions (hbar = 1 throughout; couplings are rates):
 
 * Compiled coupling:  every contraction with g runs through the pair-space
   matrix G[P, Q] = g_{PQ} (P = (i<j), Q = (k<l) packed), compiled once per
-  coupling as :attr:`QuarticCoupling.pair_matrix`.  Antisymmetry folds each
+  coupling as :attr:`QuarticCoupling.pair_matrix`, a dense npairs x npairs
+  array with npairs = M(2M - 1) (2 MB at M = 16).  Antisymmetry folds each
   sum over ordered (i, j) onto packed pairs, so (g.x) = 2 G x and
   E = REa^T G IMa with REa[P] = Re X_{ij} - Re X_{ji} (likewise IMa).  Only
   the channel decomposition expands the 24 signed orderings of each stored

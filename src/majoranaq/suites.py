@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fock, kernel
 from .dynamics import flow
@@ -647,6 +646,8 @@ def run_flow_equivalence(
     steps: int = 1000, tol: float | None = None,
 ) -> CheckResult:
     """Quadratic-only trajectories against the matrix-exponential transport."""
+    from scipy.linalg import expm  # on use, like dynamics: no CLI command runs this
+
     tol = TOLERANCES["flow-matrix-equivalence"] if tol is None else tol
     def body():
         worst = 0.0

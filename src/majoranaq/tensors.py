@@ -11,8 +11,9 @@ Quadratic couplings t_{ij} use the same packed antisymmetric storage; quartic
 couplings g_{ijkl} are stored on sorted quadruples i<j<k<l with the
 permutation sign applied on access.  Each quartic coupling is compiled once,
 on first use, into the symmetric pair-space matrix G[P, Q] = g_{PQ} over
-packed pairs P = (i<j), Q = (k<l) (a sparse array with six entries per
-stored quadruple), which is the only form the kernel contracts with.
+packed pairs P = (i<j), Q = (k<l) (a dense npairs x npairs array with six
+nonzero entries per stored quadruple), which is the only form the kernel
+contracts with.
 
 All indices in the public API are 1-based, matching the conventions of the
 file formats; internal numpy arrays are 0-based.
@@ -26,7 +27,6 @@ from itertools import permutations
 from types import MappingProxyType
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionError, IndexRangeError
 
@@ -289,12 +289,14 @@ class QuarticCoupling:
         return quads, np.array([v for _, v in items], dtype=float)
 
     @cached_property
-    def pair_matrix(self) -> sparse.csr_array:
+    def pair_matrix(self) -> np.ndarray:
         """Symmetric pair-space matrix G[P, Q] = g_{PQ}, P = (i<j) and Q = (k<l) packed.
 
         A canonical quadruple a<b<c<d fills its three pair splits
         (ab|cd), (ac|bd), (ad|bc) with signs +, -, +, each in both orders, so
-        (g.x)_{ij} = 2 (G x_packed)_P and G has 6 entries per stored quadruple.
+        (g.x)_{ij} = 2 (G x_packed)_P and G has 6 nonzero entries per stored
+        quadruple.  No two quadruples share a slot.  G is a read-only dense
+        float64 array of npairs^2 = (M(2M-1))^2 entries.
         """
         quads, values = self._canonical_arrays()
         idx = _pair_index_matrix(self.M)
@@ -305,7 +307,10 @@ class QuarticCoupling:
         cols = np.concatenate(right + left)
         data = np.concatenate([values, -values, values] * 2)
         npairs = pair_count(self.M)
-        return sparse.csr_array((data, (rows, cols)), shape=(npairs, npairs))
+        G = np.zeros((npairs, npairs))
+        G[rows, cols] = data
+        G.flags.writeable = False
+        return G
 
     @cached_property
     def ordered_tuples(self) -> tuple[np.ndarray, np.ndarray]:

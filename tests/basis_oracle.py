@@ -9,7 +9,7 @@ permutation sign and no contraction terms, so a monomial with a repeated
 label vanishes and the series terminates at order M.
 
 The production route, :func:`majoranaq.fock.gaussian_basis`, uses the
-real-Schur product form instead; the two share nothing but the ladder
+product form over the 2x2 blocks of x (from eigh of i x) instead; the two share nothing but the ladder
 operators, so their agreement is an independent check.
 """
 

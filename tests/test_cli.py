@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: exit codes, reports, CSV output."""
 
 import csv
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import majoranaq
 from majoranaq.cli import main
 
 
@@ -177,6 +183,29 @@ class TestFlowCommand:
         assert flag in err and "Traceback" not in err
         assert not out_csv.exists()
 
+    def test_m_cap_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"M": 17, "seed": 0})
+        out_csv = tmp_path / "t.csv"
+        code = main(["flow", "--config", cfg, "--steps", "2", "--out", str(out_csv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "M <= 16" in err and "M = 17" in err and "Traceback" not in err
+        assert not out_csv.exists()
+
+    def test_m_cap_admits_16(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "M": 16,
+            "preset": {"name": "hubbard", "sites": 8, "hop": 1.0, "onsite": 4.0},
+            "seed": 0,
+        })
+        out_csv = tmp_path / "t.csv"
+        code = main(["flow", "--config", cfg, "--dt", "1e-3", "--steps", "2",
+                     "--out", str(out_csv)])
+        assert code == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 4 and len(rows[0]) == 2 + 16 * 31
+
     def test_x0_file_m_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "seed": 0})
         x0_path = tmp_path / "x0.json"
@@ -217,3 +246,39 @@ class TestPresetCommand:
         assert data["M"] == 4
         # the generated config is immediately usable
         assert main(["verify", "--config", str(out), "--suite", "tangency"]) == 0
+
+
+class TestWithoutScipy:
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # every CLI command runs on numpy alone; sys.modules["scipy"] = None
+        # makes any scipy import raise ImportError
+        m3 = write_config(tmp_path, {"M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2]],
+                                     "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3},
+                          name="m3.json")
+        quads = itertools.combinations(range(1, 9), 4)
+        m4 = write_config(tmp_path, {"M": 4, "seed": 5,
+                                     "g_entries": [[*q, 0.01 * (n % 7 - 3.5)]
+                                                   for n, q in enumerate(quads)]},
+                          name="m4.json")
+        hub = str(tmp_path / "hub.json")
+        commands = [
+            ["preset", "hubbard", "--sites", "2", "--hop", "1.0", "--onsite", "4.0",
+             "--out", hub],
+            ["flow", "--config", hub, "--steps", "5", "--out", str(tmp_path / "t.csv")],
+            ["verify", "--config", m3, "--suite", "all"],
+            ["verify", "--config", m4, "--suite", "traceless"],
+        ]
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from majoranaq.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes))\n"
+        )
+        src = str(Path(majoranaq.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                             capture_output=True, text=True, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]

@@ -146,14 +146,14 @@ class TestCovarianceTransport:
     def test_zero_coupling(self):
         x0 = random_boundary_point(2, 13)
         dev, rate = gaussian_covariance_comparison(
-            x0, CouplingMatrix.zero(2), horizon=0.5, dt=1e-3
+            x0, CouplingMatrix.zero(2), horizon=0.5
         )
         assert dev <= 1e-12 and rate == 0.0
 
     def test_single_mode_exact(self):
         x0 = PhasePoint(1, np.array([-1.0]))
         t = CouplingMatrix.from_entries(1, [(1, 2, 0.9)])
-        dev, _ = gaussian_covariance_comparison(x0, t, horizon=1.0, dt=1e-3)
+        dev, _ = gaussian_covariance_comparison(x0, t, horizon=1.0)
         assert dev <= 1e-8
 
     def test_m2_transport_rate_stable(self):
@@ -165,7 +165,7 @@ class TestCovarianceTransport:
             from majoranaq.suites import _boundary_point
 
             x0 = _boundary_point(2, seed + 40, need_basis=True)
-            dev, rate = gaussian_covariance_comparison(x0, t, horizon=1.0, dt=1e-3)
+            dev, rate = gaussian_covariance_comparison(x0, t, horizon=1.0)
             assert dev <= 1e-6
             rates.append(rate)
         assert np.std(rates) <= 1e-5
@@ -180,7 +180,7 @@ class TestCovarianceTransport:
         a = rng.normal(size=(4, 4)) * 0.6
         t = CouplingMatrix.from_matrix(a - a.T)
         x0 = _boundary_point(2, seed + 40, need_basis=True)
-        dev, _ = gaussian_covariance_comparison(x0, t, horizon=1.0, dt=1e-3)
+        dev, _ = gaussian_covariance_comparison(x0, t, horizon=1.0)
         assert dev <= 1e-12
 
     def test_package_import_leaves_scipy_optimize_unloaded(self):
@@ -193,3 +193,9 @@ class TestCovarianceTransport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+        # scipy.linalg.expm is imported on use too, so the CLI loads no scipy
+        code = ("import sys, majoranaq.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

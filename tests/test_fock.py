@@ -200,6 +200,26 @@ class TestGaussianBasis:
             boundary_used += 1
         assert boundary_used >= 4
 
+    @staticmethod
+    def _blocked_point(weights, seed):
+        # x = O B O^T with 2x2 blocks [[0, w], [-w, 0]] and a random orthogonal O
+        n = 2 * len(weights)
+        B = np.zeros((n, n))
+        for k, w in enumerate(weights):
+            B[2 * k, 2 * k + 1], B[2 * k + 1, 2 * k] = w, -w
+        O, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+        return PhasePoint.from_matrix(O @ B @ O.T, tol=1e-12)
+
+    @pytest.mark.parametrize("weights", [
+        (0.6, 0.0, -0.4),          # rank-deficient: one zero block
+        (0.5, 0.5 + 1e-9, -0.3),   # nearly equal weights
+        (0.7, -0.7 + 1e-10, 0.2),  # nearly equal moduli of opposite sign
+    ])
+    def test_degenerate_blocks_match_definition_oracle(self, weights):
+        for seed in range(4):
+            x = self._blocked_point(weights, seed)
+            np.testing.assert_allclose(gaussian_basis(x), definition_basis(x), rtol=0, atol=1e-13)
+
     def test_explicit_majoranas_match_cached(self):
         x = interior(3, 5)
         np.testing.assert_array_equal(gaussian_basis(x), gaussian_basis(x, build_majoranas(3)))

@@ -153,15 +153,15 @@ class TestCompiledQuartic:
         quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
         g = QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])
         rows, cols = np.triu_indices(2 * M, k=1)
-        G = g.pair_matrix.toarray()
+        G = g.pair_matrix
         np.testing.assert_array_equal(G, g.dense()[rows, cols][:, rows, cols])
         np.testing.assert_array_equal(G, G.T)
-        assert g.pair_matrix.nnz == 6 * len(quads)
+        assert np.count_nonzero(G) == 6 * len(quads)
 
     def test_pair_matrix_signs_of_the_three_splits(self):
         # pairs of M = 2 in packed order: 12, 13, 14, 23, 24, 34
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
-        G = g.pair_matrix.toarray()
+        G = g.pair_matrix
         assert (G[0, 5], G[1, 4], G[2, 3]) == (0.5, -0.5, 0.5)
         assert (G[5, 0], G[4, 1], G[3, 2]) == (0.5, -0.5, 0.5)
 
@@ -170,10 +170,19 @@ class TestCompiledQuartic:
         assert g.pair_matrix is g.pair_matrix
         assert g.ordered_tuples is g.ordered_tuples
 
+    def test_pair_matrix_is_read_only_float64(self):
+        g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
+        G = g.pair_matrix
+        assert isinstance(G, np.ndarray) and G.dtype == np.float64
+        assert G.shape == (pair_count(2), pair_count(2))
+        assert not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[0, 5] = 1.0
+
     def test_empty(self):
         g = QuarticCoupling.zero(3)
         assert g.pair_matrix.shape == (pair_count(3), pair_count(3))
-        assert g.pair_matrix.nnz == 0
+        assert np.count_nonzero(g.pair_matrix) == 0
         tuples, weights = g.ordered_tuples
         assert tuples.shape == (0, 4) and weights.shape == (0,)
 

@@ -3,11 +3,11 @@
 The phase point x is a real antisymmetric 2M x 2M matrix.  Lambda(x) is the
 unit-trace, normal-ordered Gaussian operator at that point: at x = 0 it is
 the maximally mixed state, in the interior a full-rank mixed Gaussian, and on
-the boundary x^2 = -I a pure-state projector.  The library builds it from the
-block form x = O T O^T (the eigenpairs of the Hermitian i x give O and the
-block weights lambda_k) as 2^-M prod_k (I + i lambda_k gamma'_{2k-1}
-gamma'_{2k}) with rotated Majoranas gamma' = O^T gamma; the test suite checks
-this against the normal-ordered exponential that defines Lambda.
+the boundary x^2 = -I a pure-state projector.  The library builds it from
+Wick's theorem as 2^-M sum_S i^{|S|/2} Pf(x_S) gamma_S over the even subsets S
+of the Majorana labels, a polynomial in x that holds on the whole closed
+domain; the test suite checks it against the normal-ordered exponential that
+defines Lambda and against the product form over the 2x2 blocks of x.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from majoranaq import (
     random_boundary_point,
     random_interior_point,
 )
-from majoranaq.errors import SingularBasisError
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -31,14 +30,10 @@ for s in (-0.9, 0.0, 0.5):
     print(f"s = {s:+.1f}:  diag(Lambda) = {np.diag(lam).real}, "
           f"expected ({(1-s)/2:.3f}, {(1+s)/2:.3f})")
 
-print("\nThe point x = +J is singular for the construction (the boundary has a")
-print("measure-zero singular set); approaching it gives the occupied projector:")
-try:
-    gaussian_basis(PhasePoint(1, np.array([1.0])))
-except SingularBasisError as exc:
-    print(f"  at s = 1 exactly: {exc}")
-lam = gaussian_basis(PhasePoint(1, np.array([1.0 - 1e-8])))
-print(f"  at s = 1 - 1e-8: diag(Lambda) = {np.diag(lam).real}")
+print("\nAt x = +J the defining quadratic form is singular, but the Wick sum is")
+print("exact there: Lambda(+J) is the occupied projector")
+lam = gaussian_basis(PhasePoint(1, np.array([1.0])))
+print(f"  Lambda(+J) = {lam.real.tolist()}, imaginary part {np.max(np.abs(lam.imag))}")
 
 print("\n=== two modes: state properties at a random interior point ===")
 x = random_interior_point(2, seed=7)

@@ -2,12 +2,13 @@
 
 A phase point is a real antisymmetric 2M x 2M matrix; the Q-function of a
 fermionic state is its overlap with a normal-ordered Gaussian basis operator
-at that point, built here as a product of commuting two-Majorana factors over
-the 2x2 blocks of the phase point (from the eigenpairs of i x).  This package
-evaluates the closed-form drift and diffusion of the resulting generalized
-Fokker-Planck equation, exposes an exact Fock-space oracle for M <= 3, and
-verifies the structural claims (traceless diffusion, divergence-free drift,
-boundary tangency, equivalence with exact Liouville dynamics) against it.
+at that point, built here from its Wick expansion over the Pfaffians of the
+phase point's even principal submatrices, whose minors give its derivatives
+exactly.  This package evaluates the closed-form drift and diffusion of the
+resulting generalized Fokker-Planck equation, exposes an exact Fock-space
+oracle for M <= 5, and verifies the structural claims (traceless diffusion,
+divergence-free drift, boundary tangency, equivalence with exact Liouville
+dynamics) against it.
 """
 
 from .tensors import (
@@ -50,13 +51,11 @@ from .fock import (
     build_majoranas,
     jordan_wigner_ladders,
     build_hamiltonian,
-    check_basis_evaluable,
     gaussian_basis,
     qfunction,
+    q_derivatives,
     covariance_of_basis,
     exact_dqdt,
-    fd_gradient,
-    fd_hessian,
     verify_quadratic_identities,
     verify_four_gamma,
     verify_fpe,

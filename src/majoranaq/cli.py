@@ -22,6 +22,7 @@ from .errors import (
     DivergenceError,
     IndexRangeError,
 )
+from .fock import ORACLE_MAX_M
 from .hubbard import preset_hubbard
 from .tensors import PhasePoint, pair_enumerate, random_boundary_point
 
@@ -29,7 +30,8 @@ SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 
 # mode-count caps per verify suite and for the flow command; at the flow cap
 # the dense pair matrix G is 496 x 496 (2 MB)
-_M_CAPS = {"identities": 3, "fpe": 3, "traceless": 4, "tangency": 4, "flow": 16}
+_M_CAPS = {"identities": ORACLE_MAX_M, "fpe": ORACLE_MAX_M, "traceless": 4, "tangency": 4,
+           "flow": 16}
 
 
 def _check_cap(name: str, M: int) -> None:

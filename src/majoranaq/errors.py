@@ -21,25 +21,6 @@ class OffBoundaryError(ValueError):
         )
 
 
-class SingularBasisError(ArithmeticError):
-    """The Gaussian-basis quadratic form is singular at this phase point."""
-
-    def __init__(self, eigenvalue):
-        self.eigenvalue = complex(eigenvalue)
-        super().__init__(
-            f"Gaussian basis undefined here: quadratic-form matrix has eigenvalue "
-            f"{eigenvalue:.3e} (too close to zero to invert)"
-        )
-
-
-class DegenerateBasisError(ArithmeticError):
-    """The normal-ordered exponential has (numerically) zero trace."""
-
-
-class StencilError(ArithmeticError):
-    """A finite-difference stencil point was not evaluable; try a smaller step."""
-
-
 class DivergenceError(RuntimeError):
     """Trajectory integration produced a non-finite state."""
 

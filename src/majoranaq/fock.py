@@ -2,8 +2,8 @@
 
 Everything the phase-space kernel claims is checked here against dense matrix
 quantum mechanics: Jordan-Wigner Majorana operators, the Gaussian basis
-Lambda(x), exact Q-function values and Liouville time derivatives, and
-numerical verification of the operator differential identities.
+Lambda(x) and its exact derivatives, exact Q-function values and Liouville
+time derivatives, and verification of the operator differential identities.
 
 Conventions: modes k = 1..M carry ladder operators a_k with Jordan-Wigner
 sign strings on the preceding modes; gamma_k = a_k + a_k^dag and
@@ -12,47 +12,48 @@ gamma_{M+k} = i (a_k^dag - a_k).  In the basis ordering used here
 and gamma_2 is Pauli Y.  All verification quantities are traces or residuals
 and do not depend on these sign/phase choices.
 
-The Gaussian basis is built in its fermionic Gaussian-state product form
-(Bravyi, quant-ph/0404180; Corney & Drummond, PRB 73, 125112).  The
-Hermitian matrix i x has eigenvalues +-lambda_k; an eigenvector a_k + i b_k
-of +lambda_k >= 0 gives x a_k = lambda_k b_k and x b_k = -lambda_k a_k, so
-the real orthonormal pairs (sqrt2 b_k, sqrt2 a_k) bring x to the block form
-x = O T O^T with 2x2 blocks of weight lambda_k.  In the rotated
-Majoranas gamma'_m = sum_a O_{am} gamma_a,
+The Gaussian basis is a polynomial of degree <= M in x, by Wick's theorem for
+fermionic Gaussian states (Bravyi, quant-ph/0404180; Corney & Drummond,
+PRB 73, 125112):
 
-    Lambda(x) = 2^-M prod_k (I + i lambda_k gamma'_{2k-1} gamma'_{2k}),
+    Lambda(x) = 2^-M sum_{S even} i^{|S|/2} Pf(x_S) gamma_S,
 
-which has unit trace by construction.  The normal-ordered exponential of the
-quadratic form C(x) = -(i/2) [J + (J + J x J)^{-1}] that defines Lambda is
-kept only in the test suite (``tests/basis_oracle.py``), where it is
-asserted equal to this construction.  Points where J + J x J is singular,
-and the definition is not evaluable, are rejected by
-:func:`check_basis_evaluable` on both routes.
+where S runs over the even subsets of {1..2M}, x_S is x restricted to S and
+gamma_S is the ascending product of the Majoranas in S.  One table of subset
+Pfaffians per point gives Lambda, and the minor rule
+
+    dPf(x_S)/dx_ab = (-1)^{i_a + i_b + 1} Pf(x_{S minus {a, b}}),
+
+with i_a the position of a in S, applied once or twice, gives its exact first
+and second derivatives.  The expansion holds on the whole closed domain, the
+pure-state boundary included.  The normal-ordered exponential that defines
+Lambda and the product form over the 2x2 blocks of x are kept only in the
+test suite (``tests/basis_oracle.py``), where both are asserted equal to it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionError, SingularBasisError, StencilError
+from .errors import DimensionError
 from .kernel import drift_alternative, fpe_rhs, diffusion, div_diffusion
-from .tensors import HamiltonianSpec, PhasePoint, _pairs0, pair_count
+from .tensors import HamiltonianSpec, PhasePoint, _pair_lookup, _pair_rows_cols, _pairs0, pair_count
 
 __all__ = [
     "MajoranaSet",
     "build_majoranas",
     "jordan_wigner_ladders",
     "build_hamiltonian",
-    "check_basis_evaluable",
     "gaussian_basis",
     "qfunction",
+    "q_derivatives",
     "covariance_of_basis",
     "exact_dqdt",
-    "fd_gradient",
-    "fd_hessian",
     "verify_quadratic_identities",
     "verify_four_gamma",
     "verify_fpe",
@@ -62,8 +63,14 @@ __all__ = [
     "check_density_matrix",
 ]
 
+# Largest mode count the oracle suites run at: the CLI caps its identities and
+# fpe suites here, and build_majoranas warns above it.  The gamma_S stack then
+# holds 512 operators of dimension 32 (8 MB).
+ORACLE_MAX_M = 5
+
 _LADDER_CACHE: dict = {}
-_GAMMA_CACHE: dict = {}
+_MAJORANA_CACHE: dict = {}
+_WICK_CACHE: dict = {}
 
 
 def jordan_wigner_ladders(M: int) -> tuple[np.ndarray, ...]:
@@ -97,27 +104,43 @@ class MajoranaSet:
     def dim(self) -> int:
         return 2 ** self.M
 
+    @cached_property
+    def products(self) -> np.ndarray:
+        """Read-only stack of the products gamma_S over the even subsets S.
 
-def _gamma_stack(M: int) -> np.ndarray:
-    """Read-only (2M, 2^M, 2^M) stack of the Majorana operators, cached per M."""
-    if M not in _GAMMA_CACHE:
+        Built once per set, in the subset order of the Wick table.
+        """
+        return _subset_products(_wick_table(self.M), np.asarray(self.gammas))
+
+
+def _jordan_wigner_majoranas(M: int) -> MajoranaSet:
+    """The Jordan-Wigner Majorana set, cached per M with read-only operators."""
+    if M not in _MAJORANA_CACHE:
         a = jordan_wigner_ladders(M)
         gammas = [a[k] + a[k].conj().T for k in range(M)]
         gammas += [1j * (a[k].conj().T - a[k]) for k in range(M)]
         stack = np.stack(gammas)
         stack.flags.writeable = False
-        _GAMMA_CACHE[M] = stack
-    return _GAMMA_CACHE[M]
+        _MAJORANA_CACHE[M] = MajoranaSet(M, tuple(stack))
+    return _MAJORANA_CACHE[M]
+
+
+def _majoranas_for(M: int, majoranas: MajoranaSet | None) -> MajoranaSet:
+    if majoranas is None:
+        return _jordan_wigner_majoranas(M)
+    if majoranas.M != M:
+        raise DimensionError(f"majoranas M={majoranas.M} != phase point M={M}")
+    return majoranas
 
 
 def build_majoranas(M: int) -> MajoranaSet:
     """gamma_k = a_k + a_k^dag, gamma_{M+k} = i (a_k^dag - a_k)."""
-    if M > 3:
+    if M > ORACLE_MAX_M:
         warnings.warn(
             f"dense oracle at M={M} needs {2**M}-dimensional matrices; expect slow sweeps",
             stacklevel=2,
         )
-    return MajoranaSet(M, tuple(_gamma_stack(M)))
+    return _jordan_wigner_majoranas(M)
 
 
 def build_hamiltonian(spec: HamiltonianSpec, majoranas: MajoranaSet) -> np.ndarray:
@@ -140,49 +163,119 @@ def build_hamiltonian(spec: HamiltonianSpec, majoranas: MajoranaSet) -> np.ndarr
     return H
 
 
-def _mode_pairing_matrix(M: int) -> np.ndarray:
-    J = np.zeros((2 * M, 2 * M))
-    J[:M, M:] = np.eye(M)
-    J[M:, :M] = -np.eye(M)
-    return J
+# ---------------------------------------------------------------------------
+# the Wick expansion of Lambda over subset Pfaffians
+# ---------------------------------------------------------------------------
 
 
-def check_basis_evaluable(x: PhasePoint) -> None:
-    """Raise :class:`SingularBasisError` where Lambda(x) is not evaluable.
+@dataclass(frozen=True)
+class _WickTable:
+    """Index tables of the Wick expansion over the even subsets of {0..2M-1}.
 
-    The defining quadratic form inverts J + J x J; points where that matrix
-    has an eigenvalue below 1e-10 in modulus are rejected, so callers can
-    probe a sample point without building Lambda.
+    Subsets are ordered by size, then lexicographically: subset 0 is empty
+    and every minor of a subset precedes it.
+
+    * ``phase[S]`` = 2^-M i^{|S|/2}.
+    * ``levels`` holds, per size 2k, arrays ``(rows, pairs, rests, signs)`` of
+      the first-row expansion Pf(x_S) = sum_v signs_v x_{pairs_v} Pf(x_{rests_v}),
+      with pairs of shape (rows, 2k-1).  Column 0 is also the split
+      gamma_S = (gamma_{s_1} gamma_{s_2}) gamma_{S minus {s_1, s_2}}.
+    * ``minors`` = ``(pair, subset, rest, coeff)``: one entry per pair p = (a, b)
+      inside S, with rest = S minus p and coeff = phase[S] (-1)^{i_a+i_b+1}.
+    * ``second_minors`` = ``(p, q, subset, rest, coeff)``: one entry per ordered
+      pair of disjoint pairs p, q inside S, the minor rule applied twice.
     """
-    J = _mode_pairing_matrix(x.M)
-    eigs = np.linalg.eigvals(J + J @ x.matrix() @ J)
-    smallest = eigs[np.argmin(np.abs(eigs))]
-    if abs(smallest) < 1e-10:
-        raise SingularBasisError(smallest)
+
+    phase: np.ndarray
+    levels: tuple
+    minors: tuple
+    second_minors: tuple
+
+
+def _wick_table(M: int) -> _WickTable:
+    if M not in _WICK_CACHE:
+        n = 2 * M
+        lookup = _pair_lookup(M)
+        subsets = [s for size in range(0, n + 1, 2) for s in combinations(range(n), size)]
+        index = {s: k for k, s in enumerate(subsets)}
+        # per subset, (pair, rest, sign) for its pairs in lexicographic position order,
+        # so the first |S| - 1 entries are the first-row expansion
+        minors = [
+            [(lookup[s[u], s[v]], index[s[:u] + s[u + 1:v] + s[v + 1:]], (-1) ** (u + v + 1))
+             for u, v in combinations(range(len(s)), 2)]
+            for s in subsets
+        ]
+        phase = np.array([2.0 ** -M * 1j ** (len(s) // 2) for s in subsets])
+        levels = []
+        for size in range(2, n + 1, 2):
+            rows = np.array([k for k, s in enumerate(subsets) if len(s) == size])
+            first = np.array([minors[k][: size - 1] for k in rows])
+            levels.append((rows, first[..., 0], first[..., 1], first[0, :, 2].astype(float)))
+        flat = np.array([(p, k, r, sg) for k, terms in enumerate(minors) for p, r, sg in terms])
+        second = np.array(
+            [(p, q, k, r2, s1 * s2) for k, terms in enumerate(minors)
+             for p, r, s1 in terms for q, r2, s2 in minors[r]],
+            dtype=np.intp,
+        ).reshape(-1, 5)
+        _WICK_CACHE[M] = _WickTable(
+            phase=phase,
+            levels=tuple(levels),
+            minors=(flat[:, 0], flat[:, 1], flat[:, 2], phase[flat[:, 1]] * flat[:, 3]),
+            second_minors=(*second[:, :4].T, phase[second[:, 2]] * second[:, 4]),
+        )
+    return _WICK_CACHE[M]
+
+
+def _subset_products(table: _WickTable, gam: np.ndarray) -> np.ndarray:
+    """Read-only stack gamma_S, built level by level from pair products."""
+    rows, cols = _pair_rows_cols(len(gam) // 2)
+    pair_ops = gam[rows] @ gam[cols]
+    dim = gam.shape[-1]
+    out = np.empty((len(table.phase), dim, dim), dtype=complex)
+    out[0] = np.eye(dim)
+    for level_rows, pairs, rests, _ in table.levels:
+        out[level_rows] = pair_ops[pairs[:, 0]] @ out[rests[:, 0]]
+    out.flags.writeable = False
+    return out
+
+
+def _pfaffians(table: _WickTable, packed: np.ndarray) -> np.ndarray:
+    """Pf(x_S) for every even subset S, smallest first; Pf of the empty set is 1."""
+    pf = np.ones(len(table.phase))
+    for rows, pairs, rests, signs in table.levels:
+        pf[rows] = (packed[pairs] * pf[rests]) @ signs
+    return pf
+
+
+def _minor_matrix(table: _WickTable, pf: np.ndarray, npairs: int) -> np.ndarray:
+    """(npairs, subsets) coefficients of dLambda/dx_p over the gamma_S."""
+    pair, subset, rest, coeff = table.minors
+    out = np.zeros((npairs, len(table.phase)), dtype=complex)
+    out[pair, subset] = coeff * pf[rest]
+    return out
+
+
+def _second_minor_coefficients(
+    table: _WickTable, pf: np.ndarray, u: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Coefficients over the gamma_S of sum_pq u_p w_q d^2 Lambda / dx_p dx_q."""
+    p, q, subset, rest, coeff = table.second_minors
+    vals = u[p] * w[q] * coeff * pf[rest]
+    size = len(table.phase)
+    return (np.bincount(subset, vals.real, minlength=size)
+            + 1j * np.bincount(subset, vals.imag, minlength=size))
 
 
 def gaussian_basis(x: PhasePoint, majoranas: MajoranaSet | None = None) -> np.ndarray:
-    """Unit-trace Gaussian basis operator Lambda(x).
+    """Unit-trace Gaussian basis operator Lambda(x) = 2^-M sum_S i^{|S|/2} Pf(x_S) gamma_S.
 
-    Product form over the 2x2 blocks of x, from the top M eigenpairs
-    (lambda_k, a_k + i b_k) of the Hermitian i x:
-    Lambda = 2^-M prod_k (I + i lambda_k gamma'_{b_k} gamma'_{a_k}) with
-    gamma'_v = sqrt2 sum_a v_a gamma_a.  A zero lambda_k contributes I.
+    Only the empty subset contributes to the trace, so the trace is 1 by
+    construction.  ``majoranas`` defaults to the cached Jordan-Wigner set.
     """
-    M = x.M
-    if majoranas is not None and majoranas.M != M:
-        raise DimensionError(f"majoranas M={majoranas.M} != phase point M={M}")
-    check_basis_evaluable(x)
-    gam = _gamma_stack(M) if majoranas is None else np.asarray(majoranas.gammas)
-    weights, vecs = np.linalg.eigh(1j * x.matrix())
-    top = np.sqrt(2.0) * vecs[:, M:]
-    O = np.concatenate([top.imag, top.real], axis=1)
-    rotated = (O.T @ gam.reshape(2 * M, -1)).reshape(gam.shape)
-    dim = 2 ** M
-    lam = np.eye(dim, dtype=complex) / dim
-    for k in range(M):
-        lam = lam + 1j * weights[M + k] * (lam @ rotated[k] @ rotated[M + k])
-    return lam
+    majo = _majoranas_for(x.M, majoranas)
+    table = _wick_table(x.M)
+    coeff = table.phase * _pfaffians(table, np.asarray(x.packed))
+    return np.tensordot(coeff, majo.products, axes=1)
 
 
 def qfunction(rho: np.ndarray, x: PhasePoint, majoranas: MajoranaSet | None = None) -> float:
@@ -220,191 +313,82 @@ def exact_dqdt(
     return float(val.real)
 
 
-# ---------------------------------------------------------------------------
-# finite differences of Q over the independent components
-# ---------------------------------------------------------------------------
+def q_derivatives(
+    rho: np.ndarray, x: PhasePoint, majoranas: MajoranaSet | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient and Hessian of Q(x) = Tr[rho Lambda(x)] over the packed components.
 
-
-def _q_eval(rho: np.ndarray, M: int, packed: np.ndarray) -> float:
-    try:
-        lam = gaussian_basis(PhasePoint(M, packed))
-    except SingularBasisError as exc:
-        raise StencilError(
-            f"stencil point not evaluable ({exc}); try a smaller step"
-        ) from exc
-    return float(np.trace(np.asarray(rho) @ lam).real)
-
-
-def fd_gradient(
-    rho: np.ndarray,
-    x: PhasePoint,
-    majoranas: MajoranaSet | None = None,
-    h: float = 1e-4,
-) -> np.ndarray:
-    """Central-difference gradient of Q over the packed components.
-
-    Perturbing one packed component moves x_{ab} and x_{ba} = -x_{ab}
-    together, i.e. the derivative respects the antisymmetry constraint with
-    unit normalization on the independent component.
+    A packed component moves x_ab and x_ba = -x_ab together.  With the moments
+    m_S = Tr[rho gamma_S], Q = sum_S 2^-M i^{|S|/2} Pf(x_S) m_S, and each
+    derivative replaces a Pfaffian by its signed minors, so no operator is
+    built at x.
     """
+    majo = _majoranas_for(x.M, majoranas)
+    table = _wick_table(x.M)
     npairs = pair_count(x.M)
-    v0 = np.asarray(x.packed)
-    grad = np.zeros(npairs)
-    for p in range(npairs):
-        vp = v0.copy()
-        vp[p] += h
-        vm = v0.copy()
-        vm[p] -= h
-        grad[p] = (_q_eval(rho, x.M, vp) - _q_eval(rho, x.M, vm)) / (2 * h)
-    return grad
+    moments = np.einsum("sij,ji->s", majo.products, np.asarray(rho))
+    pf = _pfaffians(table, np.asarray(x.packed))
+    grad = (_minor_matrix(table, pf, npairs) @ moments).real
+    p, q, subset, rest, coeff = table.second_minors
+    hess = np.bincount(p * npairs + q, (coeff * pf[rest] * moments[subset]).real,
+                       minlength=npairs * npairs)
+    return grad, hess.reshape(npairs, npairs)
 
 
-def fd_hessian(
-    rho: np.ndarray,
-    x: PhasePoint,
-    majoranas: MajoranaSet | None = None,
-    h: float = 1e-4,
-) -> np.ndarray:
-    """Central-difference Hessian of Q over the packed components, symmetrized."""
-    npairs = pair_count(x.M)
-    v0 = np.asarray(x.packed)
-    hess = np.zeros((npairs, npairs))
-    q0 = _q_eval(rho, x.M, v0)
-    for p in range(npairs):
-        vp = v0.copy()
-        vp[p] += h
-        vm = v0.copy()
-        vm[p] -= h
-        hess[p, p] = (_q_eval(rho, x.M, vp) - 2 * q0 + _q_eval(rho, x.M, vm)) / h**2
-    for p in range(npairs):
-        for q in range(p + 1, npairs):
-            vals = {}
-            for sp, sq in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                v = v0.copy()
-                v[p] += sp * h
-                v[q] += sq * h
-                vals[(sp, sq)] = _q_eval(rho, x.M, v)
-            hess[p, q] = hess[q, p] = (
-                vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]
-            ) / (4 * h**2)
-    return hess
-
-
-# ---------------------------------------------------------------------------
-# operator-valued finite differences of Lambda
-# ---------------------------------------------------------------------------
-
-
-def _lambda_at(M: int, packed: np.ndarray) -> np.ndarray:
-    try:
-        return gaussian_basis(PhasePoint(M, packed))
-    except SingularBasisError as exc:
-        raise StencilError(
-            f"stencil point not evaluable ({exc}); try a smaller step"
-        ) from exc
-
-
-def _lambda_grad_full(x: PhasePoint, h: float) -> np.ndarray:
-    """T[a, b] = dLambda/dx_{ab} (constrained derivative), full index range."""
+def _basis_and_gradient(x: PhasePoint, majoranas: MajoranaSet) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda(x) and T[a, b] = dLambda/dx_ab over the full index range."""
     M = x.M
-    n = 2 * M
-    dim = 2 ** M
-    v0 = np.asarray(x.packed)
+    n, dim, npairs = 2 * M, 2 ** M, pair_count(M)
+    table = _wick_table(M)
+    pf = _pfaffians(table, np.asarray(x.packed))
+    ops = majoranas.products.reshape(len(pf), -1)
+    lam = ((table.phase * pf) @ ops).reshape(dim, dim)
+    grad = (_minor_matrix(table, pf, npairs) @ ops).reshape(npairs, dim, dim)
+    rows, cols = _pair_rows_cols(M)
     T = np.zeros((n, n, dim, dim), dtype=complex)
-    for p, (a, b) in enumerate(_pairs0(M)):
-        vp = v0.copy()
-        vp[p] += h
-        vm = v0.copy()
-        vm[p] -= h
-        d = (_lambda_at(M, vp) - _lambda_at(M, vm)) / (2 * h)
-        T[a, b] = d
-        T[b, a] = -d
-    return T
+    T[rows, cols] = grad
+    T[cols, rows] = -grad
+    return lam, T
 
 
-def _lambda_hess_full(x: PhasePoint, h: float) -> np.ndarray:
-    """dd[a, b, c, d] = d^2 Lambda / dx_{ab} dx_{cd}, full index ranges."""
-    M = x.M
-    n = 2 * M
-    dim = 2 ** M
-    pairs = list(_pairs0(M))
-    npairs = len(pairs)
-    v0 = np.asarray(x.packed)
-    lam0 = _lambda_at(M, v0)
-    packed_hess = [[None] * npairs for _ in range(npairs)]
-    for p in range(npairs):
-        vp = v0.copy()
-        vp[p] += h
-        vm = v0.copy()
-        vm[p] -= h
-        packed_hess[p][p] = (_lambda_at(M, vp) - 2 * lam0 + _lambda_at(M, vm)) / h**2
-    for p in range(npairs):
-        for q in range(p + 1, npairs):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for sp, sq in ((1, 1), (-1, -1)):
-                v = v0.copy()
-                v[p] += sp * h
-                v[q] += sq * h
-                acc += _lambda_at(M, v)
-            for sp, sq in ((1, -1), (-1, 1)):
-                v = v0.copy()
-                v[p] += sp * h
-                v[q] += sq * h
-                acc -= _lambda_at(M, v)
-            packed_hess[p][q] = packed_hess[q][p] = acc / (4 * h**2)
-    dd = np.zeros((n, n, n, n, dim, dim), dtype=complex)
-    for p, (a, b) in enumerate(pairs):
-        for q, (c, d) in enumerate(pairs):
-            blk = packed_hess[p][q]
-            dd[a, b, c, d] = blk
-            dd[b, a, c, d] = -blk
-            dd[a, b, d, c] = -blk
-            dd[b, a, d, c] = blk
-    return dd
-
-
-def verify_quadratic_identities(
-    x: PhasePoint, majoranas: MajoranaSet, h: float = 1e-4
-) -> dict[str, float]:
+def verify_quadratic_identities(x: PhasePoint, majoranas: MajoranaSet) -> dict[str, float]:
     """Residuals of the four quadratic differential identities of Lambda.
 
     Each identity relates an operator product of two Majoranas with Lambda to
-    the matrix-valued derivative of Lambda; the derivative side is built by
-    finite differences.  Returns the max elementwise residual per identity.
+    the matrix-valued derivative of Lambda, taken exactly from the Pfaffian
+    minors.  Returns the max elementwise residual per identity.
     """
     M = x.M
     n = 2 * M
-    gam = majoranas.gammas
-    lam = gaussian_basis(x)
-    T = _lambda_grad_full(x, h)           # T[a, b] = d Lambda / dx_ab
+    majo = _majoranas_for(M, majoranas)
+    gam = np.asarray(majo.gammas)
+    lam, T = _basis_and_gradient(x, majo)
     Dm = np.transpose(T, (1, 0, 2, 3))    # matrix derivative (d/dx)_{ab} = d_{ba}
     xm = x.matrix()
     xp = xm + 1j * np.eye(n)
     xmc = xm - 1j * np.eye(n)
-    G2 = np.stack([np.stack([gam[i] @ gam[j] for j in range(n)]) for i in range(n)])
-    gam_arr = np.stack(gam)
+    G2 = gam[:, None] @ gam[None, :]      # G2[i, j] = g_i g_j
 
-    lhs = np.einsum("ijuv,vw->ijuw", G2, lam)
-    rhs = 1j * (
-        np.einsum("ia,abuv,bj->ijuv", xmc, Dm, xp) - np.einsum("ij,uv->ijuv", xp, lam)
-    )
+    def sandwich(left, right):
+        return np.einsum("ia,abuv,bj->ijuv", left, Dm, right, optimize=True)
+
+    def with_lam(coef):
+        return coef[:, :, None, None] * lam
+
+    lhs = G2 @ lam
+    rhs = 1j * (sandwich(xmc, xp) - with_lam(xp))
     res_left = float(np.max(np.abs(lhs - rhs)))
 
-    lhs = np.einsum("uv,ijvw->ijuw", lam, G2)
-    rhs = 1j * (
-        np.einsum("ia,abuv,bj->ijuv", xp, Dm, xmc) - np.einsum("ij,uv->ijuv", xp, lam)
-    )
+    lhs = lam @ G2
+    rhs = 1j * (sandwich(xp, xmc) - with_lam(xp))
     res_right = float(np.max(np.abs(lhs - rhs)))
 
-    lhs = np.einsum("iuv,vw,jwz->ijuz", gam_arr, lam, gam_arr)
-    rhs = 1j * (
-        -np.einsum("ia,abuv,bj->ijuv", xmc, Dm, xmc)
-        + np.einsum("ij,uv->ijuv", xmc, lam)
-    )
+    lhs = (gam @ lam)[:, None] @ gam[None, :]
+    rhs = 1j * (with_lam(xmc) - sandwich(xmc, xmc))
     res_mixed = float(np.max(np.abs(lhs - rhs)))
 
     comm = G2 - np.transpose(G2, (1, 0, 2, 3))
-    lhs = np.einsum("ijuv,vw->ijuw", comm, lam) - np.einsum("uv,ijvw->ijuw", lam, comm)
+    lhs = comm @ lam - lam @ comm
     rhs = 4.0 * (
         np.einsum("kj,kiuv->ijuv", xm, T) - np.einsum("ik,jkuv->ijuv", xm, T)
     )
@@ -418,84 +402,65 @@ def verify_quadratic_identities(
     }
 
 
-def _dX_plain(n, xp, xmc, k, l):
-    """dX[m, n, a, b] = d X_{kl}^{(mn)} / d x_{ab}."""
-    out = np.zeros((n, n, n, n), dtype=complex)
-    for m in range(n):
-        for nn in range(n):
-            out[m, nn, k, m] += xmc[nn, l]
-            out[m, nn, m, k] -= xmc[nn, l]
-            out[m, nn, nn, l] += xp[k, m]
-            out[m, nn, l, nn] -= xp[k, m]
-    return out
-
-
-def _dX_conj(n, xp, xmc, i, j):
-    """dXs[m, n, a, b] = d X*_{ij}^{(mn)} / d x_{ab}."""
-    out = np.zeros((n, n, n, n), dtype=complex)
-    for m in range(n):
-        for nn in range(n):
-            out[m, nn, i, m] += xp[nn, j]
-            out[m, nn, m, i] -= xp[nn, j]
-            out[m, nn, nn, j] += xmc[i, m]
-            out[m, nn, j, nn] -= xmc[i, m]
-    return out
-
-
 def verify_four_gamma(
     x: PhasePoint,
     majoranas: MajoranaSet,
-    h: float = 1e-3,
     tuples: list[tuple[int, int, int, int]] | None = None,
 ) -> dict[tuple, tuple[float, float]]:
     """Residuals of the four-operator identities, per sampled index tuple.
 
     For each tuple (i, j, k, l) the products g_i g_j g_k g_l Lambda and
-    Lambda g_i g_j g_k g_l are compared against their expansions in first and
-    second finite-difference derivatives of Lambda.  Indices are 1-based.
-    ``h`` controls the second-derivative stencils (the accuracy bottleneck);
-    first derivatives always use the tighter 1e-4 step.
+    Lambda g_i g_j g_k g_l are compared against their expansions in the
+    first and second derivatives of Lambda.  Indices are 1-based.  The
+    expansions are contracted over the Pfaffian minors first, so each side
+    costs one product with the gamma_S stack.
     """
     M = x.M
     n = 2 * M
     if tuples is None:
         tuples = [(1, 2, 3, 4)] if n >= 4 else []
-    gam = majoranas.gammas
-    lam = gaussian_basis(x)
-    T = _lambda_grad_full(x, h=1e-4)
-    dd = _lambda_hess_full(x, h)
+    majo = _majoranas_for(M, majoranas)
+    gam = majo.gammas
+    table = _wick_table(M)
+    pf = _pfaffians(table, np.asarray(x.packed))
+    ops = majo.products.reshape(len(pf), -1)
+    dim = 2 ** M
+    lam_coef = table.phase * pf
+    lam = (lam_coef @ ops).reshape(dim, dim)
+    minors = _minor_matrix(table, pf, pair_count(M))
+    rows, cols = _pair_rows_cols(M)
     xm = x.matrix()
     xp = xm + 1j * np.eye(n)
     xmc = xm - 1j * np.eye(n)
+
+    def packed(W):
+        # sum_ab W_ab dLambda/dx_ab, with dLambda/dx_ba = -dLambda/dx_ab
+        return W[rows, cols] - W[cols, rows]
+
+    def expansion(P, r, c, e, f, s2):
+        """Minus the derivative expansion of a four-gamma product, over the gamma_S.
+
+        P is the outer product contracted with the second derivative first,
+        Q = r c^T the other one, and W = sum_ab P_ab dQ/dx_ab with Q's own
+        pair (e, f).
+        """
+        Q = np.outer(r, c)
+        W = np.outer(P[e] - P[:, e], c) + np.outer(r, P[:, f] - P[f])
+        s1 = xp[e, f]
+        coef = _second_minor_coefficients(table, pf, packed(P), packed(Q))
+        coef = coef + packed(W + s1 * P + s2 * Q) @ minors
+        coef = coef + (P[e, f] - P[f, e] + s1 * s2) * lam_coef
+        return -coef
+
     report = {}
     for tup in tuples:
         i, j, k, l = (v - 1 for v in tup)
-        Xij = np.outer(xp[i, :], xmc[:, j])
-        Xkl = np.outer(xp[k, :], xmc[:, l])
-        Xs_ij = np.outer(xmc[i, :], xp[:, j])
-        Xs_kl = np.outer(xmc[k, :], xp[:, l])
-        # right product: Lambda g g g g
-        dXkl = _dX_plain(n, xp, xmc, k, l)
-        acc = np.einsum("ab,cd,abcduv->uv", Xij, Xkl, dd)
-        acc += np.einsum("ab,mnab,mnuv->uv", Xij, dXkl, T)
-        acc += xp[k, l] * np.einsum("ab,abuv->uv", Xij, T)
-        acc += xp[i, j] * np.einsum("ab,abuv->uv", Xkl, T)
-        acc += (Xij[k, l] - Xij[l, k]) * lam
-        acc += xp[k, l] * xp[i, j] * lam
-        rhs_right = -acc
-        lhs_right = lam @ gam[i] @ gam[j] @ gam[k] @ gam[l]
-        res_right = float(np.max(np.abs(lhs_right - rhs_right)))
-        # left product: g g g g Lambda
-        dXs_ij = _dX_conj(n, xp, xmc, i, j)
-        acc = np.einsum("ab,cd,abcduv->uv", Xs_kl, Xs_ij, dd)
-        acc += np.einsum("ab,mnab,mnuv->uv", Xs_kl, dXs_ij, T)
-        acc += xp[i, j] * np.einsum("ab,abuv->uv", Xs_kl, T)
-        acc += xp[k, l] * np.einsum("ab,abuv->uv", Xs_ij, T)
-        acc += (Xs_kl[i, j] - Xs_kl[j, i]) * lam
-        acc += xp[i, j] * xp[k, l] * lam
-        rhs_left = -acc
-        lhs_left = gam[i] @ gam[j] @ gam[k] @ gam[l] @ lam
-        res_left = float(np.max(np.abs(lhs_left - rhs_left)))
+        right = expansion(np.outer(xp[i], xmc[:, j]), xp[k], xmc[:, l], k, l, xp[i, j])
+        left = expansion(np.outer(xmc[k], xp[:, l]), xmc[i], xp[:, j], i, j, xp[k, l])
+        rhs_left, rhs_right = (np.stack([left, right]) @ ops).reshape(2, dim, dim)
+        word = gam[i] @ gam[j] @ gam[k] @ gam[l]
+        res_left = float(np.max(np.abs(word @ lam - rhs_left)))
+        res_right = float(np.max(np.abs(lam @ word - rhs_right)))
         report[tup] = (res_left, res_right)
     return report
 
@@ -514,12 +479,13 @@ def verify_fpe(
     spec: HamiltonianSpec,
     x: PhasePoint,
     majoranas: MajoranaSet | None = None,
-    h: float = 1e-4,
     scale: float = 1.0,
     drift_form: str = "eq36",
 ) -> FpeCheck:
     """Exact Liouville dQ/dt vs the phase-space equation of motion at x.
 
+    The left side is the dense trace of :func:`exact_dqdt`; the right side
+    takes the exact gradient and Hessian of Q from :func:`q_derivatives`.
     ``drift_form='eq36'`` evaluates the defining form
     -Abar.grad + (1/2) D : hess.  ``drift_form='eq50'`` substitutes the
     alternative closed-form drift assembly into the conservative expansion
@@ -527,20 +493,18 @@ def verify_fpe(
     |lhs - rhs| / max(|lhs|, scale); the floor keeps near-stationary
     instances meaningful when couplings are of order one.
     """
-    if majoranas is None:
-        majoranas = build_majoranas(x.M)
+    if drift_form not in ("eq36", "eq50"):
+        raise ValueError(f"unknown drift form {drift_form!r}")
+    majoranas = _majoranas_for(x.M, majoranas)
     lhs = exact_dqdt(rho, spec, x, majoranas)
-    grad = fd_gradient(rho, x, majoranas, h=h)
-    hess = fd_hessian(rho, x, majoranas, h=h)
+    grad, hess = q_derivatives(rho, x, majoranas)
     if drift_form == "eq36":
         rhs = fpe_rhs(x, spec.t, spec.g, grad, hess)
-    elif drift_form == "eq50":
+    else:
         rhs = -float(drift_alternative(x, spec.t, spec.g) @ grad)
         rhs += float(div_diffusion(x, spec.g) @ grad)
         if spec.g.table:
             rhs += 0.5 * float(np.einsum("pq,pq->", diffusion(x, spec.g), hess))
-    else:
-        raise ValueError(f"unknown drift form {drift_form!r}")
     residual = abs(lhs - rhs) / max(abs(lhs), scale)
     return FpeCheck(lhs, rhs, residual)
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import fock, kernel
 from .dynamics import flow
-from .errors import SingularBasisError, StencilError
 from .hubbard import hubbard_comparison, preset_hubbard
 from .tensors import (
     CouplingMatrix,
@@ -39,6 +38,7 @@ __all__ = [
     "run_quadratic_identities",
     "run_four_gamma",
     "run_fpe_sweep",
+    "fpe_instance",
     "acceptance_fpe_cases",
     "run_traceless_and_channels",
     "run_appendix_c",
@@ -56,9 +56,9 @@ TOLERANCES = {
     "basis-at-origin": 1e-14,
     "basis-single-mode": 1e-12,
     "basis-boundary-purity": 1e-10,
-    "quadratic-identities": 1e-6,
-    "four-gamma": 1e-4,
-    "fpe": 1e-5,
+    "quadratic-identities": 1e-10,
+    "four-gamma": 1e-10,
+    "fpe": 1e-10,
     "traceless-diagonal": 1e-12,
     "traceless-eigsum": 1e-10,
     "channel-reconstruction": 1e-12,
@@ -184,29 +184,18 @@ def _random_quartic(M: int, rng: np.random.Generator, max_quadruples: int = 10,
     return QuarticCoupling.from_entries(M, entries)
 
 
-def _interior_point(M: int, seed: int, scale: float = 0.35) -> PhasePoint:
-    """Interior point at which the Gaussian basis is evaluable; resamples."""
-    for attempt in range(16):
-        x = random_interior_point(M, seed + 7919 * attempt, scale=scale)
-        try:
-            fock.check_basis_evaluable(x)
-            return x
-        except SingularBasisError:
-            continue
-    raise RuntimeError(f"could not sample an evaluable interior point for M={M}")
+# Scale of the interior points the Fock-space oracle sweeps sample.
+_ORACLE_SCALE = 0.35
 
 
-def _boundary_point(M: int, seed: int, need_basis: bool = False) -> PhasePoint:
-    for attempt in range(16):
-        x = random_boundary_point(M, seed + 7919 * attempt)
-        if not need_basis:
-            return x
-        try:
-            fock.check_basis_evaluable(x)
-            return x
-        except SingularBasisError:
-            continue
-    raise RuntimeError(f"could not sample an evaluable boundary point for M={M}")
+def _instance(index: int, seed: int, x: PhasePoint) -> dict:
+    """Report record of one sweep instance: enough to re-run it."""
+    return {"index": index, "seed": seed, "M": x.M, "x": [float(v) for v in x.packed]}
+
+
+def _worst(results: list) -> tuple:
+    """The (residual, instance record) pair with the largest residual."""
+    return max(results, key=lambda r: r[0], default=(0.0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def run_gaussian_basis(seed: int, n_boundary: int = 10) -> list[CheckResult]:
         worst = 0.0
         for i in range(n_boundary):
             M = 1 + i % 2
-            x = _boundary_point(M, seed + i, need_basis=True)
+            x = random_boundary_point(M, seed + i)
             lam = fock.gaussian_basis(x)
             worst = max(worst, float(np.max(np.abs(lam @ lam - lam))))
         return worst, n_boundary
@@ -277,42 +266,42 @@ def run_gaussian_basis(seed: int, n_boundary: int = 10) -> list[CheckResult]:
 
 
 def run_quadratic_identities(
-    Ms=(1, 2), seed: int = 0, n_points: int = 20, h: float = 1e-4,
-    tol: float | None = None,
+    Ms=(1, 2), seed: int = 0, n_points: int = 20, tol: float | None = None,
 ) -> CheckResult:
     tol = TOLERANCES["quadratic-identities"] if tol is None else tol
     def body():
-        worst = 0.0
-        count = 0
+        results = []
         per_m = max(1, n_points // len(Ms))
         for M in Ms:
             majo = fock.build_majoranas(M)
             for i in range(per_m):
-                x = _interior_point(M, seed + 100 * M + i)
-                res = fock.verify_quadratic_identities(x, majo, h=h)
-                worst = max(worst, max(res.values()))
-                count += 1
-        return worst, count
-    (worst, count), secs = _timed(body)
-    return CheckResult("quadratic-identities", count, worst, tol, worst <= tol, secs)
+                x = random_interior_point(M, seed + 100 * M + i, scale=_ORACLE_SCALE)
+                res = fock.verify_quadratic_identities(x, majo)
+                results.append((max(res.values()), _instance(i, seed, x)))
+        return results
+    results, secs = _timed(body)
+    worst, worst_at = _worst(results)
+    return CheckResult("quadratic-identities", len(results), worst, tol, worst <= tol, secs,
+                       info={"worst": worst_at})
 
 
 def run_four_gamma(
-    M: int = 2, seed: int = 0, n_points: int = 5, h: float = 1e-3,
-    tol: float | None = None,
+    M: int = 2, seed: int = 0, n_points: int = 5, tol: float | None = None,
 ) -> CheckResult:
     tol = TOLERANCES["four-gamma"] if tol is None else tol
     def body():
         majo = fock.build_majoranas(M)
-        worst = 0.0
+        results = []
         for i in range(n_points):
-            x = _interior_point(M, seed + i)
-            report = fock.verify_four_gamma(x, majo, h=h)
-            for res_left, res_right in report.values():
-                worst = max(worst, res_left, res_right)
-        return worst, n_points
-    (worst, count), secs = _timed(body)
-    return CheckResult("four-gamma", count, worst, tol, worst <= tol, secs)
+            x = random_interior_point(M, seed + i, scale=_ORACLE_SCALE)
+            report = fock.verify_four_gamma(x, majo)
+            res = max((max(pair) for pair in report.values()), default=0.0)
+            results.append((res, _instance(i, seed, x)))
+        return results
+    results, secs = _timed(body)
+    worst, worst_at = _worst(results)
+    return CheckResult("four-gamma", len(results), worst, tol, worst <= tol, secs,
+                       info={"worst": worst_at})
 
 
 def run_fpe_sweep(
@@ -322,41 +311,34 @@ def run_fpe_sweep(
     label: str = "fpe",
     drift_form: str = "eq36",
     tol: float | None = None,
-    h: float = 1e-4,
     scale: float = 1.0,
 ) -> CheckResult:
     """Exact-vs-kernel dQ/dt over seeded (rho, x) instances for one model."""
     tol = TOLERANCES["fpe"] if tol is None else tol
     def body():
         majo = fock.build_majoranas(spec.M)
-        worst = 0.0
-        residuals = []
-        resampled = 0
+        results = []
         for i in range(n_instances):
-            rho = fock.random_density_matrix(spec.M, seed + 31 * i + 1)
-            chk = None
-            for attempt in range(8):
-                x = _interior_point(spec.M, seed + 97 * i + attempt)
-                try:
-                    chk = fock.verify_fpe(rho, spec, x, majo, h=h, scale=scale,
-                                          drift_form=drift_form)
-                    break
-                except StencilError:
-                    resampled += 1
-            if chk is None:
-                raise RuntimeError(f"no evaluable stencil for instance {i} at M={spec.M}")
-            residuals.append(chk.residual)
-            worst = max(worst, chk.residual)
-        return worst, residuals, resampled
-    (worst, residuals, resampled), secs = _timed(body)
+            rho, x = fpe_instance(spec.M, seed, i)
+            chk = fock.verify_fpe(rho, spec, x, majo, scale=scale, drift_form=drift_form)
+            results.append((chk.residual, _instance(i, seed, x)))
+        return results
+    results, secs = _timed(body)
+    worst, worst_at = _worst(results)
     informational = drift_form != "eq36"
     info = {"drift_form": drift_form,
-            "median_residual": float(np.median(residuals))}
-    if resampled:
-        info["resampled_singular_points"] = resampled
-    return CheckResult(label, len(residuals), worst, tol,
+            "median_residual": float(np.median([r for r, _ in results])),
+            "worst": worst_at}
+    return CheckResult(label, len(results), worst, tol,
                        (worst <= tol) or informational, secs,
                        informational=informational, info=info)
+
+
+def fpe_instance(M: int, seed: int, index: int) -> tuple[np.ndarray, PhasePoint]:
+    """The (rho, x) of instance ``index`` of :func:`run_fpe_sweep` with ``seed``."""
+    rho = fock.random_density_matrix(M, seed + 31 * index + 1)
+    x = random_interior_point(M, seed + 97 * index, scale=_ORACLE_SCALE)
+    return rho, x
 
 
 def acceptance_fpe_cases(seed: int) -> list[tuple[str, HamiltonianSpec, int]]:

@@ -1,6 +1,6 @@
-"""Definition oracle for the Gaussian basis Lambda(x), used only by the tests.
+"""Independent routes to the Gaussian basis Lambda(x), used only by the tests.
 
-Builds Lambda(x) exactly as it is defined: the quadratic form
+:func:`definition_basis` builds Lambda(x) exactly as it is defined: the quadratic form
 C(x) = -(i/2) [J + (J + J x J)^{-1}] with J the block mode-pairing matrix
 squaring to -I, the exponent gamma^T C gamma expanded in ladder-operator
 monomials, and the normal-ordered exponential summed term by term and
@@ -8,9 +8,23 @@ rescaled to unit trace.  Normal ordering moves creations left with the
 permutation sign and no contraction terms, so a monomial with a repeated
 label vanishes and the series terminates at order M.
 
-The production route, :func:`majoranaq.fock.gaussian_basis`, uses the
-product form over the 2x2 blocks of x (from eigh of i x) instead; the two share nothing but the ladder
-operators, so their agreement is an independent check.
+The definition cannot be evaluated where J + J x J is singular, which
+happens on a measure-zero part of the pure-state boundary.
+
+:func:`product_basis` is the fermionic Gaussian-state product form over the
+2x2 blocks of x (Bravyi, quant-ph/0404180): the Hermitian matrix i x has
+eigenvalues +-lambda_k; an eigenvector a_k + i b_k of +lambda_k >= 0 gives
+x a_k = lambda_k b_k and x b_k = -lambda_k a_k, so the real orthonormal pairs
+(sqrt2 b_k, sqrt2 a_k) bring x to blocks of weight lambda_k, and in the
+rotated Majoranas gamma'_m = sum_a O_{am} gamma_a
+
+    Lambda(x) = 2^-M prod_k (I + i lambda_k gamma'_{2k-1} gamma'_{2k}).
+
+It is smooth on the whole closed domain, boundary included.
+
+The production route, :func:`majoranaq.fock.gaussian_basis`, sums the Wick
+expansion over subset Pfaffians instead; the three routes share nothing but
+the Jordan-Wigner operators, so their agreement is an independent check.
 """
 
 from __future__ import annotations
@@ -19,11 +33,14 @@ import math
 
 import numpy as np
 
-from majoranaq.errors import SingularBasisError
-from majoranaq.fock import jordan_wigner_ladders
+from majoranaq.fock import build_majoranas, jordan_wigner_ladders
 from majoranaq.tensors import PhasePoint
 
 _MONOMIAL_CACHE: dict = {}
+
+
+class SingularDefinitionError(ArithmeticError):
+    """J + J x J is too close to singular for the definition to be evaluated."""
 
 
 # A symbol is (kind, mode): kind 0 = creation, 1 = annihilation.  A canonical
@@ -141,8 +158,8 @@ def _quadratic_polynomial(M: int, C: np.ndarray) -> NormalOrderedPolynomial:
 def definition_basis(x: PhasePoint) -> np.ndarray:
     """Unit-trace Lambda(x) from the normal-ordered exponential of gamma^T C gamma.
 
-    Raises :class:`SingularBasisError` where J + J x J is too close to
-    singular to invert, the same points the production route rejects.
+    Raises :class:`SingularDefinitionError` where J + J x J has an
+    eigenvalue below 1e-10 in modulus.
     """
     M = x.M
     J = np.zeros((2 * M, 2 * M))
@@ -152,7 +169,9 @@ def definition_basis(x: PhasePoint) -> np.ndarray:
     eigs = np.linalg.eigvals(A)
     smallest = eigs[np.argmin(np.abs(eigs))]
     if abs(smallest) < 1e-10:
-        raise SingularBasisError(smallest)
+        raise SingularDefinitionError(
+            f"J + J x J has eigenvalue {smallest:.3e}, too close to zero to invert"
+        )
     C = -0.5j * (J + np.linalg.inv(A))
     K = _quadratic_polynomial(M, C)
     series = NormalOrderedPolynomial.one()
@@ -167,3 +186,39 @@ def definition_basis(x: PhasePoint) -> np.ndarray:
     if abs(trace) < 1e-12 * 2 ** M:
         raise ArithmeticError(f"normal-ordered exponential has near-zero trace {trace:.3e}")
     return mat / trace
+
+
+def product_basis(x: PhasePoint) -> np.ndarray:
+    """Unit-trace Lambda(x) as the product over the 2x2 blocks of x."""
+    M = x.M
+    gam = np.asarray(build_majoranas(M).gammas)
+    weights, vecs = np.linalg.eigh(1j * x.matrix())
+    top = np.sqrt(2.0) * vecs[:, M:]
+    O = np.concatenate([top.imag, top.real], axis=1)
+    rotated = (O.T @ gam.reshape(2 * M, -1)).reshape(gam.shape)
+    dim = 2 ** M
+    lam = np.eye(dim, dtype=complex) / dim
+    for k in range(M):
+        lam = lam + 1j * weights[M + k] * (lam @ rotated[k] @ rotated[M + k])
+    return lam
+
+
+def central_difference(rho, x, h):
+    """Central-difference gradient and Hessian of Tr[rho Lambda] by the product form."""
+    v0 = np.asarray(x.packed)
+    n = len(v0)
+    rho = np.asarray(rho)
+
+    def q(*steps):
+        v = v0.copy()
+        for p, s in steps:
+            v[p] += s * h
+        return np.trace(rho @ product_basis(PhasePoint(x.M, v))).real
+
+    grad = np.array([(q((p, 1)) - q((p, -1))) / (2 * h) for p in range(n)])
+    hess = np.array([
+        [(q((p, 1), (r, 1)) - q((p, 1), (r, -1)) - q((p, -1), (r, 1)) + q((p, -1), (r, -1)))
+         / (4 * h * h) for r in range(n)]
+        for p in range(n)
+    ])
+    return grad, hess

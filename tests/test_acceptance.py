@@ -56,11 +56,11 @@ def test_criterion_02_gaussian_basis():
 
 
 def test_criterion_03_differential_identities():
-    quad = run_quadratic_identities(Ms=(1, 2), seed=SEED, n_points=20, h=1e-4)
-    four = run_four_gamma(M=2, seed=SEED, n_points=5, h=1e-3)
+    quad = run_quadratic_identities(Ms=(1, 2), seed=SEED, n_points=20)
+    four = run_four_gamma(M=2, seed=SEED, n_points=5)
     report("criterion 03", [quad, four])
-    assert quad.passed and quad.max_residual <= 1e-6
-    assert four.passed and four.max_residual <= 1e-4
+    assert quad.passed and quad.max_residual <= 1e-10
+    assert four.passed and four.max_residual <= 1e-10
 
 
 def test_criterion_04_fpe_equivalence():
@@ -71,7 +71,7 @@ def test_criterion_04_fpe_equivalence():
         )
     report("criterion 04", checks)
     assert all(c.passed for c in checks)
-    assert max(c.max_residual for c in checks) <= 1e-5
+    assert max(c.max_residual for c in checks) <= 1e-10
 
 
 def test_criterion_04_arbitration_alternative_drift():
@@ -154,9 +154,9 @@ def test_default_tolerances_are_the_pinned_ones():
     assert TOLERANCES["basis-at-origin"] == 1e-14
     assert TOLERANCES["basis-single-mode"] == 1e-12
     assert TOLERANCES["basis-boundary-purity"] == 1e-10
-    assert TOLERANCES["quadratic-identities"] == 1e-6
-    assert TOLERANCES["four-gamma"] == 1e-4
-    assert TOLERANCES["fpe"] == 1e-5
+    assert TOLERANCES["quadratic-identities"] == 1e-10
+    assert TOLERANCES["four-gamma"] == 1e-10
+    assert TOLERANCES["fpe"] == 1e-10
     assert TOLERANCES["traceless-diagonal"] == 1e-12
     assert TOLERANCES["traceless-eigsum"] == 1e-10
     assert TOLERANCES["channel-reconstruction"] == 1e-12

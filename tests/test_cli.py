@@ -66,9 +66,29 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
 
     def test_m_cap_usage_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"M": 4, "seed": 0})
+        cfg = write_config(tmp_path, {"M": 6, "seed": 0})
         assert main(["verify", "--config", cfg, "--suite", "fpe"]) == 2
-        assert "M <= 3" in capsys.readouterr().err
+        assert "M <= 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["identities", "fpe"])
+    def test_oracle_cap_admits_5(self, tmp_path, capsys, suite):
+        cfg = write_config(tmp_path, {
+            "M": 5, "t_entries": [[1, 2, 0.3], [3, 8, -0.2], [5, 10, 0.1]],
+            "g_entries": [[1, 2, 3, 4, 0.05], [2, 5, 7, 10, -0.03]], "seed": 3,
+        })
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--suite", suite, "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        expected = {"identities": {"quadratic-identities", "four-gamma"}, "fpe": {"fpe"}}
+        assert {c["name"] for c in checks} == expected[suite]
+        assert all(c["pass"] and c["info"]["worst"]["M"] == 5 for c in checks)
+
+    @pytest.mark.parametrize("suite", ["identities", "fpe"])
+    def test_oracle_cap_rejects_6(self, tmp_path, capsys, suite):
+        cfg = write_config(tmp_path, {"M": 6, "seed": 0})
+        assert main(["verify", "--config", cfg, "--suite", suite]) == 2
+        err = capsys.readouterr().err
+        assert "M <= 5" in err and "M = 6" in err and "Traceback" not in err
 
     def test_moment_requires_m1(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "seed": 0})

@@ -162,9 +162,7 @@ class TestCovarianceTransport:
             rng = np.random.default_rng(seed)
             a = rng.normal(size=(4, 4)) * 0.6
             t = CouplingMatrix.from_matrix(a - a.T)
-            from majoranaq.suites import _boundary_point
-
-            x0 = _boundary_point(2, seed + 40, need_basis=True)
+            x0 = random_boundary_point(2, seed + 40)
             dev, rate = gaussian_covariance_comparison(x0, t, horizon=1.0)
             assert dev <= 1e-6
             rates.append(rate)
@@ -174,12 +172,10 @@ class TestCovarianceTransport:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_m2_deviation_at_generator_rate(self, seed):
-        from majoranaq.suites import _boundary_point
-
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(4, 4)) * 0.6
         t = CouplingMatrix.from_matrix(a - a.T)
-        x0 = _boundary_point(2, seed + 40, need_basis=True)
+        x0 = random_boundary_point(2, seed + 40)
         dev, _ = gaussian_covariance_comparison(x0, t, horizon=1.0)
         assert dev <= 1e-12
 

@@ -2,23 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from basis_oracle import NormalOrderedPolynomial, _normal_order_word, definition_basis
+from basis_oracle import (
+    NormalOrderedPolynomial,
+    SingularDefinitionError,
+    _normal_order_word,
+    central_difference,
+    definition_basis,
+    product_basis,
+)
 from majoranaq import (
     CouplingMatrix,
     HamiltonianSpec,
+    MajoranaSet,
     PhasePoint,
     QuarticCoupling,
     build_hamiltonian,
     build_majoranas,
-    check_basis_evaluable,
     check_density_matrix,
     covariance_of_basis,
     exact_dqdt,
-    fd_gradient,
-    fd_hessian,
     gaussian_basis,
+    q_derivatives,
     qfunction,
     random_boundary_point,
     random_density_matrix,
@@ -28,13 +36,34 @@ from majoranaq import (
     verify_moment_identity_m1,
     verify_quadratic_identities,
 )
-from majoranaq.errors import DimensionError, SingularBasisError, StencilError
+from majoranaq.errors import DimensionError
 
 
 def interior(M, seed, scale=0.35):
-    from majoranaq.suites import _interior_point
+    return random_interior_point(M, seed, scale=scale)
 
-    return _interior_point(M, seed, scale=scale)
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def phase_points(draw):
+    """x = O B O^T at M <= 4: a random orthogonal O and 2x2 blocks B.
+
+    Interior draws take block weights in (-1, 1); boundary draws take weights
+    of modulus one, which include points where the definition is singular.
+    """
+    M = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=M, max_size=M))
+    else:
+        weights = draw(st.lists(st.floats(-0.99, 0.99), min_size=M, max_size=M))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    O, _ = np.linalg.qr(rng.normal(size=(2 * M, 2 * M)))
+    B = np.zeros((2 * M, 2 * M))
+    for k, w in enumerate(weights):
+        B[2 * k, 2 * k + 1], B[2 * k + 1, 2 * k] = w, -w
+    return PhasePoint.from_matrix(O @ B @ O.T, tol=1e-12)
 
 
 class TestNormalOrdering:
@@ -92,7 +121,14 @@ class TestMajoranas:
 
     def test_large_m_warns(self):
         with pytest.warns(UserWarning):
-            build_majoranas(4)
+            build_majoranas(6)
+
+    def test_no_warning_within_the_verify_cap(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_majoranas(5)
 
 
 class TestHamiltonian:
@@ -151,10 +187,10 @@ class TestGaussianBasis:
             lam, np.diag([(1 - s) / 2, (1 + s) / 2]), atol=1e-12
         )
 
-    def test_singular_at_plus_j(self):
-        with pytest.raises(SingularBasisError) as err:
-            gaussian_basis(PhasePoint(1, np.array([1.0])))
-        assert "eigenvalue" in str(err.value)
+    def test_plus_j_is_occupied_projector(self):
+        # the definition's J + J x J is singular here; the Wick sum is exact
+        lam = gaussian_basis(PhasePoint(1, np.array([1.0])))
+        np.testing.assert_array_equal(lam, np.diag([0.0, 1.0]))
 
     def test_limit_onto_occupied_projector(self):
         s = 1.0 - 1e-8
@@ -175,17 +211,15 @@ class TestGaussianBasis:
         assert np.min(np.linalg.eigvalsh(lam)) >= -1e-10
 
     def test_boundary_purity(self):
-        from majoranaq.suites import _boundary_point
-
         for seed in range(6):
             M = 1 + seed % 2
-            x = _boundary_point(M, seed + 50, need_basis=True)
+            x = random_boundary_point(M, seed + 50)
             lam = gaussian_basis(x)
             assert np.max(np.abs(lam @ lam - lam)) <= 1e-10
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
     def test_matches_definition_oracle(self, M):
-        # the product form against the normal-ordered exponential that defines
+        # the Wick sum against the normal-ordered exponential that defines
         # Lambda; about half of the random boundary points are singular for it
         boundary_used = 0
         for seed in range(16):
@@ -194,7 +228,7 @@ class TestGaussianBasis:
             xb = random_boundary_point(M, seed + 300)
             try:
                 ref = definition_basis(xb)
-            except SingularBasisError:
+            except SingularDefinitionError:
                 continue
             np.testing.assert_allclose(gaussian_basis(xb), ref, rtol=0, atol=1e-13)
             boundary_used += 1
@@ -223,6 +257,9 @@ class TestGaussianBasis:
     def test_explicit_majoranas_match_cached(self):
         x = interior(3, 5)
         np.testing.assert_array_equal(gaussian_basis(x), gaussian_basis(x, build_majoranas(3)))
+        # a separate set builds its own gamma_S products
+        copied = MajoranaSet(3, tuple(np.array(g) for g in build_majoranas(3).gammas))
+        np.testing.assert_array_equal(gaussian_basis(x), gaussian_basis(x, copied))
         with pytest.raises(DimensionError):
             gaussian_basis(x, build_majoranas(2))
 
@@ -234,11 +271,34 @@ class TestGaussianBasis:
             lam = gaussian_basis(random_interior_point(4, 1))
         assert abs(np.trace(lam) - 1) <= 1e-12
 
-    def test_evaluability_probe(self):
-        check_basis_evaluable(PhasePoint.zero(2))
-        with pytest.raises(SingularBasisError) as err:
-            check_basis_evaluable(PhasePoint(1, np.array([1.0])))
-        assert "eigenvalue" in str(err.value)
+    @PROPERTY
+    @given(phase_points())
+    def test_property_matches_product_form(self, x):
+        np.testing.assert_allclose(gaussian_basis(x), product_basis(x), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    def test_matches_product_form(self, M):
+        for seed in range(10):
+            for x in (random_interior_point(M, seed + 700), random_boundary_point(M, seed + 700)):
+                np.testing.assert_allclose(gaussian_basis(x), product_basis(x), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_evaluated_where_the_definition_is_singular(self, M):
+        # boundary points where J + J x J is singular: Lambda is still the
+        # pure Gaussian state there, equal to the product form
+        singular = 0
+        for seed in range(40):
+            x = random_boundary_point(M, seed + 900)
+            try:
+                definition_basis(x)
+                continue
+            except SingularDefinitionError:
+                singular += 1
+            lam = gaussian_basis(x)
+            np.testing.assert_allclose(lam, product_basis(x), rtol=0, atol=1e-13)
+            assert np.max(np.abs(lam @ lam - lam)) <= 1e-13
+            assert abs(np.trace(lam) - 1) <= 1e-14
+        assert singular >= 5
 
 
 class TestQFunction:
@@ -291,11 +351,9 @@ class TestCovariance:
 
     @pytest.mark.parametrize("M", [2, 3])
     def test_equals_point(self, M):
-        from majoranaq.suites import _boundary_point
-
         majo = build_majoranas(M)
         for seed in range(4):
-            for x in (interior(M, seed + 60), _boundary_point(M, seed + 60, need_basis=True)):
+            for x in (interior(M, seed + 60), random_boundary_point(M, seed + 60)):
                 cov = covariance_of_basis(x, majo)
                 np.testing.assert_allclose(cov, x.matrix(), rtol=0, atol=1e-12)
 
@@ -370,25 +428,42 @@ class TestRealityContracts:
 
 
 class TestFiniteDifferencesOfQ:
+    """Exact derivatives of Q against known values and central differences."""
+
     def test_constant_q_gradient(self):
         rho = np.eye(4) / 4
-        grad = fd_gradient(rho, interior(2, 2))
+        grad, hess = q_derivatives(rho, interior(2, 2))
         np.testing.assert_allclose(grad, 0.0, atol=1e-10)
+        np.testing.assert_allclose(hess, 0.0, atol=1e-10)
 
     def test_single_mode_linear(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         x = PhasePoint(1, np.array([0.3]))
-        grad = fd_gradient(rho, x)
+        grad, hess = q_derivatives(rho, x)
         np.testing.assert_allclose(grad, [-0.5], atol=1e-10)
-        hess = fd_hessian(rho, x)
-        np.testing.assert_allclose(hess, [[0.0]], atol=1e-7)
+        np.testing.assert_allclose(hess, [[0.0]], atol=1e-10)
 
-    def test_stencil_error_near_singularity(self):
+    @pytest.mark.parametrize("s", [1.0 - 1e-4, 1.0])
+    def test_exact_next_to_and_at_plus_j(self, s):
+        # a central stencil of step 1e-4 about 1 - 1e-4 reached the point +J,
+        # where the definition is singular; the exact derivatives need no stencil
         rho = np.diag([1.0, 0.0]).astype(complex)
-        h = 1e-4
-        x = PhasePoint(1, np.array([1.0 - h]))  # x + h lands on the singular point
-        with pytest.raises(StencilError):
-            fd_gradient(rho, x, h=h)
+        grad, hess = q_derivatives(rho, PhasePoint(1, np.array([s])))
+        np.testing.assert_array_equal(grad, [-0.5])
+        np.testing.assert_array_equal(hess, [[0.0]])
+
+    @settings(PROPERTY, max_examples=30)
+    @given(phase_points(), st.integers(0, 2**32 - 1))
+    def test_property_matches_central_difference(self, x, rho_seed):
+        # Q is affine in each packed component and bilinear in any two, so the
+        # stencils have no truncation error; what is left is round-off, about
+        # eps / h in the gradient and eps / h^2 in the Hessian
+        rho = random_density_matrix(x.M, rho_seed)
+        grad, hess = q_derivatives(rho, x)
+        fd_grad, fd_hess = central_difference(rho, x, 1e-2)
+        np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(hess, hess.T)
 
 
 class TestQuadraticIdentities:
@@ -398,12 +473,12 @@ class TestQuadraticIdentities:
         for seed in range(2):
             res = verify_quadratic_identities(interior(M, seed + 30), majo)
             assert set(res) == {"left", "right", "mixed", "commutator"}
-            assert max(res.values()) <= 1e-6
+            assert max(res.values()) <= 1e-10
 
     def test_at_origin(self):
         majo = build_majoranas(1)
         res = verify_quadratic_identities(PhasePoint.zero(1), majo)
-        assert max(res.values()) <= 1e-6
+        assert max(res.values()) <= 1e-10
 
 
 class TestFourGamma:
@@ -411,13 +486,13 @@ class TestFourGamma:
         majo = build_majoranas(2)
         report = verify_four_gamma(PhasePoint.zero(2), majo)
         res_left, res_right = report[(1, 2, 3, 4)]
-        assert res_left <= 1e-4 and res_right <= 1e-4
+        assert res_left <= 1e-10 and res_right <= 1e-10
 
     def test_random_interior(self):
         majo = build_majoranas(2)
         report = verify_four_gamma(interior(2, 42), majo)
         res_left, res_right = report[(1, 2, 3, 4)]
-        assert res_left <= 1e-4 and res_right <= 1e-4
+        assert res_left <= 1e-10 and res_right <= 1e-10
         # both sides are built the same way; magnitudes should be comparable
         assert res_left <= 100 * res_right and res_right <= 100 * res_left
 
@@ -427,7 +502,7 @@ class TestFourGamma:
             interior(3, 4), majo, tuples=[(1, 2, 3, 4), (2, 3, 5, 6)]
         )
         assert set(report) == {(1, 2, 3, 4), (2, 3, 5, 6)}
-        assert all(max(pair) <= 1e-4 for pair in report.values())
+        assert all(max(pair) <= 1e-10 for pair in report.values())
 
 
 class TestVerifyFpe:
@@ -446,7 +521,7 @@ class TestVerifyFpe:
         rho = random_density_matrix(1, 2)
         chk = verify_fpe(rho, spec, PhasePoint(1, np.array([0.35])))
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
-        assert chk.residual <= 1e-5
+        assert chk.residual <= 1e-10
 
     def test_m2_quadratic_nondegenerate(self):
         rng = np.random.default_rng(3)
@@ -455,7 +530,7 @@ class TestVerifyFpe:
         rho = random_density_matrix(2, 4)
         chk = verify_fpe(rho, spec, interior(2, 5))
         assert abs(chk.lhs) > 1e-3
-        assert chk.residual <= 1e-5
+        assert chk.residual <= 1e-10
 
     def test_m3_quartic(self):
         rng = np.random.default_rng(5)
@@ -467,7 +542,7 @@ class TestVerifyFpe:
         )
         rho = random_density_matrix(3, 6)
         chk = verify_fpe(rho, spec, interior(3, 7, scale=0.3))
-        assert chk.residual <= 1e-5
+        assert chk.residual <= 1e-10
 
     def test_alternative_drift_form_disagrees(self):
         # the recorded arbitration form should NOT match exact dynamics
@@ -479,7 +554,7 @@ class TestVerifyFpe:
         x = interior(2, 8)
         good = verify_fpe(rho, spec, x, drift_form="eq36")
         alt = verify_fpe(rho, spec, x, drift_form="eq50")
-        assert good.residual <= 1e-5
+        assert good.residual <= 1e-10
         assert alt.residual > 1e-3
 
     def test_unknown_form(self):

@@ -1,12 +1,13 @@
 """Report bookkeeping of the verification sweeps."""
 
+import json
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from majoranaq import suites
+from majoranaq import PhasePoint, fock, suites
 
 
 @pytest.mark.parametrize(
@@ -72,3 +73,33 @@ def test_balance_tolerance_gates_the_channel_check(monkeypatch):
     assert channels.max_residual <= channels.tolerance
     assert channels.info["psd_defect"] <= suites.TOLERANCES["channel-psd"]
     assert channels.passed is False
+
+
+def _recorded_point(check):
+    # through the JSON report, as a user re-running a FAIL would read it
+    info = json.loads(json.dumps(suites.build_report("x", [check], 0).to_dict()))["checks"][0]["info"]
+    worst = info["worst"]
+    return worst, PhasePoint(worst["M"], np.array(worst["x"]))
+
+
+def test_worst_fpe_instance_reproduces_its_residual():
+    _, spec, _ = suites.acceptance_fpe_cases(11)[4]
+    check = suites.run_fpe_sweep(spec, seed=11, n_instances=5)
+    worst, x = _recorded_point(check)
+    assert (worst["seed"], worst["M"]) == (11, 3) and "resampled_singular_points" not in check.info
+    rho, sampled = suites.fpe_instance(worst["M"], worst["seed"], worst["index"])
+    np.testing.assert_array_equal(sampled.packed, x.packed)
+    assert fock.verify_fpe(rho, spec, x).residual == check.max_residual > 0.0
+
+
+@pytest.mark.parametrize("runner, verify", [
+    (lambda: suites.run_quadratic_identities(Ms=(2, 3), seed=5, n_points=6),
+     lambda x, majo: max(fock.verify_quadratic_identities(x, majo).values())),
+    (lambda: suites.run_four_gamma(M=3, seed=5, n_points=4),
+     lambda x, majo: max(max(pair) for pair in fock.verify_four_gamma(x, majo).values())),
+], ids=["quadratic-identities", "four-gamma"])
+def test_worst_identity_instance_reproduces_its_residual(runner, verify):
+    check = runner()
+    worst, x = _recorded_point(check)
+    assert worst["seed"] == 5 and 0 <= worst["index"] < check.instances
+    assert verify(x, fock.build_majoranas(worst["M"])) == check.max_residual > 0.0

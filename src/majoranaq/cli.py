@@ -151,9 +151,9 @@ def cmd_flow(args) -> int:
     header.append("margin")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for time_val, point, margin in zip(traj.times, traj.points, traj.margins):
+        for time_val, state, margin in zip(traj.times, traj.packed, traj.margins):
             row = [f"{time_val:.10g}"]
-            row += [f"{v:.16e}" for v in point.packed]
+            row += [f"{v:.16e}" for v in state]
             row.append(f"{margin:.16e}")
             fh.write(",".join(row) + "\n")
     print(f"trajectory written to {args.out} ({args.steps} steps, dt={args.dt})")

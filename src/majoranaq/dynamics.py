@@ -3,7 +3,8 @@
 The drift defines an ordinary flow dx/dt = A(x).  Because A is tangent to the
 pure-state boundary x^2 = -I, a trajectory started on the boundary should stay
 there up to integrator error; no projection is applied by default so that the
-recorded domain margin directly measures that property.
+recorded domain margin directly measures that property.  The flow steps the
+packed components of x as one array and records them as one array per run.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .fock import build_majoranas, build_hamiltonian, covariance_of_basis, gaussian_basis
-from .kernel import diffusion, drift
+from .kernel import _drift_generator, diffusion
 from .tensors import (
     CouplingMatrix,
     HamiltonianSpec,
     PhasePoint,
     QuarticCoupling,
-    domain_margin,
+    _margin,
+    _pack,
+    _unpack,
+    pair_count,
 )
 
 __all__ = [
@@ -35,15 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid, phase points, and per-step domain margins of one flow run."""
+    """One flow run: row k of ``packed`` is x at ``times[k]``, with margin ``margins[k]``."""
 
+    M: int
     times: np.ndarray
-    points: tuple
+    packed: np.ndarray
     margins: np.ndarray
 
     @property
     def final(self) -> PhasePoint:
-        return self.points[-1]
+        return PhasePoint(self.M, self.packed[-1])
 
 
 def polar_project(x: PhasePoint) -> PhasePoint:
@@ -70,6 +75,8 @@ def flow(
 
     ``method`` is 'euler' or 'rk4'.  With ``project`` the state is retracted
     onto the boundary after every step (off by default, see module note).
+    A non-finite state or margin, or a failed margin eigensolve, raises
+    :class:`DivergenceError` at its step; the initial point is step 0.
     """
     if spec.M != x0.M:
         raise DimensionError(f"spec M={spec.M} != initial point M={x0.M}")
@@ -78,15 +85,24 @@ def flow(
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     M = x0.M
-    t_mat, g = spec.t, spec.g
+    t_mat, g = spec.t.matrix(), spec.g
 
     def rate(v: np.ndarray) -> np.ndarray:
-        return drift(PhasePoint(M, v), t_mat, g)
+        return _pack(M, _drift_generator(_unpack(M, v), t_mat, g))
 
-    v = np.asarray(x0.packed).copy()
-    times = [0.0]
-    points = [x0]
-    margins = [domain_margin(x0)]
+    def margin(v: np.ndarray, step: int) -> float:
+        try:
+            value = _margin(_unpack(M, v))
+        except np.linalg.LinAlgError as exc:  # overflow inside the eigensolver
+            raise DivergenceError(step) from exc
+        if not np.isfinite(value):
+            raise DivergenceError(step)
+        return value
+
+    packed = np.empty((steps + 1, pair_count(M)))
+    margins = np.empty(steps + 1)
+    v = packed[0] = x0.packed
+    margins[0] = margin(v, 0)
     for step in range(1, steps + 1):
         if method == "euler":
             v = v + dt * rate(v)
@@ -98,20 +114,11 @@ def flow(
             v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(v)):
             raise DivergenceError(step)
-        point = PhasePoint(M, v)
         if project:
-            point = polar_project(point)
-            v = np.asarray(point.packed).copy()
-        try:
-            margin = domain_margin(point)
-        except np.linalg.LinAlgError as exc:  # overflow inside the eigensolver
-            raise DivergenceError(step) from exc
-        if not np.isfinite(margin):
-            raise DivergenceError(step)
-        times.append(step * dt)
-        points.append(point)
-        margins.append(margin)
-    return Trajectory(np.array(times), tuple(points), np.array(margins))
+            v = polar_project(PhasePoint(M, v)).packed
+        packed[step] = v
+        margins[step] = margin(v, step)
+    return Trajectory(M, np.arange(steps + 1) * dt, packed, margins)
 
 
 @dataclass(frozen=True)

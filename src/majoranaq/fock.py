@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .kernel import drift_alternative, fpe_rhs, diffusion, div_diffusion
-from .tensors import HamiltonianSpec, PhasePoint, _pair_lookup, _pair_rows_cols, _pairs0, pair_count
+from .tensors import HamiltonianSpec, PhasePoint, _pair_index_matrix, _pair_rows_cols, pair_count
 
 __all__ = [
     "MajoranaSet",
@@ -154,8 +154,7 @@ def build_hamiltonian(spec: HamiltonianSpec, majoranas: MajoranaSet) -> np.ndarr
     dim = majoranas.dim
     H = np.zeros((dim, dim), dtype=complex)
     gam = majoranas.gammas
-    for p, (i, j) in enumerate(_pairs0(spec.M)):
-        tv = spec.t.packed[p]
+    for i, j, tv in zip(*_pair_rows_cols(spec.M), spec.t.packed):
         if tv != 0.0:
             H += 2j * tv * gam[i] @ gam[j]
     for (i, j, k, l), v in spec.g.items():
@@ -195,13 +194,13 @@ class _WickTable:
 def _wick_table(M: int) -> _WickTable:
     if M not in _WICK_CACHE:
         n = 2 * M
-        lookup = _pair_lookup(M)
+        idx = _pair_index_matrix(M)
         subsets = [s for size in range(0, n + 1, 2) for s in combinations(range(n), size)]
         index = {s: k for k, s in enumerate(subsets)}
         # per subset, (pair, rest, sign) for its pairs in lexicographic position order,
         # so the first |S| - 1 entries are the first-row expansion
         minors = [
-            [(lookup[s[u], s[v]], index[s[:u] + s[u + 1:v] + s[v + 1:]], (-1) ** (u + v + 1))
+            [(idx[s[u], s[v]], index[s[:u] + s[u + 1:v] + s[v + 1:]], (-1) ** (u + v + 1))
              for u, v in combinations(range(len(s)), 2)]
             for s in subsets
         ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .fock import jordan_wigner_ladders
-from .tensors import CouplingMatrix, QuarticCoupling, pair_count, _pair_lookup
+from .tensors import CouplingMatrix, QuarticCoupling
 
 __all__ = ["HubbardPreset", "preset_hubbard", "fermi_hubbard_matrix", "hubbard_comparison"]
 
@@ -49,33 +49,22 @@ def preset_hubbard(
     if sites < 1:
         raise DimensionError(f"need at least one site, got {sites}")
     M = 2 * sites
-    packed = np.zeros(pair_count(M))
-    lookup = _pair_lookup(M)
-
-    def add_t(i: int, j: int, v: float) -> None:
-        # 0-based mode labels; store on the canonical slot with the right sign
-        if i < j:
-            packed[lookup[(i, j)]] += v
-        else:
-            packed[lookup[(j, i)]] -= v
-
+    # 1-based canonical entries, all with i <= M < j; repeated slots accumulate
+    t_entries = []
     for s in range(sites - 1):
         for spin_offset in (0, sites):
-            m, n = s + spin_offset, s + 1 + spin_offset
-            add_t(m, M + n, -hop / 4.0)
-            add_t(n, M + m, -hop / 4.0)
+            m, n = s + spin_offset + 1, s + spin_offset + 2
+            t_entries += [(m, M + n, -hop / 4.0), (n, M + m, -hop / 4.0)]
     g_entries = []
     shift = 0.0
     for s in range(sites):
-        p, q = s, sites + s
-        add_t(p, M + p, onsite / 8.0)
-        add_t(q, M + q, onsite / 8.0)
-        quad = tuple(sorted((p + 1, q + 1, M + p + 1, M + q + 1)))
-        g_entries.append((*quad, onsite / 48.0))
+        p, q = s + 1, sites + s + 1
+        t_entries += [(p, M + p, onsite / 8.0), (q, M + q, onsite / 8.0)]
+        g_entries.append((*sorted((p, q, M + p, M + q)), onsite / 48.0))
         shift += onsite / 4.0
     return HubbardPreset(
         sites,
-        CouplingMatrix(M, packed),
+        CouplingMatrix.from_entries(M, t_entries),
         QuarticCoupling.from_entries(M, g_entries),
         shift,
     )

@@ -134,13 +134,17 @@ def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return RE, IM
 
 
+def _contract(g: QuarticCoupling, xm: np.ndarray) -> np.ndarray:
+    return _unpack(g.M, 2.0 * (g.pair_matrix @ _pack(g.M, xm)))
+
+
 def contract_quartic(g: QuarticCoupling, xm: np.ndarray) -> np.ndarray:
     """(g.x)_{ij} = sum_{kl} g_{ijkl} x_{kl}, as one product with the pair matrix.
 
     The sum over ordered (k, l) counts each packed pair twice, so
     (g.x)_P = 2 (G x_packed)_P for P = (i<j), unpacked antisymmetrically.
     """
-    return _unpack(g.M, 2.0 * (g.pair_matrix @ _pack(g.M, xm)))
+    return _contract(g, xm)
 
 
 def _check_dims(x: PhasePoint, *couplings) -> None:
@@ -234,10 +238,15 @@ def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecompositio
     return ChannelDecomposition(x.M, tuples + 1, 4.0 * weights, u - v, u + v)
 
 
-def _commutator_drift(x: PhasePoint, c: np.ndarray) -> np.ndarray:
-    """sum_{ij} c_{ij} Im X_{ij}^{(ab)} = [x, c]_{ab}, packed over pairs."""
-    xm = x.matrix()
-    return _pack(x.M, xm @ c - c @ xm)
+def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_{ij} c_{ij} Im X_{ij}^{(ab)} = [x, c]_{ab} for the full matrix ``xm``, packed."""
+    return _pack(len(xm) // 2, xm @ c - c @ xm)
+
+
+def _drift_generator(xm: np.ndarray, tm: np.ndarray, g: QuarticCoupling) -> np.ndarray:
+    """The full drift [x, c], c = 4((4M-3)(g.x) - t), from the full matrices of x and t."""
+    c = 4.0 * ((4 * g.M - 3) * _contract(g, xm) - tm)
+    return xm @ c - c @ xm
 
 
 def drift_bar(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
@@ -247,8 +256,8 @@ def drift_bar(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarra
     antisymmetry of g, so the evaluation stays in real arithmetic.
     """
     _check_dims(x, t, g)
-    c = 12.0 * contract_quartic(g, x.matrix()) - 4.0 * t.matrix()
-    return _commutator_drift(x, c)
+    xm = x.matrix()
+    return _commutator_drift(xm, 12.0 * contract_quartic(g, xm) - 4.0 * t.matrix())
 
 
 def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
@@ -259,15 +268,14 @@ def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     finite differences of :func:`diffusion`.
     """
     _check_dims(x, g)
-    c = -8.0 * (3 - 2 * x.M) * contract_quartic(g, x.matrix())
-    return _commutator_drift(x, c)
+    xm = x.matrix()
+    return _commutator_drift(xm, -8.0 * (3 - 2 * x.M) * contract_quartic(g, xm))
 
 
 def drift(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """Full drift A = Abar + div D = 4 Im X_{ij}^a [(4M-3)(g.x)_{ij} - t_{ij}]."""
     _check_dims(x, t, g)
-    c = 4.0 * ((4 * x.M - 3) * contract_quartic(g, x.matrix()) - t.matrix())
-    return _commutator_drift(x, c)
+    return _pack(x.M, _drift_generator(x.matrix(), t.matrix(), g))
 
 
 def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
@@ -278,16 +286,14 @@ def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> n
     the sign of t; exact-oracle comparisons are reported for both.
     """
     _check_dims(x, t, g)
-    c = (64 * x.M - 120.0) * contract_quartic(g, x.matrix()) + 4.0 * t.matrix()
-    return _commutator_drift(x, c)
+    xm = x.matrix()
+    return _commutator_drift(xm, (64 * x.M - 120.0) * contract_quartic(g, xm) + 4.0 * t.matrix())
 
 
 def drift_matrix(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """The drift as a full antisymmetric matrix A_{ab} (A_{ba} = -A_{ab})."""
     _check_dims(x, t, g)
-    xm = x.matrix()
-    c = 4.0 * ((4 * x.M - 3) * contract_quartic(g, xm) - t.matrix())
-    return xm @ c - c @ xm
+    return _drift_generator(x.matrix(), t.matrix(), g)
 
 
 def fpe_rhs(

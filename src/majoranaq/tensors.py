@@ -51,18 +51,6 @@ def pair_count(M: int) -> int:
     return M * (2 * M - 1)
 
 
-@lru_cache(maxsize=None)
-def _pairs0(M: int) -> tuple[tuple[int, int], ...]:
-    """Lexicographic (a, b) with 0 <= a < b < 2M."""
-    n = 2 * M
-    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
-
-
-@lru_cache(maxsize=None)
-def _pair_lookup(M: int) -> dict[tuple[int, int], int]:
-    return {ab: p for p, ab in enumerate(_pairs0(M))}
-
-
 @dataclass(frozen=True)
 class PairIndex:
     """One independent component slot: 1 <= alpha < beta <= 2M."""
@@ -76,7 +64,9 @@ def pair_enumerate(M: int) -> list[PairIndex]:
     """All independent pair indices in lexicographic order (1-based)."""
     if M < 1:
         raise DimensionError(f"mode count must be >= 1, got {M}")
-    return [PairIndex(a + 1, b + 1, p) for p, (a, b) in enumerate(_pairs0(M))]
+    rows, cols = _pair_rows_cols(M)
+    return [PairIndex(a + 1, b + 1, p)
+            for p, (a, b) in enumerate(zip(rows.tolist(), cols.tolist()))]
 
 
 def _check_index(M: int, *idx: int) -> None:
@@ -87,7 +77,7 @@ def _check_index(M: int, *idx: int) -> None:
 
 @lru_cache(maxsize=None)
 def _pair_rows_cols(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of the packed pairs, in ``_pairs0`` order."""
+    """Row and column index arrays of the packed pairs: lexicographic (a, b), 0 <= a < b < 2M."""
     rows, cols = np.triu_indices(2 * M, k=1)
     rows.flags.writeable = False
     cols.flags.writeable = False
@@ -165,9 +155,8 @@ class PhasePoint:
         _check_index(self.M, a, b)
         if a == b:
             return 0.0
-        if a < b:
-            return float(self.packed[_pair_lookup(self.M)[(a - 1, b - 1)]])
-        return -float(self.packed[_pair_lookup(self.M)[(b - 1, a - 1)]])
+        value = float(self.packed[_pair_index_matrix(self.M)[a - 1, b - 1]])
+        return value if a < b else -value
 
     def replace(self, packed: np.ndarray) -> "PhasePoint":
         return PhasePoint(self.M, packed)
@@ -198,12 +187,11 @@ class CouplingMatrix:
     def from_entries(cls, M: int, entries) -> "CouplingMatrix":
         """Build from 1-based canonical entries [(i, j, value), ...] with i < j."""
         packed = np.zeros(pair_count(M))
-        lookup = _pair_lookup(M)
         for i, j, v in entries:
             _check_index(M, i, j)
             if i >= j:
                 raise IndexRangeError(f"entry ({i},{j}) must be in canonical order i < j")
-            packed[lookup[(i - 1, j - 1)]] += v
+            packed[_pair_index_matrix(M)[i - 1, j - 1]] += v
         return cls(M, packed)
 
     @classmethod
@@ -381,11 +369,14 @@ class HamiltonianSpec:
         return cls(t.M, t, QuarticCoupling.zero(t.M))
 
 
+def _margin(xm: np.ndarray) -> float:
+    """Minimum eigenvalue of I + x^2 for the full antisymmetric matrix ``xm``."""
+    return float(np.min(np.linalg.eigvalsh(np.eye(len(xm)) + xm @ xm)))
+
+
 def domain_margin(x: PhasePoint) -> float:
     """Minimum eigenvalue of I + x^2: > 0 interior, 0 boundary, < 0 unphysical."""
-    xm = x.matrix()
-    sym = np.eye(2 * x.M) + xm @ xm
-    return float(np.min(np.linalg.eigvalsh(sym)))
+    return _margin(x.matrix())
 
 
 def standard_complex_structure(M: int) -> np.ndarray:

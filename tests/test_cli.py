@@ -190,6 +190,20 @@ class TestFlowCommand:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_x0_file_exit_3(self, tmp_path, capsys):
+        # a finite initial point whose margin overflows the eigensolver is a
+        # numerical error at step 0, not an uncaught LinAlgError
+        cfg = write_config(tmp_path, {"M": 3, "seed": 0})
+        x0 = 1e160 * np.asarray(majoranaq.random_boundary_point(3, 7).packed)
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text(json.dumps({"M": 3, "packed": x0.tolist()}))
+        code = main(["flow", "--config", cfg, "--x0", "file",
+                     "--x0-file", str(x0_path), "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "step 0" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--steps", "0"), ("--steps", "-3"),
         ("--dt", "0"), ("--dt", "-1e-3"), ("--dt", "nan"), ("--dt", "inf"),

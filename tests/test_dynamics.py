@@ -17,6 +17,7 @@ from majoranaq import (
     QuarticCoupling,
     channel_spectrum,
     domain_margin,
+    drift,
     flow,
     gaussian_covariance_comparison,
     pair_count,
@@ -40,8 +41,9 @@ class TestFlow:
         spec = HamiltonianSpec(2, CouplingMatrix.zero(2), QuarticCoupling.zero(2))
         x0 = random_boundary_point(2, 0)
         traj = flow(x0, spec, dt=0.01, steps=50)
-        for point in traj.points:
-            np.testing.assert_array_equal(point.packed, x0.packed)
+        assert traj.packed.shape == (51, pair_count(2))
+        for state in traj.packed:
+            np.testing.assert_array_equal(state, x0.packed)
         assert traj.times[-1] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("M", [1, 2, 3])
@@ -69,8 +71,8 @@ class TestFlow:
     def test_points_stay_antisymmetric(self):
         spec = random_spec(3, 6, g_entries=[(1, 2, 3, 4, 0.4), (2, 3, 5, 6, -0.5)])
         traj = flow(random_boundary_point(3, 6), spec, dt=5e-3, steps=40)
-        for point in traj.points:
-            m = point.matrix()
+        for state in traj.packed:
+            m = PhasePoint(3, state).matrix()
             np.testing.assert_array_equal(m, -m.T)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -81,6 +83,60 @@ class TestFlow:
         with pytest.raises(DivergenceError) as err:
             flow(x0, spec, dt=1e3, steps=50)
         assert err.value.step >= 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("x0", [
+        PhasePoint(1, [1e160]),
+        PhasePoint(3, 1e160 * random_boundary_point(3, 7).packed),
+    ], ids=["M1", "M3"])
+    def test_initial_margin_is_guarded(self, x0):
+        # the eigensolver overflows (M = 3) or the margin is not finite (M = 1)
+        spec = HamiltonianSpec.free(CouplingMatrix.zero(x0.M))
+        with pytest.raises(DivergenceError) as err:
+            flow(x0, spec, dt=1e-3, steps=5)
+        assert err.value.step == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_margin_failure_on_finite_state(self):
+        # the state after step 1 is finite, but its margin overflows the
+        # eigensolver; a flow that checked margins late would report step 2
+        spec = random_spec(3, 0, t_scale=0.0,
+                           g_entries=[(1, 2, 3, 4, 1e20), (3, 4, 5, 6, 1e20)])
+        with pytest.raises(DivergenceError) as err:
+            flow(random_boundary_point(3, 7), spec, dt=1e-3, steps=5)
+        assert err.value.step == 1
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("M,g_entries", [
+        (1, []), (2, []), (2, [(1, 2, 3, 4, 0.6)]), (3, []),
+        (3, [(1, 2, 3, 4, 0.6), (1, 3, 5, 6, -0.4)]), (4, []),
+        (4, [(1, 2, 3, 4, 0.6), (1, 3, 7, 8, -0.4), (2, 4, 5, 6, 0.3)]),
+    ])
+    def test_packed_flow_matches_public_drift(self, M, g_entries):
+        # the flow runs on the private drift generator and margin routine;
+        # a hand-written RK4 loop through the public kernel.drift on phase
+        # points must reproduce its states and margins bit for bit
+        spec = random_spec(M, 20 + M, g_entries=g_entries)
+        x0 = random_boundary_point(M, 30 + M)
+        dt, steps = 1e-2, 20
+        traj = flow(x0, spec, dt=dt, steps=steps, method="rk4")
+
+        def rate(v):
+            return drift(PhasePoint(M, v), spec.t, spec.g)
+
+        v = np.asarray(x0.packed)
+        expected = [v]
+        for _ in range(steps):
+            k1 = rate(v)
+            k2 = rate(v + 0.5 * dt * k1)
+            k3 = rate(v + 0.5 * dt * k2)
+            k4 = rate(v + dt * k3)
+            v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            expected.append(v)
+        np.testing.assert_array_equal(traj.packed, np.array(expected))
+        np.testing.assert_array_equal(
+            traj.margins, [domain_margin(PhasePoint(M, row)) for row in traj.packed])
+        np.testing.assert_array_equal(traj.final.packed, traj.packed[-1])
 
     def test_projection_option(self):
         spec = random_spec(2, 8, g_entries=[(1, 2, 3, 4, 0.7)])

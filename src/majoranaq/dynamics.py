@@ -5,6 +5,11 @@ pure-state boundary x^2 = -I, a trajectory started on the boundary should stay
 there up to integrator error; no projection is applied by default so that the
 recorded domain margin directly measures that property.  The flow steps the
 packed components of x as one array and records them as one array per run.
+Each drift evaluation runs the stage kernel compiled once per flow
+(:func:`majoranaq.kernel._compile_rate`).  Margins are taken from the stored
+states in blocks of at most 64 steps, one stacked eigensolve per block; a
+failure inside the loop first evaluates the pending margins, so the earliest
+failing step is reported, with its own cause.
 """
 
 from __future__ import annotations
@@ -15,17 +20,20 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .fock import build_majoranas, build_hamiltonian, covariance_of_basis, gaussian_basis
-from .kernel import _drift_generator, diffusion
+from .kernel import _compile_rate, diffusion
 from .tensors import (
     CouplingMatrix,
     HamiltonianSpec,
     PhasePoint,
     QuarticCoupling,
     _margin,
-    _pack,
     _unpack,
     pair_count,
 )
+
+# stored states per stacked margin eigensolve: a (64, 2M, 2M) stack is
+# 32 KB at M = 4 and 0.5 MB at the M = 16 flow cap
+_MARGIN_BLOCK = 64
 
 __all__ = [
     "Trajectory",
@@ -52,15 +60,47 @@ class Trajectory:
 
 
 def polar_project(x: PhasePoint) -> PhasePoint:
-    """Retract onto the boundary x^2 = -I via the polar orthogonal factor."""
+    """Retract onto the boundary x^2 = -I via the polar orthogonal factor.
+
+    A singular x^T x raises :class:`DivergenceError` at step 0; :func:`flow`
+    re-raises it at the step it projects.
+    """
     xm = x.matrix()
     w, V = np.linalg.eigh(xm.T @ xm)
     if np.min(w) <= 0:
-        raise DivergenceError(0)
+        raise DivergenceError(0, "singular x^T x")
     inv_sqrt = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
     q = xm @ inv_sqrt
     q = (q - q.T) / 2.0
     return PhasePoint.from_matrix(q, tol=1e-9)
+
+
+def _guarded_margin(xm: np.ndarray, step: int) -> float:
+    try:
+        value = float(_margin(xm))
+    except np.linalg.LinAlgError as exc:  # overflow inside the eigensolver
+        raise DivergenceError(step, "margin eigensolve") from exc
+    if not np.isfinite(value):
+        raise DivergenceError(step, "non-finite margin")
+    return value
+
+
+def _settle_margins(M: int, packed: np.ndarray, margins: np.ndarray, start: int, stop: int) -> None:
+    """Fill margins[start:stop] from the stored states with one stacked eigensolve.
+
+    If that call fails or gives a non-finite margin, the block is re-run one
+    state at a time through the guard, so the earliest failing step raises,
+    with its own cause.
+    """
+    xs = _unpack(M, packed[start:stop])
+    try:
+        values = _margin(xs)
+        settled = bool(np.all(np.isfinite(values)))
+    except np.linalg.LinAlgError:
+        settled = False
+    if not settled:
+        values = [_guarded_margin(xm, step) for step, xm in enumerate(xs, start)]
+    margins[start:stop] = values
 
 
 def flow(
@@ -75,8 +115,14 @@ def flow(
 
     ``method`` is 'euler' or 'rk4'.  With ``project`` the state is retracted
     onto the boundary after every step (off by default, see module note).
-    A non-finite state or margin, or a failed margin eigensolve, raises
-    :class:`DivergenceError` at its step; the initial point is step 0.
+    A non-finite state or margin, a failed margin eigensolve, or a singular
+    projection raises :class:`DivergenceError` at its step; the initial point
+    is step 0.  Margins are evaluated in blocks of at most 64 stored states,
+    one stacked eigensolve per block.  Before a failure inside the loop is
+    raised, the pending margins are evaluated, so the earliest failing step
+    wins, as if each margin were taken right after its step.  States,
+    margins and times are bit-identical to a step-by-step loop through
+    :func:`majoranaq.kernel.drift` and :func:`majoranaq.tensors.domain_margin`.
     """
     if spec.M != x0.M:
         raise DimensionError(f"spec M={spec.M} != initial point M={x0.M}")
@@ -85,39 +131,36 @@ def flow(
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     M = x0.M
-    t_mat, g = spec.t.matrix(), spec.g
-
-    def rate(v: np.ndarray) -> np.ndarray:
-        return _pack(M, _drift_generator(_unpack(M, v), t_mat, g))
-
-    def margin(v: np.ndarray, step: int) -> float:
-        try:
-            value = _margin(_unpack(M, v))
-        except np.linalg.LinAlgError as exc:  # overflow inside the eigensolver
-            raise DivergenceError(step) from exc
-        if not np.isfinite(value):
-            raise DivergenceError(step)
-        return value
-
+    rate = _compile_rate(M, spec.g.pair_matrix, spec.t.packed)
     packed = np.empty((steps + 1, pair_count(M)))
     margins = np.empty(steps + 1)
     v = packed[0] = x0.packed
-    margins[0] = margin(v, 0)
+    pending = 0  # first step whose margin is not yet evaluated
     for step in range(1, steps + 1):
-        if method == "euler":
-            v = v + dt * rate(v)
-        else:
-            k1 = rate(v)
-            k2 = rate(v + 0.5 * dt * k1)
-            k3 = rate(v + 0.5 * dt * k2)
-            k4 = rate(v + dt * k3)
-            v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(step)
-        if project:
-            v = polar_project(PhasePoint(M, v)).packed
+        try:
+            if method == "euler":
+                v = v + dt * rate(v)
+            else:
+                k1 = rate(v)
+                k2 = rate(v + 0.5 * dt * k1)
+                k3 = rate(v + 0.5 * dt * k2)
+                k4 = rate(v + dt * k3)
+                v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(v).all():
+                raise DivergenceError(step)
+            if project:
+                try:
+                    v = polar_project(PhasePoint(M, v)).packed
+                except DivergenceError as exc:
+                    raise DivergenceError(step, exc.reason) from exc
+        except (ArithmeticError, DivergenceError, np.linalg.LinAlgError):
+            _settle_margins(M, packed, margins, pending, step)
+            raise
         packed[step] = v
-        margins[step] = margin(v, step)
+        if step + 1 - pending == _MARGIN_BLOCK:
+            _settle_margins(M, packed, margins, pending, step + 1)
+            pending = step + 1
+    _settle_margins(M, packed, margins, pending, steps + 1)
     return Trajectory(M, np.arange(steps + 1) * dt, packed, margins)
 
 

@@ -22,11 +22,16 @@ class OffBoundaryError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Trajectory integration produced a non-finite state."""
+    """Trajectory integration failed at ``step``; ``reason`` names the cause.
 
-    def __init__(self, step):
+    The causes are a non-finite state, a failed or non-finite margin
+    eigensolve, and a singular x^T x in the polar projection.
+    """
+
+    def __init__(self, step, reason="non-finite state"):
         self.step = int(step)
-        super().__init__(f"trajectory diverged (non-finite state) at step {step}")
+        self.reason = reason
+        super().__init__(f"trajectory diverged ({reason}) at step {step}")
 
 
 class ConfigError(ValueError):

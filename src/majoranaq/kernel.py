@@ -55,6 +55,7 @@ from .tensors import (
     QuarticCoupling,
     _check_index,
     _pack,
+    _pair_flat,
     _pair_rows_cols,
     _unpack,
     domain_margin,
@@ -134,17 +135,13 @@ def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return RE, IM
 
 
-def _contract(g: QuarticCoupling, xm: np.ndarray) -> np.ndarray:
-    return _unpack(g.M, 2.0 * (g.pair_matrix @ _pack(g.M, xm)))
-
-
 def contract_quartic(g: QuarticCoupling, xm: np.ndarray) -> np.ndarray:
     """(g.x)_{ij} = sum_{kl} g_{ijkl} x_{kl}, as one product with the pair matrix.
 
     The sum over ordered (k, l) counts each packed pair twice, so
     (g.x)_P = 2 (G x_packed)_P for P = (i<j), unpacked antisymmetrically.
     """
-    return _contract(g, xm)
+    return _unpack(g.M, 2.0 * (g.pair_matrix @ _pack(g.M, xm)))
 
 
 def _check_dims(x: PhasePoint, *couplings) -> None:
@@ -243,10 +240,40 @@ def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _pack(len(xm) // 2, xm @ c - c @ xm)
 
 
-def _drift_generator(xm: np.ndarray, tm: np.ndarray, g: QuarticCoupling) -> np.ndarray:
-    """The full drift [x, c], c = 4((4M-3)(g.x) - t), from the full matrices of x and t."""
-    c = 4.0 * ((4 * g.M - 3) * _contract(g, xm) - tm)
-    return xm @ c - c @ xm
+def _drift_coefficient(M: int, G: np.ndarray, t_packed: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The packed drift coefficient c_P = 4((4M-3) 2 (G v)_P - t_P) at the packed point v."""
+    return 4.0 * ((4 * M - 3) * (2.0 * (G @ v)) - t_packed)
+
+
+def _drift_generator(xm: np.ndarray, t_packed: np.ndarray, g: QuarticCoupling) -> np.ndarray:
+    """The full drift matrix [x, c] from the full matrix of x and the packed t."""
+    M = g.M
+    c = _unpack(M, _drift_coefficient(M, g.pair_matrix, t_packed, _pack(M, xm)))
+    P = xm @ c  # c x = (x c)^T for antisymmetric x and c
+    return P - P.T
+
+
+def _compile_rate(M: int, G: np.ndarray, t_packed: np.ndarray):
+    """The packed drift rate v -> pack([x, c]) of one flow, compiled once.
+
+    The full matrices of x and c are written into two buffers owned by the
+    returned function, through the flat pair indices, so a stage allocates
+    only its packed results.  Same arithmetic as :func:`drift`, bit for bit.
+    """
+    upper, lower = _pair_flat(M)
+    X = np.zeros((2 * M, 2 * M))
+    C = np.zeros((2 * M, 2 * M))
+
+    def rate(v: np.ndarray) -> np.ndarray:
+        c = _drift_coefficient(M, G, t_packed, v)
+        X.put(upper, v)
+        X.put(lower, -v)
+        C.put(upper, c)
+        C.put(lower, -c)
+        P = X @ C
+        return P.take(upper) - P.take(lower)
+
+    return rate
 
 
 def drift_bar(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
@@ -275,7 +302,7 @@ def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
 def drift(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """Full drift A = Abar + div D = 4 Im X_{ij}^a [(4M-3)(g.x)_{ij} - t_{ij}]."""
     _check_dims(x, t, g)
-    return _pack(x.M, _drift_generator(x.matrix(), t.matrix(), g))
+    return _pack(x.M, _drift_generator(x.matrix(), t.packed, g))
 
 
 def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
@@ -293,7 +320,7 @@ def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> n
 def drift_matrix(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """The drift as a full antisymmetric matrix A_{ab} (A_{ba} = -A_{ab})."""
     _check_dims(x, t, g)
-    return _drift_generator(x.matrix(), t.matrix(), g)
+    return _drift_generator(x.matrix(), t.packed, g)
 
 
 def fpe_rhs(

@@ -94,17 +94,29 @@ def _pair_index_matrix(M: int) -> np.ndarray:
     return idx
 
 
-def _pack(M: int, mat: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _pair_flat(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a (2M, 2M) array of the packed pairs (a, b) and of their mirrors (b, a)."""
     rows, cols = _pair_rows_cols(M)
-    return np.array(mat[rows, cols], dtype=float)
+    upper = rows * (2 * M) + cols
+    lower = cols * (2 * M) + rows
+    upper.flags.writeable = False
+    lower.flags.writeable = False
+    return upper, lower
+
+
+def _pack(M: int, mat: np.ndarray) -> np.ndarray:
+    return np.asarray(mat, dtype=float).take(_pair_flat(M)[0])
 
 
 def _unpack(M: int, packed: np.ndarray) -> np.ndarray:
-    rows, cols = _pair_rows_cols(M)
-    x = np.zeros((2 * M, 2 * M))
-    x[rows, cols] = packed
-    x[cols, rows] = -packed
-    return x
+    """The full antisymmetric matrix of ``packed``, or one per row of a stack (..., npairs)."""
+    upper, lower = _pair_flat(M)
+    packed = np.asarray(packed, dtype=float)
+    x = np.zeros(packed.shape[:-1] + (4 * M * M,))
+    x[..., upper] = packed
+    x[..., lower] = -packed
+    return x.reshape(packed.shape[:-1] + (2 * M, 2 * M))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -369,14 +381,18 @@ class HamiltonianSpec:
         return cls(t.M, t, QuarticCoupling.zero(t.M))
 
 
-def _margin(xm: np.ndarray) -> float:
-    """Minimum eigenvalue of I + x^2 for the full antisymmetric matrix ``xm``."""
-    return float(np.min(np.linalg.eigvalsh(np.eye(len(xm)) + xm @ xm)))
+def _margin(xm: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of I + x^2 for the full antisymmetric matrix ``xm``.
+
+    A stack (..., 2M, 2M) gives one margin per matrix from one eigensolve
+    call; each equals the margin of that matrix alone, bit for bit.
+    """
+    return np.linalg.eigvalsh(np.eye(xm.shape[-1]) + xm @ xm).min(axis=-1)
 
 
 def domain_margin(x: PhasePoint) -> float:
     """Minimum eigenvalue of I + x^2: > 0 interior, 0 boundary, < 0 unphysical."""
-    return _margin(x.matrix())
+    return float(_margin(x.matrix()))
 
 
 def standard_complex_structure(M: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import majoranaq
 from majoranaq.cli import main
+from majoranaq.config import config_to_spec, load_config
 
 
 def write_config(tmp_path, data, name="model.json"):
@@ -166,6 +168,41 @@ class TestFlowCommand:
             rows = list(csv.reader(fh))
         final_margin = abs(float(rows[-1][-1]))
         assert final_margin <= 1e-7
+
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path):
+        # the writer formats each row with one %-format string; the file must
+        # equal the text of per-value f-string formatting of the trajectory
+        cfg = {"M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2]],
+               "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3}
+        path = write_config(tmp_path, cfg)
+        out_csv = tmp_path / "traj.csv"
+        assert main(["flow", "--config", path, "--dt", "1e-2", "--steps", "130",
+                     "--out", str(out_csv)]) == 0
+        spec, _shift = config_to_spec(load_config(path))
+        traj = majoranaq.flow(majoranaq.random_boundary_point(3, 3), spec, 1e-2, 130)
+        lines = [",".join(["time"] + [f"x_{p.alpha}_{p.beta}"
+                                      for p in majoranaq.pair_enumerate(3)] + ["margin"])]
+        for t, state, margin in zip(traj.times, traj.packed, traj.margins):
+            lines.append(",".join([f"{t:.10g}"] + [f"{v:.16e}" for v in state]
+                                  + [f"{margin:.16e}"]))
+        assert out_csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_flow_summary(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 3, 0.4]],
+                                      "g_entries": [[1, 2, 3, 4, 0.3]], "seed": 4})
+        out_csv = tmp_path / "traj.csv"
+        for method, evaluations in (("rk4", 28), ("euler", 7)):
+            assert main(["flow", "--config", cfg, "--dt", "1e-2", "--steps", "7",
+                         "--method", method, "--out", str(out_csv)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            with open(out_csv, newline="") as fh:
+                margins = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+            worst = int(np.argmax(np.abs(margins)))
+            assert lines[1].startswith("final margin: ")
+            assert lines[2] == f"max |margin|: {abs(margins[worst]):.3e} at step {worst}"
+            assert lines[3] == f"drift evaluations: {evaluations}"
+            assert re.fullmatch(r"integration wall time: \d+\.\d{3} s", lines[4])
+            assert len(lines) == 5
 
     def test_file_sourced_initial_point(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 1.0]], "seed": 0})

@@ -25,7 +25,9 @@ from majoranaq import (
     random_boundary_point,
     random_interior_point,
 )
+from majoranaq.dynamics import _MARGIN_BLOCK
 from majoranaq.errors import DivergenceError
+from majoranaq.hubbard import preset_hubbard
 
 
 def random_spec(M, seed, t_scale=0.5, g_entries=None):
@@ -113,13 +115,34 @@ class TestFlow:
         (4, [(1, 2, 3, 4, 0.6), (1, 3, 7, 8, -0.4), (2, 4, 5, 6, 0.3)]),
     ])
     def test_packed_flow_matches_public_drift(self, M, g_entries):
-        # the flow runs on the private drift generator and margin routine;
-        # a hand-written RK4 loop through the public kernel.drift on phase
-        # points must reproduce its states and margins bit for bit
+        # the flow runs on the compiled stage kernel and stacked margins; a
+        # hand-written loop through the public kernel.drift, polar_project
+        # and domain_margin on phase points must reproduce its states and
+        # margins bit for bit
         spec = random_spec(M, 20 + M, g_entries=g_entries)
         x0 = random_boundary_point(M, 30 + M)
-        dt, steps = 1e-2, 20
-        traj = flow(x0, spec, dt=dt, steps=steps, method="rk4")
+        self._assert_matches_public_loop(x0, spec, 1e-2, 20, "rk4", False)
+
+    # margins are evaluated in blocks of 64 stored states: runs that end
+    # inside, on and just past a block boundary, and past the second one
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+    def test_packed_flow_matches_public_drift_across_blocks(self, steps, method, project):
+        spec = random_spec(3, 23, g_entries=[(1, 2, 3, 4, 0.6), (1, 3, 5, 6, -0.4)])
+        x0 = random_boundary_point(3, 33)
+        self._assert_matches_public_loop(x0, spec, 1e-3, steps, method, project)
+
+    def test_packed_flow_matches_public_drift_at_m16(self):
+        pre = preset_hubbard(8, 1.0, 4.0)
+        spec = HamiltonianSpec(pre.M, pre.t, pre.g)
+        self._assert_matches_public_loop(
+            random_boundary_point(16, 3), spec, 1e-3, 130, "rk4", False)
+
+    @staticmethod
+    def _assert_matches_public_loop(x0, spec, dt, steps, method, project):
+        traj = flow(x0, spec, dt=dt, steps=steps, method=method, project=project)
+        M = x0.M
 
         def rate(v):
             return drift(PhasePoint(M, v), spec.t, spec.g)
@@ -127,16 +150,86 @@ class TestFlow:
         v = np.asarray(x0.packed)
         expected = [v]
         for _ in range(steps):
-            k1 = rate(v)
-            k2 = rate(v + 0.5 * dt * k1)
-            k3 = rate(v + 0.5 * dt * k2)
-            k4 = rate(v + dt * k3)
-            v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if method == "euler":
+                v = v + dt * rate(v)
+            else:
+                k1 = rate(v)
+                k2 = rate(v + 0.5 * dt * k1)
+                k3 = rate(v + 0.5 * dt * k2)
+                k4 = rate(v + dt * k3)
+                v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if project:
+                v = np.asarray(polar_project(PhasePoint(M, v)).packed)
             expected.append(v)
         np.testing.assert_array_equal(traj.packed, np.array(expected))
         np.testing.assert_array_equal(
             traj.margins, [domain_margin(PhasePoint(M, row)) for row in traj.packed])
+        np.testing.assert_array_equal(traj.times, np.arange(steps + 1) * dt)
         np.testing.assert_array_equal(traj.final.packed, traj.packed[-1])
+
+    @staticmethod
+    def _first_failures(x0, spec, dt, steps):
+        # public-API reference for an Euler run: the first step whose margin
+        # eigensolve raises, and the first step whose state is not finite
+        M = x0.M
+        v = np.asarray(x0.packed)
+        margin_step = state_step = None
+        for step in range(steps + 1):
+            if step:
+                v = v + dt * drift(PhasePoint(M, v), spec.t, spec.g)
+                if not np.all(np.isfinite(v)):
+                    state_step = step
+                    break
+            if margin_step is None:
+                try:
+                    domain_margin(PhasePoint(M, v))
+                except np.linalg.LinAlgError:
+                    margin_step = step
+        return margin_step, state_step
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_margin_failure_past_first_block(self):
+        # Euler steps of a quadratic model with a huge dt grow a tiny start
+        # geometrically: the margin of a finite state overflows the
+        # eigensolver in the second block, and the state stays finite to the
+        # end, so the failure is found by that block's stacked eigensolve
+        spec = random_spec(3, 0, t_scale=1.0)
+        x0 = PhasePoint(3, 1e-150 * np.asarray(random_boundary_point(3, 7).packed))
+        dt, steps = 100.0, 130
+        margin_step, state_step = self._first_failures(x0, spec, dt, steps)
+        assert _MARGIN_BLOCK <= margin_step < 2 * _MARGIN_BLOCK <= steps
+        assert state_step is None
+        with pytest.raises(DivergenceError) as err:
+            flow(x0, spec, dt=dt, steps=steps, method="euler")
+        assert err.value.step == margin_step
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        assert "margin eigensolve" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_earlier_margin_failure_wins_in_same_block(self):
+        # the margin fails first, the state goes non-finite later in the same
+        # block: the pending margins are evaluated before the state's failure
+        # is raised, so the margin's earlier step is reported
+        spec = random_spec(3, 0, t_scale=1.0)
+        x0 = PhasePoint(3, 1e-150 * np.asarray(random_boundary_point(3, 7).packed))
+        dt, steps = 300.0, 200
+        margin_step, state_step = self._first_failures(x0, spec, dt, steps)
+        assert margin_step < state_step
+        assert margin_step // _MARGIN_BLOCK == state_step // _MARGIN_BLOCK == 1
+        with pytest.raises(DivergenceError) as err:
+            flow(x0, spec, dt=dt, steps=steps, method="euler")
+        assert err.value.step == margin_step
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    def test_projection_failure_reports_its_step(self):
+        # the origin has margin 1, but x^T x = 0 cannot be projected: the
+        # first projection, after step 1, fails
+        spec = HamiltonianSpec.free(CouplingMatrix.zero(2))
+        with pytest.raises(DivergenceError) as err:
+            flow(PhasePoint.zero(2), spec, 1e-2, 5, project=True)
+        assert err.value.step == 1
+        assert "singular x^T x" in str(err.value)
+        assert isinstance(err.value.__cause__, DivergenceError)
 
     def test_projection_option(self):
         spec = random_spec(2, 8, g_entries=[(1, 2, 3, 4, 0.7)])

@@ -42,8 +42,6 @@ from .kernel import (
     drift_matrix,
     fpe_rhs,
     conservative_rhs,
-    trace_diffusion,
-    diagonal_diffusion,
     tangency_residual,
 )
 from .fock import (

@@ -79,8 +79,6 @@ __all__ = [
     "drift_matrix",
     "fpe_rhs",
     "conservative_rhs",
-    "trace_diffusion",
-    "diagonal_diffusion",
     "tangency_residual",
 ]
 
@@ -291,8 +289,9 @@ def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     """Closed form of the diffusion divergence sum_m d_m D^{am}.
 
     Equals -8 (3 - 2M) sum g_{ijkl} x_{kl} Im X_{ij}^a with the derivative
-    pair index summed over independent components; validated against central
-    finite differences of :func:`diffusion`.
+    pair index summed over independent components; checked against the
+    polynomial-exact central stencils of :func:`diffusion` (D is cubic in x)
+    in :func:`majoranaq.suites.run_appendix_c`.
     """
     _check_dims(x, g)
     xm = x.matrix()
@@ -374,16 +373,6 @@ def conservative_rhs(
     if g.table:
         rhs += 0.5 * float(np.einsum("pq,pq->", diffusion(x, g), hess))
     return rhs
-
-
-def diagonal_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
-    """Diagonal entries D^{aa}; each vanishes identically (traceless theorem)."""
-    return np.diag(diffusion(x, g)).copy()
-
-
-def trace_diffusion(x: PhasePoint, g: QuarticCoupling) -> float:
-    """Trace of the diffusion matrix; zero because every diagonal entry is."""
-    return float(np.trace(diffusion(x, g)))
 
 
 def tangency_residual(

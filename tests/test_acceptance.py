@@ -109,9 +109,9 @@ def test_criteria_05_06_traceless_and_decomposition(M):
 def test_criterion_07_divergence_identities():
     checks = report("criterion 07", run_appendix_c(Ms=(2, 3), seed=SEED, cases=50))
     by_name = {c.name: c for c in checks}
-    assert by_name["divergence-closed-form"].max_residual <= 1e-6
-    assert by_name["drift-divergence-free"].max_residual <= 1e-6
-    assert by_name["double-divergence"].max_residual <= 1e-5
+    assert by_name["divergence-closed-form"].max_residual <= 1e-12
+    assert by_name["drift-divergence-free"].max_residual <= 1e-12
+    assert by_name["double-divergence"].max_residual <= 1e-12
     assert by_name["conservative-equivalence"].max_residual <= 1e-12
     assert all(c.passed for c in checks)
 
@@ -162,9 +162,9 @@ def test_default_tolerances_are_the_pinned_ones():
     assert TOLERANCES["channel-reconstruction"] == 1e-12
     assert TOLERANCES["channel-psd"] == 1e-12
     assert TOLERANCES["channel-balance"] == 1e-12
-    assert TOLERANCES["divergence-closed-form"] == 1e-6
-    assert TOLERANCES["drift-divergence-free"] == 1e-6
-    assert TOLERANCES["double-divergence"] == 1e-5
+    assert TOLERANCES["divergence-closed-form"] == 1e-12
+    assert TOLERANCES["drift-divergence-free"] == 1e-12
+    assert TOLERANCES["double-divergence"] == 1e-12
     assert TOLERANCES["conservative-equivalence"] == 1e-12
     assert TOLERANCES["tangency"] == 1e-9
     assert TOLERANCES["flow-boundary-margin"] == 1e-7

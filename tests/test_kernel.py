@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majoranaq import (
     CouplingMatrix,
@@ -11,7 +13,6 @@ from majoranaq import (
     QuarticCoupling,
     conservative_rhs,
     contract_quartic,
-    diagonal_diffusion,
     diffusion,
     diffusion_channels,
     diffusion_expanded,
@@ -28,10 +29,10 @@ from majoranaq import (
     re_x,
     tangency_residual,
     x_component,
-    trace_diffusion,
     x_plus_minus,
 )
 from majoranaq.errors import IndexRangeError, OffBoundaryError
+from majoranaq.suites import _central
 
 
 def all_quadruples(M, seed):
@@ -158,8 +159,8 @@ class TestDiffusion:
         D = diffusion(x, g)
         np.testing.assert_allclose(D, D.T, atol=1e-12)
         assert np.max(np.abs(np.diag(D))) <= 1e-12
-        assert abs(trace_diffusion(x, g)) <= 1e-12
-        assert trace_diffusion(x, QuarticCoupling.zero(2)) == 0.0
+        assert abs(np.trace(D)) <= 1e-12
+        assert np.trace(diffusion(x, QuarticCoupling.zero(2))) == 0.0
 
     def test_complex_arithmetic_reality(self):
         # evaluate 4i g (X X - conj) per ordered tuple: imaginary part cancels
@@ -328,18 +329,34 @@ class TestDivergences:
     def test_closed_form_vs_finite_differences(self, M, entries):
         g = QuarticCoupling.from_entries(M, entries)
         x = random_interior_point(M, 6, scale=0.5)
-        h = 1e-4
-        npairs = pair_count(M)
-        fd = np.zeros(npairs)
-        v0 = np.asarray(x.packed)
-        for q in range(npairs):
-            vp = v0.copy(); vp[q] += h
-            vm = v0.copy(); vm[q] -= h
-            fd += (
-                diffusion(PhasePoint(M, vp), g)[:, q]
-                - diffusion(PhasePoint(M, vm), g)[:, q]
-            ) / (2 * h)
-        np.testing.assert_allclose(div_diffusion(x, g), fd, atol=1e-6)
+        v = x.packed
+
+        def dmat(u):
+            return diffusion(PhasePoint(M, u), g)
+
+        div_d = sum(_central(dmat, v, q)[:, q] for q in range(pair_count(M)))
+        np.testing.assert_allclose(div_diffusion(x, g), div_d, rtol=0, atol=1e-12)
+
+
+class TestPolynomialDegree:
+    """D is cubic and A quadratic in the packed point: the premise that makes
+    the divergence stencils of ``suites._central`` exact at a step of order one."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=30)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_forward_differences_vanish_along_lines(self, M, seed):
+        rng = np.random.default_rng(seed)
+        g, t = all_quadruples(M, seed), random_t(M, seed)
+        v = random_interior_point(M, seed).packed
+        u = rng.normal(size=pair_count(M))
+        u /= np.linalg.norm(u)  # unit steps keep the values, and their round-off, order one
+        points = [PhasePoint(M, v + s * u) for s in range(5)]
+        for values, order in (
+            (np.array([diffusion(p, g) for p in points]), 4),
+            (np.array([drift(p, t, g) for p in points[:4]]), 3),
+        ):
+            scale = max(float(np.max(np.abs(values))), 1.0)
+            assert np.max(np.abs(np.diff(values, n=order, axis=0))) <= 1e-12 * scale
 
 
 class TestDrift:
@@ -451,7 +468,7 @@ class TestTracelessExpansion:
                 if seed % 2
                 else random_interior_point(M, seed)
             )
-            assert np.max(np.abs(diagonal_diffusion(x, g))) <= 1e-12
+            assert np.max(np.abs(np.diag(diffusion(x, g)))) <= 1e-12
 
 
 class TestLargeModeScaling:

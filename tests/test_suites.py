@@ -1,5 +1,6 @@
 """Report bookkeeping of the verification sweeps."""
 
+import itertools
 import json
 import time
 from dataclasses import replace
@@ -103,3 +104,47 @@ def test_worst_identity_instance_reproduces_its_residual(runner, verify):
     worst, x = _recorded_point(check)
     assert worst["seed"] == 5 and 0 <= worst["index"] < check.instances
     assert verify(x, fock.build_majoranas(worst["M"])) == check.max_residual > 0.0
+
+
+def _polynomial(n, degree, seed):
+    """A random polynomial of total degree ``degree`` in ``n`` variables.
+
+    ``poly(v)`` is its value and ``poly(v, *axes)`` its exact derivative.
+    """
+    rng = np.random.default_rng(seed)
+    exps = np.array([e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree])
+    coef = rng.uniform(-1, 1, size=len(exps))
+
+    def poly(v, *axes):
+        c, e = coef.copy(), exps.copy()
+        for axis in axes:
+            c = c * e[:, axis]
+            e[:, axis] = np.maximum(e[:, axis] - 1, 0)
+        return float(c @ np.prod(v ** e, axis=1))
+
+    return poly
+
+
+# the degree each stencil is exact for, and the axes that select it
+STENCILS = [(4, (1,)), (3, (2, 2)), (3, (0, 2))]
+
+
+@pytest.mark.parametrize("degree, axes", STENCILS, ids=["first", "second", "mixed"])
+@pytest.mark.parametrize("seed", range(3))
+def test_stencils_are_exact_at_their_degree(degree, axes, seed):
+    poly = _polynomial(3, degree, seed)
+    v = np.random.default_rng(seed + 10).uniform(-0.5, 0.5, size=3)
+    assert abs(suites._central(poly, v, *axes) - poly(v, *axes)) <= 1e-12
+
+
+@pytest.mark.parametrize("monomial, axes, error", [
+    # the leading truncation terms: -h^4 f^(5) / 30 at h = 0.5, h^2 f'''' / 12
+    # and h^2 (f_xxxy + f_xyyy) / 6 at h = 1
+    (lambda v: v[1] ** 5, (1,), -0.25),
+    (lambda v: v[2] ** 4, (2, 2), 2.0),
+    (lambda v: v[0] ** 3 * v[2], (0, 2), 1.0),
+], ids=["first", "second", "mixed"])
+def test_stencils_are_wrong_one_degree_higher(monomial, axes, error):
+    v = np.array([0.3, -0.2, 0.1])
+    exact = {(1,): 5 * v[1] ** 4, (2, 2): 12 * v[2] ** 2, (0, 2): 3 * v[0] ** 2}[axes]
+    assert suites._central(monomial, v, *axes) - exact == pytest.approx(error, abs=1e-12)

@@ -11,67 +11,95 @@ divergence-free drift, boundary tangency, equivalence with exact Liouville
 dynamics) against it.
 """
 
-from .tensors import (
-    PairIndex,
-    PhasePoint,
-    CouplingMatrix,
-    QuarticCoupling,
-    HamiltonianSpec,
-    pair_enumerate,
-    pair_count,
-    antisymmetrize_quartic,
-    domain_margin,
-    random_boundary_point,
-    random_interior_point,
-    standard_complex_structure,
-)
-from .kernel import (
-    x_plus_minus,
-    x_component,
-    re_x,
-    im_x,
-    contract_quartic,
-    diffusion,
-    diffusion_expanded,
-    diffusion_channels,
-    ChannelDecomposition,
-    drift_bar,
-    div_diffusion,
-    drift,
-    drift_alternative,
-    drift_matrix,
-    fpe_rhs,
-    conservative_rhs,
-    tangency_residual,
-)
-from .fock import (
-    MajoranaSet,
-    build_majoranas,
-    jordan_wigner_ladders,
-    build_hamiltonian,
-    gaussian_basis,
-    qfunction,
-    q_derivatives,
-    covariance_of_basis,
-    exact_dqdt,
-    verify_quadratic_identities,
-    verify_four_gamma,
-    verify_fpe,
-    FpeCheck,
-    verify_moment_identity_m1,
-    random_density_matrix,
-    check_density_matrix,
-)
-from .dynamics import (
-    Trajectory,
-    flow,
-    polar_project,
-    ChannelSpectrum,
-    channel_spectrum,
-    gaussian_covariance_comparison,
-)
-from .hubbard import HubbardPreset, preset_hubbard, fermi_hubbard_matrix, hubbard_comparison
-from .config import ModelConfig, load_config, parse_config, emit_config, config_to_spec
-from . import errors, suites
+from importlib import import_module
 
+# The public names of each submodule.  ``import majoranaq`` loads no
+# submodule: a name is imported from its module on first access (PEP 562), so
+# each command line loads only the modules it runs.
+_EXPORTS = {
+    "tensors": (
+        "PairIndex",
+        "PhasePoint",
+        "CouplingMatrix",
+        "QuarticCoupling",
+        "HamiltonianSpec",
+        "pair_enumerate",
+        "pair_count",
+        "antisymmetrize_quartic",
+        "domain_margin",
+        "random_boundary_point",
+        "random_interior_point",
+        "standard_complex_structure",
+    ),
+    "kernel": (
+        "x_plus_minus",
+        "x_component",
+        "re_x",
+        "im_x",
+        "contract_quartic",
+        "diffusion",
+        "diffusion_expanded",
+        "diffusion_channels",
+        "ChannelDecomposition",
+        "drift_bar",
+        "div_diffusion",
+        "drift",
+        "drift_alternative",
+        "drift_matrix",
+        "fpe_rhs",
+        "conservative_rhs",
+        "tangency_residual",
+    ),
+    "fock": (
+        "MajoranaSet",
+        "build_majoranas",
+        "jordan_wigner_ladders",
+        "build_hamiltonian",
+        "gaussian_basis",
+        "qfunction",
+        "q_derivatives",
+        "covariance_of_basis",
+        "exact_dqdt",
+        "verify_quadratic_identities",
+        "verify_four_gamma",
+        "verify_fpe",
+        "FpeCheck",
+        "verify_moment_identity_m1",
+        "random_density_matrix",
+        "check_density_matrix",
+    ),
+    "dynamics": (
+        "Trajectory",
+        "flow",
+        "polar_project",
+        "ChannelSpectrum",
+        "channel_spectrum",
+        "gaussian_covariance_comparison",
+    ),
+    "hubbard": (
+        "HubbardPreset",
+        "chain_entries",
+        "preset_hubbard",
+        "fermi_hubbard_matrix",
+        "hubbard_comparison",
+    ),
+    "config": ("ModelConfig", "load_config", "parse_config", "emit_config", "config_to_spec"),
+    "errors": (),
+    "suites": (),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_MODULE_OF]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

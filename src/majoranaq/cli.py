@@ -2,6 +2,10 @@
 
 Exit codes: 0 all enabled checks passed, 1 a verification check failed,
 2 usage or configuration error, 3 runtime/numerical error.
+
+Each command imports the modules it runs when it runs: ``preset`` needs the
+standard library only, and ``flow`` loads neither the Fock-space oracle nor
+the verification suites.
 """
 
 from __future__ import annotations
@@ -11,43 +15,46 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import suites
-from .config import ModelConfig, config_to_spec, load_config
-from .dynamics import flow
 from .errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
     IndexRangeError,
 )
-from .fock import ORACLE_MAX_M
-from .hubbard import preset_hubbard
-from .tensors import PhasePoint, pair_enumerate, random_boundary_point
+
+if TYPE_CHECKING:
+    from .config import ModelConfig
+    from .tensors import PhasePoint
 
 SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 
-# mode-count caps per verify suite and for the flow command; at the flow cap
-# the dense pair matrix G is 496 x 496 (2 MB)
-_M_CAPS = {"identities": ORACLE_MAX_M, "fpe": ORACLE_MAX_M, "traceless": 4, "tangency": 4,
-           "flow": 16}
+# mode-count caps of the traceless and tangency suites and of the flow
+# command; at the flow cap the dense pair matrix G is 496 x 496 (2 MB).  The
+# identities and fpe suites are capped at fock.ORACLE_MAX_M.
+_KERNEL_SUITE_MAX_M = 4
+_FLOW_MAX_M = 16
 
 
-def _check_cap(name: str, M: int) -> None:
-    cap = _M_CAPS.get(name)
-    if cap is not None and M > cap:
+def _check_cap(name: str, M: int, cap: int) -> None:
+    if M > cap:
         raise ConfigError(f"'{name}' supports M <= {cap}, config has M = {M}")
 
 
 def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> list:
+    import numpy as np
+
+    from . import suites
+    from .config import config_to_spec
+    from .fock import ORACLE_MAX_M
+
     spec, _shift = config_to_spec(cfg)
     M = cfg.M
     tol = cfg.tolerances
     checks = []
     if suite in ("identities", "all"):
-        _check_cap("identities", M)
+        _check_cap("identities", M, ORACLE_MAX_M)
         checks.append(
             suites.run_quadratic_identities(
                 Ms=(M,), seed=seed, n_points=10,
@@ -60,7 +67,7 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
                                       tol=tol.get("four-gamma"))
             )
     if suite in ("fpe", "all"):
-        _check_cap("fpe", M)
+        _check_cap("fpe", M, ORACLE_MAX_M)
         n_inst = 20 if M <= 2 else 5
         checks.append(
             suites.run_fpe_sweep(
@@ -69,13 +76,13 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
             )
         )
     if suite in ("traceless", "all"):
-        _check_cap("traceless", M)
+        _check_cap("traceless", M, _KERNEL_SUITE_MAX_M)
         g = spec.g if spec.g.table else None
         checks.extend(
             suites.run_traceless_and_channels(M, seed, cases=100, g=g)
         )
     if suite in ("tangency", "all"):
-        _check_cap("tangency", M)
+        _check_cap("tangency", M, _KERNEL_SUITE_MAX_M)
         has_model = bool(spec.g.table) or np.any(np.asarray(spec.t.packed) != 0.0)
         model = spec if has_model else None
         checks.append(
@@ -94,6 +101,9 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+    from .config import load_config
+
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     checks = _verify_checks(cfg, args.suite, seed, args.drift_form)
@@ -107,6 +117,10 @@ def cmd_verify(args) -> int:
 
 
 def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
+    import numpy as np
+
+    from .tensors import PhasePoint, random_boundary_point
+
     if args.x0 == "boundary-seed":
         seed = args.seed if args.seed is not None else cfg.seed
         return random_boundary_point(cfg.M, seed)
@@ -138,12 +152,18 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
 
 
 def cmd_flow(args) -> int:
+    import numpy as np
+
+    from .config import config_to_spec, load_config
+    from .dynamics import flow
+    from .tensors import pair_enumerate
+
     if args.steps < 1:
         raise ConfigError(f"must be >= 1, got {args.steps}", field="--steps")
     if not (math.isfinite(args.dt) and args.dt > 0.0):
         raise ConfigError(f"must be finite and positive, got {args.dt!r}", field="--dt")
     cfg = load_config(args.config)
-    _check_cap("flow", cfg.M)
+    _check_cap("flow", cfg.M, _FLOW_MAX_M)
     spec, _shift = config_to_spec(cfg)
     x0 = _load_x0(args, cfg)
     start = time.perf_counter()
@@ -167,9 +187,12 @@ def cmd_flow(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    preset = preset_hubbard(args.sites, args.hop, args.onsite, args.geometry)
+    from .hubbard import chain_entries
+
+    t, g, shift = chain_entries(args.sites, args.hop, args.onsite, args.geometry)
+    M = 2 * args.sites
     cfg = {
-        "M": preset.M,
+        "M": M,
         "preset": {
             "name": "hubbard",
             "sites": args.sites,
@@ -181,11 +204,35 @@ def cmd_preset(args) -> int:
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2)
-    n_t = int(np.sum(np.asarray(preset.t.packed) != 0.0))
+    # the coupling classes store only nonzero entries; count the same ones
+    n_t = sum(v != 0.0 for v in t.values())
+    n_g = sum(v != 0.0 for v in g.values())
     print(f"config written to {args.out}")
-    print(f"M = {preset.M}, {n_t} quadratic entries, {len(preset.g.table)} quartic entries")
-    print(f"dropped identity shift: {preset.identity_shift:+.6g}")
+    print(f"M = {M}, {n_t} quadratic entries, {n_g} quartic entries")
+    print(f"dropped identity shift: {shift:+.6g}")
     return 0
+
+
+def _seed(text: str) -> int:
+    """Argument type of ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """Argument type of the preset couplings: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--config", required=True, help="model config JSON")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--seed", type=int, default=None,
+    p_verify.add_argument("--seed", type=_seed, default=None,
                           help="override the config seed")
     p_verify.add_argument("--out", default=None, help="write JSON report here")
     p_verify.add_argument(
@@ -217,17 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--dt", type=float, default=1e-3)
     p_flow.add_argument("--steps", type=int, default=1000)
     p_flow.add_argument("--method", choices=("euler", "rk4"), default="rk4")
-    p_flow.add_argument("--seed", type=int, default=None)
+    p_flow.add_argument("--seed", type=_seed, default=None)
     p_flow.add_argument("--out", required=True, help="trajectory CSV path")
     p_flow.set_defaults(func=cmd_flow)
 
     p_preset = sub.add_parser("preset", help="write a model-preset config")
     p_preset.add_argument("name", choices=("hubbard",))
     p_preset.add_argument("--sites", type=int, required=True)
-    p_preset.add_argument("--hop", type=float, default=0.0)
-    p_preset.add_argument("--onsite", type=float, default=0.0)
+    p_preset.add_argument("--hop", type=_finite_float, default=0.0)
+    p_preset.add_argument("--onsite", type=_finite_float, default=0.0)
     p_preset.add_argument("--geometry", choices=("chain",), default="chain")
-    p_preset.add_argument("--seed", type=int, default=None)
+    p_preset.add_argument("--seed", type=_seed, default=None)
     p_preset.add_argument("--out", required=True)
     p_preset.set_defaults(func=cmd_preset)
     return parser

@@ -15,8 +15,14 @@ Schema::
 Either explicit entries or a preset may be given, not both.  Entries must be
 in canonical (strictly increasing) index order and unique; anything else is a
 user error and is rejected rather than silently antisymmetrized.  Coupling
-values must be finite numbers, and tolerance overrides must name a pinned
-tolerance of :data:`majoranaq.suites.TOLERANCES` and be finite and positive.
+values and the preset's ``hop`` and ``onsite`` must be finite numbers, the
+preset's geometry must be ``"chain"``, the seed must be a non-negative
+integer, and tolerance overrides must name a pinned tolerance of
+:data:`TOLERANCES` and be finite and positive.
+
+:data:`TOLERANCES`, the pinned acceptance tolerances, is defined here, so
+that validating a config loads no verification code;
+:mod:`majoranaq.suites` re-exports the same dictionary.
 """
 
 from __future__ import annotations
@@ -27,12 +33,37 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .hubbard import preset_hubbard
-from .suites import TOLERANCES
 from .tensors import CouplingMatrix, HamiltonianSpec, QuarticCoupling
 
-__all__ = ["ModelConfig", "load_config", "parse_config", "emit_config", "config_to_spec"]
+__all__ = ["ModelConfig", "load_config", "parse_config", "emit_config", "config_to_spec",
+           "TOLERANCES"]
 
 _PRESET_KEYS = {"name", "sites", "hop", "onsite", "geometry"}
+
+# Pinned acceptance tolerances.
+TOLERANCES = {
+    "anticommutation": 1e-13,
+    "basis-at-origin": 1e-14,
+    "basis-single-mode": 1e-12,
+    "basis-boundary-purity": 1e-10,
+    "quadratic-identities": 1e-10,
+    "four-gamma": 1e-10,
+    "fpe": 1e-10,
+    "traceless-diagonal": 1e-12,
+    "traceless-eigsum": 1e-10,
+    "channel-reconstruction": 1e-12,
+    "channel-psd": 1e-12,
+    "channel-balance": 1e-12,
+    "divergence-closed-form": 1e-12,
+    "drift-divergence-free": 1e-12,
+    "double-divergence": 1e-12,
+    "conservative-equivalence": 1e-12,
+    "tangency": 1e-9,
+    "flow-boundary-margin": 1e-7,
+    "moment-m1": 1e-6,
+    "flow-matrix-equivalence": 1e-8,
+    "hubbard-fidelity": 1e-12,
+}
 
 
 @dataclass(frozen=True)
@@ -161,7 +192,16 @@ def parse_config(data: dict) -> ModelConfig:
                 f"hubbard preset with {sites} sites needs M = {2 * sites}, config has M = {M}",
                 field="preset",
             )
+        for key in ("hop", "onsite"):
+            _require_number(preset.get(key, 0.0), f"preset.{key}")
+        if preset.get("geometry", "chain") != "chain":
+            raise ConfigError(
+                f"unsupported geometry {preset['geometry']!r}; only 'chain' is available",
+                field="preset.geometry",
+            )
     seed = _require_int(data.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"must be a non-negative integer, got {seed}", field="seed")
     tolerances = _parse_tolerances(data.get("tolerances", {}))
     return ModelConfig(M, tuple(t_entries), tuple(g_entries), preset, seed, tolerances)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .fock import build_majoranas, build_hamiltonian, covariance_of_basis, gaussian_basis
 from .kernel import _compile_rate, diffusion
 from .tensors import (
     CouplingMatrix,
@@ -207,10 +206,12 @@ def gaussian_covariance_comparison(
     """
     if t.M != x0.M:
         raise DimensionError(f"coupling M={t.M} != initial point M={x0.M}")
-    # scipy is imported on use: no CLI command reaches this comparison, and
-    # keeping scipy off the package import path halves CLI start-up
+    # scipy and the Fock-space oracle are imported on use, so that the
+    # `flow` command, which never reaches this comparison, loads neither
     from scipy.linalg import expm
     from scipy.optimize import minimize_scalar
+
+    from .fock import build_hamiltonian, build_majoranas, covariance_of_basis, gaussian_basis
 
     M = x0.M
     majo = build_majoranas(M)

@@ -16,14 +16,22 @@ U S / 4 that has no Majorana representation and is reported, not encoded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionError
-from .fock import jordan_wigner_ladders
-from .tensors import CouplingMatrix, QuarticCoupling
 
-__all__ = ["HubbardPreset", "preset_hubbard", "fermi_hubbard_matrix", "hubbard_comparison"]
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .tensors import CouplingMatrix, QuarticCoupling
+
+__all__ = [
+    "HubbardPreset",
+    "chain_entries",
+    "preset_hubbard",
+    "fermi_hubbard_matrix",
+    "hubbard_comparison",
+]
 
 
 @dataclass(frozen=True)
@@ -40,38 +48,59 @@ class HubbardPreset:
         return 2 * self.sites
 
 
-def preset_hubbard(
+def chain_entries(
     sites: int, hop: float, onsite: float, geometry: str = "chain"
-) -> HubbardPreset:
-    """Couplings (t, g) reproducing the Hubbard chain up to an identity shift."""
+) -> tuple[dict, dict, float]:
+    """1-based canonical Majorana entries of the Hubbard chain, and its identity shift.
+
+    Returns ``(t, g, shift)``: ``t`` maps ``(i, j)``, i < j, to the quadratic
+    coupling and ``g`` maps ``(i, j, k, l)``, i < j < k < l, to the quartic
+    one.  Zero values are kept; the coupling classes drop them.  Uses
+    the standard library only, so the ``preset`` command loads no numpy.
+    """
     if geometry != "chain":
         raise ValueError(f"unsupported geometry {geometry!r}; only 'chain' is available")
     if sites < 1:
         raise DimensionError(f"need at least one site, got {sites}")
     M = 2 * sites
-    # 1-based canonical entries, all with i <= M < j; repeated slots accumulate
-    t_entries = []
+    # 1-based canonical slots: i <= M < j for t, p < q <= M for g; none repeats
+    t = {}
     for s in range(sites - 1):
         for spin_offset in (0, sites):
             m, n = s + spin_offset + 1, s + spin_offset + 2
-            t_entries += [(m, M + n, -hop / 4.0), (n, M + m, -hop / 4.0)]
-    g_entries = []
+            t[m, M + n] = t[n, M + m] = -hop / 4.0
+    g = {}
     shift = 0.0
     for s in range(sites):
         p, q = s + 1, sites + s + 1
-        t_entries += [(p, M + p, onsite / 8.0), (q, M + q, onsite / 8.0)]
-        g_entries.append((*sorted((p, q, M + p, M + q)), onsite / 48.0))
+        t[p, M + p] = t[q, M + q] = onsite / 8.0
+        g[p, q, M + p, M + q] = onsite / 48.0
         shift += onsite / 4.0
+    return t, g, shift
+
+
+def preset_hubbard(
+    sites: int, hop: float, onsite: float, geometry: str = "chain"
+) -> HubbardPreset:
+    """Couplings (t, g) reproducing the Hubbard chain up to an identity shift."""
+    from .tensors import CouplingMatrix, QuarticCoupling
+
+    t, g, shift = chain_entries(sites, hop, onsite, geometry)
+    M = 2 * sites
     return HubbardPreset(
         sites,
-        CouplingMatrix.from_entries(M, t_entries),
-        QuarticCoupling.from_entries(M, g_entries),
+        CouplingMatrix.from_entries(M, [(*key, v) for key, v in t.items()]),
+        QuarticCoupling(M, g),
         shift,
     )
 
 
 def fermi_hubbard_matrix(sites: int, hop: float, onsite: float) -> np.ndarray:
     """Reference Hubbard matrix built directly from ladder operators."""
+    import numpy as np
+
+    from .fock import jordan_wigner_ladders
+
     M = 2 * sites
     a = jordan_wigner_ladders(M)
     dim = 2 ** M
@@ -93,6 +122,8 @@ def hubbard_comparison(preset: HubbardPreset, hop: float, onsite: float) -> floa
     The two differ by the reported identity shift; the comparison removes it
     by subtracting the trace part of each matrix.
     """
+    import numpy as np
+
     from .fock import build_majoranas, build_hamiltonian
     from .tensors import HamiltonianSpec
 

@@ -3,7 +3,9 @@
 Each runner executes one structural claim over a reproducible ensemble and
 returns a :class:`CheckResult`; the CLI assembles them into a
 :class:`VerificationReport`, and the acceptance test suite runs them at the
-pinned tolerances below.
+pinned tolerances.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
+which validates overrides against it without loading this module; this
+module re-exports the same dictionary.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock, kernel
+from .config import TOLERANCES
 from .dynamics import flow
 from .hubbard import hubbard_comparison, preset_hubbard
 from .tensors import (
@@ -49,31 +52,6 @@ __all__ = [
     "run_hubbard_fidelity",
     "build_report",
 ]
-
-# Pinned acceptance tolerances.
-TOLERANCES = {
-    "anticommutation": 1e-13,
-    "basis-at-origin": 1e-14,
-    "basis-single-mode": 1e-12,
-    "basis-boundary-purity": 1e-10,
-    "quadratic-identities": 1e-10,
-    "four-gamma": 1e-10,
-    "fpe": 1e-10,
-    "traceless-diagonal": 1e-12,
-    "traceless-eigsum": 1e-10,
-    "channel-reconstruction": 1e-12,
-    "channel-psd": 1e-12,
-    "channel-balance": 1e-12,
-    "divergence-closed-form": 1e-12,
-    "drift-divergence-free": 1e-12,
-    "double-divergence": 1e-12,
-    "conservative-equivalence": 1e-12,
-    "tangency": 1e-9,
-    "flow-boundary-margin": 1e-7,
-    "moment-m1": 1e-6,
-    "flow-matrix-equivalence": 1e-8,
-    "hubbard-fidelity": 1e-12,
-}
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import pytest
 import majoranaq
 from majoranaq.cli import main
 from majoranaq.config import config_to_spec, load_config
+from majoranaq.hubbard import preset_hubbard
 
 
 def write_config(tmp_path, data, name="model.json"):
@@ -317,6 +318,134 @@ class TestPresetCommand:
         assert data["M"] == 4
         # the generated config is immediately usable
         assert main(["verify", "--config", str(out), "--suite", "tangency"]) == 0
+
+
+    @pytest.mark.parametrize("sites", range(1, 9))
+    @pytest.mark.parametrize("hop,onsite", [(0.0, 0.0), (1.0, 0.0), (0.0, 4.0), (-1.3, 2.5)])
+    def test_summary_matches_the_coupling_classes(self, tmp_path, capsys, sites, hop, onsite):
+        # the standard-library summary counts what preset_hubbard's couplings store
+        out = tmp_path / "hub.json"
+        assert main(["preset", "hubbard", "--sites", str(sites), "--hop", repr(hop),
+                     "--onsite", repr(onsite), "--out", str(out)]) == 0
+        preset = preset_hubbard(sites, hop, onsite)
+        n_t = int(np.count_nonzero(np.asarray(preset.t.packed)))
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"M = {preset.M}, {n_t} quadratic entries, {len(preset.g.table)} quartic entries",
+            f"dropped identity shift: {preset.identity_shift:+.6g}",
+        ]
+
+
+def _usage_error(argv, capsys) -> str:
+    """Run ``argv``, expect an argument-parsing exit 2, return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command", ["verify", "flow"])
+    @pytest.mark.parametrize("data,field", [
+        ({"M": 2, "seed": -5}, "seed"),
+        ({"M": 2, "preset": {"name": "hubbard", "sites": 1, "onsite": "abc"}},
+         "preset.onsite"),
+        ({"M": 4, "preset": {"name": "hubbard", "sites": 2, "geometry": "ring"}},
+         "preset.geometry"),
+    ], ids=["negative-seed", "non-numeric-onsite", "ring-geometry"])
+    def test_bad_config_fields_exit_2(self, tmp_path, capsys, command, data, field):
+        cfg = write_config(tmp_path, data)
+        extra = ["--suite", "tangency"] if command == "verify" else \
+            ["--steps", "2", "--out", str(tmp_path / "t.csv")]
+        assert main([command, "--config", cfg, *extra]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "flow", "preset"])
+    def test_negative_seed_option_is_a_usage_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"M": 2, "seed": 1})
+        out = tmp_path / "out"
+        argv = {
+            "verify": ["verify", "--config", cfg, "--suite", "tangency", "--seed", "-3"],
+            "flow": ["flow", "--config", cfg, "--seed", "-1", "--out", str(out)],
+            "preset": ["preset", "hubbard", "--sites", "1", "--seed", "-2", "--out", str(out)],
+        }[command]
+        assert "--seed" in _usage_error(argv, capsys)
+        assert not out.exists()
+
+    def test_preset_seed_round_trips(self, tmp_path):
+        out = tmp_path / "hub.json"
+        assert main(["preset", "hubbard", "--sites", "1", "--seed", "0", "--out", str(out)]) == 0
+        assert load_config(str(out)).seed == 0
+
+    @pytest.mark.parametrize("flag,value", [("--hop", "nan"), ("--hop", "inf"),
+                                            ("--hop", "-inf"), ("--onsite", "nan"),
+                                            ("--onsite", "x")])
+    def test_non_finite_preset_coupling_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "hub.json"
+        # "--hop=-inf": a separate "-inf" would be read as an option name
+        err = _usage_error(["preset", "hubbard", "--sites", "2", f"{flag}={value}",
+                            "--out", str(out)], capsys)
+        assert flag in err
+        assert not out.exists()
+
+
+def _modules_after(snippet: str, cwd) -> list:
+    """The majoranaq and numpy modules a fresh interpreter holds after ``snippet``."""
+    code = (
+        "import json, sys\n"
+        f"{snippet}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy'\n"
+        "                        or m.split('.')[0] == 'majoranaq')))\n"
+    )
+    src = str(Path(majoranaq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, cwd=cwd)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _cli_run(*argv: str) -> str:
+    """A snippet that runs the command line as ``python -m majoranaq.cli`` does."""
+    return (
+        "import runpy\n"
+        f"sys.argv = ['majoranaq', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('majoranaq.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+
+
+class TestImportLayering:
+    """Each command loads only the modules it runs."""
+
+    def test_bare_import_loads_no_submodule(self, tmp_path):
+        assert _modules_after("import majoranaq", tmp_path) == ["majoranaq"]
+
+    def test_preset_runs_on_the_standard_library(self, tmp_path):
+        loaded = _modules_after(_cli_run("preset", "hubbard", "--sites", "2", "--hop", "1",
+                                         "--onsite", "4", "--out", "hub.json"), tmp_path)
+        assert "numpy" not in loaded and "majoranaq.tensors" not in loaded
+        assert (tmp_path / "hub.json").exists()
+
+    def test_flow_loads_no_oracle(self, tmp_path):
+        cfg = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
+                                                         "hop": 1.0, "onsite": 4.0}})
+        loaded = _modules_after(_cli_run("flow", "--config", cfg, "--steps", "3",
+                                         "--out", "t.csv"), tmp_path)
+        assert "majoranaq.dynamics" in loaded
+        assert "majoranaq.fock" not in loaded and "majoranaq.suites" not in loaded
+
+    def test_config_setup_loads_only_the_model_layers(self, tmp_path):
+        cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 2, 0.5]]})
+        loaded = _modules_after(
+            "import majoranaq\n"
+            "from majoranaq.config import config_to_spec, load_config\n"
+            f"config_to_spec(load_config({cfg!r}))", tmp_path)
+        assert loaded == ["majoranaq", "majoranaq.config", "majoranaq.errors",
+                          "majoranaq.hubbard", "majoranaq.tensors", "numpy"]
 
 
 class TestWithoutScipy:

@@ -72,6 +72,25 @@ class TestParse:
         with pytest.raises(ConfigError, match="g_entries"):
             parse_config({"M": 2, "g_entries": [7]})
 
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config({"M": 1, "seed": seed})
+
+    @pytest.mark.parametrize("key,value", [
+        ("hop", "abc"), ("onsite", "abc"), ("hop", True), ("onsite", None),
+        ("onsite", float("nan")), ("hop", float("-inf")),
+    ])
+    def test_malformed_preset_number_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"preset\.{key}"):
+            parse_config({"M": 2, "preset": {"name": "hubbard", "sites": 1, key: value}})
+
+    @pytest.mark.parametrize("geometry", ["ring", None, 1])
+    def test_preset_geometry_must_be_chain(self, geometry):
+        with pytest.raises(ConfigError, match=r"preset\.geometry"):
+            parse_config({"M": 4, "preset": {"name": "hubbard", "sites": 2,
+                                             "geometry": geometry}})
+
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="tangencyy"):
             parse_config({"M": 1, "tolerances": {"tangencyy": 1e-9}})

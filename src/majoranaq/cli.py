@@ -1,7 +1,9 @@
 """Command-line interface: verification suites, drift-flow runs, presets.
 
 Exit codes: 0 all enabled checks passed, 1 a verification check failed,
-2 usage or configuration error, 3 runtime/numerical error.
+2 usage or configuration error, 3 runtime/numerical error.  A path named by
+``--config``, ``--x0-file`` or ``--out`` that cannot be opened is a usage
+error; any other ``OSError`` is a runtime error.
 
 Each command imports the modules it runs when it runs: ``preset`` needs the
 standard library only, and ``flow`` loads neither the Fock-space oracle nor
@@ -35,6 +37,9 @@ SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 # identities and fpe suites are capped at fock.ORACLE_MAX_M.
 _KERNEL_SUITE_MAX_M = 4
 _FLOW_MAX_M = 16
+
+# argparse destinations of the options that name a file
+_PATH_OPTIONS = ("config", "x0_file", "out")
 
 
 def _check_cap(name: str, M: int, cap: int) -> None:
@@ -119,6 +124,7 @@ def cmd_verify(args) -> int:
 def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
     import numpy as np
 
+    from .config import _require_int
     from .tensors import PhasePoint, random_boundary_point
 
     if args.x0 == "boundary-seed":
@@ -136,10 +142,9 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
             ) from exc
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object", field="--x0-file")
-    if data.get("M") != cfg.M:
-        raise ConfigError(
-            f"initial point M = {data.get('M')} does not match config M = {cfg.M}"
-        )
+    M = _require_int(data.get("M"), '--x0-file "M"')
+    if M != cfg.M:
+        raise ConfigError(f"initial point M = {M} does not match config M = {cfg.M}")
     if "packed" not in data:
         raise ConfigError('missing "packed" list', field="--x0-file")
     try:
@@ -280,15 +285,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _path_option(args, exc: OSError) -> str | None:
+    """The option that named the path ``exc`` failed on, if one did."""
+    for dest in _PATH_OPTIONS:
+        if exc.filename is not None and getattr(args, dest, None) == exc.filename:
+            return "--" + dest.replace("_", "-")
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DimensionError, IndexRangeError, FileNotFoundError) as exc:
+    except (ConfigError, DimensionError, IndexRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, DivergenceError, OSError) as exc:
+    except OSError as exc:
+        option = _path_option(args, exc)
+        print(f"error: {option}: {exc}" if option else f"error: {exc}", file=sys.stderr)
+        return 2 if option or isinstance(exc, FileNotFoundError) else 3
+    except (ArithmeticError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

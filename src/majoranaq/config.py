@@ -52,8 +52,8 @@ TOLERANCES = {
     "traceless-diagonal": 1e-12,
     "traceless-eigsum": 1e-10,
     "channel-reconstruction": 1e-12,
-    "channel-psd": 1e-12,
     "channel-balance": 1e-12,
+    "channel-boundary": 1e-12,
     "divergence-closed-form": 1e-12,
     "drift-divergence-free": 1e-12,
     "double-divergence": 1e-12,

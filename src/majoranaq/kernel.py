@@ -33,6 +33,13 @@ Conventions (hbar = 1 throughout; couplings are rates):
   the channel decomposition expands the 24 signed orderings of each stored
   quadruple, as array rows cached on the coupling.
 
+* Re/Im tables:  D and the channel decomposition are both read off the
+  tables RE[i, j, p] = Re X_{ij}^p and IM[i, j, p] = Im X_{ij}^p, one
+  helper each; a caller that needs both builds the tables once.  The channel
+  sum therefore checks the contraction with G, not the tables; a wrong table
+  term shows in D's boundary structure on x^2 = -I (tangency, a +- symmetric
+  spectrum, D = 0 at M <= 3) and against :func:`diffusion_expanded`.
+
 * Divergence of the diffusion (closed form):
   (div D)^a = sum_m d_m D^{am} = -8 (3 - 2M) sum g_{ijkl} x_{kl} Im X_{ij}^a,
   and the full drift is A = Abar + div D
@@ -150,8 +157,15 @@ def _check_dims(x: PhasePoint, *couplings) -> None:
 
 def _antisymmetric_rows(M: int, table: np.ndarray) -> np.ndarray:
     """table[i, j, :] - table[j, i, :] for packed pairs (i<j), one row per pair."""
-    rows, cols = _pair_rows_cols(M)
-    return table[rows, cols] - table[cols, rows]
+    upper, lower = _pair_flat(M)
+    flat = table.reshape(-1, table.shape[-1])
+    return flat.take(upper, axis=0) - flat.take(lower, axis=0)
+
+
+def _diffusion_from_tables(M: int, RE: np.ndarray, IM: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """D = -8 (E + E^T) with E = REa^T (G IMa), from the Re/Im tables."""
+    E = _antisymmetric_rows(M, RE).T @ (G @ _antisymmetric_rows(M, IM))
+    return -8.0 * (E + E.T)
 
 
 def diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
@@ -164,8 +178,7 @@ def diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     """
     _check_dims(x, g)
     RE, IM = _re_im_tables(x.M, x.matrix())
-    E = _antisymmetric_rows(x.M, RE).T @ (g.pair_matrix @ _antisymmetric_rows(x.M, IM))
-    return -8.0 * (E + E.T)
+    return _diffusion_from_tables(x.M, RE, IM, g.pair_matrix)
 
 
 def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
@@ -216,21 +229,42 @@ class ChannelDecomposition:
         return (w * self.b_minus).T @ self.b_minus - (w * self.b_plus).T @ self.b_plus
 
 
+def _channels_from_tables(
+    M: int, RE: np.ndarray, IM: np.ndarray, g: QuarticCoupling,
+) -> ChannelDecomposition:
+    """The channel rows RE[i, j] -+ IM[k, l] of every ordered tuple (i, j, k, l) of ``g``."""
+    tuples, weights = g.ordered_tuples
+    n = 2 * M
+    u = RE.reshape(n * n, -1).take(tuples[:, 0] * n + tuples[:, 1], axis=0)  # (nt, npairs)
+    v = IM.reshape(n * n, -1).take(tuples[:, 2] * n + tuples[:, 3], axis=0)
+    return ChannelDecomposition(M, tuples + 1, 4.0 * weights, u - v, u + v)
+
+
 def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecomposition:
     """Forward/backward channel vectors B(+-)^a = Re X_{ij}^a +- Im X_{kl}^a.
 
     One channel per ordered tuple (24 per stored quadruple), taken row-wise
     from the Re/Im tables by the ordered tuples cached on the coupling: the
     expansion cannot be collapsed onto canonical quadruples because each
-    ordering carries a distinct rank-1 geometry.  The sum over channels is an
-    independent route to :func:`diffusion`, which contracts with G instead.
+    ordering carries a distinct rank-1 geometry.  The channel sum is a
+    second contraction of the same Re/Im tables that :func:`diffusion`
+    contracts with G: it checks the contraction, not the tables, whose
+    errors show in D's boundary structure (see
+    :func:`majoranaq.suites.run_traceless_and_channels`).
     """
     _check_dims(x, g)
-    tuples, weights = g.ordered_tuples
     RE, IM = _re_im_tables(x.M, x.matrix())
-    u = RE[tuples[:, 0], tuples[:, 1]]  # (nt, npairs)
-    v = IM[tuples[:, 2], tuples[:, 3]]
-    return ChannelDecomposition(x.M, tuples + 1, 4.0 * weights, u - v, u + v)
+    return _channels_from_tables(x.M, RE, IM, g)
+
+
+def _diffusion_and_channels(
+    x: PhasePoint, g: QuarticCoupling,
+) -> tuple[np.ndarray, ChannelDecomposition]:
+    """:func:`diffusion` and :func:`diffusion_channels` from one build of the Re/Im tables."""
+    _check_dims(x, g)
+    RE, IM = _re_im_tables(x.M, x.matrix())
+    D = _diffusion_from_tables(x.M, RE, IM, g.pair_matrix)
+    return D, _channels_from_tables(x.M, RE, IM, g)
 
 
 def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -351,12 +385,16 @@ def conservative_rhs(
     q: float,
     grad: np.ndarray,
     hess: np.ndarray,
+    div_a: float,
+    double_div_d: float,
 ) -> float:
     """Probability-conserving form d_a [-A^a + (1/2) d_m D^{am}] Q, expanded.
 
-    Uses the closed-form results div A = 0 and the double divergence of D = 0,
-    so the expansion reduces to -A.grad + (div D).grad + (1/2) D : hess and
-    must agree with :func:`fpe_rhs` to rounding.
+    The expansion is -(div A) q - A.grad + (1/2)(div div D) q + (div D).grad
+    + (1/2) D : hess.  The drift's divergence ``div_a`` and the double
+    divergence ``double_div_d`` of D are inputs, measured by the caller; both
+    vanish in closed form, and the result then agrees with :func:`fpe_rhs`
+    to rounding.
     """
     npairs = pair_count(x.M)
     grad = np.asarray(grad, dtype=float)
@@ -366,8 +404,6 @@ def conservative_rhs(
             f"gradient/hessian shapes {grad.shape}, {hess.shape} do not match "
             f"{npairs} independent components"
         )
-    div_a = 0.0  # closed form: the drift is divergence-free
-    double_div_d = 0.0  # closed form: second divergence of D vanishes
     rhs = -div_a * q - float(drift(x, t, g) @ grad)
     rhs += 0.5 * double_div_d * q + float(div_diffusion(x, g) @ grad)
     if g.table:

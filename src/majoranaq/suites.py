@@ -27,6 +27,7 @@ from .tensors import (
     HamiltonianSpec,
     PhasePoint,
     QuarticCoupling,
+    _unpack,
     pair_count,
     random_boundary_point,
     random_interior_point,
@@ -125,12 +126,6 @@ def build_report(suite: str, checks: list[CheckResult], seed: int, M: int | None
     return VerificationReport(suite, tuple(checks), seed, M)
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - start
-
-
 class _CheckClock:
     """Accumulates the time spent inside ``with clock(name):`` blocks, per name."""
 
@@ -183,9 +178,10 @@ def _worst(results: list) -> tuple:
 
 def run_anticommutation(Ms=(1, 2, 3), tol: float | None = None) -> CheckResult:
     tol = TOLERANCES["anticommutation"] if tol is None else tol
-    def body():
-        worst = 0.0
-        count = 0
+    clock = _CheckClock()
+    worst = 0.0
+    count = 0
+    with clock("anticommutation"):
         for M in Ms:
             majo = fock.build_majoranas(M)
             eye = np.eye(majo.dim)
@@ -196,90 +192,77 @@ def run_anticommutation(Ms=(1, 2, 3), tol: float | None = None) -> CheckResult:
                     count += 1
             for i in range(2 * M):
                 worst = max(worst, float(np.max(np.abs(majo[i] - majo[i].conj().T))))
-        return worst, count
-    (worst, count), secs = _timed(body)
-    return CheckResult("anticommutation", count, worst, tol, worst <= tol, secs,
-                       info={"modes": list(Ms)})
+    return CheckResult("anticommutation", count, worst, tol, worst <= tol,
+                       clock.seconds["anticommutation"], info={"modes": list(Ms)})
 
 
 def run_gaussian_basis(seed: int, n_boundary: int = 10) -> list[CheckResult]:
     tol0 = TOLERANCES["basis-at-origin"]
     tol1 = TOLERANCES["basis-single-mode"]
     tolp = TOLERANCES["basis-boundary-purity"]
-    checks = []
-
-    def origin():
-        worst = 0.0
+    clock = _CheckClock()
+    w_origin = w_single = w_purity = 0.0
+    with clock("basis-at-origin"):
         for M in (1, 2, 3):
             lam = fock.gaussian_basis(PhasePoint.zero(M))
-            worst = max(worst, float(np.max(np.abs(lam - np.eye(2 ** M) / 2 ** M))))
-        return worst, 3
-    (worst, count), secs = _timed(origin)
-    checks.append(CheckResult("basis-at-origin", count, worst, tol0, worst <= tol0, secs))
-
-    def single_mode():
-        worst = 0.0
-        grid = (-0.9, -0.5, 0.0, 0.5, 0.9)
-        for s in grid:
+            w_origin = max(w_origin, float(np.max(np.abs(lam - np.eye(2 ** M) / 2 ** M))))
+    with clock("basis-single-mode"):
+        for s in (-0.9, -0.5, 0.0, 0.5, 0.9):
             lam = fock.gaussian_basis(PhasePoint(1, np.array([s])))
             ref = np.diag([(1 - s) / 2, (1 + s) / 2])
-            worst = max(worst, float(np.max(np.abs(lam - ref))))
-        return worst, 5
-    (worst, count), secs = _timed(single_mode)
-    checks.append(CheckResult("basis-single-mode", count, worst, tol1, worst <= tol1, secs))
-
-    def purity():
-        worst = 0.0
+            w_single = max(w_single, float(np.max(np.abs(lam - ref))))
+    with clock("basis-boundary-purity"):
         for i in range(n_boundary):
             M = 1 + i % 2
             x = random_boundary_point(M, seed + i)
             lam = fock.gaussian_basis(x)
-            worst = max(worst, float(np.max(np.abs(lam @ lam - lam))))
-        return worst, n_boundary
-    (worst, count), secs = _timed(purity)
-    checks.append(
-        CheckResult("basis-boundary-purity", count, worst, tolp, worst <= tolp, secs)
-    )
-    return checks
+            w_purity = max(w_purity, float(np.max(np.abs(lam @ lam - lam))))
+    secs = clock.seconds
+    return [
+        CheckResult("basis-at-origin", 3, w_origin, tol0, w_origin <= tol0,
+                    secs["basis-at-origin"]),
+        CheckResult("basis-single-mode", 5, w_single, tol1, w_single <= tol1,
+                    secs["basis-single-mode"]),
+        CheckResult("basis-boundary-purity", n_boundary, w_purity, tolp, w_purity <= tolp,
+                    secs["basis-boundary-purity"]),
+    ]
 
 
 def run_quadratic_identities(
     Ms=(1, 2), seed: int = 0, n_points: int = 20, tol: float | None = None,
 ) -> CheckResult:
     tol = TOLERANCES["quadratic-identities"] if tol is None else tol
-    def body():
-        results = []
-        per_m = max(1, n_points // len(Ms))
+    clock = _CheckClock()
+    results = []
+    per_m = max(1, n_points // len(Ms))
+    with clock("quadratic-identities"):
         for M in Ms:
             majo = fock.build_majoranas(M)
             for i in range(per_m):
                 x = random_interior_point(M, seed + 100 * M + i, scale=_ORACLE_SCALE)
                 res = fock.verify_quadratic_identities(x, majo)
                 results.append((max(res.values()), _instance(i, seed, x)))
-        return results
-    results, secs = _timed(body)
     worst, worst_at = _worst(results)
-    return CheckResult("quadratic-identities", len(results), worst, tol, worst <= tol, secs,
-                       info={"worst": worst_at})
+    return CheckResult("quadratic-identities", len(results), worst, tol, worst <= tol,
+                       clock.seconds["quadratic-identities"], info={"worst": worst_at})
 
 
 def run_four_gamma(
     M: int = 2, seed: int = 0, n_points: int = 5, tol: float | None = None,
 ) -> CheckResult:
     tol = TOLERANCES["four-gamma"] if tol is None else tol
-    def body():
+    clock = _CheckClock()
+    results = []
+    with clock("four-gamma"):
         majo = fock.build_majoranas(M)
-        results = []
         for i in range(n_points):
             x = random_interior_point(M, seed + i, scale=_ORACLE_SCALE)
             report = fock.verify_four_gamma(x, majo)
             res = max((max(pair) for pair in report.values()), default=0.0)
             results.append((res, _instance(i, seed, x)))
-        return results
-    results, secs = _timed(body)
     worst, worst_at = _worst(results)
-    return CheckResult("four-gamma", len(results), worst, tol, worst <= tol, secs,
-                       info={"worst": worst_at})
+    return CheckResult("four-gamma", len(results), worst, tol, worst <= tol,
+                       clock.seconds["four-gamma"], info={"worst": worst_at})
 
 
 def run_fpe_sweep(
@@ -293,22 +276,21 @@ def run_fpe_sweep(
 ) -> CheckResult:
     """Exact-vs-kernel dQ/dt over seeded (rho, x) instances for one model."""
     tol = TOLERANCES["fpe"] if tol is None else tol
-    def body():
+    clock = _CheckClock()
+    results = []
+    with clock(label):
         majo = fock.build_majoranas(spec.M)
-        results = []
         for i in range(n_instances):
             rho, x = fpe_instance(spec.M, seed, i)
             chk = fock.verify_fpe(rho, spec, x, majo, scale=scale, drift_form=drift_form)
             results.append((chk.residual, _instance(i, seed, x)))
-        return results
-    results, secs = _timed(body)
     worst, worst_at = _worst(results)
     informational = drift_form != "eq36"
     info = {"drift_form": drift_form,
             "median_residual": float(np.median([r for r, _ in results])),
             "worst": worst_at}
     return CheckResult(label, len(results), worst, tol,
-                       (worst <= tol) or informational, secs,
+                       (worst <= tol) or informational, clock.seconds[label],
                        informational=informational, info=info)
 
 
@@ -348,58 +330,83 @@ def run_traceless_and_channels(
 ) -> list[CheckResult]:
     """Diagonal/trace/eigensum of D plus its forward/backward split, one sweep.
 
-    The traceless check passes only if both the worst diagonal entry and the
-    worst eigenvalue sum are within their tolerances.
+    Each instance takes D and its channel decomposition from one build of
+    the kernel's Re/Im tables.  The traceless check passes only if both the
+    worst diagonal entry and the worst eigenvalue sum are within their
+    tolerances; the eigenvalues of all instances come from one stacked
+    eigensolve after the loop, each equal to its own solve bit for bit.
 
-    The channel check assembles, per instance, the forward part
-    F = sum_t |w_t| f_t f_t^T and the backward part Bk = sum_t |w_t| k_t k_t^T,
-    where f_t is the channel's b_minus when w_t > 0 and its b_plus otherwise,
-    and k_t is the other vector, so that F - Bk = D.  It needs three things:
-    the channel reconstruction (an independent route to D) within tolerance,
-    F and Bk positive semidefinite, and the power balance
-    |tr F - tr Bk| / max(tr F, 1) -- the traceless theorem written over the
-    channels -- within tolerance.  Each single channel |w| f f^T has the
-    closed-form spectrum {|w| |f|^2, 0, ...}, so F and Bk are tested as
-    assembled sums rather than one eigensolve per channel; as sums of such
-    terms they are PSD up to round-off, so a wrong decomposition shows in
-    the balance and the reconstruction.
+    The channel check needs three things.  The channel reconstruction must
+    match D.  The power balance |tr F - tr Bk| / max(tr F, 1) -- the
+    traceless theorem written over the channels -- must hold, where the
+    forward part F = sum_t |w_t| f_t f_t^T takes each channel's b_minus when
+    w_t > 0 and its b_plus otherwise, and Bk takes the other vector, so that
+    F - Bk = D; the traces are sums of |w_t| times squared row norms, so
+    neither matrix is assembled (as such sums both are PSD by construction).
+    And D must have the boundary structure of the pure-state surface
+    x^2 = -I, at the boundary instances (odd i):
+
+    * tangency: every column of D, unpacked to a matrix dX, satisfies
+      x dX + dX x = 0, so the diffusion never leaves the surface;
+    * the spectrum of D is +- symmetric, lambda_k = -lambda_{n-1-k};
+    * at M <= 3, D vanishes: every even pure state of at most 3 modes is
+      Gaussian, so the dynamics keeps a pure Gaussian state pure and
+      Gaussian, and its point on the surface moves without spreading.
+
+    The reconstruction and the balance read the same Re/Im tables as D, so
+    an error in the tables passes both; the boundary structure catches it.
+    Each boundary value is relative to max(|D|, 1), like the reconstruction,
+    and the largest of the three is gated by ``channel-boundary``.
     """
     tol_diag = TOLERANCES["traceless-diagonal"]
     tol_sum = TOLERANCES["traceless-eigsum"]
     tol_rec = TOLERANCES["channel-reconstruction"]
-    tol_psd = TOLERANCES["channel-psd"]
+    tol_bnd = TOLERANCES["channel-boundary"]
     tol_bal = TOLERANCES["channel-balance"]
     clock = _CheckClock()
-    worst_diag = worst_sum = worst_rec = worst_psd = worst_bal = 0.0
+    npairs = pair_count(M)
+    stack = np.empty((cases, npairs, npairs))
+    # unit denominator floor: couplings are order-one rates, and at M=2 the
+    # only quartic channel gives an identically zero D
+    scale = np.empty(cases)
+    worst_diag = worst_rec = worst_bal = worst_tan = worst_zero = 0.0
     for i in range(cases):
-        rng = np.random.default_rng(seed + i)
-        gi = g if g is not None else _random_quartic(M, rng)
-        if i % 2 == 0:
-            x = random_interior_point(M, seed + 10000 + i, scale=0.5)
-        else:
+        gi = g if g is not None else _random_quartic(M, np.random.default_rng(seed + i))
+        on_boundary = i % 2 == 1
+        if on_boundary:
             x = random_boundary_point(M, seed + 10000 + i)
-        with clock("traceless"):
-            D = kernel.diffusion(x, gi)
-            worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(D)))) if D.size else 0.0)
-            eigs = np.linalg.eigvalsh(D)
-            worst_sum = max(worst_sum, abs(float(np.sum(eigs))))
+        else:
+            x = random_interior_point(M, seed + 10000 + i, scale=0.5)
+        # the shared table build is charged to the channel check, which
+        # reads both of its results
         with clock("channels"):
-            decomp = kernel.diffusion_channels(x, gi)
-            recon = decomp.reconstruct()
-            # unit denominator floor: couplings are order-one rates, and at
-            # M=2 the only quartic channel gives an identically zero D
-            denom = max(float(np.max(np.abs(D))), 1.0)
-            worst_rec = max(worst_rec, float(np.max(np.abs(recon - D))) / denom)
-            forward_is_minus = (decomp.weights > 0)[:, None]
-            fwd = np.where(forward_is_minus, decomp.b_minus, decomp.b_plus)
-            bwd = np.where(forward_is_minus, decomp.b_plus, decomp.b_minus)
-            w = np.abs(decomp.weights)[:, None]
-            F = (w * fwd).T @ fwd
-            Bk = (w * bwd).T @ bwd
-            lowest = min(float(np.linalg.eigvalsh(F)[0]), float(np.linalg.eigvalsh(Bk)[0]))
-            worst_psd = max(worst_psd, -lowest)
-            trace_f = float(np.trace(F))
-            worst_bal = max(worst_bal, abs(trace_f - float(np.trace(Bk))) / max(trace_f, 1.0))
+            D, decomp = kernel._diffusion_and_channels(x, gi)
+        with clock("traceless"):
+            stack[i] = D
+            worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(D)))))
+        with clock("channels"):
+            size = float(np.max(np.abs(D)))
+            scale[i] = denom = max(size, 1.0)
+            worst_rec = max(worst_rec, float(np.max(np.abs(decomp.reconstruct() - D))) / denom)
+            w = decomp.weights
+            minus = np.einsum("tp,tp->t", decomp.b_minus, decomp.b_minus)
+            plus = np.einsum("tp,tp->t", decomp.b_plus, decomp.b_plus)
+            trace_f = float(np.abs(w) @ np.where(w > 0, minus, plus))
+            trace_b = float(np.abs(w) @ np.where(w > 0, plus, minus))
+            worst_bal = max(worst_bal, abs(trace_f - trace_b) / max(trace_f, 1.0))
+            if on_boundary:
+                xm = x.matrix()
+                dX = _unpack(M, D)  # the rows of the symmetric D are its columns
+                worst_tan = max(worst_tan, float(np.max(np.abs(xm @ dX + dX @ xm))) / denom)
+                if M <= 3:
+                    worst_zero = max(worst_zero, size / denom)
+    with clock("traceless"):
+        eigs = np.linalg.eigvalsh(stack)
+        worst_sum = float(np.max(np.abs(eigs.sum(axis=-1)), initial=0.0))
+    with clock("channels"):
+        edge = eigs[1::2]
+        worst_sym = float(np.max(np.abs(edge + edge[:, ::-1]) / scale[1::2, None], initial=0.0))
+    worst_bnd = max(worst_tan, worst_sym, worst_zero)
     return [
         CheckResult(f"traceless-m{M}", cases, worst_diag, tol_diag,
                     worst_diag <= tol_diag and worst_sum <= tol_sum,
@@ -407,9 +414,12 @@ def run_traceless_and_channels(
                     info={"eigsum": worst_sum, "eigsum_tol": tol_sum,
                           "eigsum_pass": worst_sum <= tol_sum}),
         CheckResult(f"channels-m{M}", cases, worst_rec, tol_rec,
-                    worst_rec <= tol_rec and worst_psd <= tol_psd and worst_bal <= tol_bal,
+                    worst_rec <= tol_rec and worst_bnd <= tol_bnd and worst_bal <= tol_bal,
                     clock.seconds["channels"],
-                    info={"psd_defect": worst_psd, "balance": worst_bal}),
+                    info={"balance": worst_bal,
+                          "boundary_tangency": worst_tan,
+                          "boundary_symmetry": worst_sym,
+                          "boundary_vanishing": worst_zero if M <= 3 else None}),
     ]
 
 
@@ -491,7 +501,8 @@ def run_appendix_c(
                 hess = (hess + hess.T) / 2
                 q = float(rng.normal())
                 r1 = kernel.fpe_rhs(x, t, g, grad, hess)
-                r2 = kernel.conservative_rhs(x, t, g, q, grad, hess)
+                r2 = kernel.conservative_rhs(x, t, g, q, grad, hess,
+                                             float(div_a), float(div_div_d))
                 w_eq = max(w_eq, abs(r1 - r2) / max(abs(r1), 1e-12))
             count += 1
     secs = clock.seconds
@@ -513,11 +524,12 @@ def run_tangency(
 ) -> CheckResult:
     """Boundary tangency of the drift; couplings random unless a model is given."""
     tol = TOLERANCES["tangency"] if tol is None else tol
-    def body():
-        worst = 0.0
-        count = 0
-        ms = (spec.M,) if spec is not None else Ms
-        per_m = max(1, n_points // len(ms))
+    clock = _CheckClock()
+    worst = 0.0
+    count = 0
+    ms = (spec.M,) if spec is not None else Ms
+    per_m = max(1, n_points // len(ms))
+    with clock("tangency"):
         for M in ms:
             for i in range(per_m):
                 rng = np.random.default_rng(seed + 500 * M + i)
@@ -530,9 +542,7 @@ def run_tangency(
                 res = kernel.tangency_residual(x, t, g)
                 worst = max(worst, float(np.max(np.abs(res))))
                 count += 1
-        return worst, count
-    (worst, count), secs = _timed(body)
-    return CheckResult("tangency", count, worst, tol, worst <= tol, secs)
+    return CheckResult("tangency", count, worst, tol, worst <= tol, clock.seconds["tangency"])
 
 
 def run_flow_margin(
@@ -547,10 +557,11 @@ def run_flow_margin(
     dynamics over unit time, not about arbitrarily stiff models.
     """
     tol = TOLERANCES["flow-boundary-margin"] if tol is None else tol
-    def body():
-        worst = 0.0
-        count = 0
-        ms = (spec.M,) if spec is not None else Ms
+    clock = _CheckClock()
+    worst = 0.0
+    count = 0
+    ms = (spec.M,) if spec is not None else Ms
+    with clock("flow-boundary-margin"):
         for M in ms:
             rng = np.random.default_rng(seed + M)
             x0 = random_boundary_point(M, seed + M)
@@ -565,14 +576,16 @@ def run_flow_margin(
             traj = flow(x0, model, dt, steps, method="rk4")
             worst = max(worst, float(np.max(np.abs(traj.margins))))
             count += 1
-        return worst, count
-    (worst, count), secs = _timed(body)
-    return CheckResult("flow-boundary-margin", count, worst, tol, worst <= tol, secs)
+    return CheckResult("flow-boundary-margin", count, worst, tol, worst <= tol,
+                       clock.seconds["flow-boundary-margin"])
 
 
 def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:
     tol = TOLERANCES["moment-m1"] if tol is None else tol
-    def body():
+    clock = _CheckClock()
+    worst = 0.0
+    ground = None
+    with clock("moment-m1"):
         states = [
             np.diag([1.0, 0.0]).astype(complex),
             np.diag([0.0, 1.0]).astype(complex),
@@ -580,17 +593,13 @@ def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:
             fock.random_density_matrix(1, seed + 1),
             fock.random_density_matrix(1, seed + 2),
         ]
-        worst = 0.0
-        ground = None
         for idx, rho in enumerate(states):
             lhs, rhs = fock.verify_moment_identity_m1(rho)
             worst = max(worst, abs(lhs - rhs))
             if idx == 0:
                 ground = (lhs, rhs)
-        return worst, len(states), ground
-    (worst, count, ground), secs = _timed(body)
     ok = worst <= tol and abs(ground[1] + 1.0) <= tol
-    return CheckResult("moment-m1", count, worst, tol, ok, secs,
+    return CheckResult("moment-m1", len(states), worst, tol, ok, clock.seconds["moment-m1"],
                        info={"vacuum_lhs": ground[0], "vacuum_rhs": ground[1]})
 
 
@@ -602,9 +611,10 @@ def run_flow_equivalence(
     from scipy.linalg import expm  # on use, like dynamics: no CLI command runs this
 
     tol = TOLERANCES["flow-matrix-equivalence"] if tol is None else tol
-    def body():
-        worst = 0.0
-        count = 0
+    clock = _CheckClock()
+    worst = 0.0
+    count = 0
+    with clock("flow-matrix-equivalence"):
         for M in Ms:
             for i in range(seeds_per_m):
                 rng = np.random.default_rng(seed + 37 * M + i)
@@ -616,21 +626,19 @@ def run_flow_equivalence(
                 ref = prop @ x0.matrix() @ prop.T
                 worst = max(worst, float(np.max(np.abs(traj.final.matrix() - ref))))
                 count += 1
-        return worst, count
-    (worst, count), secs = _timed(body)
-    return CheckResult("flow-matrix-equivalence", count, worst, tol, worst <= tol, secs)
+    return CheckResult("flow-matrix-equivalence", count, worst, tol, worst <= tol,
+                       clock.seconds["flow-matrix-equivalence"])
 
 
 def run_hubbard_fidelity(tol: float | None = None) -> CheckResult:
     tol = TOLERANCES["hubbard-fidelity"] if tol is None else tol
-    def body():
-        worst = 0.0
-        shifts = []
+    clock = _CheckClock()
+    worst = 0.0
+    shifts = []
+    with clock("hubbard-fidelity"):
         for sites, hop, onsite in ((1, 0.0, 4.0), (2, 1.0, 4.0), (2, 0.7, 0.0)):
             preset = preset_hubbard(sites, hop, onsite)
             worst = max(worst, hubbard_comparison(preset, hop, onsite))
             shifts.append(preset.identity_shift)
-        return worst, 3, shifts
-    (worst, count, shifts), secs = _timed(body)
-    return CheckResult("hubbard-fidelity", count, worst, tol, worst <= tol, secs,
-                       info={"identity_shifts": shifts})
+    return CheckResult("hubbard-fidelity", len(shifts), worst, tol, worst <= tol,
+                       clock.seconds["hubbard-fidelity"], info={"identity_shifts": shifts})

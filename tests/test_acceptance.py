@@ -101,7 +101,10 @@ def test_criteria_05_06_traceless_and_decomposition(M):
     assert traceless.max_residual <= 1e-12          # every diagonal entry
     assert traceless.info["eigsum"] <= 1e-10        # eigenvalue sum
     assert channels.max_residual <= 1e-12           # reconstruction, relative
-    assert channels.info["psd_defect"] <= 1e-12     # forward channels PSD
+    assert channels.info["boundary_tangency"] <= 1e-12  # D tangent to x^2 = -I
+    assert channels.info["boundary_symmetry"] <= 1e-12  # +- symmetric spectrum
+    if M <= 3:
+        assert channels.info["boundary_vanishing"] <= 1e-12  # D = 0 on the boundary
     assert channels.info["balance"] <= 1e-12        # tr F = tr Bk
     assert traceless.passed and channels.passed
 
@@ -160,8 +163,8 @@ def test_default_tolerances_are_the_pinned_ones():
     assert TOLERANCES["traceless-diagonal"] == 1e-12
     assert TOLERANCES["traceless-eigsum"] == 1e-10
     assert TOLERANCES["channel-reconstruction"] == 1e-12
-    assert TOLERANCES["channel-psd"] == 1e-12
     assert TOLERANCES["channel-balance"] == 1e-12
+    assert TOLERANCES["channel-boundary"] == 1e-12
     assert TOLERANCES["divergence-closed-form"] == 1e-12
     assert TOLERANCES["drift-divergence-free"] == 1e-12
     assert TOLERANCES["double-divergence"] == 1e-12

@@ -109,7 +109,10 @@ class TestVerifyCommand:
         ({"M": 2, "g_entries": [[1, 2, 3, 4, float("nan")]]}, "g_entries[0].value"),
         ({"M": 1, "tolerances": {"tangencyy": 1e-9}}, "tangencyy"),
         ({"M": 1, "tolerances": {"tangency": -1.0}}, "tolerances.tangency"),
-    ], ids=["non-numeric", "nan-coupling", "unknown-tolerance", "negative-tolerance"])
+        # replaced by channel-boundary: an override of it names no check
+        ({"M": 1, "tolerances": {"channel-psd": 1e-12}}, "channel-psd"),
+    ], ids=["non-numeric", "nan-coupling", "unknown-tolerance", "negative-tolerance",
+            "retired-tolerance"])
     def test_malformed_config_numbers_exit_2(self, tmp_path, capsys, data, field):
         # json.dumps writes NaN, which Python's json reader accepts
         cfg = write_config(tmp_path, data)
@@ -387,6 +390,48 @@ class TestInputValidation:
                             "--out", str(out)], capsys)
         assert flag in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["verify --config", "verify --out", "flow --x0-file",
+                                        "flow --out", "preset --out"])
+    def test_unopenable_user_path_exit_2(self, tmp_path, capsys, option):
+        command, flag = option.split()
+        cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text(json.dumps({"M": 1, "packed": [0.5]}))
+        paths = {"--config": cfg, "--out": str(tmp_path / "out"), "--x0-file": str(x0_path)}
+        paths[flag] = str(tmp_path)  # a directory cannot be opened as a file
+        argv = {
+            "verify": ["verify", "--config", paths["--config"], "--suite", "tangency",
+                       "--out", paths["--out"]],
+            "flow": ["flow", "--config", cfg, "--steps", "2", "--x0", "file",
+                     "--x0-file", paths["--x0-file"], "--out", paths["--out"]],
+            "preset": ["preset", "hubbard", "--sites", "1", "--out", paths["--out"]],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: " in err and str(tmp_path) in err and "Traceback" not in err
+
+    def test_other_os_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(majoranaq.dynamics, "flow", full_disk)
+        cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        assert main(["flow", "--config", cfg, "--steps", "2",
+                     "--out", str(tmp_path / "t.csv")]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+
+    def test_boolean_x0_mode_count_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text(json.dumps({"M": True, "packed": [0.5]}))
+        out_csv = tmp_path / "t.csv"
+        code = main(["flow", "--config", cfg, "--x0", "file",
+                     "--x0-file", str(x0_path), "--out", str(out_csv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert '--x0-file "M"' in err and "True" in err
+        assert not out_csv.exists()
 
 
 def _modules_after(snippet: str, cwd) -> list:

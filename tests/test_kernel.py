@@ -397,7 +397,7 @@ class TestRhsForms:
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
         zeros = np.zeros(6)
         assert fpe_rhs(x, t, g, zeros, np.zeros((6, 6))) == 0.0
-        assert conservative_rhs(x, t, g, 0.0, zeros, np.zeros((6, 6))) == 0.0
+        assert conservative_rhs(x, t, g, 0.0, zeros, np.zeros((6, 6)), 0.0, 0.0) == 0.0
 
     def test_quadratic_only_is_first_order(self):
         x = random_interior_point(2, 15)
@@ -421,8 +421,19 @@ class TestRhsForms:
         hess = rng.normal(size=(6, 6)); hess = (hess + hess.T) / 2
         q = float(rng.normal())
         r1 = fpe_rhs(x, t, g, grad, hess)
-        r2 = conservative_rhs(x, t, g, q, grad, hess)
+        # the closed-form divergences: div A = 0 and div div D = 0
+        r2 = conservative_rhs(x, t, g, q, grad, hess, 0.0, 0.0)
         assert abs(r1 - r2) / max(abs(r1), 1e-12) <= 1e-12
+
+    def test_conservative_form_reads_the_divergences(self):
+        x = random_interior_point(2, 16)
+        t = random_t(2, 16)
+        g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
+        grad = np.zeros(6)
+        hess = np.zeros((6, 6))
+        # with zero derivatives only the q terms -(div A) q + (1/2)(div div D) q remain
+        assert conservative_rhs(x, t, g, 2.0, grad, hess, 0.25, 0.0) == -0.5
+        assert conservative_rhs(x, t, g, 2.0, grad, hess, 0.0, 0.25) == 0.25
 
 
 class TestTracelessExpansion:

@@ -7,8 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from majoranaq import PhasePoint, fock, suites
+from majoranaq import PhasePoint, fock, kernel, suites
+from majoranaq.tensors import _pair_rows_cols, random_boundary_point, random_interior_point
 
 
 @pytest.mark.parametrize(
@@ -55,9 +58,9 @@ def test_eigensum_gates_the_traceless_check(monkeypatch):
     ids=["ordering-dropped", "forward-b_plus-scaled"],
 )
 def test_corrupt_decomposition_fails_the_balance(monkeypatch, corrupt):
-    channels_of = suites.kernel.diffusion_channels
-    monkeypatch.setattr(suites.kernel, "diffusion_channels",
-                        lambda x, g: corrupt(channels_of(x, g)))
+    channels_of = suites.kernel._channels_from_tables
+    monkeypatch.setattr(suites.kernel, "_channels_from_tables",
+                        lambda *args: corrupt(channels_of(*args)))
     traceless, channels = suites.run_traceless_and_channels(4, seed=4, cases=4)
     assert traceless.passed
     assert channels.info["balance"] > suites.TOLERANCES["channel-balance"]
@@ -70,10 +73,91 @@ def test_balance_tolerance_gates_the_channel_check(monkeypatch):
     assert channels.passed and 0.0 < balance
     monkeypatch.setitem(suites.TOLERANCES, "channel-balance", balance / 2)
     _, channels = suites.run_traceless_and_channels(4, seed=4, cases=4)
-    # reconstruction and PSD still pass; only the balance is out of tolerance
+    # reconstruction and boundary still pass; only the balance is out of tolerance
     assert channels.max_residual <= channels.tolerance
-    assert channels.info["psd_defect"] <= suites.TOLERANCES["channel-psd"]
+    assert _boundary(channels) <= suites.TOLERANCES["channel-boundary"]
     assert channels.passed is False
+
+
+def _boundary(channels):
+    """The largest of the gated boundary values of a channel check."""
+    keys = ("boundary_tangency", "boundary_symmetry", "boundary_vanishing")
+    return max(channels.info[k] for k in keys if channels.info[k] is not None)
+
+
+def _flip_dd_of_re(tables):
+    """Sign flip of the delta-delta term of RE."""
+    def mutated(M, xm):
+        RE, IM = tables(M, xm)
+        al, be = _pair_rows_cols(M)
+        eye = np.eye(2 * M)
+        return RE - 2 * eye[:, al][:, None, :] * eye[be, :].T[None, :, :], IM
+    return mutated
+
+
+def _flip_dbj_of_im(tables):
+    """Sign flip of the x_ia d_bj term of IM."""
+    def mutated(M, xm):
+        RE, IM = tables(M, xm)
+        al, be = _pair_rows_cols(M)
+        return RE, IM + 2 * xm[:, al][:, None, :] * np.eye(2 * M)[be, :].T[None, :, :]
+    return mutated
+
+
+@pytest.mark.parametrize("mutate", [None, _flip_dd_of_re, _flip_dbj_of_im],
+                         ids=["unmutated", "re-delta-delta", "im-x-delta"])
+@pytest.mark.parametrize("M", [3, 4])
+def test_table_mutations_fail_the_boundary_gate(monkeypatch, M, mutate):
+    if mutate is not None:
+        monkeypatch.setattr(suites.kernel, "_re_im_tables", mutate(suites.kernel._re_im_tables))
+    _, channels = suites.run_traceless_and_channels(M, seed=20260810, cases=10)
+    # D and the channels read the same tables: reconstruction and balance pass
+    assert channels.max_residual <= suites.TOLERANCES["channel-reconstruction"]
+    assert channels.info["balance"] <= suites.TOLERANCES["channel-balance"]
+    if mutate is None:
+        assert channels.passed and _boundary(channels) <= suites.TOLERANCES["channel-boundary"]
+    else:
+        assert _boundary(channels) > 1e-3
+        assert channels.passed is False
+
+
+@pytest.mark.parametrize("M, seed", [(3, 20260810), (4, 20260810), (4, 918273)])
+def test_sweep_equals_the_public_route(M, seed):
+    cases = 20
+    traceless, channels = suites.run_traceless_and_channels(M, seed, cases=cases)
+    diag = rec = eigsum = 0.0
+    for i in range(cases):
+        g = suites._random_quartic(M, np.random.default_rng(seed + i))
+        if i % 2 == 0:
+            x = random_interior_point(M, seed + 10000 + i, scale=0.5)
+        else:
+            x = random_boundary_point(M, seed + 10000 + i)
+        D = kernel.diffusion(x, g)
+        recon = kernel.diffusion_channels(x, g).reconstruct()
+        diag = max(diag, float(np.max(np.abs(np.diag(D)))))
+        eigsum = max(eigsum, abs(float(np.sum(np.linalg.eigvalsh(D)))))
+        rec = max(rec, float(np.max(np.abs(recon - D))) / max(float(np.max(np.abs(D))), 1.0))
+    assert traceless.max_residual == diag
+    assert traceless.info["eigsum"] == eigsum
+    assert channels.max_residual == rec
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(M=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       quadruples=st.integers(1, 70))
+def test_diffusion_is_tangent_and_symmetric_on_the_boundary(M, seed, quadruples):
+    rng = np.random.default_rng(seed)
+    g = suites._random_quartic(M, rng, max_quadruples=quadruples,
+                               scale=float(rng.uniform(0.01, 2.0)))
+    x = random_boundary_point(M, seed)
+    D = kernel.diffusion(x, g)
+    xm = x.matrix()
+    denom = max(float(np.max(np.abs(D))), 1.0)
+    for column in D.T:
+        dX = PhasePoint(M, column).matrix()
+        assert np.max(np.abs(xm @ dX + dX @ xm)) / denom <= 1e-12
+    eigs = np.linalg.eigvalsh(D)
+    assert np.max(np.abs(eigs + eigs[::-1])) / denom <= 1e-12
 
 
 def _recorded_point(check):

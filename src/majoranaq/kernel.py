@@ -33,12 +33,15 @@ Conventions (hbar = 1 throughout; couplings are rates):
   the channel decomposition expands the 24 signed orderings of each stored
   quadruple, as array rows cached on the coupling.
 
-* Re/Im tables:  D and the channel decomposition are both read off the
-  tables RE[i, j, p] = Re X_{ij}^p and IM[i, j, p] = Im X_{ij}^p, one
-  helper each; a caller that needs both builds the tables once.  The channel
-  sum therefore checks the contraction with G, not the tables; a wrong table
-  term shows in D's boundary structure on x^2 = -I (tangency, a +- symmetric
-  spectrum, D = 0 at M <= 3) and against :func:`diffusion_expanded`.
+* Compound form of the packed rows:  for P = (i<j) and a = (alpha<beta),
+  REa = I - C2(x) with the second compound matrix of x (its 2 x 2 minors)
+  C2(x)[P, a] = x_{i alpha} x_{j beta} - x_{i beta} x_{j alpha}, and IMa is
+  the packed adjoint map of x, IMa^T c = pack([x, c]) -- the commutator
+  identity of the drift.  IMa[P, a] is nonzero only where P and a share one
+  index, one entry of x per slot.  :func:`diffusion` gathers both straight from x.
+  :func:`diffusion_channels` reads its rows off the tables
+  RE[i, j, a] = Re X_{ij}^a and IM[i, j, a] = Im X_{ij}^a instead, so the
+  channel sum rebuilds D by a second, independent derivation.
 
 * Divergence of the diffusion (closed form):
   (div D)^a = sum_m d_m D^{am} = -8 (3 - 2M) sum g_{ijkl} x_{kl} Im X_{ij}^a,
@@ -52,6 +55,7 @@ Conventions (hbar = 1 throughout; couplings are rates):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,30 +159,57 @@ def _check_dims(x: PhasePoint, *couplings) -> None:
             raise DimensionError(f"coupling M={c.M} does not match phase point M={x.M}")
 
 
-def _antisymmetric_rows(M: int, table: np.ndarray) -> np.ndarray:
-    """table[i, j, :] - table[j, i, :] for packed pairs (i<j), one row per pair."""
-    upper, lower = _pair_flat(M)
-    flat = table.reshape(-1, table.shape[-1])
-    return flat.take(upper, axis=0) - flat.take(lower, axis=0)
+@lru_cache(maxsize=None)
+def _compound_index(M: int) -> tuple[np.ndarray, ...]:
+    """Flat indices into x of the compound rows; rows P = (i<j), columns a = (alpha<beta).
+
+    The (npairs, npairs) gathers (i alpha), (j beta), (i beta), (j alpha) of
+    the minors C2, then the flat slots of IMa and the entry of x each reads.
+    Of the four terms of IMa[P, a] = Im X_{ij}^a - Im X_{ji}^a,
+    -x_{i alpha} d_{beta j} + d_{i alpha} x_{beta j} + x_{j alpha} d_{beta i}
+    - d_{j alpha} x_{beta i}, one survives where P and a share one index and
+    none elsewhere (on P = a the survivors cancel); antisymmetry takes each
+    sign into the source, -x_{i alpha} = x_{alpha i}.
+    """
+    n = 2 * M
+    rows, cols = _pair_rows_cols(M)
+    i, j = rows[:, None], cols[:, None]
+    al, be = rows[None, :], cols[None, :]
+    minors = [r * n + c for r, c in ((i, al), (j, be), (i, be), (j, al))]
+    shared = [be == j, al == i, be == i, al == j]
+    sources = [al * n + i, be * n + j, j * n + al, i * n + be]
+    src = np.where((i == al) & (j == be), -1, np.select(shared, sources, -1))
+    slots = np.flatnonzero(src >= 0)
+    out = (*minors, slots, src.ravel()[slots])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _diffusion_from_tables(M: int, RE: np.ndarray, IM: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """D = -8 (E + E^T) with E = REa^T (G IMa), from the Re/Im tables."""
-    E = _antisymmetric_rows(M, RE).T @ (G @ _antisymmetric_rows(M, IM))
-    return -8.0 * (E + E.T)
+def _compound_rows(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """REa = I - C2(x) and IMa, the packed adjoint map of x, as (npairs, npairs) arrays."""
+    ia, jb, ib, ja, slots, src = _compound_index(M)
+    flat = xm.ravel()
+    REa = flat.take(ib) * flat.take(ja) - flat.take(ia) * flat.take(jb)
+    REa.ravel()[:: len(REa) + 1] += 1.0
+    IMa = np.zeros(REa.shape)
+    IMa.ravel()[slots] = flat.take(src)
+    return REa, IMa
 
 
 def diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     """Diffusion matrix D^{am} = -8 sum g Im(X^a X^m) over packed pair indices.
 
     Symmetric with identically vanishing diagonal (traceless).  The Latin
-    sums contract with the compiled pair matrix: E = REa^T (G IMa) with
-    REa[P, :] = RE[i, j, :] - RE[j, i, :] for P = (i<j) and IMa likewise, and
-    D = -8 (E + E^T).
+    sums contract with the compiled pair matrix, D = -8 (E + E^T) with
+    E = REa^T (G IMa), where REa = I - C2(x) takes the 2 x 2 minors of x and
+    IMa is the packed adjoint map of x, both gathered straight from x (see
+    the module notes); the Re/Im tables are not built.
     """
     _check_dims(x, g)
-    RE, IM = _re_im_tables(x.M, x.matrix())
-    return _diffusion_from_tables(x.M, RE, IM, g.pair_matrix)
+    REa, IMa = _compound_rows(x.M, x.matrix())
+    E = REa.T @ (g.pair_matrix @ IMa)
+    return -8.0 * (E + E.T)
 
 
 def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
@@ -229,42 +260,25 @@ class ChannelDecomposition:
         return (w * self.b_minus).T @ self.b_minus - (w * self.b_plus).T @ self.b_plus
 
 
-def _channels_from_tables(
-    M: int, RE: np.ndarray, IM: np.ndarray, g: QuarticCoupling,
-) -> ChannelDecomposition:
-    """The channel rows RE[i, j] -+ IM[k, l] of every ordered tuple (i, j, k, l) of ``g``."""
-    tuples, weights = g.ordered_tuples
-    n = 2 * M
-    u = RE.reshape(n * n, -1).take(tuples[:, 0] * n + tuples[:, 1], axis=0)  # (nt, npairs)
-    v = IM.reshape(n * n, -1).take(tuples[:, 2] * n + tuples[:, 3], axis=0)
-    return ChannelDecomposition(M, tuples + 1, 4.0 * weights, u - v, u + v)
-
-
 def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecomposition:
     """Forward/backward channel vectors B(+-)^a = Re X_{ij}^a +- Im X_{kl}^a.
 
     One channel per ordered tuple (24 per stored quadruple), taken row-wise
     from the Re/Im tables by the ordered tuples cached on the coupling: the
     expansion cannot be collapsed onto canonical quadruples because each
-    ordering carries a distinct rank-1 geometry.  The channel sum is a
-    second contraction of the same Re/Im tables that :func:`diffusion`
-    contracts with G: it checks the contraction, not the tables, whose
-    errors show in D's boundary structure (see
+    ordering carries a distinct rank-1 geometry.  :func:`diffusion` never
+    builds the tables, so the channel sum rebuilds D by an independent
+    route: an error in either one fails the reconstruction (see
     :func:`majoranaq.suites.run_traceless_and_channels`).
     """
     _check_dims(x, g)
-    RE, IM = _re_im_tables(x.M, x.matrix())
-    return _channels_from_tables(x.M, RE, IM, g)
-
-
-def _diffusion_and_channels(
-    x: PhasePoint, g: QuarticCoupling,
-) -> tuple[np.ndarray, ChannelDecomposition]:
-    """:func:`diffusion` and :func:`diffusion_channels` from one build of the Re/Im tables."""
-    _check_dims(x, g)
-    RE, IM = _re_im_tables(x.M, x.matrix())
-    D = _diffusion_from_tables(x.M, RE, IM, g.pair_matrix)
-    return D, _channels_from_tables(x.M, RE, IM, g)
+    M = x.M
+    n = 2 * M
+    RE, IM = _re_im_tables(M, x.matrix())
+    tuples, weights = g.ordered_tuples
+    u = RE.reshape(n * n, -1).take(tuples[:, 0] * n + tuples[:, 1], axis=0)  # (nt, npairs)
+    v = IM.reshape(n * n, -1).take(tuples[:, 2] * n + tuples[:, 3], axis=0)
+    return ChannelDecomposition(M, tuples + 1, 4.0 * weights, u - v, u + v)
 
 
 def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -356,6 +370,19 @@ def drift_matrix(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.nda
     return _drift_generator(x.matrix(), t.packed, g)
 
 
+def _derivative_arrays(M: int, grad, hess) -> tuple[np.ndarray, np.ndarray]:
+    """``grad`` and ``hess`` as float arrays of shapes (npairs,) and (npairs, npairs)."""
+    npairs = pair_count(M)
+    grad = np.asarray(grad, dtype=float)
+    hess = np.asarray(hess, dtype=float)
+    if grad.shape != (npairs,) or hess.shape != (npairs, npairs):
+        raise DimensionError(
+            f"gradient/hessian shapes {grad.shape}, {hess.shape} do not match "
+            f"{npairs} independent components"
+        )
+    return grad, hess
+
+
 def fpe_rhs(
     x: PhasePoint,
     t: CouplingMatrix,
@@ -364,14 +391,7 @@ def fpe_rhs(
     hess: np.ndarray,
 ) -> float:
     """dQ/dt = -sum_a Abar^a grad_a + (1/2) sum_{am} D^{am} hess_{am}."""
-    npairs = pair_count(x.M)
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    if grad.shape != (npairs,) or hess.shape != (npairs, npairs):
-        raise DimensionError(
-            f"gradient/hessian shapes {grad.shape}, {hess.shape} do not match "
-            f"{npairs} independent components"
-        )
+    grad, hess = _derivative_arrays(x.M, grad, hess)
     rhs = -float(drift_bar(x, t, g) @ grad)
     if g.table:
         rhs += 0.5 * float(np.einsum("pq,pq->", diffusion(x, g), hess))
@@ -396,14 +416,7 @@ def conservative_rhs(
     vanish in closed form, and the result then agrees with :func:`fpe_rhs`
     to rounding.
     """
-    npairs = pair_count(x.M)
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    if grad.shape != (npairs,) or hess.shape != (npairs, npairs):
-        raise DimensionError(
-            f"gradient/hessian shapes {grad.shape}, {hess.shape} do not match "
-            f"{npairs} independent components"
-        )
+    grad, hess = _derivative_arrays(x.M, grad, hess)
     rhs = -div_a * q - float(drift(x, t, g) @ grad)
     rhs += 0.5 * double_div_d * q + float(div_diffusion(x, g) @ grad)
     if g.table:

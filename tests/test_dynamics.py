@@ -294,30 +294,14 @@ class TestChannelSpectrum:
 class TestCovarianceTransport:
     def test_zero_coupling(self):
         x0 = random_boundary_point(2, 13)
-        dev, rate = gaussian_covariance_comparison(
-            x0, CouplingMatrix.zero(2), horizon=0.5
-        )
-        assert dev <= 1e-12 and rate == 0.0
+        dev = gaussian_covariance_comparison(x0, CouplingMatrix.zero(2), horizon=0.5)
+        assert dev <= 1e-12
 
     def test_single_mode_exact(self):
         x0 = PhasePoint(1, np.array([-1.0]))
         t = CouplingMatrix.from_entries(1, [(1, 2, 0.9)])
-        dev, _ = gaussian_covariance_comparison(x0, t, horizon=1.0)
+        dev = gaussian_covariance_comparison(x0, t, horizon=1.0)
         assert dev <= 1e-8
-
-    def test_m2_transport_rate_stable(self):
-        rates = []
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            a = rng.normal(size=(4, 4)) * 0.6
-            t = CouplingMatrix.from_matrix(a - a.T)
-            x0 = random_boundary_point(2, seed + 40)
-            dev, rate = gaussian_covariance_comparison(x0, t, horizon=1.0)
-            assert dev <= 1e-6
-            rates.append(rate)
-        assert np.std(rates) <= 1e-5
-        # the fitted transport rate matches the flow generator normalization
-        assert rates[0] == pytest.approx(4.0, abs=1e-5)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_m2_deviation_at_generator_rate(self, seed):
@@ -325,12 +309,12 @@ class TestCovarianceTransport:
         a = rng.normal(size=(4, 4)) * 0.6
         t = CouplingMatrix.from_matrix(a - a.T)
         x0 = random_boundary_point(2, seed + 40)
-        dev, _ = gaussian_covariance_comparison(x0, t, horizon=1.0)
+        dev = gaussian_covariance_comparison(x0, t, horizon=1.0)
         assert dev <= 1e-12
 
     def test_package_import_leaves_scipy_optimize_unloaded(self):
-        # the rate fit imports scipy.optimize on use; at package import it
-        # would add a large share of every CLI start-up
+        # scipy.optimize at package import would add a large share of every
+        # CLI start-up
         src = str(Path(majoranaq.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

@@ -22,6 +22,7 @@ from majoranaq import (
     drift_matrix,
     fpe_rhs,
     im_x,
+    kernel,
     pair_count,
     pair_enumerate,
     random_boundary_point,
@@ -31,7 +32,7 @@ from majoranaq import (
     x_component,
     x_plus_minus,
 )
-from majoranaq.errors import IndexRangeError, OffBoundaryError
+from majoranaq.errors import DimensionError, IndexRangeError, OffBoundaryError
 from majoranaq.suites import _central
 
 
@@ -130,8 +131,33 @@ class TestContractQuartic:
 
 class TestDiffusion:
     def test_zero_coupling(self):
-        x = random_interior_point(2, 1)
-        np.testing.assert_array_equal(diffusion(x, QuarticCoupling.zero(2)), 0.0)
+        for M in (1, 2):
+            x = random_interior_point(M, 1)
+            np.testing.assert_array_equal(diffusion(x, QuarticCoupling.zero(M)), 0.0)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_compound_rows(self, M):
+        # REa = I - C2(x), the 2 x 2 minors of x; IMa^T c = pack([x, c])
+        x = random_interior_point(M, 30 + M)
+        xm = x.matrix()
+        REa, IMa = kernel._compound_rows(M, xm)
+        pairs = [(p.alpha - 1, p.beta - 1) for p in pair_enumerate(M)]
+        minors = np.array([[np.linalg.det(xm[np.ix_(P, a)]) for a in pairs] for P in pairs])
+        np.testing.assert_allclose(REa, np.eye(len(pairs)) - minors, rtol=0, atol=1e-15)
+        c = random_interior_point(M, 40 + M)
+        commutator = xm @ c.matrix() - c.matrix() @ xm
+        np.testing.assert_allclose(IMa.T @ c.packed, PhasePoint.from_matrix(commutator).packed,
+                                   rtol=0, atol=1e-15)
+
+    def test_does_not_build_the_tables(self, monkeypatch):
+        def refuse(M, xm):
+            raise AssertionError("diffusion read the Re/Im tables")
+
+        g = all_quadruples(3, seed=7)
+        x = random_boundary_point(3, 7)
+        monkeypatch.setattr(kernel, "_re_im_tables", refuse)
+        D = diffusion(x, g)
+        np.testing.assert_allclose(D, diffusion_expanded(x, g), rtol=0, atol=1e-12)
 
     def test_zero_point(self):
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 1.0)])
@@ -424,6 +450,19 @@ class TestRhsForms:
         # the closed-form divergences: div A = 0 and div div D = 0
         r2 = conservative_rhs(x, t, g, q, grad, hess, 0.0, 0.0)
         assert abs(r1 - r2) / max(abs(r1), 1e-12) <= 1e-12
+
+    @pytest.mark.parametrize("rhs", [
+        lambda x, t, g, grad, hess: fpe_rhs(x, t, g, grad, hess),
+        lambda x, t, g, grad, hess: conservative_rhs(x, t, g, 1.0, grad, hess, 0.0, 0.0),
+    ], ids=["fpe_rhs", "conservative_rhs"])
+    def test_derivative_shapes_are_checked(self, rhs):
+        x = random_interior_point(2, 17)
+        t = random_t(2, 17)
+        g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
+        with pytest.raises(DimensionError, match="do not match 6 independent"):
+            rhs(x, t, g, np.zeros(5), np.zeros((6, 6)))
+        with pytest.raises(DimensionError):
+            rhs(x, t, g, np.zeros(6), np.zeros((6, 5)))
 
     def test_conservative_form_reads_the_divergences(self):
         x = random_interior_point(2, 16)

@@ -58,8 +58,8 @@ def test_eigensum_gates_the_traceless_check(monkeypatch):
     ids=["ordering-dropped", "forward-b_plus-scaled"],
 )
 def test_corrupt_decomposition_fails_the_balance(monkeypatch, corrupt):
-    channels_of = suites.kernel._channels_from_tables
-    monkeypatch.setattr(suites.kernel, "_channels_from_tables",
+    channels_of = suites.kernel.diffusion_channels
+    monkeypatch.setattr(suites.kernel, "diffusion_channels",
                         lambda *args: corrupt(channels_of(*args)))
     traceless, channels = suites.run_traceless_and_channels(4, seed=4, cases=4)
     assert traceless.passed
@@ -108,17 +108,69 @@ def _flip_dbj_of_im(tables):
                          ids=["unmutated", "re-delta-delta", "im-x-delta"])
 @pytest.mark.parametrize("M", [3, 4])
 def test_table_mutations_fail_the_boundary_gate(monkeypatch, M, mutate):
+    """A wrong Re/Im table fails the channel check through the reconstruction.
+
+    D is gathered from x without the tables, so a table mutation reaches
+    only the channels: D's boundary values do not move, and the channel sum
+    no longer rebuilds D.
+    """
     if mutate is not None:
         monkeypatch.setattr(suites.kernel, "_re_im_tables", mutate(suites.kernel._re_im_tables))
     _, channels = suites.run_traceless_and_channels(M, seed=20260810, cases=10)
-    # D and the channels read the same tables: reconstruction and balance pass
-    assert channels.max_residual <= suites.TOLERANCES["channel-reconstruction"]
+    assert _boundary(channels) <= suites.TOLERANCES["channel-boundary"]
     assert channels.info["balance"] <= suites.TOLERANCES["channel-balance"]
     if mutate is None:
-        assert channels.passed and _boundary(channels) <= suites.TOLERANCES["channel-boundary"]
+        assert channels.passed
+        assert channels.max_residual <= suites.TOLERANCES["channel-reconstruction"]
     else:
-        assert _boundary(channels) > 1e-3
+        assert channels.max_residual > 1.0
         assert channels.passed is False
+
+
+def _drop_identity_of_rea(rows):
+    """REa = -C2(x), without its identity."""
+    def mutated(M, xm):
+        REa, IMa = rows(M, xm)
+        return REa - np.eye(len(REa)), IMa
+    return mutated
+
+
+def _flip_first_shared_of_ima(rows):
+    """Sign flip of the IMa entries whose pairs share their first index."""
+    def mutated(M, xm):
+        REa, IMa = rows(M, xm)
+        first, _ = _pair_rows_cols(M)
+        return REa, np.where(first[:, None] == first[None, :], -IMa, IMa)
+    return mutated
+
+
+@pytest.mark.parametrize("mutate", [_drop_identity_of_rea, _flip_first_shared_of_ima],
+                         ids=["re-identity-dropped", "im-sign-flipped"])
+@pytest.mark.parametrize("M", [3, 4])
+def test_compound_mutations_fail_the_channel_check(monkeypatch, M, mutate):
+    monkeypatch.setattr(suites.kernel, "_compound_rows", mutate(suites.kernel._compound_rows))
+    _, channels = suites.run_traceless_and_channels(M, seed=20260810, cases=10)
+    # the channels still come from the tables, so the sum no longer rebuilds D
+    assert channels.max_residual > 1.0
+    assert _boundary(channels) > 1e-3
+    assert channels.passed is False
+
+
+def test_sweep_calls_the_public_kernel_once_per_instance(monkeypatch):
+    calls = {"diffusion": 0, "diffusion_channels": 0}
+
+    def counted(name):
+        fn = getattr(suites.kernel, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(suites.kernel, name, counted(name))
+    suites.run_traceless_and_channels(3, seed=4, cases=6)
+    assert calls == {"diffusion": 6, "diffusion_channels": 6}
 
 
 @pytest.mark.parametrize("M, seed", [(3, 20260810), (4, 20260810), (4, 918273)])

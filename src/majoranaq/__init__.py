@@ -3,12 +3,12 @@
 A phase point is a real antisymmetric 2M x 2M matrix; the Q-function of a
 fermionic state is its overlap with a normal-ordered Gaussian basis operator
 at that point, built here from its Wick expansion over the Pfaffians of the
-phase point's even principal submatrices, whose minors give its derivatives
-exactly.  This package evaluates the closed-form drift and diffusion of the
-resulting generalized Fokker-Planck equation, exposes an exact Fock-space
-oracle for M <= 5, and verifies the structural claims (traceless diffusion,
-divergence-free drift, boundary tangency, equivalence with exact Liouville
-dynamics) against it.
+phase point's even principal submatrices; the Pfaffian minor rule gives its
+derivatives exactly.  This package evaluates the closed-form drift and
+diffusion of the resulting generalized Fokker-Planck equation, exposes an
+exact Fock-space oracle for M <= 6 (the 3-site Hubbard chain), and verifies
+the structural claims (traceless diffusion, divergence-free drift, boundary
+tangency, equivalence with exact Liouville dynamics) against it.
 """
 
 from importlib import import_module

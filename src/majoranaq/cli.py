@@ -140,6 +140,9 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
                 f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                 field="--x0-file",
             ) from exc
+        except ValueError as exc:
+            # an integer literal with more digits than the interpreter converts
+            raise ConfigError(f"parse error: {exc}", field="--x0-file") from exc
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object", field="--x0-file")
     M = _require_int(data.get("M"), '--x0-file "M"')
@@ -149,7 +152,7 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
         raise ConfigError('missing "packed" list', field="--x0-file")
     try:
         packed = np.asarray(data["packed"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f'"packed" must be a list of numbers: {exc}', field="--x0-file") from exc
     if not np.all(np.isfinite(packed)):
         raise ConfigError('"packed" values must be finite', field="--x0-file")

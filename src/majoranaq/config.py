@@ -92,7 +92,11 @@ def _require_number(value, name: str) -> float:
     """A finite real number; booleans, strings and NaN/inf are config errors."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"expected a number, got {value!r}", field=name)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError("expected a finite number, got an integer beyond the float range",
+                          field=name) from None
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {value!r}", field=name)
     return value
@@ -216,6 +220,9 @@ def load_config(path: str) -> ModelConfig:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # an integer literal with more digits than the interpreter converts
+        raise ConfigError(f"parse error: {exc}") from exc
     return parse_config(data)
 
 

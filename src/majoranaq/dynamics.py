@@ -212,7 +212,7 @@ def gaussian_covariance_comparison(
     # `flow` command, which never reaches this comparison, loads neither
     from scipy.linalg import expm
 
-    from .fock import build_hamiltonian, build_majoranas, covariance_of_basis, gaussian_basis
+    from .fock import _covariance, build_hamiltonian, build_majoranas, gaussian_basis
 
     M = x0.M
     majo = build_majoranas(M)
@@ -220,26 +220,14 @@ def gaussian_covariance_comparison(
     H = build_hamiltonian(spec, majo)
     lam0 = gaussian_basis(x0, majo)
     rho0 = lam0 / np.trace(lam0).real
-    gamma0 = covariance_of_basis(x0, majo)
+    gamma0 = _covariance(lam0, majo)
     T = t.matrix()
     taus = np.linspace(0.0, horizon, n_samples + 1)[1:]
 
-    def exact_cov(tau: float) -> np.ndarray:
-        U = expm(-1j * tau * H)
-        rho = U @ rho0 @ U.conj().T
-        n = 2 * M
-        out = np.zeros((n, n))
-        for mu in range(n):
-            for nu in range(mu + 1, n):
-                xhat = 0.5j * (
-                    majo[mu] @ majo[nu] - majo[nu] @ majo[mu]
-                )
-                out[mu, nu] = np.trace(rho @ xhat).real
-                out[nu, mu] = -out[mu, nu]
-        return out
-
     def mismatch(tau: float) -> float:
+        U = expm(-1j * tau * H)
         prop = expm(4.0 * tau * T)
-        return float(np.max(np.abs(prop @ gamma0 @ prop.T - exact_cov(tau))))
+        exact = _covariance(U @ rho0 @ U.conj().T, majo)
+        return float(np.max(np.abs(prop @ gamma0 @ prop.T - exact)))
 
     return max(mismatch(tau) for tau in taus)

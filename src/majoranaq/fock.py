@@ -1,6 +1,6 @@
 """Exact finite-dimensional oracle on the 2^M Fock space.
 
-Everything the phase-space kernel claims is checked here against dense matrix
+Everything the phase-space kernel claims is checked here against exact
 quantum mechanics: Jordan-Wigner Majorana operators, the Gaussian basis
 Lambda(x) and its exact derivatives, exact Q-function values and Liouville
 time derivatives, and verification of the operator differential identities.
@@ -19,30 +19,29 @@ PRB 73, 125112):
     Lambda(x) = 2^-M sum_{S even} i^{|S|/2} Pf(x_S) gamma_S,
 
 where S runs over the even subsets of {1..2M}, x_S is x restricted to S and
-gamma_S is the ascending product of the Majoranas in S.  One table of subset
-Pfaffians per point gives Lambda, and the minor rule
-
-    dPf(x_S)/dx_ab = (-1)^{i_a + i_b + 1} Pf(x_{S minus {a, b}}),
-
-with i_a the position of a in S, applied once or twice, gives its exact first
-and second derivatives.  The expansion holds on the whole closed domain, the
-pure-state boundary included.  The normal-ordered exponential that defines
-Lambda and the product form over the 2x2 blocks of x are kept only in the
-test suite (``tests/basis_oracle.py``), where both are asserted equal to it.
+gamma_S is the ascending product of the Majoranas in S.  It holds on the whole
+closed domain, the pure-state boundary included.  Subsets are 2M-bit integers
+and every table is bit arithmetic on them, built once per M.  A Jordan-Wigner
+gamma_S is a signed bit flip, gamma_S[k ^ f_S, k] = phase_S[k], so Lambda is
+one scatter.  The minor rule dPf(x_S)/dx_ab = (-1)^{i_a + i_b + 1}
+Pf(x_{S minus {a, b}}), i_a the position of a in S, gives the exact
+derivatives; two-Majorana words map gamma_S to +-gamma_{S xor {i, j}}, so the
+identities compare coefficients.  The normal-ordered exponential defining
+Lambda, the product form over the 2x2 blocks of x and the dense gamma_S are
+test oracles in ``tests/basis_oracle.py``, asserted equal to the tables here.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .errors import DimensionError
 from .kernel import drift_alternative, fpe_rhs, diffusion, div_diffusion
-from .tensors import HamiltonianSpec, PhasePoint, _pair_index_matrix, _pair_rows_cols, pair_count
+from .tensors import HamiltonianSpec, PhasePoint, _pair_index_matrix, _pair_rows_cols
 
 __all__ = [
     "MajoranaSet",
@@ -64,30 +63,18 @@ __all__ = [
 ]
 
 # Largest mode count the oracle suites run at: the CLI caps its identities and
-# fpe suites here, and build_majoranas warns above it.  The gamma_S stack then
-# holds 512 operators of dimension 32 (8 MB).
-ORACLE_MAX_M = 5
-
-_LADDER_CACHE: dict = {}
-_MAJORANA_CACHE: dict = {}
-_WICK_CACHE: dict = {}
+# fpe suites here, and build_majoranas warns above it.  At M = 6 the gamma_S
+# phase rows take 2 MB and the identities' Clifford sign tables 9 MB.
+ORACLE_MAX_M = 6
 
 
+@lru_cache(maxsize=None)
 def jordan_wigner_ladders(M: int) -> tuple[np.ndarray, ...]:
     """Annihilation operators a_1..a_M as dense 2^M matrices."""
-    if M not in _LADDER_CACHE:
-        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        zpauli = np.diag([1.0, -1.0]).astype(complex)
-        eye2 = np.eye(2, dtype=complex)
-        ops = []
-        for k in range(M):
-            factors = [zpauli] * k + [lower] + [eye2] * (M - k - 1)
-            mat = factors[0]
-            for f in factors[1:]:
-                mat = np.kron(mat, f)
-            ops.append(mat)
-        _LADDER_CACHE[M] = tuple(ops)
-    return _LADDER_CACHE[M]
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    zpauli = np.diag([1.0, -1.0]).astype(complex)
+    eye2 = np.eye(2, dtype=complex)
+    return tuple(reduce(np.kron, [zpauli] * k + [lower] + [eye2] * (M - k - 1)) for k in range(M))
 
 
 @dataclass(frozen=True)
@@ -105,24 +92,52 @@ class MajoranaSet:
         return 2 ** self.M
 
     @cached_property
-    def products(self) -> np.ndarray:
-        """Read-only stack of the products gamma_S over the even subsets S.
+    def monomials(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gamma_S as signed bit flips, built once per set from its gammas, level by level.
 
-        Built once per set, in the subset order of the Wick table.
+        ``(flips, order, phases)``: gamma_S[k ^ flips[g], k] = phases[g, s, k]
+        for S = order[g, s], grouped by flip, so each entry of sum_S c_S gamma_S
+        is fed by one group.  Raises :class:`DimensionError` for a set whose
+        gammas are not signed bit flips.
         """
-        return _subset_products(_wick_table(self.M), np.asarray(self.gammas))
+        gam = np.asarray(self.gammas)
+        a, k = np.arange(2 * self.M)[:, None], np.arange(self.dim)
+        flip = np.argmax(gam[:, :, 0] != 0, axis=1)
+        phase = gam[a, flip[:, None] ^ k, k]
+        signed_flips = np.zeros_like(gam)
+        signed_flips[a, flip[:, None] ^ k, k] = phase
+        if not np.array_equal(signed_flips, gam):
+            raise DimensionError(
+                f"MajoranaSet M={self.M} is not monomial: the Fock oracle needs every "
+                "gamma to be a signed bit flip gamma[k ^ f, k] = phase[k]"
+            )
+        # (gamma_a gamma_b)[k ^ f_a ^ f_b, k] = phase_a[k ^ f_b] phase_b[k]
+        rows, cols = _pair_rows_cols(self.M)
+        pair_flip = flip[rows] ^ flip[cols]
+        pair_phase = phase[rows[:, None], flip[cols, None] ^ k] * phase[cols]
+        table = _wick_table(self.M)
+        flips = np.zeros(len(table.phase), dtype=np.intp)
+        phases = np.ones((len(table.phase), self.dim), dtype=complex)
+        for level_rows, pairs, rests, _ in table.levels:
+            p, r = pairs[:, 0], rests[:, 0]
+            flips[level_rows] = pair_flip[p] ^ flips[r]
+            phases[level_rows] = pair_phase[p[:, None], flips[r, None] ^ k] * phases[r]
+        order = np.argsort(flips, kind="stable").reshape(len(np.unique(flips)), -1)
+        out = flips[order[:, 0]], order, phases[order]
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
+@lru_cache(maxsize=None)
 def _jordan_wigner_majoranas(M: int) -> MajoranaSet:
     """The Jordan-Wigner Majorana set, cached per M with read-only operators."""
-    if M not in _MAJORANA_CACHE:
-        a = jordan_wigner_ladders(M)
-        gammas = [a[k] + a[k].conj().T for k in range(M)]
-        gammas += [1j * (a[k].conj().T - a[k]) for k in range(M)]
-        stack = np.stack(gammas)
-        stack.flags.writeable = False
-        _MAJORANA_CACHE[M] = MajoranaSet(M, tuple(stack))
-    return _MAJORANA_CACHE[M]
+    a = jordan_wigner_ladders(M)
+    gammas = [a[k] + a[k].conj().T for k in range(M)]
+    gammas += [1j * (a[k].conj().T - a[k]) for k in range(M)]
+    stack = np.stack(gammas)
+    stack.flags.writeable = False
+    return MajoranaSet(M, tuple(stack))
 
 
 def _majoranas_for(M: int, majoranas: MajoranaSet | None) -> MajoranaSet:
@@ -163,79 +178,104 @@ def build_hamiltonian(spec: HamiltonianSpec, majoranas: MajoranaSet) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# the Wick expansion of Lambda over subset Pfaffians
+# the Wick expansion of Lambda over subset Pfaffians, as bit arithmetic
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _subsets(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Even subsets of {0..2M-1} as masks by size, the bit count of each 2M-bit int, index[mask]."""
+    n = 2 * M
+    ints = np.arange(2 ** n)
+    bits = sum((ints >> b) & 1 for b in range(n))
+    even = ints[bits % 2 == 0]
+    masks = even[np.argsort(bits[even], kind="stable")]
+    index = np.zeros(2 ** n, dtype=np.intp)
+    index[masks] = np.arange(len(masks))
+    return masks, bits, index
 
 
 @dataclass(frozen=True)
 class _WickTable:
-    """Index tables of the Wick expansion over the even subsets of {0..2M-1}.
-
-    Subsets are ordered by size, then lexicographically: subset 0 is empty
-    and every minor of a subset precedes it.
+    """Tables of the Wick expansion over the even subsets, smallest first.
 
     * ``phase[S]`` = 2^-M i^{|S|/2}.
     * ``levels`` holds, per size 2k, arrays ``(rows, pairs, rests, signs)`` of
       the first-row expansion Pf(x_S) = sum_v signs_v x_{pairs_v} Pf(x_{rests_v}),
       with pairs of shape (rows, 2k-1).  Column 0 is also the split
       gamma_S = (gamma_{s_1} gamma_{s_2}) gamma_{S minus {s_1, s_2}}.
-    * ``minors`` = ``(pair, subset, rest, coeff)``: one entry per pair p = (a, b)
-      inside S, with rest = S minus p and coeff = phase[S] (-1)^{i_a+i_b+1}.
-    * ``second_minors`` = ``(p, q, subset, rest, coeff)``: one entry per ordered
-      pair of disjoint pairs p, q inside S, the minor rule applied twice.
     """
 
     phase: np.ndarray
     levels: tuple
-    minors: tuple
-    second_minors: tuple
 
 
+@lru_cache(maxsize=None)
 def _wick_table(M: int) -> _WickTable:
-    if M not in _WICK_CACHE:
-        n = 2 * M
-        idx = _pair_index_matrix(M)
-        subsets = [s for size in range(0, n + 1, 2) for s in combinations(range(n), size)]
-        index = {s: k for k, s in enumerate(subsets)}
-        # per subset, (pair, rest, sign) for its pairs in lexicographic position order,
-        # so the first |S| - 1 entries are the first-row expansion
-        minors = [
-            [(idx[s[u], s[v]], index[s[:u] + s[u + 1:v] + s[v + 1:]], (-1) ** (u + v + 1))
-             for u, v in combinations(range(len(s)), 2)]
-            for s in subsets
-        ]
-        phase = np.array([2.0 ** -M * 1j ** (len(s) // 2) for s in subsets])
-        levels = []
-        for size in range(2, n + 1, 2):
-            rows = np.array([k for k, s in enumerate(subsets) if len(s) == size])
-            first = np.array([minors[k][: size - 1] for k in rows])
-            levels.append((rows, first[..., 0], first[..., 1], first[0, :, 2].astype(float)))
-        flat = np.array([(p, k, r, sg) for k, terms in enumerate(minors) for p, r, sg in terms])
-        second = np.array(
-            [(p, q, k, r2, s1 * s2) for k, terms in enumerate(minors)
-             for p, r, s1 in terms for q, r2, s2 in minors[r]],
-            dtype=np.intp,
-        ).reshape(-1, 5)
-        _WICK_CACHE[M] = _WickTable(
-            phase=phase,
-            levels=tuple(levels),
-            minors=(flat[:, 0], flat[:, 1], flat[:, 2], phase[flat[:, 1]] * flat[:, 3]),
-            second_minors=(*second[:, :4].T, phase[second[:, 2]] * second[:, 4]),
-        )
-    return _WICK_CACHE[M]
+    n = 2 * M
+    masks, bits, index = _subsets(M)
+    sizes = bits[masks]
+    levels = []
+    for size in range(2, n + 1, 2):
+        rows = np.flatnonzero(sizes == size)
+        members = np.nonzero((masks[rows, None] >> np.arange(n)) & 1)[1].reshape(len(rows), size)
+        first, others = members[:, :1], members[:, 1:]
+        rests = index[masks[rows, None] ^ (1 << first) ^ (1 << others)]
+        pairs = _pair_index_matrix(M)[first, others]
+        levels.append((rows, pairs, rests, (-1.0) ** np.arange(size - 1)))
+    phase = 2.0 ** -M * np.array([1j ** k for k in range(M + 1)])[sizes // 2]
+    return _WickTable(phase, tuple(levels))
 
 
-def _subset_products(table: _WickTable, gam: np.ndarray) -> np.ndarray:
-    """Read-only stack gamma_S, built level by level from pair products."""
-    rows, cols = _pair_rows_cols(len(gam) // 2)
-    pair_ops = gam[rows] @ gam[cols]
-    dim = gam.shape[-1]
-    out = np.empty((len(table.phase), dim, dim), dtype=complex)
-    out[0] = np.eye(dim)
-    for level_rows, pairs, rests, _ in table.levels:
-        out[level_rows] = pair_ops[pairs[:, 0]] @ out[rests[:, 0]]
-    out.flags.writeable = False
-    return out
+@lru_cache(maxsize=None)
+def _insertion_map(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The minor rule as pair insertion: ``(into, sign)``, each (pairs, subsets).
+
+    For p = (a, b) and a subset R holding neither, ``into[p, R]`` indexes S =
+    R + {a, b} and ``sign[p, R]`` = (-1)^{i_a + i_b + 1} = (-1)^{#R between a
+    and b}; otherwise ``into`` is the spare index len(R) and ``sign`` is 0.
+    """
+    masks, bits, index = _subsets(M)
+    rows, cols = _pair_rows_cols(M)
+    a, b = (1 << rows)[:, None], (1 << cols)[:, None]
+    free = (masks & (a | b)) == 0
+    sign = np.where(free, 1 - 2 * (bits[masks & (b - 2 * a)] % 2), 0)
+    return np.where(free, index[masks | a | b], len(masks)), sign
+
+
+def _raised(f: np.ndarray, M: int) -> np.ndarray:
+    """Rows (Raise_p f)[R + p] = sign[p, R] f[R]: dPf(x_S)/dx_p when f is the Pfaffian table."""
+    into, sign = _insertion_map(M)
+    out = np.zeros((len(into), len(f) + 1), dtype=np.result_type(f, float))
+    out[np.arange(len(into))[:, None], into] = sign * f
+    return out[:, :-1]
+
+
+@lru_cache(maxsize=None)
+def _clifford_signs(M: int) -> tuple[np.ndarray, ...]:
+    """Two-Majorana words on the gamma_S as signed permutations: ``(source, left, right, mixed)``.
+
+    With S = T xor {i, j} at ``source[i, j, T]``, gamma_i gamma_j gamma_S,
+    gamma_S gamma_i gamma_j and gamma_i gamma_S gamma_j are ``left``, ``right``
+    and ``mixed`` [i, j, T] gamma_T: gamma_i gamma_S = (-1)^{#S below i}
+    gamma_{S xor {i}} and gamma_S gamma_j = (-1)^{#S above j} gamma_{S xor {j}}.
+    """
+    masks, bits, index = _subsets(M)
+    i = np.arange(2 * M)[:, None, None]
+    j = i.swapaxes(0, 1)
+    S = masks ^ (1 << i) ^ (1 << j)
+    below_i, below_j = bits[S & ((1 << i) - 1)], bits[S & ((1 << j) - 1)]
+    above_i, above_j = bits[S >> (i + 1)], bits[S >> (j + 1)]
+    left = below_j + below_i + (j < i)
+    right = above_i + above_j + (i > j)
+    mixed = below_i + above_j + (i > j)
+    return (index[S], *(1 - 2 * (count % 2) for count in (left, right, mixed)))
+
+
+def _entries(majoranas: MajoranaSet, coeff: np.ndarray) -> np.ndarray:
+    """(..., groups, dim) entries of sum_S coeff[..., S] gamma_S at (k ^ flips[g], k)."""
+    _, order, phases = majoranas.monomials
+    return np.einsum("...gs,gsk->...gk", coeff[..., order], phases, optimize=True)
 
 
 def _pfaffians(table: _WickTable, packed: np.ndarray) -> np.ndarray:
@@ -244,25 +284,6 @@ def _pfaffians(table: _WickTable, packed: np.ndarray) -> np.ndarray:
     for rows, pairs, rests, signs in table.levels:
         pf[rows] = (packed[pairs] * pf[rests]) @ signs
     return pf
-
-
-def _minor_matrix(table: _WickTable, pf: np.ndarray, npairs: int) -> np.ndarray:
-    """(npairs, subsets) coefficients of dLambda/dx_p over the gamma_S."""
-    pair, subset, rest, coeff = table.minors
-    out = np.zeros((npairs, len(table.phase)), dtype=complex)
-    out[pair, subset] = coeff * pf[rest]
-    return out
-
-
-def _second_minor_coefficients(
-    table: _WickTable, pf: np.ndarray, u: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Coefficients over the gamma_S of sum_pq u_p w_q d^2 Lambda / dx_p dx_q."""
-    p, q, subset, rest, coeff = table.second_minors
-    vals = u[p] * w[q] * coeff * pf[rest]
-    size = len(table.phase)
-    return (np.bincount(subset, vals.real, minlength=size)
-            + 1j * np.bincount(subset, vals.imag, minlength=size))
 
 
 def gaussian_basis(x: PhasePoint, majoranas: MajoranaSet | None = None) -> np.ndarray:
@@ -274,7 +295,10 @@ def gaussian_basis(x: PhasePoint, majoranas: MajoranaSet | None = None) -> np.nd
     majo = _majoranas_for(x.M, majoranas)
     table = _wick_table(x.M)
     coeff = table.phase * _pfaffians(table, np.asarray(x.packed))
-    return np.tensordot(coeff, majo.products, axes=1)
+    k = np.arange(majo.dim)
+    lam = np.zeros((majo.dim, majo.dim), dtype=complex)
+    lam[majo.monomials[0][:, None] ^ k, k] = _entries(majo, coeff)
+    return lam
 
 
 def qfunction(rho: np.ndarray, x: PhasePoint, majoranas: MajoranaSet | None = None) -> float:
@@ -284,18 +308,19 @@ def qfunction(rho: np.ndarray, x: PhasePoint, majoranas: MajoranaSet | None = No
 
 
 def covariance_of_basis(x: PhasePoint, majoranas: MajoranaSet) -> np.ndarray:
-    """Tr[Lambda(x) Xhat_{mu nu}] with Xhat = (i/2)[gamma_mu, gamma_nu].
+    """Tr[Lambda(x) Xhat_{mu nu}] with Xhat = (i/2)[gamma_mu, gamma_nu]."""
+    return _covariance(gaussian_basis(x, majoranas), majoranas)
 
-    Entries are computed independently so antisymmetry is a genuine check.
-    """
-    lam = gaussian_basis(x, majoranas)
-    n = 2 * x.M
-    out = np.zeros((n, n))
+
+def _covariance(op: np.ndarray, majoranas: MajoranaSet) -> np.ndarray:
+    """Tr[op Xhat_{mu nu}], each entry on its own so antisymmetry is a genuine check."""
     gam = majoranas.gammas
+    n = len(gam)
+    out = np.zeros((n, n))
     for mu in range(n):
         for nu in range(n):
             xhat = 0.5j * (gam[mu] @ gam[nu] - gam[nu] @ gam[mu])
-            out[mu, nu] = np.trace(lam @ xhat).real
+            out[mu, nu] = np.trace(op @ xhat).real
     return out
 
 
@@ -318,87 +343,61 @@ def q_derivatives(
     """Exact gradient and Hessian of Q(x) = Tr[rho Lambda(x)] over the packed components.
 
     A packed component moves x_ab and x_ba = -x_ab together.  With the moments
-    m_S = Tr[rho gamma_S], Q = sum_S 2^-M i^{|S|/2} Pf(x_S) m_S, and each
-    derivative replaces a Pfaffian by its signed minors, so no operator is
-    built at x.
+    m_S = Tr[rho gamma_S], Q = sum_S w_S Pf(x_S), w_S = 2^-M i^{|S|/2} m_S; the
+    minor rule moves w onto the subsets R = S minus p, W_pR = sign w_{R+p}, so
+    the gradient is W Pf and the Hessian W (dPf/dx_q): no operator is built at x.
     """
-    majo = _majoranas_for(x.M, majoranas)
+    flips, order, phases = _majoranas_for(x.M, majoranas).monomials
     table = _wick_table(x.M)
-    npairs = pair_count(x.M)
-    moments = np.einsum("sij,ji->s", majo.products, np.asarray(rho))
+    into, sign = _insertion_map(x.M)
     pf = _pfaffians(table, np.asarray(x.packed))
-    grad = (_minor_matrix(table, pf, npairs) @ moments).real
-    p, q, subset, rest, coeff = table.second_minors
-    hess = np.bincount(p * npairs + q, (coeff * pf[rest] * moments[subset]).real,
-                       minlength=npairs * npairs)
-    return grad, hess.reshape(npairs, npairs)
-
-
-def _basis_and_gradient(x: PhasePoint, majoranas: MajoranaSet) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda(x) and T[a, b] = dLambda/dx_ab over the full index range."""
-    M = x.M
-    n, dim, npairs = 2 * M, 2 ** M, pair_count(M)
-    table = _wick_table(M)
-    pf = _pfaffians(table, np.asarray(x.packed))
-    ops = majoranas.products.reshape(len(pf), -1)
-    lam = ((table.phase * pf) @ ops).reshape(dim, dim)
-    grad = (_minor_matrix(table, pf, npairs) @ ops).reshape(npairs, dim, dim)
-    rows, cols = _pair_rows_cols(M)
-    T = np.zeros((n, n, dim, dim), dtype=complex)
-    T[rows, cols] = grad
-    T[cols, rows] = -grad
-    return lam, T
+    k = np.arange(phases.shape[-1])
+    moments = np.zeros(len(pf) + 1, dtype=complex)   # one gather, then 0 at the spare index
+    moments[order] = np.einsum("gsk,gk->gs", phases, np.asarray(rho)[k, flips[:, None] ^ k])
+    lowered = sign * (np.append(table.phase, 0.0) * moments)[into]
+    grad = (lowered @ pf).real
+    hess = (lowered @ _raised(pf, x.M).T).real
+    return grad, hess
 
 
 def verify_quadratic_identities(x: PhasePoint, majoranas: MajoranaSet) -> dict[str, float]:
     """Residuals of the four quadratic differential identities of Lambda.
 
     Each identity relates an operator product of two Majoranas with Lambda to
-    the matrix-valued derivative of Lambda, taken exactly from the Pfaffian
-    minors.  Returns the max elementwise residual per identity.
+    the matrix-valued derivative of Lambda, taken exactly through the minor
+    rule.  Both sides are coefficient vectors over the gamma_S; returns the
+    max elementwise residual of each identity's operator.
     """
     M = x.M
-    n = 2 * M
     majo = _majoranas_for(M, majoranas)
-    gam = np.asarray(majo.gammas)
-    lam, T = _basis_and_gradient(x, majo)
-    Dm = np.transpose(T, (1, 0, 2, 3))    # matrix derivative (d/dx)_{ab} = d_{ba}
+    table = _wick_table(M)
+    pf = _pfaffians(table, np.asarray(x.packed))
+    lam = table.phase * pf
+    grad = table.phase * _raised(pf, M)   # dLambda/dx_p over the gamma_S
+    source, left, right, mixed = _clifford_signs(M)
+    rows, cols = _pair_rows_cols(M)
     xm = x.matrix()
-    xp = xm + 1j * np.eye(n)
-    xmc = xm - 1j * np.eye(n)
-    G2 = gam[:, None] @ gam[None, :]      # G2[i, j] = g_i g_j
+    eye = np.eye(2 * M)
+    xp = xm + 1j * eye
+    xmc = xm - 1j * eye
 
-    def sandwich(left, right):
-        return np.einsum("ia,abuv,bj->ijuv", left, Dm, right, optimize=True)
+    def framed(L, R):
+        # sum_ab L_ia (d/dx)_ab R_bj, with the matrix derivative (d/dx)_ab = d/dx_ba
+        K = L[:, None, cols] * R.T[None, :, rows] - L[:, None, rows] * R.T[None, :, cols]
+        return K @ grad
 
-    def with_lam(coef):
-        return coef[:, :, None, None] * lam
-
-    lhs = G2 @ lam
-    rhs = 1j * (sandwich(xmc, xp) - with_lam(xp))
-    res_left = float(np.max(np.abs(lhs - rhs)))
-
-    lhs = lam @ G2
-    rhs = 1j * (sandwich(xp, xmc) - with_lam(xp))
-    res_right = float(np.max(np.abs(lhs - rhs)))
-
-    lhs = (gam @ lam)[:, None] @ gam[None, :]
-    rhs = 1j * (with_lam(xmc) - sandwich(xmc, xmc))
-    res_mixed = float(np.max(np.abs(lhs - rhs)))
-
-    comm = G2 - np.transpose(G2, (1, 0, 2, 3))
-    lhs = comm @ lam - lam @ comm
-    rhs = 4.0 * (
-        np.einsum("kj,kiuv->ijuv", xm, T) - np.einsum("ik,jkuv->ijuv", xm, T)
-    )
-    res_comm = float(np.max(np.abs(lhs - rhs)))
-
-    return {
-        "left": res_left,
-        "right": res_right,
-        "mixed": res_mixed,
-        "commutator": res_comm,
+    lam_left = left * lam[source]     # gamma_i gamma_j Lambda
+    lam_right = right * lam[source]   # Lambda gamma_i gamma_j
+    with_lam = xp[..., None] * lam
+    residuals = {
+        "left": lam_left - 1j * (framed(xmc, xp) - with_lam),
+        "right": lam_right - 1j * (framed(xp, xmc) - with_lam),
+        "mixed": mixed * lam[source] - 1j * (xmc[..., None] * lam - framed(xmc, xmc)),
+        "commutator": lam_left - lam_left.swapaxes(0, 1) - lam_right + lam_right.swapaxes(0, 1)
+        - 4.0 * (framed(eye, xm) - framed(xm, eye)),
     }
+    return {name: float(np.max(np.abs(_entries(majo, res))))
+            for name, res in residuals.items()}
 
 
 def verify_four_gamma(
@@ -408,25 +407,22 @@ def verify_four_gamma(
 ) -> dict[tuple, tuple[float, float]]:
     """Residuals of the four-operator identities, per sampled index tuple.
 
-    For each tuple (i, j, k, l) the products g_i g_j g_k g_l Lambda and
+    For each tuple (i, j, k, l) the operators g_i g_j g_k g_l Lambda and
     Lambda g_i g_j g_k g_l are compared against their expansions in the
-    first and second derivatives of Lambda.  Indices are 1-based.  The
-    expansions are contracted over the Pfaffian minors first, so each side
-    costs one product with the gamma_S stack.
+    first and second derivatives of Lambda.  Indices are 1-based.  Both
+    sides are coefficient vectors over the gamma_S.
     """
     M = x.M
     n = 2 * M
     if tuples is None:
         tuples = [(1, 2, 3, 4)] if n >= 4 else []
     majo = _majoranas_for(M, majoranas)
-    gam = majo.gammas
     table = _wick_table(M)
     pf = _pfaffians(table, np.asarray(x.packed))
-    ops = majo.products.reshape(len(pf), -1)
-    dim = 2 ** M
-    lam_coef = table.phase * pf
-    lam = (lam_coef @ ops).reshape(dim, dim)
-    minors = _minor_matrix(table, pf, pair_count(M))
+    raised = _raised(pf, M)
+    lam = table.phase * pf
+    grad = table.phase * raised
+    source, left, right, _ = _clifford_signs(M)
     rows, cols = _pair_rows_cols(M)
     xm = x.matrix()
     xp = xm + 1j * np.eye(n)
@@ -446,21 +442,24 @@ def verify_four_gamma(
         Q = np.outer(r, c)
         W = np.outer(P[e] - P[:, e], c) + np.outer(r, P[:, f] - P[f])
         s1 = xp[e, f]
-        coef = _second_minor_coefficients(table, pf, packed(P), packed(Q))
-        coef = coef + packed(W + s1 * P + s2 * Q) @ minors
-        coef = coef + (P[e, f] - P[f, e] + s1 * s2) * lam_coef
+        coef = table.phase * (packed(P) @ _raised(packed(Q) @ raised, M))
+        coef = coef + packed(W + s1 * P + s2 * Q) @ grad
+        coef = coef + (P[e, f] - P[f, e] + s1 * s2) * lam
         return -coef
+
+    def word(signs, coef, a, b):
+        return signs[a, b] * coef[source[a, b]]
 
     report = {}
     for tup in tuples:
         i, j, k, l = (v - 1 for v in tup)
-        right = expansion(np.outer(xp[i], xmc[:, j]), xp[k], xmc[:, l], k, l, xp[i, j])
-        left = expansion(np.outer(xmc[k], xp[:, l]), xmc[i], xp[:, j], i, j, xp[k, l])
-        rhs_left, rhs_right = (np.stack([left, right]) @ ops).reshape(2, dim, dim)
-        word = gam[i] @ gam[j] @ gam[k] @ gam[l]
-        res_left = float(np.max(np.abs(word @ lam - rhs_left)))
-        res_right = float(np.max(np.abs(lam @ word - rhs_right)))
-        report[tup] = (res_left, res_right)
+        right_rhs = expansion(np.outer(xp[i], xmc[:, j]), xp[k], xmc[:, l], k, l, xp[i, j])
+        left_rhs = expansion(np.outer(xmc[k], xp[:, l]), xmc[i], xp[:, j], i, j, xp[k, l])
+        word_lam = word(left, word(left, lam, k, l), i, j)
+        lam_word = word(right, word(right, lam, i, j), k, l)
+        res = _entries(majo, np.stack([word_lam - left_rhs, lam_word - right_rhs]))
+        res_left, res_right = np.max(np.abs(res), axis=(1, 2))
+        report[tup] = (float(res_left), float(res_right))
     return report
 
 

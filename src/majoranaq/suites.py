@@ -319,6 +319,8 @@ def acceptance_fpe_cases(seed: int) -> list[tuple[str, HamiltonianSpec, int]]:
         3, [(*q, float(rng.uniform(-0.5, 0.5))) for q in quads]
     )
     cases.append(("fpe-m3-quartic", HamiltonianSpec(3, t3, g3), 5))
+    hub3 = preset_hubbard(3, 1.0, 4.0)
+    cases.append(("fpe-m6-hubbard", HamiltonianSpec(6, hub3.t, hub3.g), 5))
     return cases
 
 

@@ -25,6 +25,12 @@ It is smooth on the whole closed domain, boundary included.
 The production route, :func:`majoranaq.fock.gaussian_basis`, sums the Wick
 expansion over subset Pfaffians instead; the three routes share nothing but
 the Jordan-Wigner operators, so their agreement is an independent check.
+
+:func:`dense_subset_gammas` multiplies out the products gamma_S of the Wick
+expansion as dense matrices, level by level.  The production oracle holds
+each gamma_S only in monomial form, gamma_S[k ^ f_S, k] = phase_S[k], and
+applies two-Majorana words by Clifford signs; the tests assert both against
+this dense stack.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import math
 
 import numpy as np
 
-from majoranaq.fock import build_majoranas, jordan_wigner_ladders
+from majoranaq.fock import _wick_table, build_majoranas, jordan_wigner_ladders
 from majoranaq.tensors import PhasePoint
 
 _MONOMIAL_CACHE: dict = {}
@@ -186,6 +192,23 @@ def definition_basis(x: PhasePoint) -> np.ndarray:
     if abs(trace) < 1e-12 * 2 ** M:
         raise ArithmeticError(f"normal-ordered exponential has near-zero trace {trace:.3e}")
     return mat / trace
+
+
+def dense_subset_gammas(M: int) -> np.ndarray:
+    """Dense gamma_S over the even subsets, in the Wick table's order.
+
+    Each level splits gamma_S = (gamma_{s_1} gamma_{s_2}) gamma_{S minus {s_1, s_2}}
+    and multiplies the matrices.
+    """
+    gam = np.asarray(build_majoranas(M).gammas)
+    rows, cols = np.triu_indices(2 * M, k=1)
+    pair_ops = gam[rows] @ gam[cols]
+    table = _wick_table(M)
+    out = np.empty((len(table.phase), 2 ** M, 2 ** M), dtype=complex)
+    out[0] = np.eye(2 ** M)
+    for level_rows, pairs, rests, _ in table.levels:
+        out[level_rows] = pair_ops[pairs[:, 0]] @ out[rests[:, 0]]
+    return out
 
 
 def product_basis(x: PhasePoint) -> np.ndarray:

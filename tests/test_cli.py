@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes, reports, CSV output."""
 
+import contextlib
 import csv
+import io
 import itertools
 import json
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import majoranaq
 from majoranaq.cli import main
@@ -69,9 +73,9 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
 
     def test_m_cap_usage_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"M": 6, "seed": 0})
+        cfg = write_config(tmp_path, {"M": 7, "seed": 0})
         assert main(["verify", "--config", cfg, "--suite", "fpe"]) == 2
-        assert "M <= 5" in capsys.readouterr().err
+        assert "M <= 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["identities", "fpe"])
     def test_oracle_cap_admits_5(self, tmp_path, capsys, suite):
@@ -87,11 +91,11 @@ class TestVerifyCommand:
         assert all(c["pass"] and c["info"]["worst"]["M"] == 5 for c in checks)
 
     @pytest.mark.parametrize("suite", ["identities", "fpe"])
-    def test_oracle_cap_rejects_6(self, tmp_path, capsys, suite):
-        cfg = write_config(tmp_path, {"M": 6, "seed": 0})
+    def test_oracle_cap_rejects_7(self, tmp_path, capsys, suite):
+        cfg = write_config(tmp_path, {"M": 7, "seed": 0})
         assert main(["verify", "--config", cfg, "--suite", suite]) == 2
         err = capsys.readouterr().err
-        assert "M <= 5" in err and "M = 6" in err and "Traceback" not in err
+        assert "M <= 6" in err and "M = 7" in err and "Traceback" not in err
 
     def test_moment_requires_m1(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "seed": 0})
@@ -338,6 +342,57 @@ class TestPresetCommand:
         ]
 
 
+# values no number field accepts: text, null, a boolean, a list, non-finite
+# floats, and an integer too large for a float
+_BAD_NUMBERS = ["0.5", None, True, [1.0], float("nan"), float("inf"), 10 ** 400]
+
+
+@st.composite
+def malformed_configs(draw):
+    """A valid config at M <= 4 with one field broken, and the field its error must name."""
+    M = draw(st.integers(1, 4))
+    n = 2 * M
+    data = {"M": M, "t_entries": [[1, 2, 0.3]], "g_entries": [[1, 2, 3, 4, 0.05]] if M > 1 else [],
+            "seed": 3, "tolerances": {"tangency": 1e-9}}
+    field = draw(st.sampled_from(["M", "seed", "t_entries", "g_entries", "preset", "tolerances",
+                                  "unknown"]))
+    value = draw(st.sampled_from(_BAD_NUMBERS))
+    index = draw(st.sampled_from([0, -1, n + 1, 1.0, "1", True, None]))
+    if field == "M":
+        data["M"] = draw(st.sampled_from([0, -1, "2", 2.0, True, None, [M]]))
+    elif field == "seed":
+        data["seed"] = draw(st.sampled_from([-1, "3", 1.5, True, None]))
+    elif field in ("t_entries", "g_entries"):
+        entry = [1, 2, 0.3] if field == "t_entries" else [1, 2, 3, 4, 0.05]
+        broken = draw(st.sampled_from([
+            "x", 3, {"a": 1}, [entry[:-2]], [entry + [1]], ["entry"], [entry, entry],
+            [[entry[1], entry[0], *entry[2:]]], [[*entry[:-1], value]],
+            [[index, *entry[1:]]], [[*entry[:-2], index, entry[-1]]],
+        ]))
+        data[field] = broken if M > 1 or field == "t_entries" else [entry]
+    elif field == "preset":
+        data = {"M": M, "preset": {"name": "hubbard", "sites": M // 2, "hop": 1.0, "onsite": 4.0}}
+        key, bad = draw(st.sampled_from([
+            (None, "hubbard"), ("name", "fermi"), ("U", 1.0), ("sites", M), ("sites", "1"),
+            ("hop", value), ("onsite", value), ("geometry", "ring"), ("t_entries", None),
+        ]))
+        if key is None:
+            data["preset"] = bad
+        elif key == "t_entries":
+            data["t_entries"] = [[1, 2, 0.3]]
+        else:
+            data["preset"][key] = bad
+    elif field == "tolerances":
+        data["tolerances"] = draw(st.sampled_from([
+            "1e-9", [1e-9], {"tangencyy": 1e-9}, {"tangency": 0.0}, {"tangency": -1e-9},
+            {"tangency": value},
+        ]))
+    else:
+        field = "foo"
+        data["foo"] = 1
+    return data, field
+
+
 def _usage_error(argv, capsys) -> str:
     """Run ``argv``, expect an argument-parsing exit 2, return stderr."""
     with pytest.raises(SystemExit) as exc:
@@ -420,6 +475,45 @@ class TestInputValidation:
         assert main(["flow", "--config", cfg, "--steps", "2",
                      "--out", str(tmp_path / "t.csv")]) == 3
         assert "No space left on device" in capsys.readouterr().err
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(malformed_configs())
+    def test_property_malformed_config_exits_2_naming_its_field(self, tmp_path_factory, case):
+        data, field = case
+        path = write_config(tmp_path_factory.getbasetemp(), data, name="malformed.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", "--config", path, "--suite", "tangency"])
+        assert code == 2 and field in err.getvalue(), (data, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter converts integer literals of any length")
+    @pytest.mark.parametrize("command", ["verify", "flow"])
+    def test_integer_literal_beyond_the_conversion_limit_exit_2(self, tmp_path, capsys, command):
+        huge = "1" + "0" * 5000
+        path = tmp_path / "huge.json"
+        path.write_text('{"M": 1, "t_entries": [[1, 2, 0.5]], "seed": %s}' % huge)
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text('{"M": 1, "packed": [%s]}' % huge)
+        cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        argv = {
+            "verify": ["verify", "--config", str(path), "--suite", "tangency"],
+            "flow": ["flow", "--config", cfg, "--steps", "2", "--x0", "file",
+                     "--x0-file", str(x0_path), "--out", str(tmp_path / "t.csv")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and "Traceback" not in err
+
+    def test_x0_beyond_the_float_range_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text(json.dumps({"M": 1, "packed": [10 ** 400]}))
+        assert main(["flow", "--config", cfg, "--steps", "2", "--x0", "file",
+                     "--x0-file", str(x0_path), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert '--x0-file: "packed" must be a list of numbers' in err and "Traceback" not in err
 
     def test_boolean_x0_mode_count_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})

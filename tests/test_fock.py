@@ -12,6 +12,7 @@ from basis_oracle import (
     _normal_order_word,
     central_difference,
     definition_basis,
+    dense_subset_gammas,
     product_basis,
 )
 from majoranaq import (
@@ -37,6 +38,7 @@ from majoranaq import (
     verify_quadratic_identities,
 )
 from majoranaq.errors import DimensionError
+from majoranaq.fock import _clifford_signs
 
 
 def interior(M, seed, scale=0.35):
@@ -121,14 +123,14 @@ class TestMajoranas:
 
     def test_large_m_warns(self):
         with pytest.warns(UserWarning):
-            build_majoranas(6)
+            build_majoranas(7)
 
     def test_no_warning_within_the_verify_cap(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            build_majoranas(5)
+            build_majoranas(6)
 
 
 class TestHamiltonian:
@@ -299,6 +301,44 @@ class TestGaussianBasis:
             assert np.max(np.abs(lam @ lam - lam)) <= 1e-13
             assert abs(np.trace(lam) - 1) <= 1e-14
         assert singular >= 5
+
+
+class TestMonomialTables:
+    """The oracle's bit-arithmetic tables against the dense gamma_S stack."""
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    def test_monomial_form_is_the_dense_stack(self, M):
+        flips, order, phases = build_majoranas(M).monomials
+        dense = dense_subset_gammas(M)
+        k = np.arange(2 ** M)
+        rebuilt = np.zeros_like(dense)
+        rebuilt[order[..., None], flips[:, None, None] ^ k, k] = phases
+        np.testing.assert_array_equal(rebuilt, dense)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_clifford_signs_are_the_dense_words(self, M):
+        gam = build_majoranas(M).gammas
+        dense = dense_subset_gammas(M)
+        source, left, right, mixed = _clifford_signs(M)
+        for i in range(2 * M):
+            for j in range(2 * M):
+                S = dense[source[i, j]]
+                np.testing.assert_array_equal(gam[i] @ gam[j] @ S, left[i, j, :, None, None] * dense)
+                np.testing.assert_array_equal(S @ gam[i] @ gam[j], right[i, j, :, None, None] * dense)
+                np.testing.assert_array_equal(gam[i] @ S @ gam[j], mixed[i, j, :, None, None] * dense)
+
+    def test_rotated_majoranas_are_rejected(self):
+        # O^T gamma is a valid Majorana set, but no gamma of it is a signed bit
+        # flip, so the monomial tables cannot represent it
+        majo = build_majoranas(2)
+        O, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+        rotated = MajoranaSet(2, tuple(np.tensordot(O.T, np.asarray(majo.gammas), axes=1)))
+        x = interior(2, 5)
+        rho = random_density_matrix(2, 1)
+        for call in (lambda: gaussian_basis(x, rotated), lambda: q_derivatives(rho, x, rotated),
+                     lambda: verify_quadratic_identities(x, rotated)):
+            with pytest.raises(DimensionError, match="MajoranaSet M=2 is not monomial"):
+                call()
 
 
 class TestQFunction:

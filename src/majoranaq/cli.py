@@ -47,19 +47,31 @@ def _check_cap(name: str, M: int, cap: int) -> None:
         raise ConfigError(f"'{name}' supports M <= {cap}, config has M = {M}")
 
 
+def _check_suite_caps(suite: str, M: int) -> None:
+    """Check every mode-count cap of ``suite`` at ``M``, before any model is built."""
+    if suite in ("identities", "fpe", "all"):
+        from .fock import ORACLE_MAX_M  # loaded only for the suites that run the oracle
+
+        _check_cap("identities" if suite == "all" else suite, M, ORACLE_MAX_M)
+    if suite in ("traceless", "tangency", "all"):
+        _check_cap("traceless" if suite == "all" else suite, M, _KERNEL_SUITE_MAX_M)
+    if suite == "moment-m1" and M != 1:
+        raise ConfigError(f"suite 'moment-m1' requires M = 1, config has M = {M}")
+
+
 def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> list:
+    _check_suite_caps(suite, cfg.M)
+
     import numpy as np
 
     from . import suites
     from .config import config_to_spec
-    from .fock import ORACLE_MAX_M
 
     spec, _shift = config_to_spec(cfg)
     M = cfg.M
     tol = cfg.tolerances
     checks = []
     if suite in ("identities", "all"):
-        _check_cap("identities", M, ORACLE_MAX_M)
         checks.append(
             suites.run_quadratic_identities(
                 Ms=(M,), seed=seed, n_points=10,
@@ -72,7 +84,6 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
                                       tol=tol.get("four-gamma"))
             )
     if suite in ("fpe", "all"):
-        _check_cap("fpe", M, ORACLE_MAX_M)
         n_inst = 20 if M <= 2 else 5
         checks.append(
             suites.run_fpe_sweep(
@@ -81,13 +92,11 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
             )
         )
     if suite in ("traceless", "all"):
-        _check_cap("traceless", M, _KERNEL_SUITE_MAX_M)
         g = spec.g if spec.g.table else None
         checks.extend(
             suites.run_traceless_and_channels(M, seed, cases=100, g=g)
         )
     if suite in ("tangency", "all"):
-        _check_cap("tangency", M, _KERNEL_SUITE_MAX_M)
         has_model = bool(spec.g.table) or np.any(np.asarray(spec.t.packed) != 0.0)
         model = spec if has_model else None
         checks.append(
@@ -99,8 +108,6 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
                                    tol=tol.get("flow-boundary-margin"), spec=model)
         )
     if suite == "moment-m1" or (suite == "all" and M == 1):
-        if M != 1:
-            raise ConfigError(f"suite 'moment-m1' requires M = 1, config has M = {M}")
         checks.append(suites.run_moment_m1(seed=seed, tol=tol.get("moment-m1")))
     return checks
 

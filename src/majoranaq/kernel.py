@@ -31,7 +31,9 @@ Conventions (hbar = 1 throughout; couplings are rates):
   sum over ordered (i, j) onto packed pairs, so (g.x) = 2 G x and
   E = REa^T G IMa with REa[P] = Re X_{ij} - Re X_{ji} (likewise IMa).  Only
   the channel decomposition expands the 24 signed orderings of each stored
-  quadruple, as array rows cached on the coupling.
+  quadruple, as index rows cached on the coupling.  It folds their weights
+  into a (4M^2, 4M^2) matrix W over the Re/Im table rows, so the channel sum
+  is -2 (S + S^T) with S = RE^T W IM and no (24 nq, npairs) array is formed.
 
 * Compound form of the packed rows:  for P = (i<j) and a = (alpha<beta),
   REa = I - C2(x) with the second compound matrix of x (its 2 x 2 minors)
@@ -55,7 +57,7 @@ Conventions (hbar = 1 throughout; couplings are rates):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -132,15 +134,15 @@ def im_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
 def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RE[i, j, p] and IM[i, j, p] over all index pairs and packed pairs p."""
     al, be = _pair_rows_cols(M)
-    n = 2 * M
-    eye = np.eye(n)
+    p = np.arange(len(al))
     # x_{i alpha} -> (n, npairs); x_{beta j} -> (npairs, n)
     xia = xm[:, al]
     xbj = xm[be, :]
-    d_ia = eye[:, al]
-    d_bj = eye[be, :]
-    RE = xia[:, None, :] * xbj.T[None, :, :] + d_ia[:, None, :] * d_bj.T[None, :, :]
-    IM = -xia[:, None, :] * d_bj.T[None, :, :] + d_ia[:, None, :] * xbj.T[None, :, :]
+    RE = xia[:, None, :] * xbj.T[None, :, :]
+    RE[al, be, p] += 1.0  # d_{i alpha} d_{beta j}: i = alpha, j = beta
+    IM = np.zeros_like(RE)
+    IM[:, be, p] = -xia  # -x_{i alpha} d_{beta j}: j = beta
+    IM[al, :, p] += xbj  # d_{i alpha} x_{beta j}: i = alpha
     return RE, IM
 
 
@@ -240,31 +242,85 @@ def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelDecomposition:
-    """Diffusion split into rank-1 channels, one row per ordered nonzero tuple.
+    """Diffusion split into rank-1 channels, one per ordered nonzero tuple.
 
-    Row t holds the 1-based ordered tuple ``indices[t]``, the weight
-    ``weights[t]`` = 4 g for that ordering, and the forward/backward channel
-    vectors ``b_minus[t]``, ``b_plus[t]`` over packed pairs; the channel
-    contributes weights[t] (b_minus b_minus^T - b_plus b_plus^T) to D.
+    Channel t holds the 1-based ordered tuple ``indices[t]`` = (i, j, k, l)
+    and the weight ``weights[t]`` = 4 g for that ordering.  It reads row
+    r = (i, j) of the flattened table ``re_rows`` (RE[i, j, :], shape
+    (4M^2, npairs)) and row s = (k, l) of ``im_rows`` (IM[k, l, :]); with
+    u = re_rows[r] and v = im_rows[s] its forward/backward vectors are
+    b_minus = u - v and b_plus = u + v, and it contributes
+    w (b_minus b_minus^T - b_plus b_plus^T) = -2 w (u v^T + v u^T) to D.
+    So the channel sum and the channel traces are products of the two
+    tables with (4M^2)-sized weight and Gram matrices; the (24 nq, npairs)
+    vectors are gathered only when :attr:`b_minus` or :attr:`b_plus` is read.
     """
 
     M: int
     indices: np.ndarray
     weights: np.ndarray
-    b_minus: np.ndarray
-    b_plus: np.ndarray
+    re_rows: np.ndarray
+    im_rows: np.ndarray
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table rows r = (i, j) and s = (k, l) that each channel reads."""
+        n = 2 * self.M
+        t = self.indices - 1
+        return t[:, 0] * n + t[:, 1], t[:, 2] * n + t[:, 3]
+
+    @property
+    def b_minus(self) -> np.ndarray:
+        """The vectors u - v, one row per channel, gathered on access."""
+        r, s = self._rows()
+        return self.re_rows.take(r, axis=0) - self.im_rows.take(s, axis=0)
+
+    @property
+    def b_plus(self) -> np.ndarray:
+        """The vectors u + v, one row per channel, gathered on access."""
+        r, s = self._rows()
+        return self.re_rows.take(r, axis=0) + self.im_rows.take(s, axis=0)
+
+    @cached_property
+    def _weight_matrix(self) -> np.ndarray:
+        """W[r, s]: the weight of the channel that reads rows (r, s), 0 where none does.
+
+        One np.bincount over this decomposition's own ``indices`` and
+        ``weights``; a tuple fixes both rows, so each entry holds at most one
+        channel's weight.
+        """
+        r, s = self._rows()
+        rows = len(self.re_rows)
+        W = np.bincount(r * rows + s, weights=self.weights, minlength=rows * rows)
+        return W.reshape(rows, rows)
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of all rank-1 channels: (w B-)^T B- - (w B+)^T B+."""
-        w = self.weights[:, None]
-        return (w * self.b_minus).T @ self.b_minus - (w * self.b_plus).T @ self.b_plus
+        """Sum of all rank-1 channels, -2 (S + S^T) with S = RE^T W IM."""
+        S = (self.re_rows.T @ self._weight_matrix) @ self.im_rows
+        return -2.0 * (S + S.T)
+
+    def traces(self) -> tuple[float, float]:
+        """Forward and backward traces sum_t |w_t| |f_t|^2 and sum_t |w_t| |k_t|^2.
+
+        The forward vector f_t is b_minus where w_t > 0 and b_plus otherwise,
+        and k_t is the other one, so that the forward minus the backward
+        channel sum is D.  Each |b_minus/plus|^2 = |u|^2 + |v|^2 -+ 2 u.v is
+        read off the row norms and one cross Gram of the tables, at the
+        entry (r, s) of W that holds the channel's weight.
+        """
+        W = self._weight_matrix
+        norms = np.add.outer(np.einsum("rp,rp->r", self.re_rows, self.re_rows),
+                             np.einsum("sp,sp->s", self.im_rows, self.im_rows))
+        # 2 u.v, signed so that |f_t|^2 = norms - cross and |k_t|^2 = norms + cross
+        cross = (self.re_rows @ self.im_rows.T) * np.copysign(2.0, W)
+        size = np.abs(W).ravel()
+        return float(size @ (norms - cross).ravel()), float(size @ (norms + cross).ravel())
 
 
 def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecomposition:
-    """Forward/backward channel vectors B(+-)^a = Re X_{ij}^a +- Im X_{kl}^a.
+    """Forward/backward channels B(+-)^a = Re X_{ij}^a +- Im X_{kl}^a.
 
-    One channel per ordered tuple (24 per stored quadruple), taken row-wise
-    from the Re/Im tables by the ordered tuples cached on the coupling: the
+    One channel per ordered tuple (24 per stored quadruple), each reading one
+    row of the Re/Im tables by the ordered tuples cached on the coupling: the
     expansion cannot be collapsed onto canonical quadruples because each
     ordering carries a distinct rank-1 geometry.  :func:`diffusion` never
     builds the tables, so the channel sum rebuilds D by an independent
@@ -276,9 +332,8 @@ def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecompositio
     n = 2 * M
     RE, IM = _re_im_tables(M, x.matrix())
     tuples, weights = g.ordered_tuples
-    u = RE.reshape(n * n, -1).take(tuples[:, 0] * n + tuples[:, 1], axis=0)  # (nt, npairs)
-    v = IM.reshape(n * n, -1).take(tuples[:, 2] * n + tuples[:, 3], axis=0)
-    return ChannelDecomposition(M, tuples + 1, 4.0 * weights, u - v, u + v)
+    return ChannelDecomposition(M, tuples + 1, 4.0 * weights,
+                                RE.reshape(n * n, -1), IM.reshape(n * n, -1))
 
 
 def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:

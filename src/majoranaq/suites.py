@@ -5,7 +5,9 @@ returns a :class:`CheckResult`; the CLI assembles them into a
 :class:`VerificationReport`, and the acceptance test suite runs them at the
 pinned tolerances.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
 which validates overrides against it without loading this module; this
-module re-exports the same dictionary.
+module re-exports the same dictionary.  The Fock-space oracle is imported
+by the runners that use it, so the kernel sweeps (traceless, tangency) run
+without loading it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fock, kernel
+from . import kernel
 from .config import TOLERANCES
 from .dynamics import flow
 from .hubbard import hubbard_comparison, preset_hubbard
@@ -177,6 +179,8 @@ def _worst(results: list) -> tuple:
 
 
 def run_anticommutation(Ms=(1, 2, 3), tol: float | None = None) -> CheckResult:
+    from . import fock
+
     tol = TOLERANCES["anticommutation"] if tol is None else tol
     clock = _CheckClock()
     worst = 0.0
@@ -197,6 +201,8 @@ def run_anticommutation(Ms=(1, 2, 3), tol: float | None = None) -> CheckResult:
 
 
 def run_gaussian_basis(seed: int, n_boundary: int = 10) -> list[CheckResult]:
+    from . import fock
+
     tol0 = TOLERANCES["basis-at-origin"]
     tol1 = TOLERANCES["basis-single-mode"]
     tolp = TOLERANCES["basis-boundary-purity"]
@@ -231,6 +237,8 @@ def run_gaussian_basis(seed: int, n_boundary: int = 10) -> list[CheckResult]:
 def run_quadratic_identities(
     Ms=(1, 2), seed: int = 0, n_points: int = 20, tol: float | None = None,
 ) -> CheckResult:
+    from . import fock
+
     tol = TOLERANCES["quadratic-identities"] if tol is None else tol
     clock = _CheckClock()
     results = []
@@ -250,6 +258,8 @@ def run_quadratic_identities(
 def run_four_gamma(
     M: int = 2, seed: int = 0, n_points: int = 5, tol: float | None = None,
 ) -> CheckResult:
+    from . import fock
+
     tol = TOLERANCES["four-gamma"] if tol is None else tol
     clock = _CheckClock()
     results = []
@@ -275,6 +285,8 @@ def run_fpe_sweep(
     scale: float = 1.0,
 ) -> CheckResult:
     """Exact-vs-kernel dQ/dt over seeded (rho, x) instances for one model."""
+    from . import fock
+
     tol = TOLERANCES["fpe"] if tol is None else tol
     clock = _CheckClock()
     results = []
@@ -296,6 +308,8 @@ def run_fpe_sweep(
 
 def fpe_instance(M: int, seed: int, index: int) -> tuple[np.ndarray, PhasePoint]:
     """The (rho, x) of instance ``index`` of :func:`run_fpe_sweep` with ``seed``."""
+    from . import fock
+
     rho = fock.random_density_matrix(M, seed + 31 * index + 1)
     x = random_interior_point(M, seed + 97 * index, scale=_ORACLE_SCALE)
     return rho, x
@@ -345,8 +359,13 @@ def run_traceless_and_channels(
     traceless theorem written over the channels -- must hold, where the
     forward part F = sum_t |w_t| f_t f_t^T takes each channel's b_minus when
     w_t > 0 and its b_plus otherwise, and Bk takes the other vector, so that
-    F - Bk = D; the traces are sums of |w_t| times squared row norms, so
-    neither matrix is assembled (as such sums both are PSD by construction).
+    F - Bk = D.  :meth:`majoranaq.kernel.ChannelDecomposition.traces` takes
+    both traces from the Re/Im table row norms and one cross Gram of the
+    tables, so neither matrix is assembled (as sums of |w_t| times squared
+    norms both are PSD by construction), and
+    :meth:`~majoranaq.kernel.ChannelDecomposition.reconstruct` takes the
+    channel sum as one weighted product of the tables; no per-channel vector
+    is gathered.
     And D must have the boundary structure of the pure-state surface
     x^2 = -I, at the boundary instances (odd i):
 
@@ -362,6 +381,12 @@ def run_traceless_and_channels(
     the reconstruction or the boundary structure catches it.  Each boundary
     value is relative to max(|D|, 1), like the reconstruction, and the
     largest of the three is gated by ``channel-boundary``.
+
+    ``info["worst"]`` of each check records the instance of its worst
+    residual -- the largest diagonal entry, the worst reconstruction -- as
+    its index, seed, M and packed x; with the coupling (the given ``g``, or
+    ``_random_quartic(M, default_rng(seed + index))``) it re-runs that
+    instance.
     """
     tol_diag = TOLERANCES["traceless-diagonal"]
     tol_sum = TOLERANCES["traceless-eigsum"]
@@ -374,7 +399,8 @@ def run_traceless_and_channels(
     # unit denominator floor: couplings are order-one rates, and at M=2 the
     # only quartic channel gives an identically zero D
     scale = np.empty(cases)
-    worst_diag = worst_rec = worst_bal = worst_tan = worst_zero = 0.0
+    diags, recs = [], []
+    worst_bal = worst_tan = worst_zero = 0.0
     for i in range(cases):
         gi = g if g is not None else _random_quartic(M, np.random.default_rng(seed + i))
         on_boundary = i % 2 == 1
@@ -382,20 +408,17 @@ def run_traceless_and_channels(
             x = random_boundary_point(M, seed + 10000 + i)
         else:
             x = random_interior_point(M, seed + 10000 + i, scale=0.5)
+        record = _instance(i, seed, x)
         with clock("traceless"):
             D = kernel.diffusion(x, gi)
             stack[i] = D
-            worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(D)))))
+            diags.append((float(np.max(np.abs(np.diag(D)))), record))
         with clock("channels"):
             decomp = kernel.diffusion_channels(x, gi)
             size = float(np.max(np.abs(D)))
             scale[i] = denom = max(size, 1.0)
-            worst_rec = max(worst_rec, float(np.max(np.abs(decomp.reconstruct() - D))) / denom)
-            w = decomp.weights
-            minus = np.einsum("tp,tp->t", decomp.b_minus, decomp.b_minus)
-            plus = np.einsum("tp,tp->t", decomp.b_plus, decomp.b_plus)
-            trace_f = float(np.abs(w) @ np.where(w > 0, minus, plus))
-            trace_b = float(np.abs(w) @ np.where(w > 0, plus, minus))
+            recs.append((float(np.max(np.abs(decomp.reconstruct() - D))) / denom, record))
+            trace_f, trace_b = decomp.traces()
             worst_bal = max(worst_bal, abs(trace_f - trace_b) / max(trace_f, 1.0))
             if on_boundary:
                 xm = x.matrix()
@@ -410,19 +433,22 @@ def run_traceless_and_channels(
         edge = eigs[1::2]
         worst_sym = float(np.max(np.abs(edge + edge[:, ::-1]) / scale[1::2, None], initial=0.0))
     worst_bnd = max(worst_tan, worst_sym, worst_zero)
+    worst_diag, worst_diag_at = _worst(diags)
+    worst_rec, worst_rec_at = _worst(recs)
     return [
         CheckResult(f"traceless-m{M}", cases, worst_diag, tol_diag,
                     worst_diag <= tol_diag and worst_sum <= tol_sum,
                     clock.seconds["traceless"],
                     info={"eigsum": worst_sum, "eigsum_tol": tol_sum,
-                          "eigsum_pass": worst_sum <= tol_sum}),
+                          "eigsum_pass": worst_sum <= tol_sum, "worst": worst_diag_at}),
         CheckResult(f"channels-m{M}", cases, worst_rec, tol_rec,
                     worst_rec <= tol_rec and worst_bnd <= tol_bnd and worst_bal <= tol_bal,
                     clock.seconds["channels"],
                     info={"balance": worst_bal,
                           "boundary_tangency": worst_tan,
                           "boundary_symmetry": worst_sym,
-                          "boundary_vanishing": worst_zero if M <= 3 else None}),
+                          "boundary_vanishing": worst_zero if M <= 3 else None,
+                          "worst": worst_rec_at}),
     ]
 
 
@@ -584,6 +610,8 @@ def run_flow_margin(
 
 
 def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:
+    from . import fock
+
     tol = TOLERANCES["moment-m1"] if tol is None else tol
     clock = _CheckClock()
     worst = 0.0

@@ -97,6 +97,29 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "M <= 6" in err and "M = 7" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("M, suite, message", [
+        (1_000_000_000, "all", "'identities' supports M <= 6"),
+        (1_000_000_000, "traceless", "'traceless' supports M <= 4"),
+        (1_000_000_000, "moment-m1", "requires M = 1"),
+        (5, "all", "'traceless' supports M <= 4"),
+    ], ids=["huge-all", "huge-traceless", "huge-moment", "m5-all"])
+    def test_caps_are_checked_before_any_suite_runs(self, tmp_path, capsys, monkeypatch,
+                                                    M, suite, message):
+        # no model is built and no suite runs: every runner would raise here
+        from majoranaq import config, suites
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the caps")
+
+        monkeypatch.setattr(config, "config_to_spec", never)
+        for name in ("run_quadratic_identities", "run_four_gamma", "run_fpe_sweep"):
+            monkeypatch.setattr(suites, name, never)
+        cfg = write_config(tmp_path, {"M": M, "seed": 0})
+        assert main(["verify", "--config", cfg, "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_moment_requires_m1(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "seed": 0})
         assert main(["verify", "--config", cfg, "--suite", "moment-m1"]) == 2
@@ -576,6 +599,12 @@ class TestImportLayering:
                                          "--out", "t.csv"), tmp_path)
         assert "majoranaq.dynamics" in loaded
         assert "majoranaq.fock" not in loaded and "majoranaq.suites" not in loaded
+
+    @pytest.mark.parametrize("suite", ["traceless", "tangency"])
+    def test_kernel_suites_load_no_oracle(self, tmp_path, suite):
+        cfg = write_config(tmp_path, {"M": 3, "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3})
+        loaded = _modules_after(_cli_run("verify", "--config", cfg, "--suite", suite), tmp_path)
+        assert "majoranaq.suites" in loaded and "majoranaq.fock" not in loaded
 
     def test_config_setup_loads_only_the_model_layers(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 2, 0.5]]})

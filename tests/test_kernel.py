@@ -28,6 +28,7 @@ from majoranaq import (
     random_boundary_point,
     random_interior_point,
     re_x,
+    suites,
     tangency_residual,
     x_component,
     x_plus_minus,
@@ -282,6 +283,33 @@ class TestChannels:
         v = np.array([im_x(x, k, l, p.alpha, p.beta) for p in pair_enumerate(3)])
         np.testing.assert_allclose(dec.b_minus[5], u - v, rtol=0, atol=1e-15)
         np.testing.assert_allclose(dec.b_plus[5], u + v, rtol=0, atol=1e-15)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=40)
+    @given(M=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           quadruples=st.integers(1, 70), boundary=st.booleans())
+    def test_factored_form_equals_the_literal_channel_sum(self, M, seed, quadruples, boundary):
+        rng = np.random.default_rng(seed)
+        g = suites._random_quartic(M, rng, max_quadruples=quadruples,
+                                   scale=float(rng.uniform(0.01, 2.0)))
+        if boundary:
+            x = random_boundary_point(M, seed)
+        else:
+            x = random_interior_point(M, seed, scale=0.5)
+        D = diffusion(x, g)
+        dec = diffusion_channels(x, g)
+        w, bm, bp = dec.weights, dec.b_minus, dec.b_plus
+        literal = (w[:, None] * bm).T @ bm - (w[:, None] * bp).T @ bp
+        denom = max(float(np.max(np.abs(D))), 1.0)
+        assert np.max(np.abs(dec.reconstruct() - literal)) / denom <= 1e-12
+        minus = np.einsum("tp,tp->t", bm, bm)
+        plus = np.einsum("tp,tp->t", bp, bp)
+        forward = np.abs(w) @ np.where(w > 0, minus, plus)
+        backward = np.abs(w) @ np.where(w > 0, plus, minus)
+        for got, ref in zip(dec.traces(), (forward, backward)):
+            assert abs(got - ref) <= 1e-12 * ref
+        # the traceless property, at the bars the traceless check pins
+        assert np.max(np.abs(np.diag(D))) <= suites.TOLERANCES["traceless-diagonal"]
+        assert abs(np.sum(np.linalg.eigvalsh(D))) <= suites.TOLERANCES["traceless-eigsum"]
 
 
 class TestDriftBar:

@@ -49,21 +49,24 @@ def test_eigensum_gates_the_traceless_check(monkeypatch):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda d: replace(d, indices=d.indices[1:], weights=d.weights[1:],
-                          b_minus=d.b_minus[1:], b_plus=d.b_plus[1:]),
-        # only on positive-weight rows: sum_t w_t |b_plus_t|^2 vanishes on its
-        # own, so scaling every b_plus alike leaves the balance untouched
-        lambda d: replace(d, b_plus=d.b_plus * np.where(d.weights > 0, 1 + 1e-6, 1.0)[:, None]),
+        lambda d: replace(d, indices=d.indices[1:], weights=d.weights[1:]),
+        # only the positive weights: sum_t w_t (|b_minus_t|^2 - |b_plus_t|^2)
+        # vanishes on its own, so scaling every weight alike leaves the
+        # balance untouched
+        lambda d: replace(d, weights=d.weights * np.where(d.weights > 0, 1 + 1e-6, 1.0)),
     ],
-    ids=["ordering-dropped", "forward-b_plus-scaled"],
+    ids=["ordering-dropped", "positive-weights-scaled"],
 )
 def test_corrupt_decomposition_fails_the_balance(monkeypatch, corrupt):
+    # the channel sum and the traces read the decomposition's own indices and
+    # weights, so a corrupted channel shows in both
     channels_of = suites.kernel.diffusion_channels
     monkeypatch.setattr(suites.kernel, "diffusion_channels",
                         lambda *args: corrupt(channels_of(*args)))
     traceless, channels = suites.run_traceless_and_channels(4, seed=4, cases=4)
     assert traceless.passed
     assert channels.info["balance"] > suites.TOLERANCES["channel-balance"]
+    assert channels.max_residual > suites.TOLERANCES["channel-reconstruction"]
     assert channels.passed is False
 
 
@@ -240,6 +243,24 @@ def test_worst_identity_instance_reproduces_its_residual(runner, verify):
     worst, x = _recorded_point(check)
     assert worst["seed"] == 5 and 0 <= worst["index"] < check.instances
     assert verify(x, fock.build_majoranas(worst["M"])) == check.max_residual > 0.0
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["random-coupling", "given-coupling"])
+def test_worst_kernel_sweep_instance_reproduces_its_residual(fixed):
+    M, seed = 4, 918273
+    g = suites._random_quartic(M, np.random.default_rng(7), max_quadruples=70) if fixed else None
+    traceless, channels = suites.run_traceless_and_channels(M, seed, cases=10, g=g)
+    for check in (traceless, channels):
+        worst, x = _recorded_point(check)
+        assert (worst["seed"], worst["M"]) == (seed, M) and 0 <= worst["index"] < check.instances
+        gi = g if fixed else suites._random_quartic(M, np.random.default_rng(seed + worst["index"]))
+        D = kernel.diffusion(x, gi)
+        if check is traceless:
+            residual = float(np.max(np.abs(np.diag(D))))
+        else:
+            recon = kernel.diffusion_channels(x, gi).reconstruct()
+            residual = float(np.max(np.abs(recon - D))) / max(float(np.max(np.abs(D))), 1.0)
+        assert residual == check.max_residual > 0.0
 
 
 def _polynomial(n, degree, seed):

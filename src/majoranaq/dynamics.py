@@ -4,12 +4,15 @@ The drift defines an ordinary flow dx/dt = A(x).  Because A is tangent to the
 pure-state boundary x^2 = -I, a trajectory started on the boundary should stay
 there up to integrator error; no projection is applied by default so that the
 recorded domain margin directly measures that property.  The flow steps the
-packed components of x as one array and records them as one array per run.
-Each drift evaluation runs the stage kernel compiled once per flow
-(:func:`majoranaq.kernel._compile_rate`).  Margins are taken from the stored
-states in blocks of at most 64 steps, one stacked eigensolve per block; a
-failure inside the loop first evaluates the pending margins, so the earliest
-failing step is reported, with its own cause.
+full antisymmetric matrix x through every stage: each drift evaluation runs
+the stage kernel compiled once per flow
+(:func:`majoranaq.kernel._compile_rate`), one product with the pair matrix
+and one matmul, with no scatter of x and no gather of the rate.  Stored
+states go into a block buffer of at most 64 full matrices; each block is
+written to the run's packed array with one gather and given its margins by
+one stacked eigensolve.  A failure inside the loop first evaluates the
+pending margins, so the earliest failing step is reported, with its own
+cause.
 
 In the quadratic sector the flow transports the covariance of a pure Gaussian
 state at the generator rate 4; :func:`gaussian_covariance_comparison` checks
@@ -30,12 +33,12 @@ from .tensors import (
     PhasePoint,
     QuarticCoupling,
     _margin,
-    _unpack,
+    _pack,
     pair_count,
 )
 
-# stored states per stacked margin eigensolve: a (64, 2M, 2M) stack is
-# 32 KB at M = 4 and 0.5 MB at the M = 16 flow cap
+# stored states per block buffer and stacked margin eigensolve: a
+# (64, 2M, 2M) block is 32 KB at M = 4 and 0.5 MB at the M = 16 flow cap
 _MARGIN_BLOCK = 64
 
 __all__ = [
@@ -88,14 +91,17 @@ def _guarded_margin(xm: np.ndarray, step: int) -> float:
     return value
 
 
-def _settle_margins(M: int, packed: np.ndarray, margins: np.ndarray, start: int, stop: int) -> None:
-    """Fill margins[start:stop] from the stored states with one stacked eigensolve.
+def _settle_block(block: np.ndarray, packed: np.ndarray, margins: np.ndarray,
+                  start: int, stop: int) -> None:
+    """Store the states start..stop-1, held in ``block``, as packed rows and margins.
 
-    If that call fails or gives a non-finite margin, the block is re-run one
-    state at a time through the guard, so the earliest failing step raises,
-    with its own cause.
+    The packed rows are one ``take`` of the block, and the margins one
+    stacked eigensolve.  If that call fails or gives a non-finite margin, the
+    block is re-run one state at a time through the guard, so the earliest
+    failing step raises, with its own cause.
     """
-    xs = _unpack(M, packed[start:stop])
+    xs = block[:stop - start]
+    packed[start:stop] = _pack(block.shape[-1] // 2, xs)
     try:
         values = _margin(xs)
         settled = bool(np.all(np.isfinite(values)))
@@ -118,13 +124,21 @@ def flow(
 
     ``method`` is 'euler' or 'rk4'.  With ``project`` the state is retracted
     onto the boundary after every step (off by default, see module note).
+    The state is the full antisymmetric matrix x through every stage; each
+    stage is one product with the pair matrix and one matmul
+    (:func:`majoranaq.kernel._compile_rate`).  Stored states go into a block
+    buffer of at most 64 full matrices; each full block gives its packed
+    rows to ``Trajectory.packed`` with one gather and its margins with one
+    stacked eigensolve.
+
     A non-finite state or margin, a failed margin eigensolve, or a singular
     projection raises :class:`DivergenceError` at its step; the initial point
-    is step 0.  Margins are evaluated in blocks of at most 64 stored states,
-    one stacked eigensolve per block.  Before a failure inside the loop is
-    raised, the pending margins are evaluated, so the earliest failing step
-    wins, as if each margin were taken right after its step.  States,
-    margins and times are bit-identical to a step-by-step loop through
+    is step 0.  Before a failure inside the loop is raised, the pending
+    margins are evaluated, so the earliest failing step wins, as if each
+    margin were taken right after its step.  Overflow and invalid-value
+    warnings of the stages and margin solves are silenced: every non-finite
+    result they flag becomes that error.  States, margins and times are
+    bit-identical to a step-by-step loop through
     :func:`majoranaq.kernel.drift` and :func:`majoranaq.tensors.domain_margin`.
     """
     if spec.M != x0.M:
@@ -137,33 +151,35 @@ def flow(
     rate = _compile_rate(M, spec.g.pair_matrix, spec.t.packed)
     packed = np.empty((steps + 1, pair_count(M)))
     margins = np.empty(steps + 1)
-    v = packed[0] = x0.packed
+    block = np.empty((min(steps + 1, _MARGIN_BLOCK), 2 * M, 2 * M))
+    X = block[0] = x0.matrix()
     pending = 0  # first step whose margin is not yet evaluated
-    for step in range(1, steps + 1):
-        try:
-            if method == "euler":
-                v = v + dt * rate(v)
-            else:
-                k1 = rate(v)
-                k2 = rate(v + 0.5 * dt * k1)
-                k3 = rate(v + 0.5 * dt * k2)
-                k4 = rate(v + dt * k3)
-                v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(v).all():
-                raise DivergenceError(step)
-            if project:
-                try:
-                    v = polar_project(PhasePoint(M, v)).packed
-                except DivergenceError as exc:
-                    raise DivergenceError(step, exc.reason) from exc
-        except (ArithmeticError, DivergenceError, np.linalg.LinAlgError):
-            _settle_margins(M, packed, margins, pending, step)
-            raise
-        packed[step] = v
-        if step + 1 - pending == _MARGIN_BLOCK:
-            _settle_margins(M, packed, margins, pending, step + 1)
-            pending = step + 1
-    _settle_margins(M, packed, margins, pending, steps + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            try:
+                if method == "euler":
+                    X = X + dt * rate(X)
+                else:
+                    k1 = rate(X)
+                    k2 = rate(X + 0.5 * dt * k1)
+                    k3 = rate(X + 0.5 * dt * k2)
+                    k4 = rate(X + dt * k3)
+                    X = X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                if not np.isfinite(X).all():
+                    raise DivergenceError(step)
+                if project:
+                    try:
+                        X = polar_project(PhasePoint(M, _pack(M, X))).matrix()
+                    except DivergenceError as exc:
+                        raise DivergenceError(step, exc.reason) from exc
+            except (ArithmeticError, DivergenceError, np.linalg.LinAlgError):
+                _settle_block(block, packed, margins, pending, step)
+                raise
+            block[step - pending] = X
+            if step + 1 - pending == _MARGIN_BLOCK:
+                _settle_block(block, packed, margins, pending, step + 1)
+                pending = step + 1
+        _settle_block(block, packed, margins, pending, steps + 1)
     return Trajectory(M, np.arange(steps + 1) * dt, packed, margins)
 
 

@@ -15,8 +15,7 @@ U S / 4 that has no Majorana representation and is reported, not encoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionError
 
@@ -34,9 +33,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HubbardPreset:
-    """Majorana couplings of a Hubbard chain, plus the dropped identity shift."""
+class HubbardPreset(NamedTuple):
+    """Majorana couplings of a Hubbard chain, plus the dropped identity shift.
+
+    A named tuple, so that the ``preset`` command does not import
+    ``dataclasses``; like a frozen value type, its fields cannot be assigned.
+    """
 
     sites: int
     t: CouplingMatrix

@@ -35,6 +35,15 @@ Conventions (hbar = 1 throughout; couplings are rates):
   into a (4M^2, 4M^2) matrix W over the Re/Im table rows, so the channel sum
   is -2 (S + S^T) with S = RE^T W IM and no (24 nq, npairs) array is formed.
 
+* Stage kernel:  the drift matrix [x, c] with c = 4((4M - 3)(g.x) - t) is
+  computed on the full antisymmetric matrix x, by :func:`_compile_rate`:
+  one gather of the packed upper entries v, one product G v for the packed
+  coefficient, two scatters of +-c into an owned buffer, and one matmul
+  P = x c, read as [x, c] = P - P^T.  :func:`drift`, :func:`drift_matrix`
+  and every RK4 stage of :func:`majoranaq.dynamics.flow` run this one
+  kernel, so the flow's states equal a loop through :func:`drift` bit for
+  bit.
+
 * Compound form of the packed rows:  for P = (i<j) and a = (alpha<beta),
   REa = I - C2(x) with the second compound matrix of x (its 2 x 2 minors)
   C2(x)[P, a] = x_{i alpha} x_{j beta} - x_{i beta} x_{j alpha}, and IMa is
@@ -341,38 +350,30 @@ def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _pack(len(xm) // 2, xm @ c - c @ xm)
 
 
-def _drift_coefficient(M: int, G: np.ndarray, t_packed: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The packed drift coefficient c_P = 4((4M-3) 2 (G v)_P - t_P) at the packed point v."""
-    return 4.0 * ((4 * M - 3) * (2.0 * (G @ v)) - t_packed)
-
-
-def _drift_generator(xm: np.ndarray, t_packed: np.ndarray, g: QuarticCoupling) -> np.ndarray:
-    """The full drift matrix [x, c] from the full matrix of x and the packed t."""
-    M = g.M
-    c = _unpack(M, _drift_coefficient(M, g.pair_matrix, t_packed, _pack(M, xm)))
-    P = xm @ c  # c x = (x c)^T for antisymmetric x and c
-    return P - P.T
-
-
 def _compile_rate(M: int, G: np.ndarray, t_packed: np.ndarray):
-    """The packed drift rate v -> pack([x, c]) of one flow, compiled once.
+    """The drift rate X -> [X, c(X)] on full antisymmetric matrices, compiled once.
 
-    The full matrices of x and c are written into two buffers owned by the
-    returned function, through the flat pair indices, so a stage allocates
-    only its packed results.  Same arithmetic as :func:`drift`, bit for bit.
+    The coefficient is c_P = 8(4M-3) (G v)_P - 4 t_P at the packed upper
+    entries v of X, bit for bit 4((4M-3) 2 (G v)_P - t_P), since the factors
+    2, 4 and 8 are powers of two.  c is written into a buffer owned by the
+    returned function with two ``put``s, and the commutator is one matmul,
+    P = X C, with [X, C] = P - P^T (C X = (X C)^T for antisymmetric X and C).
+    Below the diagonal the result is the exact negation of the entries above
+    it and, where P is finite, its diagonal is 0: antisymmetric bit for bit.
+    Both products are ``np.dot``, which has less per-call overhead than ``@``
+    on arrays this small.
     """
     upper, lower = _pair_flat(M)
-    X = np.zeros((2 * M, 2 * M))
+    scale = 8.0 * (4 * M - 3)
+    shift = 4.0 * t_packed
     C = np.zeros((2 * M, 2 * M))
 
-    def rate(v: np.ndarray) -> np.ndarray:
-        c = _drift_coefficient(M, G, t_packed, v)
-        X.put(upper, v)
-        X.put(lower, -v)
+    def rate(X: np.ndarray) -> np.ndarray:
+        c = scale * np.dot(G, X.take(upper)) - shift
         C.put(upper, c)
         C.put(lower, -c)
-        P = X @ C
-        return P.take(upper) - P.take(lower)
+        P = np.dot(X, C)
+        return P - P.T
 
     return rate
 
@@ -404,7 +405,7 @@ def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
 def drift(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """Full drift A = Abar + div D = 4 Im X_{ij}^a [(4M-3)(g.x)_{ij} - t_{ij}]."""
     _check_dims(x, t, g)
-    return _pack(x.M, _drift_generator(x.matrix(), t.packed, g))
+    return _pack(x.M, _compile_rate(x.M, g.pair_matrix, t.packed)(x.matrix()))
 
 
 def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
@@ -420,9 +421,12 @@ def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> n
 
 
 def drift_matrix(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
-    """The drift as a full antisymmetric matrix A_{ab} (A_{ba} = -A_{ab})."""
+    """The drift as a full antisymmetric matrix A_{ab} (A_{ba} = -A_{ab}).
+
+    Evaluated by the same stage kernel as :func:`majoranaq.dynamics.flow`.
+    """
     _check_dims(x, t, g)
-    return _drift_generator(x.matrix(), t.packed, g)
+    return _compile_rate(x.M, g.pair_matrix, t.packed)(x.matrix())
 
 
 def _derivative_arrays(M: int, grad, hess) -> tuple[np.ndarray, np.ndarray]:

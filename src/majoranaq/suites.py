@@ -584,14 +584,19 @@ def run_flow_margin(
     integrator order.  The random ensemble uses order-1/4 coupling rates: the
     margin bound is a statement about the integrator error of order-one
     dynamics over unit time, not about arbitrarily stiff models.
+
+    ``info["worst"]`` records the run with the largest |margin| as its index,
+    seed, M and packed starting point, plus the ``step`` of that margin and
+    the run's ``dt`` and ``steps``.  With the model (the given ``spec``, or
+    the random ensemble drawn from ``default_rng(seed + M)``) it re-runs that
+    flow.
     """
     tol = TOLERANCES["flow-boundary-margin"] if tol is None else tol
     clock = _CheckClock()
-    worst = 0.0
-    count = 0
+    results = []
     ms = (spec.M,) if spec is not None else Ms
     with clock("flow-boundary-margin"):
-        for M in ms:
+        for i, M in enumerate(ms):
             rng = np.random.default_rng(seed + M)
             x0 = random_boundary_point(M, seed + M)
             if spec is not None:
@@ -602,11 +607,13 @@ def run_flow_margin(
                     _random_coupling_matrix(M, rng, scale=0.25),
                     _random_quartic(M, rng, max_quadruples=4, scale=0.25),
                 )
-            traj = flow(x0, model, dt, steps, method="rk4")
-            worst = max(worst, float(np.max(np.abs(traj.margins))))
-            count += 1
-    return CheckResult("flow-boundary-margin", count, worst, tol, worst <= tol,
-                       clock.seconds["flow-boundary-margin"])
+            margins = np.abs(flow(x0, model, dt, steps, method="rk4").margins)
+            step = int(np.argmax(margins))
+            record = {**_instance(i, seed, x0), "step": step, "dt": dt, "steps": steps}
+            results.append((float(margins[step]), record))
+    worst, worst_at = _worst(results)
+    return CheckResult("flow-boundary-margin", len(results), worst, tol, worst <= tol,
+                       clock.seconds["flow-boundary-margin"], info={"worst": worst_at})
 
 
 def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:

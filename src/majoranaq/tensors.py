@@ -106,7 +106,9 @@ def _pair_flat(M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pack(M: int, mat: np.ndarray) -> np.ndarray:
-    return np.asarray(mat, dtype=float).take(_pair_flat(M)[0])
+    """The packed upper entries of ``mat``, or one row per matrix of a stack (..., 2M, 2M)."""
+    mat = np.asarray(mat, dtype=float)
+    return mat.reshape(mat.shape[:-2] + (4 * M * M,)).take(_pair_flat(M)[0], axis=-1)
 
 
 def _unpack(M: int, packed: np.ndarray) -> np.ndarray:

@@ -248,7 +248,7 @@ class TestFlowCommand:
             rows = list(csv.reader(fh))
         assert float(rows[1][1]) == pytest.approx(0.5)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "M": 3, "g_entries": [[1, 2, 3, 4, 1e3], [3, 4, 5, 6, 1e3]], "seed": 1,
@@ -258,7 +258,7 @@ class TestFlowCommand:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_x0_file_exit_3(self, tmp_path, capsys):
         # a finite initial point whose margin overflows the eigensolver is a
         # numerical error at step 0, not an uncaught LinAlgError
@@ -551,12 +551,14 @@ class TestInputValidation:
         assert not out_csv.exists()
 
 
-def _modules_after(snippet: str, cwd) -> list:
-    """The majoranaq and numpy modules a fresh interpreter holds after ``snippet``."""
+def _modules_after(snippet: str, cwd, also: tuple = ()) -> list:
+    """The majoranaq and numpy modules (and those named in ``also``) a fresh
+    interpreter holds after ``snippet``."""
+    names = ("numpy", *also)
     code = (
         "import json, sys\n"
         f"{snippet}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy'\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m in {names!r}\n"
         "                        or m.split('.')[0] == 'majoranaq')))\n"
     )
     src = str(Path(majoranaq.__file__).resolve().parents[1])
@@ -591,6 +593,15 @@ class TestImportLayering:
                                          "--onsite", "4", "--out", "hub.json"), tmp_path)
         assert "numpy" not in loaded and "majoranaq.tensors" not in loaded
         assert (tmp_path / "hub.json").exists()
+
+    def test_preset_loads_no_dataclasses(self, tmp_path):
+        # the preset's value type is a named tuple: dataclasses and the
+        # inspect module it pulls in stay off the preset's path
+        loaded = _modules_after(_cli_run("preset", "hubbard", "--sites", "2", "--hop", "1",
+                                         "--onsite", "4", "--out", "hub.json"), tmp_path,
+                                also=("dataclasses", "inspect"))
+        assert "majoranaq.hubbard" in loaded
+        assert "dataclasses" not in loaded and "inspect" not in loaded
 
     def test_flow_loads_no_oracle(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,7 @@ class TestFlow:
             m = PhasePoint(3, state).matrix()
             np.testing.assert_array_equal(m, -m.T)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_detected(self):
         spec = random_spec(3, 7, t_scale=0.0,
                            g_entries=[(1, 2, 3, 4, 1e3), (3, 4, 5, 6, 1e3)])
@@ -86,7 +87,7 @@ class TestFlow:
             flow(x0, spec, dt=1e3, steps=50)
         assert err.value.step >= 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x0", [
         PhasePoint(1, [1e160]),
         PhasePoint(3, 1e160 * random_boundary_point(3, 7).packed),
@@ -98,7 +99,7 @@ class TestFlow:
             flow(x0, spec, dt=1e-3, steps=5)
         assert err.value.step == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_margin_failure_on_finite_state(self):
         # the state after step 1 is finite, but its margin overflows the
         # eigensolver; a flow that checked margins late would report step 2
@@ -170,24 +171,46 @@ class TestFlow:
     @staticmethod
     def _first_failures(x0, spec, dt, steps):
         # public-API reference for an Euler run: the first step whose margin
-        # eigensolve raises, and the first step whose state is not finite
+        # eigensolve raises, and the first step whose state is not finite;
+        # the public functions warn on overflow, the flow does not
         M = x0.M
         v = np.asarray(x0.packed)
         margin_step = state_step = None
-        for step in range(steps + 1):
-            if step:
-                v = v + dt * drift(PhasePoint(M, v), spec.t, spec.g)
-                if not np.all(np.isfinite(v)):
-                    state_step = step
-                    break
-            if margin_step is None:
-                try:
-                    domain_margin(PhasePoint(M, v))
-                except np.linalg.LinAlgError:
-                    margin_step = step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(steps + 1):
+                if step:
+                    v = v + dt * drift(PhasePoint(M, v), spec.t, spec.g)
+                    if not np.all(np.isfinite(v)):
+                        state_step = step
+                        break
+                if margin_step is None:
+                    try:
+                        domain_margin(PhasePoint(M, v))
+                    except np.linalg.LinAlgError:
+                        margin_step = step
         return margin_step, state_step
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_euler_divergence_raises_no_warning(self):
+        # demo 04's coarse Euler run: its margin eigensolve overflows at a
+        # finite state.  Under warnings-as-errors the flow raises the same
+        # DivergenceError, at the same step and with the same cause, as the
+        # public-API reference, and no numpy warning escapes first
+        rng = np.random.default_rng(42)
+        a = rng.normal(size=(6, 6)) * 0.3
+        spec = HamiltonianSpec(3, CouplingMatrix.from_matrix(a - a.T), QuarticCoupling.from_entries(
+            3, [(1, 2, 3, 4, 0.3), (2, 3, 5, 6, -0.25)]))
+        x0 = random_boundary_point(3, seed=9)
+        margin_step, _ = self._first_failures(x0, spec, 1e-2, 100)
+        assert margin_step is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                flow(x0, spec, dt=1e-2, steps=100, method="euler")
+        assert err.value.step == margin_step
+        assert err.value.reason == "margin eigensolve"
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_margin_failure_past_first_block(self):
         # Euler steps of a quadratic model with a huge dt grow a tiny start
         # geometrically: the margin of a finite state overflows the
@@ -205,7 +228,7 @@ class TestFlow:
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
         assert "margin eigensolve" in str(err.value)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_earlier_margin_failure_wins_in_same_block(self):
         # the margin fails first, the state goes non-finite later in the same
         # block: the pending margins are evaluated before the state's failure

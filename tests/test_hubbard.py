@@ -40,6 +40,13 @@ class TestPresetStructure:
         with pytest.raises(ValueError):
             preset_hubbard(2, 1.0, 1.0, geometry="ring")
 
+    @pytest.mark.parametrize("field", ["sites", "t", "g", "identity_shift", "M"])
+    def test_preset_is_frozen(self, field):
+        preset = preset_hubbard(2, 1.0, 4.0)
+        with pytest.raises(AttributeError):
+            setattr(preset, field, 0)
+        assert preset.sites == 2 and preset.M == 4
+
 
 class TestFidelity:
     @pytest.mark.parametrize(

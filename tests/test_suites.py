@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majoranaq import PhasePoint, fock, kernel, suites
+from majoranaq import HamiltonianSpec, PhasePoint, flow, fock, kernel, suites
 from majoranaq.tensors import _pair_rows_cols, random_boundary_point, random_interior_point
 
 
@@ -72,10 +72,18 @@ def test_corrupt_decomposition_fails_the_balance(monkeypatch, corrupt):
 
 def test_balance_tolerance_gates_the_channel_check(monkeypatch):
     _, channels = suites.run_traceless_and_channels(4, seed=4, cases=4)
-    balance = channels.info["balance"]
-    assert channels.passed and 0.0 < balance
-    monkeypatch.setitem(suites.TOLERANCES, "channel-balance", balance / 2)
+    assert channels.passed
+    # a planted imbalance: the backward trace alone is scaled by 1 + 1e-6,
+    # far above the balance tolerance, while D and the channel sum are untouched
+    traces_of = kernel.ChannelDecomposition.traces
+
+    def unbalanced(self):
+        forward, backward = traces_of(self)
+        return forward, backward * (1 + 1e-6)
+
+    monkeypatch.setattr(kernel.ChannelDecomposition, "traces", unbalanced)
     _, channels = suites.run_traceless_and_channels(4, seed=4, cases=4)
+    assert channels.info["balance"] > suites.TOLERANCES["channel-balance"]
     # reconstruction and boundary still pass; only the balance is out of tolerance
     assert channels.max_residual <= channels.tolerance
     assert _boundary(channels) <= suites.TOLERANCES["channel-boundary"]
@@ -261,6 +269,29 @@ def test_worst_kernel_sweep_instance_reproduces_its_residual(fixed):
             recon = kernel.diffusion_channels(x, gi).reconstruct()
             residual = float(np.max(np.abs(recon - D))) / max(float(np.max(np.abs(D))), 1.0)
         assert residual == check.max_residual > 0.0
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["random-model", "given-model"])
+def test_worst_flow_margin_instance_reproduces_its_residual(given):
+    seed, dt, steps = 918273, 1e-2, 60
+    spec = None
+    if given:
+        rng = np.random.default_rng(3)
+        spec = HamiltonianSpec(3, suites._random_coupling_matrix(3, rng),
+                               suites._random_quartic(3, rng, max_quadruples=2))
+    check = suites.run_flow_margin(Ms=(2, 3), seed=seed, dt=dt, steps=steps, spec=spec)
+    worst, x0 = _recorded_point(check)
+    assert (worst["seed"], worst["dt"], worst["steps"]) == (seed, dt, steps)
+    assert 0 <= worst["index"] < check.instances
+    M = worst["M"]
+    if spec is None:
+        rng = np.random.default_rng(seed + M)
+        spec = HamiltonianSpec(
+            M, suites._random_coupling_matrix(M, rng, scale=0.25),
+            suites._random_quartic(M, rng, max_quadruples=4, scale=0.25))
+    margins = np.abs(flow(x0, spec, worst["dt"], worst["steps"]).margins)
+    assert int(np.argmax(margins)) == worst["step"] > 0
+    assert margins[worst["step"]] == check.max_residual > 0.0
 
 
 def _polynomial(n, degree, seed):

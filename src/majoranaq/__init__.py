@@ -27,6 +27,7 @@ _EXPORTS = {
         "pair_count",
         "antisymmetrize_quartic",
         "domain_margin",
+        "random_points",
         "random_boundary_point",
         "random_interior_point",
         "standard_complex_structure",

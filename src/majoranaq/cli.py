@@ -38,6 +38,10 @@ SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 _KERNEL_SUITE_MAX_M = 4
 _FLOW_MAX_M = 16
 
+# trajectory rows formatted per write of the flow CSV: its Python floats
+# are held for one block at a time, not for the whole run
+_CSV_BLOCK = 256
+
 # argparse destinations of the options that name a file
 _PATH_OPTIONS = ("config", "x0_file", "out")
 
@@ -187,10 +191,12 @@ def cmd_flow(args) -> int:
     pairs = pair_enumerate(cfg.M)
     header = ["time"] + [f"x_{p.alpha}_{p.beta}" for p in pairs] + ["margin"]
     row_format = ",".join(["%.10g"] + ["%.16e"] * (len(pairs) + 1)) + "\n"
-    rows = np.column_stack((traj.times, traj.packed, traj.margins)).tolist()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row_format % tuple(row) for row in rows)
+        for lo in range(0, len(traj.times), _CSV_BLOCK):
+            hi = lo + _CSV_BLOCK
+            block = np.column_stack((traj.times[lo:hi], traj.packed[lo:hi], traj.margins[lo:hi]))
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
     worst = int(np.argmax(np.abs(traj.margins)))
     evaluations = args.steps * (4 if args.method == "rk4" else 1)
     print(f"trajectory written to {args.out} ({args.steps} steps, dt={args.dt})")

@@ -6,8 +6,9 @@ there up to integrator error; no projection is applied by default so that the
 recorded domain margin directly measures that property.  The flow steps the
 full antisymmetric matrix x through every stage: each drift evaluation runs
 the stage kernel compiled once per flow
-(:func:`majoranaq.kernel._compile_rate`), one product with the pair matrix
-and one matmul, with no scatter of x and no gather of the rate.  Stored
+(:func:`majoranaq.kernel._compile_rate`), one product with the coupling's
+compact drift map over only the pairs its quadruples touch, and one matmul,
+with no scatter of x and no gather of the rate.  Stored
 states go into a block buffer of at most 64 full matrices; each block is
 written to the run's packed array with one gather and given its margins by
 one stacked eigensolve.  A failure inside the loop first evaluates the
@@ -125,11 +126,12 @@ def flow(
     ``method`` is 'euler' or 'rk4'.  With ``project`` the state is retracted
     onto the boundary after every step (off by default, see module note).
     The state is the full antisymmetric matrix x through every stage; each
-    stage is one product with the pair matrix and one matmul
-    (:func:`majoranaq.kernel._compile_rate`).  Stored states go into a block
-    buffer of at most 64 full matrices; each full block gives its packed
-    rows to ``Trajectory.packed`` with one gather and its margins with one
-    stacked eigensolve.
+    stage is one product with the coupling's compact drift map
+    (:attr:`majoranaq.tensors.QuarticCoupling.rate_map`, built once per
+    coupling) and one matmul (:func:`majoranaq.kernel._compile_rate`).
+    Stored states go into a block buffer of at most 64 full matrices; each
+    full block gives its packed rows to ``Trajectory.packed`` with one
+    gather and its margins with one stacked eigensolve.
 
     A non-finite state or margin, a failed margin eigensolve, or a singular
     projection raises :class:`DivergenceError` at its step; the initial point
@@ -148,7 +150,7 @@ def flow(
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     M = x0.M
-    rate = _compile_rate(M, spec.g.pair_matrix, spec.t.packed)
+    rate = _compile_rate(spec.g, spec.t)
     packed = np.empty((steps + 1, pair_count(M)))
     margins = np.empty(steps + 1)
     block = np.empty((min(steps + 1, _MARGIN_BLOCK), 2 * M, 2 * M))

@@ -122,7 +122,9 @@ class MajoranaSet:
             p, r = pairs[:, 0], rests[:, 0]
             flips[level_rows] = pair_flip[p] ^ flips[r]
             phases[level_rows] = pair_phase[p[:, None], flips[r, None] ^ k] * phases[r]
-        order = np.argsort(flips, kind="stable").reshape(len(np.unique(flips)), -1)
+        # distinct flips counted on the sorted array: np.unique would import numpy.ma
+        order = np.argsort(flips, kind="stable")
+        order = order.reshape(np.count_nonzero(np.diff(flips[order])) + 1, -1)
         out = flips[order[:, 0]], order, phases[order]
         for arr in out:
             arr.flags.writeable = False

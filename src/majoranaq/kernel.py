@@ -27,7 +27,8 @@ Conventions (hbar = 1 throughout; couplings are rates):
 * Compiled coupling:  every contraction with g runs through the pair-space
   matrix G[P, Q] = g_{PQ} (P = (i<j), Q = (k<l) packed), compiled once per
   coupling as :attr:`QuarticCoupling.pair_matrix`, a dense npairs x npairs
-  array with npairs = M(2M - 1) (2 MB at M = 16).  Antisymmetry folds each
+  array with npairs = M(2M - 1) (2 MB at M = 16); the drift reads only its
+  compact part (see the stage kernel below).  Antisymmetry folds each
   sum over ordered (i, j) onto packed pairs, so (g.x) = 2 G x and
   E = REa^T G IMa with REa[P] = Re X_{ij} - Re X_{ji} (likewise IMa).  Only
   the channel decomposition expands the 24 signed orderings of each stored
@@ -36,13 +37,24 @@ Conventions (hbar = 1 throughout; couplings are rates):
   is -2 (S + S^T) with S = RE^T W IM and no (24 nq, npairs) array is formed.
 
 * Stage kernel:  the drift matrix [x, c] with c = 4((4M - 3)(g.x) - t) is
-  computed on the full antisymmetric matrix x, by :func:`_compile_rate`:
-  one gather of the packed upper entries v, one product G v for the packed
-  coefficient, two scatters of +-c into an owned buffer, and one matmul
-  P = x c, read as [x, c] = P - P^T.  :func:`drift`, :func:`drift_matrix`
-  and every RK4 stage of :func:`majoranaq.dynamics.flow` run this one
-  kernel, so the flow's states equal a loop through :func:`drift` bit for
-  bit.
+  computed on the full antisymmetric matrix x, by :func:`_compile_rate`.
+  The coupling compiles once a compact map
+  (:attr:`QuarticCoupling.rate_map`): K = 8(4M - 3) G restricted to the w
+  pairs its quadruples touch, over its negation for the mirrored entries.
+  A stage is one gather of those w entries of x, one product with K, one
+  addition of the -4 t entries there, one scatter into a buffer that holds
+  -4 t everywhere else, and one matmul P = x c, read as [x, c] = P - P^T.
+  The buffer c is antisymmetric to rounding only (the two halves of K v
+  may round apart); the rate P - P^T is antisymmetric bit for bit.
+  :func:`drift`, :func:`drift_matrix` and every RK4 stage of
+  :func:`majoranaq.dynamics.flow` run this one kernel, so the flow's states
+  equal a loop through :func:`drift` bit for bit.
+
+* Stacks:  :func:`diffusion` and :func:`diffusion_channels` take a
+  :class:`PhasePoint` holding a stack of B points, and every result then
+  carries a leading axis of B; each point's results equal those of the
+  point alone bit for bit.  A single point runs the same code with no
+  leading axis.
 
 * Compound form of the packed rows:  for P = (i<j) and a = (alpha<beta),
   REa = I - C2(x) with the second compound matrix of x (its 2 x 2 minors)
@@ -77,7 +89,6 @@ from .tensors import (
     QuarticCoupling,
     _check_index,
     _pack,
-    _pair_flat,
     _pair_rows_cols,
     _unpack,
     domain_margin,
@@ -141,17 +152,21 @@ def im_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
 
 
 def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RE[i, j, p] and IM[i, j, p] over all index pairs and packed pairs p."""
+    """RE[..., i, j, p] and IM[..., i, j, p] over all index pairs and packed pairs p.
+
+    ``xm`` is one full matrix or a stack (..., 2M, 2M).
+    """
     al, be = _pair_rows_cols(M)
     p = np.arange(len(al))
-    # x_{i alpha} -> (n, npairs); x_{beta j} -> (npairs, n)
-    xia = xm[:, al]
-    xbj = xm[be, :]
-    RE = xia[:, None, :] * xbj.T[None, :, :]
-    RE[al, be, p] += 1.0  # d_{i alpha} d_{beta j}: i = alpha, j = beta
+    # x_{i alpha} -> (..., n, npairs); x_{beta j} -> (..., npairs, n)
+    xia = xm[..., :, al]
+    xbj = xm[..., be, :]
+    RE = xia[..., :, None, :] * xbj.swapaxes(-1, -2)[..., None, :, :]
+    RE[..., al, be, p] += 1.0  # d_{i alpha} d_{beta j}: i = alpha, j = beta
     IM = np.zeros_like(RE)
-    IM[:, be, p] = -xia  # -x_{i alpha} d_{beta j}: j = beta
-    IM[al, :, p] += xbj  # d_{i alpha} x_{beta j}: i = alpha
+    IM[..., :, be, p] = -xia  # -x_{i alpha} d_{beta j}: j = beta
+    # the split advanced indices put the pair axis first: (npairs, ..., n)
+    IM[..., al, :, p] += np.moveaxis(xbj, -2, 0)  # d_{i alpha} x_{beta j}: i = alpha
     return RE, IM
 
 
@@ -164,7 +179,10 @@ def contract_quartic(g: QuarticCoupling, xm: np.ndarray) -> np.ndarray:
     return _unpack(g.M, 2.0 * (g.pair_matrix @ _pack(g.M, xm)))
 
 
-def _check_dims(x: PhasePoint, *couplings) -> None:
+def _check_dims(x: PhasePoint, *couplings, stack: bool = False) -> None:
+    """Every coupling matches x's M; x is a single point unless ``stack``."""
+    if not stack and x.packed.ndim != 1:
+        raise DimensionError("this function takes a single phase point, not a stack")
     for c in couplings:
         if c.M != x.M:
             raise DimensionError(f"coupling M={c.M} does not match phase point M={x.M}")
@@ -198,13 +216,18 @@ def _compound_index(M: int) -> tuple[np.ndarray, ...]:
 
 
 def _compound_rows(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """REa = I - C2(x) and IMa, the packed adjoint map of x, as (npairs, npairs) arrays."""
+    """REa = I - C2(x) and IMa, the packed adjoint map of x, as (..., npairs, npairs) arrays.
+
+    ``xm`` is one full matrix or a stack (..., 2M, 2M).
+    """
     ia, jb, ib, ja, slots, src = _compound_index(M)
-    flat = xm.ravel()
-    REa = flat.take(ib) * flat.take(ja) - flat.take(ia) * flat.take(jb)
-    REa.ravel()[:: len(REa) + 1] += 1.0
+    lead = xm.shape[:-2]
+    flat = xm.reshape(lead + (-1,))
+    REa = (flat.take(ib, axis=-1) * flat.take(ja, axis=-1)
+           - flat.take(ia, axis=-1) * flat.take(jb, axis=-1))
+    REa.reshape(lead + (-1,))[..., :: REa.shape[-1] + 1] += 1.0
     IMa = np.zeros(REa.shape)
-    IMa.ravel()[slots] = flat.take(src)
+    IMa.reshape(lead + (-1,))[..., slots] = flat.take(src, axis=-1)
     return REa, IMa
 
 
@@ -216,11 +239,15 @@ def diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     E = REa^T (G IMa), where REa = I - C2(x) takes the 2 x 2 minors of x and
     IMa is the packed adjoint map of x, both gathered straight from x (see
     the module notes); the Re/Im tables are not built.
+
+    A stack of B points gives a (B, npairs, npairs) stack of matrices, each
+    equal to the diffusion of its point alone bit for bit; a single point
+    gives one matrix.
     """
-    _check_dims(x, g)
+    _check_dims(x, g, stack=True)
     REa, IMa = _compound_rows(x.M, x.matrix())
-    E = REa.T @ (g.pair_matrix @ IMa)
-    return -8.0 * (E + E.T)
+    E = REa.swapaxes(-1, -2) @ (g.pair_matrix @ IMa)
+    return -8.0 * (E + E.swapaxes(-1, -2))
 
 
 def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
@@ -263,6 +290,10 @@ class ChannelDecomposition:
     So the channel sum and the channel traces are products of the two
     tables with (4M^2)-sized weight and Gram matrices; the (24 nq, npairs)
     vectors are gathered only when :attr:`b_minus` or :attr:`b_plus` is read.
+
+    The tables of a stack of B points carry a leading axis, (B, 4M^2,
+    npairs), and so does every result; each point's results equal those of
+    its own decomposition bit for bit.
     """
 
     M: int
@@ -281,13 +312,13 @@ class ChannelDecomposition:
     def b_minus(self) -> np.ndarray:
         """The vectors u - v, one row per channel, gathered on access."""
         r, s = self._rows()
-        return self.re_rows.take(r, axis=0) - self.im_rows.take(s, axis=0)
+        return self.re_rows.take(r, axis=-2) - self.im_rows.take(s, axis=-2)
 
     @property
     def b_plus(self) -> np.ndarray:
         """The vectors u + v, one row per channel, gathered on access."""
         r, s = self._rows()
-        return self.re_rows.take(r, axis=0) + self.im_rows.take(s, axis=0)
+        return self.re_rows.take(r, axis=-2) + self.im_rows.take(s, axis=-2)
 
     @cached_property
     def _weight_matrix(self) -> np.ndarray:
@@ -298,35 +329,40 @@ class ChannelDecomposition:
         channel's weight.
         """
         r, s = self._rows()
-        rows = len(self.re_rows)
+        rows = self.re_rows.shape[-2]
         W = np.bincount(r * rows + s, weights=self.weights, minlength=rows * rows)
         return W.reshape(rows, rows)
 
     def reconstruct(self) -> np.ndarray:
         """Sum of all rank-1 channels, -2 (S + S^T) with S = RE^T W IM."""
-        S = (self.re_rows.T @ self._weight_matrix) @ self.im_rows
-        return -2.0 * (S + S.T)
+        S = (self.re_rows.swapaxes(-1, -2) @ self._weight_matrix) @ self.im_rows
+        return -2.0 * (S + S.swapaxes(-1, -2))
 
-    def traces(self) -> tuple[float, float]:
+    def traces(self) -> tuple:
         """Forward and backward traces sum_t |w_t| |f_t|^2 and sum_t |w_t| |k_t|^2.
 
         The forward vector f_t is b_minus where w_t > 0 and b_plus otherwise,
         and k_t is the other one, so that the forward minus the backward
-        channel sum is D.  Each |b_minus/plus|^2 = |u|^2 + |v|^2 -+ 2 u.v is
-        read off the row norms and one cross Gram of the tables, at the
-        entry (r, s) of W that holds the channel's weight.
+        channel sum is D.  With |b_minus/plus|^2 = |u|^2 + |v|^2 -+ 2 u.v the
+        traces are a -+ c: a = sum_t |w_t| (|u_t|^2 + |v_t|^2), from the
+        table row norms and the row and column sums of |W|, and
+        c = 2 sum_t w_t u_t.v_t, from W times one cross Gram of the tables.
+        Two floats for a single point; two arrays of B traces for a stack.
+        Every sum runs over one point's own axes, so a point's traces do not
+        depend on the stack it is in.
         """
         W = self._weight_matrix
-        norms = np.add.outer(np.einsum("rp,rp->r", self.re_rows, self.re_rows),
-                             np.einsum("sp,sp->s", self.im_rows, self.im_rows))
-        # 2 u.v, signed so that |f_t|^2 = norms - cross and |k_t|^2 = norms + cross
-        cross = (self.re_rows @ self.im_rows.T) * np.copysign(2.0, W)
-        size = np.abs(W).ravel()
-        return float(size @ (norms - cross).ravel()), float(size @ (norms + cross).ravel())
+        size = np.abs(W)
+        a = (((self.re_rows * self.re_rows).sum(axis=-1) * size.sum(axis=1)).sum(axis=-1)
+             + ((self.im_rows * self.im_rows).sum(axis=-1) * size.sum(axis=0)).sum(axis=-1))
+        cross = self.re_rows @ self.im_rows.swapaxes(-1, -2)
+        cross *= W
+        c = 2.0 * cross.sum(axis=(-2, -1))
+        return a - c, a + c
 
 
 def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecomposition:
-    """Forward/backward channels B(+-)^a = Re X_{ij}^a +- Im X_{kl}^a.
+    """Forward/backward channels B(+-)^a = Re X_{ij}^a +- Im X_{kl}^a, for one point or a stack.
 
     One channel per ordered tuple (24 per stored quadruple), each reading one
     row of the Re/Im tables by the ordered tuples cached on the coupling: the
@@ -334,15 +370,16 @@ def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecompositio
     ordering carries a distinct rank-1 geometry.  :func:`diffusion` never
     builds the tables, so the channel sum rebuilds D by an independent
     route: an error in either one fails the reconstruction (see
-    :func:`majoranaq.suites.run_traceless_and_channels`).
+    :func:`majoranaq.suites.run_traceless_and_channels`).  A stack of B
+    points gives tables with a leading axis of B (see
+    :class:`ChannelDecomposition`).
     """
-    _check_dims(x, g)
+    _check_dims(x, g, stack=True)
     M = x.M
-    n = 2 * M
     RE, IM = _re_im_tables(M, x.matrix())
+    rows = RE.shape[:-3] + (4 * M * M, -1)
     tuples, weights = g.ordered_tuples
-    return ChannelDecomposition(M, tuples + 1, 4.0 * weights,
-                                RE.reshape(n * n, -1), IM.reshape(n * n, -1))
+    return ChannelDecomposition(M, tuples + 1, 4.0 * weights, RE.reshape(rows), IM.reshape(rows))
 
 
 def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -350,28 +387,31 @@ def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _pack(len(xm) // 2, xm @ c - c @ xm)
 
 
-def _compile_rate(M: int, G: np.ndarray, t_packed: np.ndarray):
-    """The drift rate X -> [X, c(X)] on full antisymmetric matrices, compiled once.
+def _compile_rate(g: QuarticCoupling, t: CouplingMatrix):
+    """The drift rate X -> [X, C(X)] on full antisymmetric matrices, compiled once.
 
     The coefficient is c_P = 8(4M-3) (G v)_P - 4 t_P at the packed upper
-    entries v of X, bit for bit 4((4M-3) 2 (G v)_P - t_P), since the factors
-    2, 4 and 8 are powers of two.  c is written into a buffer owned by the
-    returned function with two ``put``s, and the commutator is one matmul,
-    P = X C, with [X, C] = P - P^T (C X = (X C)^T for antisymmetric X and C).
-    Below the diagonal the result is the exact negation of the entries above
-    it and, where P is finite, its diagonal is 0: antisymmetric bit for bit.
-    Both products are ``np.dot``, which has less per-call overhead than ``@``
-    on arrays this small.
+    entries v of X.  C starts as the full matrix of -4 t; a stage rewrites
+    only the entries the coupling reaches, with one product by the compact
+    map K of :attr:`QuarticCoupling.rate_map` (the factor 8(4M-3) folded
+    into K) plus those entries of -4 t, and one ``put``.  Both couplings
+    keep their compiled parts (``rate_map`` and the full t), so building
+    the rate costs two calls.  The commutator is one matmul, P = X C, with
+    [X, C] = P - P^T (C X = (X C)^T for antisymmetric X and C).
+
+    The lower rows of K are the exact negations of its upper rows, but
+    their products may round apart, so C is antisymmetric to rounding
+    only; the rate P - P^T is antisymmetric bit for bit: below the diagonal
+    it is the exact negation of the entries above it and, where P is
+    finite, its diagonal is 0.  Both products are ``np.dot``, which has
+    less per-call overhead than ``@`` on arrays this small.
     """
-    upper, lower = _pair_flat(M)
-    scale = 8.0 * (4 * M - 3)
-    shift = 4.0 * t_packed
-    C = np.zeros((2 * M, 2 * M))
+    read, write, K = g.rate_map
+    C = -4.0 * t._full
+    base = C.take(write)
 
     def rate(X: np.ndarray) -> np.ndarray:
-        c = scale * np.dot(G, X.take(upper)) - shift
-        C.put(upper, c)
-        C.put(lower, -c)
+        C.put(write, np.dot(K, X.take(read)) + base)
         P = np.dot(X, C)
         return P - P.T
 
@@ -405,7 +445,7 @@ def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
 def drift(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """Full drift A = Abar + div D = 4 Im X_{ij}^a [(4M-3)(g.x)_{ij} - t_{ij}]."""
     _check_dims(x, t, g)
-    return _pack(x.M, _compile_rate(x.M, g.pair_matrix, t.packed)(x.matrix()))
+    return _pack(x.M, _compile_rate(g, t)(x.matrix()))
 
 
 def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
@@ -426,7 +466,7 @@ def drift_matrix(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.nda
     Evaluated by the same stage kernel as :func:`majoranaq.dynamics.flow`.
     """
     _check_dims(x, t, g)
-    return _compile_rate(x.M, g.pair_matrix, t.packed)(x.matrix())
+    return _compile_rate(g, t)(x.matrix())
 
 
 def _derivative_arrays(M: int, grad, hess) -> tuple[np.ndarray, np.ndarray]:

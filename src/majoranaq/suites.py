@@ -33,6 +33,7 @@ from .tensors import (
     pair_count,
     random_boundary_point,
     random_interior_point,
+    random_points,
 )
 
 __all__ = [
@@ -162,15 +163,45 @@ def _random_quartic(M: int, rng: np.random.Generator, max_quadruples: int = 10,
 # Scale of the interior points the Fock-space oracle sweeps sample.
 _ORACLE_SCALE = 0.35
 
+# instances per stacked kernel call of the traceless/channel sweep with a
+# given coupling: each holds its tables and a (4M^2, 4M^2) cross Gram, about
+# 70 KB at M = 4, so the blocks stay small beside the per-instance overhead
+# they remove
+_SWEEP_BLOCK = 4
+
 
 def _instance(index: int, seed: int, x: PhasePoint) -> dict:
-    """Report record of one sweep instance: enough to re-run it."""
-    return {"index": index, "seed": seed, "M": x.M, "x": [float(v) for v in x.packed]}
+    """Report record of one sweep instance: enough to re-run it.
+
+    ``x`` is the instance's point, or the sweep's stack of points, of which
+    row ``index`` is the instance's.
+    """
+    packed = x.packed if x.packed.ndim == 1 else x.packed[index]
+    return {"index": index, "seed": seed, "M": x.M, "x": packed.tolist()}
 
 
 def _worst(results: list) -> tuple:
     """The (residual, instance record) pair with the largest residual."""
     return max(results, key=lambda r: r[0], default=(0.0, None))
+
+
+def _median(values: list) -> float:
+    """The median, bit for bit as np.median gives it, which would import numpy.ma.
+
+    The middle value of the sorted values, or the mean (a + b) / 2 of the
+    two middle values.
+    """
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
+def _worst_instance(residuals: np.ndarray, seed: int, points: PhasePoint) -> tuple:
+    """:func:`_worst` of per-instance ``residuals``; instance i is row i of ``points``."""
+    worst, at = _worst(list(zip(residuals.tolist(), range(len(residuals)))))
+    return worst, None if at is None else _instance(at, seed, points)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +330,7 @@ def run_fpe_sweep(
     worst, worst_at = _worst(results)
     informational = drift_form != "eq36"
     info = {"drift_form": drift_form,
-            "median_residual": float(np.median([r for r, _ in results])),
+            "median_residual": _median([r for r, _ in results]),
             "worst": worst_at}
     return CheckResult(label, len(results), worst, tol,
                        (worst <= tol) or informational, clock.seconds[label],
@@ -351,8 +382,16 @@ def run_traceless_and_channels(
     two independent routes: D from the compound form of x, the channels
     from the Re/Im tables.  The traceless check passes only if both the
     worst diagonal entry and the worst eigenvalue sum are within their
-    tolerances; the eigenvalues of all instances come from one stacked
-    eigensolve after the loop, each equal to its own solve bit for bit.
+    tolerances; the eigenvalues of each kernel stack come from one stacked
+    eigensolve, each equal to its own solve bit for bit, and no D is kept
+    past its stack.
+
+    The points are drawn as one stack by
+    :func:`majoranaq.tensors.random_points`.  Instances that share a
+    coupling go through the kernel as stacks: up to ``_SWEEP_BLOCK`` of them
+    with a given ``g``, and one at a time with random couplings.  Every
+    residual and worst-instance record equals that of the point alone bit
+    for bit.
 
     The channel check needs three things.  The channel reconstruction must
     match D.  The power balance |tr F - tr Bk| / max(tr F, 1) -- the
@@ -395,46 +434,50 @@ def run_traceless_and_channels(
     tol_bal = TOLERANCES["channel-balance"]
     clock = _CheckClock()
     npairs = pair_count(M)
-    stack = np.empty((cases, npairs, npairs))
+    on_boundary = np.arange(cases) % 2 == 1
+    points = random_points(M, range(seed + 10000, seed + 10000 + cases), on_boundary, scale=0.5)
+    if g is not None:
+        blocks = [(lo, min(lo + _SWEEP_BLOCK, cases), g) for lo in range(0, cases, _SWEEP_BLOCK)]
+    else:
+        blocks = [(i, i + 1, _random_quartic(M, np.random.default_rng(seed + i)))
+                  for i in range(cases)]
+    eigs = np.empty((cases, npairs))
     # unit denominator floor: couplings are order-one rates, and at M=2 the
     # only quartic channel gives an identically zero D
     scale = np.empty(cases)
-    diags, recs = [], []
+    diags = np.empty(cases)
+    recs = np.empty(cases)
     worst_bal = worst_tan = worst_zero = 0.0
-    for i in range(cases):
-        gi = g if g is not None else _random_quartic(M, np.random.default_rng(seed + i))
-        on_boundary = i % 2 == 1
-        if on_boundary:
-            x = random_boundary_point(M, seed + 10000 + i)
-        else:
-            x = random_interior_point(M, seed + 10000 + i, scale=0.5)
-        record = _instance(i, seed, x)
+    for lo, hi, gi in blocks:
+        x = PhasePoint(M, points.packed[lo:hi])
         with clock("traceless"):
             D = kernel.diffusion(x, gi)
-            stack[i] = D
-            diags.append((float(np.max(np.abs(np.diag(D)))), record))
+            diags[lo:hi] = np.abs(np.diagonal(D, axis1=-2, axis2=-1)).max(axis=-1)
+            eigs[lo:hi] = np.linalg.eigvalsh(D)
         with clock("channels"):
             decomp = kernel.diffusion_channels(x, gi)
-            size = float(np.max(np.abs(D)))
-            scale[i] = denom = max(size, 1.0)
-            recs.append((float(np.max(np.abs(decomp.reconstruct() - D))) / denom, record))
+            size = np.abs(D).max(axis=(-2, -1))
+            denom = scale[lo:hi] = np.maximum(size, 1.0)
+            recs[lo:hi] = np.abs(decomp.reconstruct() - D).max(axis=(-2, -1)) / denom
             trace_f, trace_b = decomp.traces()
-            worst_bal = max(worst_bal, abs(trace_f - trace_b) / max(trace_f, 1.0))
-            if on_boundary:
-                xm = x.matrix()
-                dX = _unpack(M, D)  # the rows of the symmetric D are its columns
-                worst_tan = max(worst_tan, float(np.max(np.abs(xm @ dX + dX @ xm))) / denom)
+            balance = np.abs(trace_f - trace_b) / np.maximum(trace_f, 1.0)
+            worst_bal = max(worst_bal, float(balance.max()))
+            on = on_boundary[lo:hi]
+            if on.any():
+                xm = x.matrix()[on, None]
+                dX = _unpack(M, D[on])  # the rows of the symmetric D are its columns
+                tangency = np.abs(xm @ dX + dX @ xm).max(axis=(-3, -2, -1)) / denom[on]
+                worst_tan = max(worst_tan, float(tangency.max()))
                 if M <= 3:
-                    worst_zero = max(worst_zero, size / denom)
+                    worst_zero = max(worst_zero, float((size[on] / denom[on]).max()))
     with clock("traceless"):
-        eigs = np.linalg.eigvalsh(stack)
         worst_sum = float(np.max(np.abs(eigs.sum(axis=-1)), initial=0.0))
     with clock("channels"):
         edge = eigs[1::2]
         worst_sym = float(np.max(np.abs(edge + edge[:, ::-1]) / scale[1::2, None], initial=0.0))
     worst_bnd = max(worst_tan, worst_sym, worst_zero)
-    worst_diag, worst_diag_at = _worst(diags)
-    worst_rec, worst_rec_at = _worst(recs)
+    worst_diag, worst_diag_at = _worst_instance(diags, seed, points)
+    worst_rec, worst_rec_at = _worst_instance(recs, seed, points)
     return [
         CheckResult(f"traceless-m{M}", cases, worst_diag, tol_diag,
                     worst_diag <= tol_diag and worst_sum <= tol_sum,
@@ -551,27 +594,38 @@ def run_tangency(
     Ms=(2, 3), seed: int = 0, n_points: int = 50, tol: float | None = None,
     spec: HamiltonianSpec | None = None,
 ) -> CheckResult:
-    """Boundary tangency of the drift; couplings random unless a model is given."""
+    """Boundary tangency of the drift; couplings random unless a model is given.
+
+    The boundary points of each M are drawn as one stack by
+    :func:`majoranaq.tensors.random_points`, point i from seed
+    ``seed + 500 M + i``.  ``info["worst"]`` records the point with the
+    largest residual as its index, seed, M and packed x; with the coupling
+    (the given ``spec``, or ``_random_coupling_matrix`` then
+    ``_random_quartic`` drawn from ``default_rng(seed + 500 M + index)``) it
+    re-runs that instance.
+    """
     tol = TOLERANCES["tangency"] if tol is None else tol
     clock = _CheckClock()
-    worst = 0.0
-    count = 0
+    results = []
     ms = (spec.M,) if spec is not None else Ms
     per_m = max(1, n_points // len(ms))
     with clock("tangency"):
         for M in ms:
-            for i in range(per_m):
-                rng = np.random.default_rng(seed + 500 * M + i)
-                x = random_boundary_point(M, seed + 500 * M + i)
+            seeds = range(seed + 500 * M, seed + 500 * M + per_m)
+            points = random_points(M, seeds, True)
+            for i, point_seed in enumerate(seeds):
                 if spec is not None:
                     t, g = spec.t, spec.g
                 else:
+                    rng = np.random.default_rng(point_seed)
                     t = _random_coupling_matrix(M, rng)
                     g = _random_quartic(M, rng)
+                x = PhasePoint(M, points.packed[i])
                 res = kernel.tangency_residual(x, t, g)
-                worst = max(worst, float(np.max(np.abs(res))))
-                count += 1
-    return CheckResult("tangency", count, worst, tol, worst <= tol, clock.seconds["tangency"])
+                results.append((float(np.max(np.abs(res))), _instance(i, seed, x)))
+    worst, worst_at = _worst(results)
+    return CheckResult("tangency", len(results), worst, tol, worst <= tol,
+                       clock.seconds["tangency"], info={"worst": worst_at})
 
 
 def run_flow_margin(

@@ -40,6 +40,7 @@ __all__ = [
     "pair_count",
     "antisymmetrize_quartic",
     "domain_margin",
+    "random_points",
     "random_boundary_point",
     "random_interior_point",
     "standard_complex_structure",
@@ -129,7 +130,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Phase-space point: packed independent components of antisymmetric x."""
+    """Phase-space point: packed independent components of antisymmetric x.
+
+    A ``packed`` of shape (B, npairs) holds a stack of B points, for the
+    kernel functions that take one (:func:`majoranaq.kernel.diffusion` and
+    :func:`majoranaq.kernel.diffusion_channels`); ``matrix`` then returns
+    (B, 2M, 2M).  Everything else takes a single point.
+    """
 
     M: int
     packed: np.ndarray
@@ -138,9 +145,10 @@ class PhasePoint:
         if self.M < 1:
             raise DimensionError(f"mode count must be >= 1, got {self.M}")
         packed = np.asarray(self.packed, dtype=float)
-        if packed.shape != (pair_count(self.M),):
+        if packed.ndim not in (1, 2) or packed.shape[-1] != pair_count(self.M):
             raise DimensionError(
-                f"packed length {packed.shape} != ({pair_count(self.M)},) for M={self.M}"
+                f"packed shape {packed.shape} is not ({pair_count(self.M)},) "
+                f"or (B, {pair_count(self.M)}) for M={self.M}"
             )
         object.__setattr__(self, "packed", _frozen(packed))
 
@@ -161,11 +169,13 @@ class PhasePoint:
         return cls(n // 2, _pack(n // 2, mat))
 
     def matrix(self) -> np.ndarray:
-        """Full 2M x 2M antisymmetric matrix."""
+        """Full 2M x 2M antisymmetric matrix, or one per point of a stack."""
         return _unpack(self.M, self.packed)
 
     def entry(self, a: int, b: int) -> float:
         """x_{ab} with 1-based indices; antisymmetry exact by sign flip."""
+        if self.packed.ndim != 1:
+            raise DimensionError("entry() needs a single point, not a stack")
         _check_index(self.M, a, b)
         if a == b:
             return 0.0
@@ -213,8 +223,15 @@ class CouplingMatrix:
         pp = PhasePoint.from_matrix(mat, tol)
         return cls(pp.M, pp.packed)
 
+    @cached_property
+    def _full(self) -> np.ndarray:
+        """The full antisymmetric matrix, unpacked once; read-only."""
+        full = _unpack(self.M, self.packed)
+        full.flags.writeable = False
+        return full
+
     def matrix(self) -> np.ndarray:
-        return _unpack(self.M, self.packed)
+        return self._full.copy()
 
     def entry(self, i: int, j: int) -> float:
         return PhasePoint(self.M, self.packed).entry(i, j)
@@ -290,29 +307,64 @@ class QuarticCoupling:
         quads = np.array([key for key, _ in items], dtype=np.intp).reshape(-1, 4) - 1
         return quads, np.array([v for _, v in items], dtype=float)
 
-    @cached_property
-    def pair_matrix(self) -> np.ndarray:
-        """Symmetric pair-space matrix G[P, Q] = g_{PQ}, P = (i<j) and Q = (k<l) packed.
+    def _pair_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the nonzero entries of :attr:`pair_matrix`.
 
         A canonical quadruple a<b<c<d fills its three pair splits
-        (ab|cd), (ac|bd), (ad|bc) with signs +, -, +, each in both orders, so
-        (g.x)_{ij} = 2 (G x_packed)_P and G has 6 nonzero entries per stored
-        quadruple.  No two quadruples share a slot.  G is a read-only dense
-        float64 array of npairs^2 = (M(2M-1))^2 entries.
+        (ab|cd), (ac|bd), (ad|bc) with signs +, -, +, each in both orders.
+        No two quadruples share a slot.
         """
         quads, values = self._canonical_arrays()
         idx = _pair_index_matrix(self.M)
         a, b, c, d = quads.T
         left = [idx[a, b], idx[a, c], idx[a, d]]
         right = [idx[c, d], idx[b, d], idx[b, c]]
-        rows = np.concatenate(left + right)
-        cols = np.concatenate(right + left)
-        data = np.concatenate([values, -values, values] * 2)
+        return (np.concatenate(left + right), np.concatenate(right + left),
+                np.concatenate([values, -values, values] * 2))
+
+    @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """Symmetric pair-space matrix G[P, Q] = g_{PQ}, P = (i<j) and Q = (k<l) packed.
+
+        So (g.x)_{ij} = 2 (G x_packed)_P, and G has 6 nonzero entries per
+        stored quadruple.  G is a read-only dense float64 array of
+        npairs^2 = (M(2M-1))^2 entries.
+        """
+        rows, cols, data = self._pair_entries()
         npairs = pair_count(self.M)
         G = np.zeros((npairs, npairs))
         G[rows, cols] = data
         G.flags.writeable = False
         return G
+
+    @cached_property
+    def rate_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coupling's part of the drift coefficient, compact: (read, write, K).
+
+        Over the w packed pairs p that a stored quadruple touches (the
+        nonzero rows of the symmetric :attr:`pair_matrix`, which are also its
+        nonzero columns), ``read`` holds the flat indices of the entries
+        (p_a, p_b) of a (2M, 2M) matrix, ``write`` those entries and then
+        their mirrors (p_b, p_a), and K is the (2w, w) matrix
+        8(4M - 3) G[p, p] over its negation, so that K X.take(read) is the
+        quartic part 8(4M - 3)(G v) of the drift coefficient c (see
+        :func:`majoranaq.kernel._compile_rate`) at every entry of ``write``,
+        and G v is 0 elsewhere.  Read-only; empty for a zero coupling.
+        """
+        rows, cols, data = self._pair_entries()
+        npairs = pair_count(self.M)
+        pairs = np.flatnonzero(np.bincount(rows, minlength=npairs))
+        w = len(pairs)
+        r, c = np.searchsorted(pairs, rows), np.searchsorted(pairs, cols)
+        K = np.zeros((2 * w, w))
+        K[r, c] = 8.0 * (4 * self.M - 3) * data
+        K[w:] = -K[:w]
+        upper, lower = _pair_flat(self.M)
+        read = upper[pairs]
+        out = read, np.concatenate([read, lower[pairs]]), K
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     @cached_property
     def ordered_tuples(self) -> tuple[np.ndarray, np.ndarray]:
@@ -406,29 +458,54 @@ def standard_complex_structure(M: int) -> np.ndarray:
     return J
 
 
-def random_boundary_point(M: int, seed: int) -> PhasePoint:
-    """Seeded point on the pure-state boundary x^2 = -I.
+def random_points(
+    M: int, seeds, boundary, scale: float = 0.4, margin_floor: float = 0.05
+) -> PhasePoint:
+    """Seeded points, one per seed, drawn as one stack of ``len(seeds)``.
 
-    Orthonormalizes a standard-normal matrix (QR with the usual sign fix for
-    determinism) and conjugates the standard complex structure by it.
+    ``boundary`` (one flag, or one per seed) picks the kind of each point.
+    A boundary point lies on the pure-state boundary x^2 = -I: a
+    standard-normal matrix is orthonormalized (QR with the usual sign fix
+    for determinism) and conjugates the standard complex structure.  An
+    interior point has its packed entries drawn normal, times
+    ``scale / sqrt(M)``, and shrunk by 0.8 until its domain margin is at
+    least ``margin_floor``.  Each point has its own ``default_rng(seed)``;
+    the QR factorizations, products and margin eigensolves are stacked,
+    and each point equals the one drawn alone bit for bit.
     """
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(2 * M, 2 * M))
-    R, upper = np.linalg.qr(A)
-    R = R * np.sign(np.diag(upper))
-    x = R @ standard_complex_structure(M) @ R.T
-    x = (x - x.T) / 2.0
-    return PhasePoint(M, _pack(M, x))
+    seeds = list(seeds)
+    on = np.broadcast_to(np.asarray(boundary, dtype=bool), (len(seeds),))
+    n = 2 * M
+    draws = [np.random.default_rng(s).normal(size=(n, n) if b else pair_count(M))
+             for s, b in zip(seeds, on.tolist())]
+    packed = np.empty((len(seeds), pair_count(M)))
+    at = np.flatnonzero(on)
+    if at.size:
+        R, upper = np.linalg.qr(np.array([draws[k] for k in at]))
+        R = R * np.sign(np.diagonal(upper, axis1=-2, axis2=-1))[:, None, :]
+        x = R @ standard_complex_structure(M) @ R.swapaxes(-1, -2)
+        packed[at] = _pack(M, (x - x.swapaxes(-1, -2)) / 2.0)
+    at = np.flatnonzero(~on)
+    if at.size:
+        inner = np.array([draws[k] for k in at]) * scale / np.sqrt(M)
+        low = np.arange(len(at))
+        while low.size:
+            low = low[_margin(_unpack(M, inner[low])) < margin_floor]
+            inner[low] *= 0.8
+        packed[at] = inner
+    return PhasePoint(M, packed)
+
+
+def random_boundary_point(M: int, seed: int) -> PhasePoint:
+    """Seeded point on the pure-state boundary x^2 = -I; see :func:`random_points`."""
+    return PhasePoint(M, random_points(M, [seed], True).packed[0])
 
 
 def random_interior_point(
     M: int, seed: int, scale: float = 0.4, margin_floor: float = 0.05
 ) -> PhasePoint:
-    """Seeded interior point with domain margin at least ``margin_floor``."""
-    rng = np.random.default_rng(seed)
-    packed = rng.normal(size=pair_count(M)) * scale / np.sqrt(M)
-    x = PhasePoint(M, packed)
-    while domain_margin(x) < margin_floor:
-        packed = packed * 0.8
-        x = PhasePoint(M, packed)
-    return x
+    """Seeded interior point with domain margin at least ``margin_floor``.
+
+    See :func:`random_points`.
+    """
+    return PhasePoint(M, random_points(M, [seed], False, scale, margin_floor).packed[0])

@@ -617,6 +617,15 @@ class TestImportLayering:
         loaded = _modules_after(_cli_run("verify", "--config", cfg, "--suite", suite), tmp_path)
         assert "majoranaq.suites" in loaded and "majoranaq.fock" not in loaded
 
+    def test_verify_all_loads_no_masked_arrays(self, tmp_path):
+        # np.unique and np.median each import numpy.ma, about 15 ms of a
+        # verify run; the oracle and the fpe median do without them
+        cfg = write_config(tmp_path, {"M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2]],
+                                      "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3})
+        loaded = _modules_after(_cli_run("verify", "--config", cfg, "--suite", "all"),
+                                tmp_path, also=("numpy.ma",))
+        assert "majoranaq.fock" in loaded and "numpy.ma" not in loaded
+
     def test_config_setup_loads_only_the_model_layers(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 2, 0.5]]})
         loaded = _modules_after(

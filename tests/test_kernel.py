@@ -35,6 +35,7 @@ from majoranaq import (
 )
 from majoranaq.errors import DimensionError, IndexRangeError, OffBoundaryError
 from majoranaq.suites import _central
+from majoranaq.tensors import _unpack
 
 
 def all_quadruples(M, seed):
@@ -599,3 +600,163 @@ class TestTangency:
         with pytest.raises(OffBoundaryError) as err:
             tangency_residual(x, t, QuarticCoupling.zero(1))
         assert err.value.margin == pytest.approx(0.5)
+
+
+def _stage_models():
+    """(M, t, g) over M = 1-8 and 16, with zero, sparse and dense couplings."""
+    from majoranaq.hubbard import preset_hubbard
+
+    for M in (1, 2, 3, 4, 5, 6, 7, 8, 16):
+        rng = np.random.default_rng(70 + M)
+        quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
+        couplings = [("zero", QuarticCoupling.zero(M))]
+        if quads and M <= 8:
+            chosen = rng.choice(len(quads), size=min(3, len(quads)), replace=False)
+            couplings.append(("sparse", QuarticCoupling.from_entries(
+                M, [(*quads[c], rng.uniform(-0.5, 0.5)) for c in chosen])))
+        if quads and M <= 6:
+            couplings.append(("dense", all_quadruples(M, 80 + M)))
+        if M % 2 == 0:
+            couplings.append(("hubbard", preset_hubbard(M // 2, 1.0, 4.0).g))
+        for t_name, t in (("t0", CouplingMatrix.zero(M)), ("t", random_t(M, 90 + M))):
+            for g_name, g in couplings:
+                yield pytest.param(M, t, g, id=f"M{M}-{g_name}-{t_name}")
+
+
+class TestStageMap:
+    """The compact drift map of every RK4 stage (kernel._compile_rate)."""
+
+    @pytest.mark.parametrize("M, t, g", list(_stage_models()))
+    def test_rate_is_antisymmetric_and_matches_the_formula(self, M, t, g):
+        for x in (random_boundary_point(M, M), random_interior_point(M, M)):
+            A = drift_matrix(x, t, g)
+            # P - P^T: the lower triangle negates the upper one bit for bit
+            np.testing.assert_array_equal(A, -A.T)
+            assert not np.any(np.diag(A))
+            # against 4((4M - 3) 2 G v - t), with the scale applied after G v:
+            # componentwise relative to the scale |x||c| + |c||x| of [x, c]
+            xm = x.matrix()
+            c = _unpack(M, 4.0 * ((4 * M - 3) * 2.0 * (g.pair_matrix @ x.packed) - t.packed))
+            bound = np.abs(xm) @ np.abs(c) + np.abs(c) @ np.abs(xm)
+            assert np.all(np.abs(A - (xm @ c - c @ xm)) <= 1e-15 * bound)
+
+    @pytest.mark.parametrize("M, t, g", list(_stage_models()))
+    def test_drift_matrix_is_one_flow_stage(self, M, t, g):
+        from majoranaq import HamiltonianSpec, flow
+
+        x = random_boundary_point(M, 5)
+        dt = 1e-3
+        traj = flow(x, HamiltonianSpec(M, t, g), dt, 1, method="euler")
+        A = drift_matrix(x, t, g)
+        packed = PhasePoint.from_matrix(A).packed
+        np.testing.assert_array_equal(traj.packed[1], x.packed + dt * packed)
+        np.testing.assert_array_equal(drift(x, t, g), packed)
+
+    @pytest.mark.parametrize("M", [1, 3, 4])
+    def test_rate_map_reads_and_writes_only_the_coupled_pairs(self, M):
+        if M == 1:
+            g = QuarticCoupling.zero(M)
+        else:
+            g = QuarticCoupling.from_entries(M, [(1, 2, 3, 4, 0.5)])
+        read, write, K = g.rate_map
+        w = len(read)
+        assert K.shape == (2 * w, w) and len(write) == 2 * w
+        assert g.rate_map is g.rate_map  # compiled once per coupling
+        if M == 1:
+            assert w == 0
+            return
+        n = 2 * M
+        # the six pairs of (1, 2, 3, 4) and their mirrors
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        np.testing.assert_array_equal(read, [a * n + b for a, b in pairs])
+        np.testing.assert_array_equal(write[w:], [b * n + a for a, b in pairs])
+        np.testing.assert_array_equal(K[w:], -K[:w])
+        G = g.pair_matrix
+        p = np.flatnonzero(G.any(axis=0))
+        np.testing.assert_array_equal(K[:w], 8.0 * (4 * M - 3) * G[np.ix_(p, p)])
+
+
+def _sample_stack(M, B, seed=300):
+    flags = np.arange(B) % 2 == 1
+    return flags, PhasePoint(M, np.array([
+        (random_boundary_point(M, seed + i) if flags[i]
+         else random_interior_point(M, seed + i, scale=0.5)).packed for i in range(B)]))
+
+
+def _one_boundary_point(M, seed):
+    """Reference: one boundary point drawn alone, as the sampler documents it."""
+    from majoranaq.tensors import _pack, standard_complex_structure
+
+    A = np.random.default_rng(seed).normal(size=(2 * M, 2 * M))
+    R, upper = np.linalg.qr(A)
+    R = R * np.sign(np.diag(upper))
+    x = R @ standard_complex_structure(M) @ R.T
+    return _pack(M, (x - x.T) / 2.0)
+
+
+def _one_interior_point(M, seed, scale, margin_floor=0.05):
+    """Reference: one interior point drawn alone, shrunk one margin check at a time."""
+    from majoranaq import domain_margin
+
+    packed = np.random.default_rng(seed).normal(size=pair_count(M)) * scale / np.sqrt(M)
+    while domain_margin(PhasePoint(M, packed)) < margin_floor:
+        packed = packed * 0.8
+    return packed
+
+
+class TestStacks:
+    """Stacked points through diffusion, the channels and the sampler, bit for bit."""
+
+    @pytest.mark.parametrize("M, g", [
+        (1, QuarticCoupling.zero(1)),
+        (2, QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.7)])),
+        (3, QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.3), (1, 3, 5, 6, -0.4)])),
+        (4, all_quadruples(4, 5)),
+    ])
+    @pytest.mark.parametrize("B", [1, 7, 16])
+    def test_stack_equals_each_point(self, M, g, B):
+        _, stack = _sample_stack(M, B)
+        D = diffusion(stack, g)
+        decomp = diffusion_channels(stack, g)
+        rec = decomp.reconstruct()
+        forward, backward = decomp.traces()
+        assert D.shape == rec.shape == (B, pair_count(M), pair_count(M))
+        assert forward.shape == backward.shape == (B,)
+        for i in range(B):
+            x = PhasePoint(M, stack.packed[i])
+            one = diffusion_channels(x, g)
+            np.testing.assert_array_equal(D[i], diffusion(x, g))
+            np.testing.assert_array_equal(rec[i], one.reconstruct())
+            assert (forward[i], backward[i]) == one.traces()
+            np.testing.assert_array_equal(decomp.b_minus[i], one.b_minus)
+            np.testing.assert_array_equal(decomp.b_plus[i], one.b_plus)
+
+    def test_single_point_traces_are_floats(self):
+        x = random_boundary_point(3, 2)
+        g = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.3)])
+        assert all(isinstance(v, float) for v in diffusion_channels(x, g).traces())
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 6])
+    def test_sampler_equals_the_one_seed_samplers(self, M):
+        from majoranaq import random_points
+
+        seeds = list(range(40, 60))
+        flags = np.arange(20) % 3 == 0
+        for scale in (0.5, 3.0):  # 3.0 shrinks most interior points several times
+            stack = random_points(M, seeds, flags, scale=scale)
+            for s, on, row in zip(seeds, flags, stack.packed):
+                x = random_boundary_point(M, s) if on else random_interior_point(M, s, scale=scale)
+                np.testing.assert_array_equal(row, x.packed)
+                np.testing.assert_array_equal(
+                    row, _one_boundary_point(M, s) if on else _one_interior_point(M, s, scale))
+
+    def test_single_point_functions_reject_a_stack(self):
+        _, stack = _sample_stack(2, 3)
+        t, g = random_t(2, 1), QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
+        for fn in (drift, drift_bar, drift_matrix):
+            with pytest.raises(DimensionError, match="single phase point"):
+                fn(stack, t, g)
+        with pytest.raises(DimensionError, match="single point"):
+            stack.entry(1, 2)
+        with pytest.raises(DimensionError):
+            PhasePoint(2, np.zeros((2, 3, 6)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majoranaq import HamiltonianSpec, PhasePoint, flow, fock, kernel, suites
+from majoranaq import HamiltonianSpec, PhasePoint, QuarticCoupling, flow, fock, kernel, suites
 from majoranaq.tensors import _pair_rows_cols, random_boundary_point, random_interior_point
 
 
@@ -107,11 +107,11 @@ def _flip_dd_of_re(tables):
 
 
 def _flip_dbj_of_im(tables):
-    """Sign flip of the x_ia d_bj term of IM."""
+    """Sign flip of the x_ia d_bj term of IM, for one point or a stack."""
     def mutated(M, xm):
         RE, IM = tables(M, xm)
         al, be = _pair_rows_cols(M)
-        return RE, IM + 2 * xm[:, al][:, None, :] * np.eye(2 * M)[be, :].T[None, :, :]
+        return RE, IM + 2 * xm[..., :, al][..., :, None, :] * np.eye(2 * M)[be, :].T[None, :, :]
     return mutated
 
 
@@ -139,10 +139,10 @@ def test_table_mutations_fail_the_boundary_gate(monkeypatch, M, mutate):
 
 
 def _drop_identity_of_rea(rows):
-    """REa = -C2(x), without its identity."""
+    """REa = -C2(x), without its identity, for one point or a stack."""
     def mutated(M, xm):
         REa, IMa = rows(M, xm)
-        return REa - np.eye(len(REa)), IMa
+        return REa - np.eye(REa.shape[-1]), IMa
     return mutated
 
 
@@ -167,7 +167,8 @@ def test_compound_mutations_fail_the_channel_check(monkeypatch, M, mutate):
     assert channels.passed is False
 
 
-def test_sweep_calls_the_public_kernel_once_per_instance(monkeypatch):
+def _count_kernel_calls(monkeypatch, g):
+    """The public kernel calls of a 6-case M = 3 sweep with coupling ``g``."""
     calls = {"diffusion": 0, "diffusion_channels": 0}
 
     def counted(name):
@@ -180,8 +181,20 @@ def test_sweep_calls_the_public_kernel_once_per_instance(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(suites.kernel, name, counted(name))
-    suites.run_traceless_and_channels(3, seed=4, cases=6)
-    assert calls == {"diffusion": 6, "diffusion_channels": 6}
+    suites.run_traceless_and_channels(3, seed=4, cases=6, g=g)
+    return calls
+
+
+def test_sweep_calls_the_public_kernel_once_per_instance(monkeypatch):
+    # random couplings: each instance is a stack of one
+    assert _count_kernel_calls(monkeypatch, None) == {"diffusion": 6, "diffusion_channels": 6}
+
+
+def test_sweep_calls_the_public_kernel_once_per_block_of_a_given_coupling(monkeypatch):
+    blocks = -(-6 // suites._SWEEP_BLOCK)
+    g = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.3)])
+    calls = _count_kernel_calls(monkeypatch, g)
+    assert calls == {"diffusion": blocks, "diffusion_channels": blocks}
 
 
 @pytest.mark.parametrize("M, seed", [(3, 20260810), (4, 20260810), (4, 918273)])
@@ -203,6 +216,101 @@ def test_sweep_equals_the_public_route(M, seed):
     assert traceless.max_residual == diag
     assert traceless.info["eigsum"] == eigsum
     assert channels.max_residual == rec
+
+
+def _per_point_sweep(M, seed, cases, g):
+    """The traceless and channel checks' values, one public kernel call per point."""
+    rows = {"diag": [], "rec": [], "bal": [], "tan": [], "zero": []}
+    Ds, denoms = [], []
+    for i in range(cases):
+        gi = g if g is not None else suites._random_quartic(M, np.random.default_rng(seed + i))
+        if i % 2:
+            x = random_boundary_point(M, seed + 10000 + i)
+        else:
+            x = random_interior_point(M, seed + 10000 + i, scale=0.5)
+        D = kernel.diffusion(x, gi)
+        decomp = kernel.diffusion_channels(x, gi)
+        size = float(np.max(np.abs(D)))
+        denom = max(size, 1.0)
+        rows["diag"].append((float(np.max(np.abs(np.diag(D)))), suites._instance(i, seed, x)))
+        rows["rec"].append((float(np.max(np.abs(decomp.reconstruct() - D))) / denom,
+                            suites._instance(i, seed, x)))
+        forward, backward = decomp.traces()
+        rows["bal"].append(abs(forward - backward) / max(forward, 1.0))
+        if i % 2:
+            xm, dX = x.matrix(), suites._unpack(M, D)
+            rows["tan"].append(float(np.max(np.abs(xm @ dX + dX @ xm))) / denom)
+            rows["zero"].append(size / denom)
+        Ds.append(D)
+        denoms.append(denom)
+    eigs = np.array([np.linalg.eigvalsh(D) for D in Ds])
+    edge = eigs[1::2]
+    return {
+        "diag": suites._worst(rows["diag"]), "rec": suites._worst(rows["rec"]),
+        "eigsum": float(np.max(np.abs(eigs.sum(axis=-1)))),
+        "balance": max(rows["bal"]), "boundary_tangency": max(rows["tan"], default=0.0),
+        "boundary_symmetry": float(np.max(np.abs(edge + edge[:, ::-1])
+                                          / np.array(denoms[1::2])[:, None], initial=0.0)),
+        "boundary_vanishing": max(rows["zero"], default=0.0) if M <= 3 else None,
+    }
+
+
+_BLOCK = suites._SWEEP_BLOCK
+
+
+@pytest.mark.parametrize("cases", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100])
+@pytest.mark.parametrize("given_coupling", [True, False], ids=["given", "random"])
+@pytest.mark.parametrize("M", [3, 4])
+def test_stacked_sweep_equals_the_per_point_route(M, given_coupling, cases):
+    # the sweep stacks the instances that share a coupling, in blocks of
+    # _SWEEP_BLOCK; every residual and worst record is the per-point one
+    seed = 918273
+    g = suites._random_quartic(M, np.random.default_rng(3), max_quadruples=70) if given_coupling else None
+    traceless, channels = suites.run_traceless_and_channels(M, seed, cases=cases, g=g)
+    ref = _per_point_sweep(M, seed, cases, g)
+    assert (traceless.max_residual, traceless.info["worst"]) == ref["diag"]
+    assert (channels.max_residual, channels.info["worst"]) == ref["rec"]
+    assert traceless.info["eigsum"] == ref["eigsum"]
+    for key in ("balance", "boundary_tangency", "boundary_symmetry", "boundary_vanishing"):
+        assert channels.info[key] == ref[key], key
+    assert traceless.instances == channels.instances == cases
+    assert traceless.passed and channels.passed
+
+
+def test_median_is_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for n in range(1, 10):
+        values = (rng.lognormal(size=n) * 1e-14).tolist()
+        assert suites._median(values) == float(np.median(values))
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["random-model", "given-model"])
+def test_worst_tangency_instance_reproduces_its_residual(tmp_path, given):
+    from majoranaq.cli import main
+
+    seed = 918273
+    config = {"M": 3, "seed": 0}
+    if given:
+        config.update(t_entries=[[1, 2, 0.3], [2, 5, -0.2]], g_entries=[[1, 2, 3, 4, 0.05]])
+    cfg, out = tmp_path / "m3.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(cfg), "--suite", "tangency",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["tangency"]
+    worst = check["info"]["worst"]
+    assert (worst["seed"], worst["M"]) == (seed, 3) and 0 <= worst["index"] < check["instances"]
+    x = PhasePoint(worst["M"], worst["x"])
+    if given:
+        from majoranaq.config import config_to_spec, load_config
+
+        spec, _ = config_to_spec(load_config(str(cfg)))
+        t, g = spec.t, spec.g
+    else:
+        rng = np.random.default_rng(seed + 500 * worst["M"] + worst["index"])
+        t = suites._random_coupling_matrix(worst["M"], rng)
+        g = suites._random_quartic(worst["M"], rng)
+    residual = float(np.max(np.abs(kernel.tangency_residual(x, t, g))))
+    assert residual == check["max_residual"] > 0.0
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -3,7 +3,12 @@
 Each runner executes one structural claim over a reproducible ensemble and
 returns a :class:`CheckResult`; the CLI assembles them into a
 :class:`VerificationReport`, and the acceptance test suite runs them at the
-pinned tolerances.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
+pinned tolerances.  Every check is kept in one record, :class:`_Sweep`: it
+times the check, counts its instances, keeps the worst residual (with the
+record that re-runs its instance, where the check has one) and every other
+value that gates ``passed``, and builds the result.  NaN ranks above every
+number there, so a NaN residual or gated value at any instance fails its
+check, and ``verify`` exits 1.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
 which validates overrides against it without loading this module; this
 module re-exports the same dictionary.  The Fock-space oracle is imported
 by the runners that use it, so the kernel sweeps (traceless, tangency) run
@@ -14,8 +19,6 @@ from __future__ import annotations
 
 import platform
 import time
-from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,21 +132,6 @@ def build_report(suite: str, checks: list[CheckResult], seed: int, M: int | None
     return VerificationReport(suite, tuple(checks), seed, M)
 
 
-class _CheckClock:
-    """Accumulates the time spent inside ``with clock(name):`` blocks, per name."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = defaultdict(float)
-
-    @contextmanager
-    def __call__(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[name] += time.perf_counter() - start
-
-
 def _random_coupling_matrix(M: int, rng: np.random.Generator, scale: float = 0.5) -> CouplingMatrix:
     a = rng.normal(size=(2 * M, 2 * M)) * scale
     return CouplingMatrix.from_matrix(a - a.T)
@@ -180,11 +168,6 @@ def _instance(index: int, seed: int, x: PhasePoint) -> dict:
     return {"index": index, "seed": seed, "M": x.M, "x": packed.tolist()}
 
 
-def _worst(results: list) -> tuple:
-    """The (residual, instance record) pair with the largest residual."""
-    return max(results, key=lambda r: r[0], default=(0.0, None))
-
-
 def _median(values: list) -> float:
     """The median, bit for bit as np.median gives it, which would import numpy.ma.
 
@@ -198,10 +181,76 @@ def _median(values: list) -> float:
     return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _worst_instance(residuals: np.ndarray, seed: int, points: PhasePoint) -> tuple:
-    """:func:`_worst` of per-instance ``residuals``; instance i is row i of ``points``."""
-    worst, at = _worst(list(zip(residuals.tolist(), range(len(residuals)))))
-    return worst, None if at is None else _instance(at, seed, points)
+def _peak(values) -> float:
+    """The largest of ``values`` (a number or an array), and 0.0 if they are empty.
+
+    Residuals are non-negative, so the 0.0 floor moves none; a NaN among
+    the values is the peak.
+    """
+    return float(np.max(values, initial=0.0))
+
+
+def _above(value: float, worst: float) -> bool:
+    """Whether ``value`` ranks above ``worst``: a larger number, or NaN over a number."""
+    return value > worst or (value != value and worst == worst)
+
+
+class _Sweep:
+    """The record of one check's sweep, from which its :class:`CheckResult` is built.
+
+    ``with sweep:`` charges the time of its block to the check.  Each
+    :meth:`add` counts instances and keeps the worst residual, with NaN
+    ranked above every number and ties kept by the first instance; a sweep
+    given a ``seed`` reports that instance's record as ``info["worst"]``.
+    Each keyword of ``gates`` names a further value that gates ``passed``,
+    with its tolerance; :meth:`peak` keeps its largest value the same way.
+    A NaN residual or gated value therefore fails the check.
+    """
+
+    def __init__(self, name: str, tol: float, seed: int | None = None, **gates: float):
+        self.name, self.tol, self.seed, self.gates = name, tol, seed, gates
+        self.seconds = 0.0
+        self.instances = 0
+        self.worst = 0.0
+        self.at = None
+        self.peaks = dict.fromkeys(gates, 0.0)
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        self.seconds += time.perf_counter() - self._start
+
+    def add(self, residual, record: dict | None = None, count: int = 1) -> None:
+        """``count`` instances whose worst residual is the peak of ``residual``.
+
+        ``record`` re-runs the instance of that residual.
+        """
+        residual = _peak(residual)
+        if self.instances == 0 or _above(residual, self.worst):
+            self.worst, self.at = residual, record
+        self.instances += count
+
+    def add_rows(self, residuals: np.ndarray, points: PhasePoint) -> None:
+        """One instance per residual; instance i is row i of ``points``."""
+        if len(residuals):
+            at = int(np.argmax(residuals))  # the first maximum, or the first NaN
+            self.add(residuals[at], _instance(at, self.seed, points), len(residuals))
+
+    def peak(self, key: str, values) -> None:
+        """Keeps the largest of ``values`` as the gated value ``key``."""
+        value = _peak(values)
+        if _above(value, self.peaks[key]):
+            self.peaks[key] = value
+
+    def result(self, informational: bool = False, **info) -> CheckResult:
+        passed = self.worst <= self.tol and all(
+            self.peaks[key] <= tol for key, tol in self.gates.items())
+        if self.seed is not None:
+            info["worst"] = self.at
+        return CheckResult(self.name, self.instances, self.worst, self.tol,
+                           passed or informational, self.seconds, informational, info)
 
 
 # ---------------------------------------------------------------------------
@@ -213,56 +262,36 @@ def run_anticommutation(Ms=(1, 2, 3), tol: float | None = None) -> CheckResult:
     from . import fock
 
     tol = TOLERANCES["anticommutation"] if tol is None else tol
-    clock = _CheckClock()
-    worst = 0.0
-    count = 0
-    with clock("anticommutation"):
+    with _Sweep("anticommutation", tol) as sweep:
         for M in Ms:
             majo = fock.build_majoranas(M)
             eye = np.eye(majo.dim)
             for i in range(2 * M):
                 for j in range(2 * M):
                     anti = majo[i] @ majo[j] + majo[j] @ majo[i]
-                    worst = max(worst, float(np.max(np.abs(anti - 2 * (i == j) * eye))))
-                    count += 1
-            for i in range(2 * M):
-                worst = max(worst, float(np.max(np.abs(majo[i] - majo[i].conj().T))))
-    return CheckResult("anticommutation", count, worst, tol, worst <= tol,
-                       clock.seconds["anticommutation"], info={"modes": list(Ms)})
+                    residuals = [np.max(np.abs(anti - 2 * (i == j) * eye))]
+                    if i == j:  # the diagonal instance also checks that gamma_i is Hermitian
+                        residuals.append(np.max(np.abs(majo[i] - majo[i].conj().T)))
+                    sweep.add(residuals)
+    return sweep.result(modes=list(Ms))
 
 
 def run_gaussian_basis(seed: int, n_boundary: int = 10) -> list[CheckResult]:
     from . import fock
 
-    tol0 = TOLERANCES["basis-at-origin"]
-    tol1 = TOLERANCES["basis-single-mode"]
-    tolp = TOLERANCES["basis-boundary-purity"]
-    clock = _CheckClock()
-    w_origin = w_single = w_purity = 0.0
-    with clock("basis-at-origin"):
+    with _Sweep("basis-at-origin", TOLERANCES["basis-at-origin"]) as origin:
         for M in (1, 2, 3):
             lam = fock.gaussian_basis(PhasePoint.zero(M))
-            w_origin = max(w_origin, float(np.max(np.abs(lam - np.eye(2 ** M) / 2 ** M))))
-    with clock("basis-single-mode"):
+            origin.add(np.abs(lam - np.eye(2 ** M) / 2 ** M))
+    with _Sweep("basis-single-mode", TOLERANCES["basis-single-mode"]) as single:
         for s in (-0.9, -0.5, 0.0, 0.5, 0.9):
             lam = fock.gaussian_basis(PhasePoint(1, np.array([s])))
-            ref = np.diag([(1 - s) / 2, (1 + s) / 2])
-            w_single = max(w_single, float(np.max(np.abs(lam - ref))))
-    with clock("basis-boundary-purity"):
+            single.add(np.abs(lam - np.diag([(1 - s) / 2, (1 + s) / 2])))
+    with _Sweep("basis-boundary-purity", TOLERANCES["basis-boundary-purity"]) as purity:
         for i in range(n_boundary):
-            M = 1 + i % 2
-            x = random_boundary_point(M, seed + i)
-            lam = fock.gaussian_basis(x)
-            w_purity = max(w_purity, float(np.max(np.abs(lam @ lam - lam))))
-    secs = clock.seconds
-    return [
-        CheckResult("basis-at-origin", 3, w_origin, tol0, w_origin <= tol0,
-                    secs["basis-at-origin"]),
-        CheckResult("basis-single-mode", 5, w_single, tol1, w_single <= tol1,
-                    secs["basis-single-mode"]),
-        CheckResult("basis-boundary-purity", n_boundary, w_purity, tolp, w_purity <= tolp,
-                    secs["basis-boundary-purity"]),
-    ]
+            lam = fock.gaussian_basis(random_boundary_point(1 + i % 2, seed + i))
+            purity.add(np.abs(lam @ lam - lam))
+    return [origin.result(), single.result(), purity.result()]
 
 
 def run_quadratic_identities(
@@ -271,19 +300,15 @@ def run_quadratic_identities(
     from . import fock
 
     tol = TOLERANCES["quadratic-identities"] if tol is None else tol
-    clock = _CheckClock()
-    results = []
     per_m = max(1, n_points // len(Ms))
-    with clock("quadratic-identities"):
+    with _Sweep("quadratic-identities", tol, seed) as sweep:
         for M in Ms:
             majo = fock.build_majoranas(M)
             for i in range(per_m):
                 x = random_interior_point(M, seed + 100 * M + i, scale=_ORACLE_SCALE)
                 res = fock.verify_quadratic_identities(x, majo)
-                results.append((max(res.values()), _instance(i, seed, x)))
-    worst, worst_at = _worst(results)
-    return CheckResult("quadratic-identities", len(results), worst, tol, worst <= tol,
-                       clock.seconds["quadratic-identities"], info={"worst": worst_at})
+                sweep.add(list(res.values()), _instance(i, seed, x))
+    return sweep.result()
 
 
 def run_four_gamma(
@@ -292,18 +317,13 @@ def run_four_gamma(
     from . import fock
 
     tol = TOLERANCES["four-gamma"] if tol is None else tol
-    clock = _CheckClock()
-    results = []
-    with clock("four-gamma"):
+    with _Sweep("four-gamma", tol, seed) as sweep:
         majo = fock.build_majoranas(M)
         for i in range(n_points):
             x = random_interior_point(M, seed + i, scale=_ORACLE_SCALE)
             report = fock.verify_four_gamma(x, majo)
-            res = max((max(pair) for pair in report.values()), default=0.0)
-            results.append((res, _instance(i, seed, x)))
-    worst, worst_at = _worst(results)
-    return CheckResult("four-gamma", len(results), worst, tol, worst <= tol,
-                       clock.seconds["four-gamma"], info={"worst": worst_at})
+            sweep.add(list(report.values()), _instance(i, seed, x))
+    return sweep.result()
 
 
 def run_fpe_sweep(
@@ -319,22 +339,16 @@ def run_fpe_sweep(
     from . import fock
 
     tol = TOLERANCES["fpe"] if tol is None else tol
-    clock = _CheckClock()
-    results = []
-    with clock(label):
+    residuals = []
+    with _Sweep(label, tol, seed) as sweep:
         majo = fock.build_majoranas(spec.M)
         for i in range(n_instances):
             rho, x = fpe_instance(spec.M, seed, i)
             chk = fock.verify_fpe(rho, spec, x, majo, scale=scale, drift_form=drift_form)
-            results.append((chk.residual, _instance(i, seed, x)))
-    worst, worst_at = _worst(results)
-    informational = drift_form != "eq36"
-    info = {"drift_form": drift_form,
-            "median_residual": _median([r for r, _ in results]),
-            "worst": worst_at}
-    return CheckResult(label, len(results), worst, tol,
-                       (worst <= tol) or informational, clock.seconds[label],
-                       informational=informational, info=info)
+            sweep.add(chk.residual, _instance(i, seed, x))
+            residuals.append(chk.residual)
+    return sweep.result(informational=drift_form != "eq36", drift_form=drift_form,
+                        median_residual=_median(residuals))
 
 
 def fpe_instance(M: int, seed: int, index: int) -> tuple[np.ndarray, PhasePoint]:
@@ -427,12 +441,12 @@ def run_traceless_and_channels(
     ``_random_quartic(M, default_rng(seed + index))``) it re-runs that
     instance.
     """
-    tol_diag = TOLERANCES["traceless-diagonal"]
     tol_sum = TOLERANCES["traceless-eigsum"]
-    tol_rec = TOLERANCES["channel-reconstruction"]
     tol_bnd = TOLERANCES["channel-boundary"]
-    tol_bal = TOLERANCES["channel-balance"]
-    clock = _CheckClock()
+    traceless = _Sweep(f"traceless-m{M}", TOLERANCES["traceless-diagonal"], seed, eigsum=tol_sum)
+    channels = _Sweep(f"channels-m{M}", TOLERANCES["channel-reconstruction"], seed,
+                      balance=TOLERANCES["channel-balance"], boundary_tangency=tol_bnd,
+                      boundary_symmetry=tol_bnd, boundary_vanishing=tol_bnd)
     npairs = pair_count(M)
     on_boundary = np.arange(cases) % 2 == 1
     points = random_points(M, range(seed + 10000, seed + 10000 + cases), on_boundary, scale=0.5)
@@ -447,51 +461,41 @@ def run_traceless_and_channels(
     scale = np.empty(cases)
     diags = np.empty(cases)
     recs = np.empty(cases)
-    worst_bal = worst_tan = worst_zero = 0.0
     for lo, hi, gi in blocks:
         x = PhasePoint(M, points.packed[lo:hi])
-        with clock("traceless"):
+        with traceless:
             D = kernel.diffusion(x, gi)
             diags[lo:hi] = np.abs(np.diagonal(D, axis1=-2, axis2=-1)).max(axis=-1)
             eigs[lo:hi] = np.linalg.eigvalsh(D)
-        with clock("channels"):
+        with channels:
             decomp = kernel.diffusion_channels(x, gi)
             size = np.abs(D).max(axis=(-2, -1))
             denom = scale[lo:hi] = np.maximum(size, 1.0)
             recs[lo:hi] = np.abs(decomp.reconstruct() - D).max(axis=(-2, -1)) / denom
             trace_f, trace_b = decomp.traces()
-            balance = np.abs(trace_f - trace_b) / np.maximum(trace_f, 1.0)
-            worst_bal = max(worst_bal, float(balance.max()))
+            channels.peak("balance", np.abs(trace_f - trace_b) / np.maximum(trace_f, 1.0))
             on = on_boundary[lo:hi]
             if on.any():
                 xm = x.matrix()[on, None]
                 dX = _unpack(M, D[on])  # the rows of the symmetric D are its columns
                 tangency = np.abs(xm @ dX + dX @ xm).max(axis=(-3, -2, -1)) / denom[on]
-                worst_tan = max(worst_tan, float(tangency.max()))
+                channels.peak("boundary_tangency", tangency)
                 if M <= 3:
-                    worst_zero = max(worst_zero, float((size[on] / denom[on]).max()))
-    with clock("traceless"):
-        worst_sum = float(np.max(np.abs(eigs.sum(axis=-1)), initial=0.0))
-    with clock("channels"):
+                    channels.peak("boundary_vanishing", size[on] / denom[on])
+    with traceless:
+        traceless.peak("eigsum", np.abs(eigs.sum(axis=-1)))
+    with channels:
         edge = eigs[1::2]
-        worst_sym = float(np.max(np.abs(edge + edge[:, ::-1]) / scale[1::2, None], initial=0.0))
-    worst_bnd = max(worst_tan, worst_sym, worst_zero)
-    worst_diag, worst_diag_at = _worst_instance(diags, seed, points)
-    worst_rec, worst_rec_at = _worst_instance(recs, seed, points)
+        channels.peak("boundary_symmetry", np.abs(edge + edge[:, ::-1]) / scale[1::2, None])
+    traceless.add_rows(diags, points)
+    channels.add_rows(recs, points)
+    eigsum, peaks = traceless.peaks["eigsum"], channels.peaks
     return [
-        CheckResult(f"traceless-m{M}", cases, worst_diag, tol_diag,
-                    worst_diag <= tol_diag and worst_sum <= tol_sum,
-                    clock.seconds["traceless"],
-                    info={"eigsum": worst_sum, "eigsum_tol": tol_sum,
-                          "eigsum_pass": worst_sum <= tol_sum, "worst": worst_diag_at}),
-        CheckResult(f"channels-m{M}", cases, worst_rec, tol_rec,
-                    worst_rec <= tol_rec and worst_bnd <= tol_bnd and worst_bal <= tol_bal,
-                    clock.seconds["channels"],
-                    info={"balance": worst_bal,
-                          "boundary_tangency": worst_tan,
-                          "boundary_symmetry": worst_sym,
-                          "boundary_vanishing": worst_zero if M <= 3 else None,
-                          "worst": worst_rec_at}),
+        traceless.result(eigsum=eigsum, eigsum_tol=tol_sum, eigsum_pass=eigsum <= tol_sum),
+        channels.result(balance=peaks["balance"],
+                        boundary_tangency=peaks["boundary_tangency"],
+                        boundary_symmetry=peaks["boundary_symmetry"],
+                        boundary_vanishing=peaks["boundary_vanishing"] if M <= 3 else None),
     ]
 
 
@@ -533,14 +537,17 @@ def run_appendix_c(
     commutator drift [x, c(x)] with antisymmetric couplings, so it is a
     structural identity of the commutator form: it catches a non-commutator
     term, such as a dilation, rather than a wrong coefficient.
+
+    ``info["worst"]`` of each check records the instance of its worst
+    residual as its index, seed, M and packed x; the instance's ``t``, ``g``
+    (``_random_coupling_matrix`` then ``_random_quartic``) and the
+    conservative-equivalence test data are drawn, in that order, from
+    ``default_rng(seed + 1000 M + index)``.
     """
-    tol_div = TOLERANCES["divergence-closed-form"]
-    tol_da = TOLERANCES["drift-divergence-free"]
-    tol_dd = TOLERANCES["double-divergence"]
-    tol_eq = TOLERANCES["conservative-equivalence"]
-    clock = _CheckClock()
-    w_div = w_da = w_dd = w_eq = 0.0
-    count = 0
+    div, free, double, equiv = (
+        _Sweep(name, TOLERANCES[name], seed)
+        for name in ("divergence-closed-form", "drift-divergence-free",
+                     "double-divergence", "conservative-equivalence"))
     per_m = max(1, cases // len(Ms))
     for M in Ms:
         npairs = pair_count(M)
@@ -550,6 +557,7 @@ def run_appendix_c(
             t = _random_coupling_matrix(M, rng)
             g = _random_quartic(M, rng)
             v = x.packed
+            at = _instance(i, seed, x)
 
             def dmat(u):
                 return kernel.diffusion(PhasePoint(M, u), g)
@@ -557,17 +565,17 @@ def run_appendix_c(
             def avec(u):
                 return kernel.drift(PhasePoint(M, u), t, g)
 
-            with clock("divergence-closed-form"):
+            with div:
                 div_d = sum(_central(dmat, v, q)[:, q] for q in range(npairs))
-                w_div = max(w_div, float(np.max(np.abs(kernel.div_diffusion(x, g) - div_d))))
-            with clock("drift-divergence-free"):
+                div.add(np.abs(kernel.div_diffusion(x, g) - div_d), at)
+            with free:
                 div_a = sum(_central(avec, v, p)[p] for p in range(npairs))
-                w_da = max(w_da, abs(float(div_a)))
-            with clock("double-divergence"):
+                free.add(abs(float(div_a)), at)
+            with double:
                 div_div_d = sum(_central(dmat, v, p, q)[p, q] * (1 if p == q else 2)
                                 for p in range(npairs) for q in range(p, npairs))
-                w_dd = max(w_dd, abs(float(div_div_d)))
-            with clock("conservative-equivalence"):
+                double.add(abs(float(div_div_d)), at)
+            with equiv:
                 grad = rng.normal(size=npairs)
                 hess = rng.normal(size=(npairs, npairs))
                 hess = (hess + hess.T) / 2
@@ -575,19 +583,8 @@ def run_appendix_c(
                 r1 = kernel.fpe_rhs(x, t, g, grad, hess)
                 r2 = kernel.conservative_rhs(x, t, g, q, grad, hess,
                                              float(div_a), float(div_div_d))
-                w_eq = max(w_eq, abs(r1 - r2) / max(abs(r1), 1e-12))
-            count += 1
-    secs = clock.seconds
-    return [
-        CheckResult("divergence-closed-form", count, w_div, tol_div, w_div <= tol_div,
-                    secs["divergence-closed-form"]),
-        CheckResult("drift-divergence-free", count, w_da, tol_da, w_da <= tol_da,
-                    secs["drift-divergence-free"]),
-        CheckResult("double-divergence", count, w_dd, tol_dd, w_dd <= tol_dd,
-                    secs["double-divergence"]),
-        CheckResult("conservative-equivalence", count, w_eq, tol_eq, w_eq <= tol_eq,
-                    secs["conservative-equivalence"]),
-    ]
+                equiv.add(abs(r1 - r2) / max(abs(r1), 1e-12), at)
+    return [div.result(), free.result(), double.result(), equiv.result()]
 
 
 def run_tangency(
@@ -605,11 +602,9 @@ def run_tangency(
     re-runs that instance.
     """
     tol = TOLERANCES["tangency"] if tol is None else tol
-    clock = _CheckClock()
-    results = []
     ms = (spec.M,) if spec is not None else Ms
     per_m = max(1, n_points // len(ms))
-    with clock("tangency"):
+    with _Sweep("tangency", tol, seed) as sweep:
         for M in ms:
             seeds = range(seed + 500 * M, seed + 500 * M + per_m)
             points = random_points(M, seeds, True)
@@ -621,11 +616,8 @@ def run_tangency(
                     t = _random_coupling_matrix(M, rng)
                     g = _random_quartic(M, rng)
                 x = PhasePoint(M, points.packed[i])
-                res = kernel.tangency_residual(x, t, g)
-                results.append((float(np.max(np.abs(res))), _instance(i, seed, x)))
-    worst, worst_at = _worst(results)
-    return CheckResult("tangency", len(results), worst, tol, worst <= tol,
-                       clock.seconds["tangency"], info={"worst": worst_at})
+                sweep.add(np.abs(kernel.tangency_residual(x, t, g)), _instance(i, seed, x))
+    return sweep.result()
 
 
 def run_flow_margin(
@@ -646,10 +638,8 @@ def run_flow_margin(
     flow.
     """
     tol = TOLERANCES["flow-boundary-margin"] if tol is None else tol
-    clock = _CheckClock()
-    results = []
     ms = (spec.M,) if spec is not None else Ms
-    with clock("flow-boundary-margin"):
+    with _Sweep("flow-boundary-margin", tol, seed) as sweep:
         for i, M in enumerate(ms):
             rng = np.random.default_rng(seed + M)
             x0 = random_boundary_point(M, seed + M)
@@ -664,20 +654,20 @@ def run_flow_margin(
             margins = np.abs(flow(x0, model, dt, steps, method="rk4").margins)
             step = int(np.argmax(margins))
             record = {**_instance(i, seed, x0), "step": step, "dt": dt, "steps": steps}
-            results.append((float(margins[step]), record))
-    worst, worst_at = _worst(results)
-    return CheckResult("flow-boundary-margin", len(results), worst, tol, worst <= tol,
-                       clock.seconds["flow-boundary-margin"], info={"worst": worst_at})
+            sweep.add(margins[step], record)
+    return sweep.result()
 
 
 def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:
+    """The M = 1 moment identity over five states, the vacuum first.
+
+    The vacuum's right side must also read -1.  ``info["worst"]`` records
+    the index of the worst state and the seed of the two random ones.
+    """
     from . import fock
 
     tol = TOLERANCES["moment-m1"] if tol is None else tol
-    clock = _CheckClock()
-    worst = 0.0
-    ground = None
-    with clock("moment-m1"):
+    with _Sweep("moment-m1", tol, seed, vacuum=tol) as sweep:
         states = [
             np.diag([1.0, 0.0]).astype(complex),
             np.diag([0.0, 1.0]).astype(complex),
@@ -685,14 +675,12 @@ def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:
             fock.random_density_matrix(1, seed + 1),
             fock.random_density_matrix(1, seed + 2),
         ]
-        for idx, rho in enumerate(states):
-            lhs, rhs = fock.verify_moment_identity_m1(rho)
-            worst = max(worst, abs(lhs - rhs))
-            if idx == 0:
-                ground = (lhs, rhs)
-    ok = worst <= tol and abs(ground[1] + 1.0) <= tol
-    return CheckResult("moment-m1", len(states), worst, tol, ok, clock.seconds["moment-m1"],
-                       info={"vacuum_lhs": ground[0], "vacuum_rhs": ground[1]})
+        moments = [fock.verify_moment_identity_m1(rho) for rho in states]
+        for idx, (lhs, rhs) in enumerate(moments):
+            sweep.add(abs(lhs - rhs), {"index": idx, "seed": seed})
+        vacuum_lhs, vacuum_rhs = moments[0]
+        sweep.peak("vacuum", abs(vacuum_rhs + 1.0))
+    return sweep.result(vacuum_lhs=vacuum_lhs, vacuum_rhs=vacuum_rhs)
 
 
 def run_flow_equivalence(
@@ -703,10 +691,7 @@ def run_flow_equivalence(
     from scipy.linalg import expm  # on use, like dynamics: no CLI command runs this
 
     tol = TOLERANCES["flow-matrix-equivalence"] if tol is None else tol
-    clock = _CheckClock()
-    worst = 0.0
-    count = 0
-    with clock("flow-matrix-equivalence"):
+    with _Sweep("flow-matrix-equivalence", tol) as sweep:
         for M in Ms:
             for i in range(seeds_per_m):
                 rng = np.random.default_rng(seed + 37 * M + i)
@@ -716,21 +701,16 @@ def run_flow_equivalence(
                 horizon = steps * dt
                 prop = expm(4 * horizon * t.matrix())
                 ref = prop @ x0.matrix() @ prop.T
-                worst = max(worst, float(np.max(np.abs(traj.final.matrix() - ref))))
-                count += 1
-    return CheckResult("flow-matrix-equivalence", count, worst, tol, worst <= tol,
-                       clock.seconds["flow-matrix-equivalence"])
+                sweep.add(np.abs(traj.final.matrix() - ref))
+    return sweep.result()
 
 
 def run_hubbard_fidelity(tol: float | None = None) -> CheckResult:
     tol = TOLERANCES["hubbard-fidelity"] if tol is None else tol
-    clock = _CheckClock()
-    worst = 0.0
     shifts = []
-    with clock("hubbard-fidelity"):
+    with _Sweep("hubbard-fidelity", tol) as sweep:
         for sites, hop, onsite in ((1, 0.0, 4.0), (2, 1.0, 4.0), (2, 0.7, 0.0)):
             preset = preset_hubbard(sites, hop, onsite)
-            worst = max(worst, hubbard_comparison(preset, hop, onsite))
+            sweep.add(hubbard_comparison(preset, hop, onsite))
             shifts.append(preset.identity_shift)
-    return CheckResult("hubbard-fidelity", len(shifts), worst, tol, worst <= tol,
-                       clock.seconds["hubbard-fidelity"], info={"identity_shifts": shifts})
+    return sweep.result(identity_shifts=shifts)

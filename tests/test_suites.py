@@ -218,6 +218,11 @@ def test_sweep_equals_the_public_route(M, seed):
     assert channels.max_residual == rec
 
 
+def _first_max(rows):
+    """The (residual, record) row with the largest residual, the first of equal ones."""
+    return max(rows, key=lambda row: row[0], default=(0.0, None))
+
+
 def _per_point_sweep(M, seed, cases, g):
     """The traceless and channel checks' values, one public kernel call per point."""
     rows = {"diag": [], "rec": [], "bal": [], "tan": [], "zero": []}
@@ -246,7 +251,7 @@ def _per_point_sweep(M, seed, cases, g):
     eigs = np.array([np.linalg.eigvalsh(D) for D in Ds])
     edge = eigs[1::2]
     return {
-        "diag": suites._worst(rows["diag"]), "rec": suites._worst(rows["rec"]),
+        "diag": _first_max(rows["diag"]), "rec": _first_max(rows["rec"]),
         "eigsum": float(np.max(np.abs(eigs.sum(axis=-1)))),
         "balance": max(rows["bal"]), "boundary_tangency": max(rows["tan"], default=0.0),
         "boundary_symmetry": float(np.max(np.abs(edge + edge[:, ::-1])
@@ -400,6 +405,123 @@ def test_worst_flow_margin_instance_reproduces_its_residual(given):
     margins = np.abs(flow(x0, spec, worst["dt"], worst["steps"]).margins)
     assert int(np.argmax(margins)) == worst["step"] > 0
     assert margins[worst["step"]] == check.max_residual > 0.0
+
+
+def test_worst_divergence_instance_reproduces_its_residual():
+    seed = 918273
+    checks = suites.run_appendix_c(Ms=(2, 3), seed=seed, cases=6)
+    assert all(set(c.info["worst"]) == {"index", "seed", "M", "x"} for c in checks)
+    check = checks[0]
+    assert check.name == "divergence-closed-form"
+    worst, x = _recorded_point(check)
+    assert worst["seed"] == seed and 0 <= worst["index"] < check.instances
+    M = worst["M"]
+    rng = np.random.default_rng(seed + 1000 * M + worst["index"])
+    suites._random_coupling_matrix(M, rng)  # t is drawn before g
+    g = suites._random_quartic(M, rng)
+    div_d = sum(suites._central(lambda u: kernel.diffusion(PhasePoint(M, u), g), x.packed, q)[:, q]
+                for q in range(x.packed.size))
+    residual = float(np.max(np.abs(kernel.div_diffusion(x, g) - div_d)))
+    assert residual == check.max_residual > 0.0
+
+
+def test_worst_moment_state_reproduces_its_residual():
+    check = suites.run_moment_m1(seed=5)
+    worst = check.info["worst"]
+    assert worst["seed"] == 5 and 0 <= worst["index"] < check.instances
+    states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2,
+              fock.random_density_matrix(1, worst["seed"] + 1),
+              fock.random_density_matrix(1, worst["seed"] + 2)]
+    lhs, rhs = fock.verify_moment_identity_m1(states[worst["index"]])
+    assert abs(lhs - rhs) == check.max_residual > 0.0
+
+
+def _nan_on_call(fn, call, plant):
+    """``fn``, with ``plant`` putting a NaN into the result of its ``call``-th call."""
+    calls = 0
+
+    def planted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        out = fn(*args, **kwargs)
+        return plant(out) if calls == call else out
+    return planted
+
+
+def _nan(out):
+    return out * np.nan
+
+
+_G3 = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.3)])
+
+# (owner, name of the call, the call whose result gets the NaN, how, the
+# runner, its check, where the check reports the NaN).  Each NaN lands at an
+# instance or stack block after the first, where a running maximum with
+# Python's max would drop it.
+NAN_CASES = {
+    "tangency": (kernel, "tangency_residual", 3, _nan,
+                 lambda: suites.run_tangency(Ms=(2, 3), seed=5, n_points=8),
+                 "tangency", "max_residual"),
+    "channel-balance": (kernel.ChannelDecomposition, "traces", 2, lambda fb: (fb[0], _nan(fb[1])),
+                        lambda: suites.run_traceless_and_channels(3, seed=4, cases=8, g=_G3),
+                        "channels-m3", "balance"),
+    "channel-reconstruction": (kernel.ChannelDecomposition, "reconstruct", 2, _nan,
+                               lambda: suites.run_traceless_and_channels(3, seed=4, cases=8, g=_G3),
+                               "channels-m3", "max_residual"),
+    # conservative_rhs calls div_diffusion too: call 3 is the second instance's check
+    "divergence-closed-form": (kernel, "div_diffusion", 3, _nan,
+                               lambda: suites.run_appendix_c(Ms=(2,), seed=4, cases=3),
+                               "divergence-closed-form", "max_residual"),
+    "fpe": (fock, "verify_fpe", 2, lambda chk: replace(chk, residual=np.nan),
+            lambda: suites.run_fpe_sweep(suites.acceptance_fpe_cases(11)[1][1], 11, n_instances=3),
+            "fpe", "max_residual"),
+    "quadratic-identities": (fock, "verify_quadratic_identities", 2,
+                             lambda res: {**res, "mixed": np.nan},
+                             lambda: suites.run_quadratic_identities(Ms=(2,), seed=5, n_points=3),
+                             "quadratic-identities", "max_residual"),
+    "four-gamma": (fock, "verify_four_gamma", 2,
+                   lambda report: {k: (left, np.nan) for k, (left, _) in report.items()},
+                   lambda: suites.run_four_gamma(M=2, seed=5, n_points=3),
+                   "four-gamma", "max_residual"),
+    "flow-boundary-margin": (suites, "flow", 2, lambda traj: replace(traj, margins=_nan(traj.margins)),
+                             lambda: suites.run_flow_margin(Ms=(2, 3), seed=5, steps=20),
+                             "flow-boundary-margin", "max_residual"),
+    "flow-matrix-equivalence": (suites, "flow", 2, lambda traj: replace(traj, packed=_nan(traj.packed)),
+                                lambda: suites.run_flow_equivalence(Ms=(1,), seed=5, seeds_per_m=3,
+                                                                    steps=20),
+                                "flow-matrix-equivalence", "max_residual"),
+    "moment-m1": (fock, "verify_moment_identity_m1", 2, lambda lr: (lr[0], np.nan),
+                  lambda: suites.run_moment_m1(seed=5), "moment-m1", "max_residual"),
+    "basis-at-origin": (fock, "gaussian_basis", 2, _nan,
+                        lambda: suites.run_gaussian_basis(seed=5, n_boundary=2),
+                        "basis-at-origin", "max_residual"),
+    "hubbard-fidelity": (suites, "hubbard_comparison", 2, lambda residual: np.nan,
+                         suites.run_hubbard_fidelity, "hubbard-fidelity", "max_residual"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES.values(), ids=NAN_CASES)
+def test_a_nan_after_the_first_instance_fails_its_check(monkeypatch, case):
+    owner, name, call, plant, runner, check_name, reads = case
+    monkeypatch.setattr(owner, name, _nan_on_call(getattr(owner, name), call, plant))
+    checks = runner()
+    check = {c.name: c for c in (checks if isinstance(checks, list) else [checks])}[check_name]
+    value = check.max_residual if reads == "max_residual" else check.info[reads]
+    assert np.isnan(value)
+    assert not check.passed
+
+
+def test_a_nan_residual_fails_verify(monkeypatch, tmp_path):
+    from majoranaq.cli import main
+
+    monkeypatch.setattr(kernel, "tangency_residual", _nan_on_call(kernel.tangency_residual, 3, _nan))
+    cfg, out = tmp_path / "m3.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"M": 3, "seed": 0}))
+    assert main(["verify", "--config", str(cfg), "--suite", "tangency", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    check = {c["name"]: c for c in report["checks"]}["tangency"]
+    assert np.isnan(check["max_residual"]) and check["pass"] is False
+    assert report["overall_pass"] is False
 
 
 def _polynomial(n, degree, seed):

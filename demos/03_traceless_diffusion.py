@@ -5,7 +5,7 @@ positive (forward-time) and negative (backward-time) diffusion directions
 whose eigenvalues sum to zero.  D also decomposes into rank-1 channels
 4g (B- B-^T - B+ B+^T), one row per ordered coupling tuple of the channel
 arrays; their sum is an independent route to D, which itself is contracted
-with the compiled pair-space coupling matrix.
+with the coupling's compiled pair-space block.
 """
 
 import numpy as np

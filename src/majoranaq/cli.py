@@ -33,8 +33,9 @@ if TYPE_CHECKING:
 SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 
 # mode-count caps of the traceless and tangency suites and of the flow
-# command; at the flow cap the dense pair matrix G is 496 x 496 (2 MB).  The
-# identities and fpe suites are capped at fock.ORACLE_MAX_M.
+# command; at the flow cap x is 32 x 32, and a coupling that touches all 496
+# packed pairs compiles a 992 x 496 block (3.9 MB).  The identities and fpe
+# suites are capped at fock.ORACLE_MAX_M.
 _KERNEL_SUITE_MAX_M = 4
 _FLOW_MAX_M = 16
 
@@ -186,7 +187,10 @@ def cmd_flow(args) -> int:
     spec, _shift = config_to_spec(cfg)
     x0 = _load_x0(args, cfg)
     start = time.perf_counter()
-    traj = flow(x0, spec, args.dt, args.steps, method=args.method)
+    try:
+        traj = flow(x0, spec, args.dt, args.steps, method=args.method)
+    except MemoryError:  # numpy refuses the trajectory arrays before any step
+        raise ConfigError(f"too many to store, got {args.steps}", field="--steps") from None
     elapsed = time.perf_counter() - start
     pairs = pair_enumerate(cfg.M)
     header = ["time"] + [f"x_{p.alpha}_{p.beta}" for p in pairs] + ["margin"]

@@ -7,7 +7,7 @@ recorded domain margin directly measures that property.  The flow steps the
 full antisymmetric matrix x through every stage: each drift evaluation runs
 the stage kernel compiled once per flow
 (:func:`majoranaq.kernel._compile_rate`), one product with the coupling's
-compact drift map over only the pairs its quadruples touch, and one matmul,
+compiled block over only the pairs its quadruples touch, and one matmul,
 with no scatter of x and no gather of the rate.  Stored
 states go into a block buffer of at most 64 full matrices; each block is
 written to the run's packed array with one gather and given its margins by
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .kernel import _compile_rate, diffusion
+from .kernel import _drift_rate, diffusion
 from .tensors import (
     CouplingMatrix,
     HamiltonianSpec,
@@ -126,18 +126,20 @@ def flow(
     ``method`` is 'euler' or 'rk4'.  With ``project`` the state is retracted
     onto the boundary after every step (off by default, see module note).
     The state is the full antisymmetric matrix x through every stage; each
-    stage is one product with the coupling's compact drift map
-    (:attr:`majoranaq.tensors.QuarticCoupling.rate_map`, built once per
-    coupling) and one matmul (:func:`majoranaq.kernel._compile_rate`).
+    stage is one product with the coupling's compiled block
+    (:attr:`majoranaq.tensors.QuarticCoupling.pair_block`, built once per
+    coupling) scaled by the drift's coefficient, and one matmul
+    (:func:`majoranaq.kernel._compile_rate`).
     Stored states go into a block buffer of at most 64 full matrices; each
     full block gives its packed rows to ``Trajectory.packed`` with one
     gather and its margins with one stacked eigensolve.
 
-    A non-finite state or margin, a failed margin eigensolve, or a singular
-    projection raises :class:`DivergenceError` at its step; the initial point
-    is step 0.  Before a failure inside the loop is raised, the pending
-    margins are evaluated, so the earliest failing step wins, as if each
-    margin were taken right after its step.  Overflow and invalid-value
+    A trajectory too large to allocate raises :class:`MemoryError` before
+    any step.  A non-finite state or margin, a failed margin eigensolve, or
+    a singular projection raises :class:`DivergenceError` at its step; the
+    initial point is step 0.  Before a failure inside the loop is raised,
+    the pending margins are evaluated, so the earliest failing step wins, as
+    if each margin were taken right after its step.  Overflow and invalid-value
     warnings of the stages and margin solves are silenced: every non-finite
     result they flag becomes that error.  States, margins and times are
     bit-identical to a step-by-step loop through
@@ -150,12 +152,16 @@ def flow(
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     M = x0.M
-    rate = _compile_rate(spec.g, spec.t)
-    packed = np.empty((steps + 1, pair_count(M)))
+    rate = _drift_rate(spec.g, spec.t)
+    try:
+        packed = np.empty((steps + 1, pair_count(M)))
+    except ValueError as exc:  # numpy refuses a byte count past the index range
+        raise MemoryError(f"cannot allocate a trajectory of {steps} steps ({exc})") from None
     margins = np.empty(steps + 1)
     block = np.empty((min(steps + 1, _MARGIN_BLOCK), 2 * M, 2 * M))
     X = block[0] = x0.matrix()
     pending = 0  # first step whose margin is not yet evaluated
+    half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             try:
@@ -163,10 +169,10 @@ def flow(
                     X = X + dt * rate(X)
                 else:
                     k1 = rate(X)
-                    k2 = rate(X + 0.5 * dt * k1)
-                    k3 = rate(X + 0.5 * dt * k2)
+                    k2 = rate(X + half * k1)
+                    k3 = rate(X + half * k2)
                     k4 = rate(X + dt * k3)
-                    X = X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                    X = X + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
                 if not np.isfinite(X).all():
                     raise DivergenceError(step)
                 if project:

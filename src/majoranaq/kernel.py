@@ -25,30 +25,33 @@ Conventions (hbar = 1 throughout; couplings are rates):
   identically vanishing diagonal, hence traceless.
 
 * Compiled coupling:  every contraction with g runs through the pair-space
-  matrix G[P, Q] = g_{PQ} (P = (i<j), Q = (k<l) packed), compiled once per
-  coupling as :attr:`QuarticCoupling.pair_matrix`, a dense npairs x npairs
-  array with npairs = M(2M - 1) (2 MB at M = 16); the drift reads only its
-  compact part (see the stage kernel below).  Antisymmetry folds each
+  matrix G[P, Q] = g_{PQ} (P = (i<j), Q = (k<l) packed).  Each coupling
+  compiles it once, as :attr:`QuarticCoupling.pair_block`: the unscaled
+  block K0 = [G[p, p]; -G[p, p]] over the w pairs p its quadruples touch
+  (G is zero elsewhere), with the flat indices of those pairs in a full
+  matrix.  Every formula applies its own coefficients to K0, so no
+  npairs x npairs matrix is built.  Antisymmetry folds each
   sum over ordered (i, j) onto packed pairs, so (g.x) = 2 G x and
-  E = REa^T G IMa with REa[P] = Re X_{ij} - Re X_{ji} (likewise IMa).  Only
+  E = REa^T G IMa with REa[P] = Re X_{ij} - Re X_{ji} (likewise IMa), in
+  which only the rows p of REa and IMa meet G.  Only
   the channel decomposition expands the 24 signed orderings of each stored
   quadruple, as index rows cached on the coupling.  It folds their weights
   into a (4M^2, 4M^2) matrix W over the Re/Im table rows, so the channel sum
   is -2 (S + S^T) with S = RE^T W IM and no (24 nq, npairs) array is formed.
 
-* Stage kernel:  the drift matrix [x, c] with c = 4((4M - 3)(g.x) - t) is
-  computed on the full antisymmetric matrix x, by :func:`_compile_rate`.
-  The coupling compiles once a compact map
-  (:attr:`QuarticCoupling.rate_map`): K = 8(4M - 3) G restricted to the w
-  pairs its quadruples touch, over its negation for the mirrored entries.
-  A stage is one gather of those w entries of x, one product with K, one
-  addition of the -4 t entries there, one scatter into a buffer that holds
-  -4 t everywhere else, and one matmul P = x c, read as [x, c] = P - P^T.
-  The buffer c is antisymmetric to rounding only (the two halves of K v
-  may round apart); the rate P - P^T is antisymmetric bit for bit.
-  :func:`drift`, :func:`drift_matrix` and every RK4 stage of
-  :func:`majoranaq.dynamics.flow` run this one kernel, so the flow's states
-  equal a loop through :func:`drift` bit for bit.
+* Stage kernel:  every drift-type vector is a commutator [x, c] with
+  c = a G v + b t at the packed entries v of x, computed on the full
+  antisymmetric matrix x by :func:`_compile_rate`.  The drift has
+  a = 8(4M - 3) and b = -4 (c = 4((4M - 3)(g.x) - t)); :func:`drift_bar`,
+  :func:`div_diffusion` and :func:`drift_alternative` differ only in a and
+  b.  Compiling scales K0 by a into K and t by b into a buffer c.  A stage
+  is one gather of the w touched entries of x, one product with K, one
+  addition of the b t entries there, one scatter into c, and one matmul
+  P = x c, read as [x, c] = P - P^T.  The buffer c is antisymmetric to
+  rounding only (the two halves of K v may round apart); the rate P - P^T
+  is antisymmetric bit for bit.  Every drift-type function and every RK4
+  stage of :func:`majoranaq.dynamics.flow` run this one kernel, so the
+  flow's states equal a loop through :func:`drift` bit for bit.
 
 * Stacks:  :func:`diffusion` and :func:`diffusion_channels` take a
   :class:`PhasePoint` holding a stack of B points, and every result then
@@ -90,7 +93,6 @@ from .tensors import (
     _check_index,
     _pack,
     _pair_rows_cols,
-    _unpack,
     domain_margin,
     pair_count,
 )
@@ -171,12 +173,17 @@ def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def contract_quartic(g: QuarticCoupling, xm: np.ndarray) -> np.ndarray:
-    """(g.x)_{ij} = sum_{kl} g_{ijkl} x_{kl}, as one product with the pair matrix.
+    """(g.x)_{ij} = sum_{kl} g_{ijkl} x_{kl}, as one product with the compiled block.
 
     The sum over ordered (k, l) counts each packed pair twice, so
-    (g.x)_P = 2 (G x_packed)_P for P = (i<j), unpacked antisymmetrically.
+    (g.x)_P = 2 (G x_packed)_P for P = (i<j): one product of 2 K0 with the
+    touched entries of x, put into a zero matrix at those entries and their
+    mirrors (see :attr:`QuarticCoupling.pair_block`).
     """
-    return _unpack(g.M, 2.0 * (g.pair_matrix @ _pack(g.M, xm)))
+    _, read, write, K0 = g.pair_block
+    out = np.zeros(xm.shape)
+    out.put(write, 2.0 * K0.dot(xm.take(read)))
+    return out
 
 
 def _check_dims(x: PhasePoint, *couplings, stack: bool = False) -> None:
@@ -188,28 +195,36 @@ def _check_dims(x: PhasePoint, *couplings, stack: bool = False) -> None:
             raise DimensionError(f"coupling M={c.M} does not match phase point M={x.M}")
 
 
+# constants appended to the flat x that the compound gathers read: 0, 1, -1
+_COMPOUND_CONSTANTS = np.array([0.0, 1.0, -1.0])
+
+
 @lru_cache(maxsize=None)
 def _compound_index(M: int) -> tuple[np.ndarray, ...]:
-    """Flat indices into x of the compound rows; rows P = (i<j), columns a = (alpha<beta).
+    """Flat indices into x, extended by :data:`_COMPOUND_CONSTANTS`, of the compound rows.
 
-    The (npairs, npairs) gathers (i alpha), (j beta), (i beta), (j alpha) of
-    the minors C2, then the flat slots of IMa and the entry of x each reads.
-    Of the four terms of IMa[P, a] = Im X_{ij}^a - Im X_{ji}^a,
+    Rows P = (i<j), columns a = (alpha<beta).  The (npairs, npairs)
+    gathers are (i beta), (j alpha), (i alpha), (j beta) of the minors C2,
+    then the source of IMa.  On P = a the third and fourth read 1 and -1 in
+    place of x_ii x_jj = 0, so that ib ja - ia jb = 1 - C2 there: the
+    identity of REa = I - C2(x).  Of the four terms of
+    IMa[P, a] = Im X_{ij}^a - Im X_{ji}^a,
     -x_{i alpha} d_{beta j} + d_{i alpha} x_{beta j} + x_{j alpha} d_{beta i}
     - d_{j alpha} x_{beta i}, one survives where P and a share one index and
     none elsewhere (on P = a the survivors cancel); antisymmetry takes each
-    sign into the source, -x_{i alpha} = x_{alpha i}.
+    sign into the source, -x_{i alpha} = x_{alpha i}, and where none
+    survives the source reads the appended 0.
     """
     n = 2 * M
     rows, cols = _pair_rows_cols(M)
     i, j = rows[:, None], cols[:, None]
     al, be = rows[None, :], cols[None, :]
-    minors = [r * n + c for r, c in ((i, al), (j, be), (i, be), (j, al))]
+    diagonal = (i == al) & (j == be)
+    ib, ja, ia, jb = (r * n + c for r, c in ((i, be), (j, al), (i, al), (j, be)))
     shared = [be == j, al == i, be == i, al == j]
     sources = [al * n + i, be * n + j, j * n + al, i * n + be]
-    src = np.where((i == al) & (j == be), -1, np.select(shared, sources, -1))
-    slots = np.flatnonzero(src >= 0)
-    out = (*minors, slots, src.ravel()[slots])
+    out = (ib, ja, np.where(diagonal, n * n + 1, ia), np.where(diagonal, n * n + 2, jb),
+           np.where(diagonal, n * n, np.select(shared, sources, n * n)))
     for a in out:
         a.flags.writeable = False
     return out
@@ -218,35 +233,38 @@ def _compound_index(M: int) -> tuple[np.ndarray, ...]:
 def _compound_rows(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """REa = I - C2(x) and IMa, the packed adjoint map of x, as (..., npairs, npairs) arrays.
 
-    ``xm`` is one full matrix or a stack (..., 2M, 2M).
+    ``xm`` is one full matrix or a stack (..., 2M, 2M).  Both are gathers
+    from the flat x extended by :data:`_COMPOUND_CONSTANTS` (see
+    :func:`_compound_index`).
     """
-    ia, jb, ib, ja, slots, src = _compound_index(M)
+    ib, ja, ia, jb, src = _compound_index(M)
     lead = xm.shape[:-2]
-    flat = xm.reshape(lead + (-1,))
+    flat = np.empty(lead + (4 * M * M + 3,))
+    flat[..., :-3] = xm.reshape(lead + (-1,))
+    flat[..., -3:] = _COMPOUND_CONSTANTS
     REa = (flat.take(ib, axis=-1) * flat.take(ja, axis=-1)
            - flat.take(ia, axis=-1) * flat.take(jb, axis=-1))
-    REa.reshape(lead + (-1,))[..., :: REa.shape[-1] + 1] += 1.0
-    IMa = np.zeros(REa.shape)
-    IMa.reshape(lead + (-1,))[..., slots] = flat.take(src, axis=-1)
-    return REa, IMa
+    return REa, flat.take(src, axis=-1)
 
 
 def diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     """Diffusion matrix D^{am} = -8 sum g Im(X^a X^m) over packed pair indices.
 
     Symmetric with identically vanishing diagonal (traceless).  The Latin
-    sums contract with the compiled pair matrix, D = -8 (E + E^T) with
-    E = REa^T (G IMa), where REa = I - C2(x) takes the 2 x 2 minors of x and
-    IMa is the packed adjoint map of x, both gathered straight from x (see
-    the module notes); the Re/Im tables are not built.
+    sums contract with the compiled block, D = -8 (E + E^T) with
+    E = REa[p]^T (G[p, p] IMa[p]) over the touched pairs p, where
+    REa = I - C2(x) takes the 2 x 2 minors of x and IMa is the packed
+    adjoint map of x, both gathered straight from x (see the module notes);
+    the Re/Im tables are not built.
 
     A stack of B points gives a (B, npairs, npairs) stack of matrices, each
     equal to the diffusion of its point alone bit for bit; a single point
     gives one matrix.
     """
     _check_dims(x, g, stack=True)
+    pairs, _, _, K0 = g.pair_block
     REa, IMa = _compound_rows(x.M, x.matrix())
-    E = REa.swapaxes(-1, -2) @ (g.pair_matrix @ IMa)
+    E = REa.take(pairs, axis=-2).swapaxes(-1, -2) @ (K0[:len(pairs)] @ IMa.take(pairs, axis=-2))
     return -8.0 * (E + E.swapaxes(-1, -2))
 
 
@@ -382,51 +400,52 @@ def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecompositio
     return ChannelDecomposition(M, tuples + 1, 4.0 * weights, RE.reshape(rows), IM.reshape(rows))
 
 
-def _commutator_drift(xm: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_{ij} c_{ij} Im X_{ij}^{(ab)} = [x, c]_{ab} for the full matrix ``xm``, packed."""
-    return _pack(len(xm) // 2, xm @ c - c @ xm)
+def _compile_rate(g: QuarticCoupling, t: CouplingMatrix, a: float, b: float):
+    """The rate X -> [X, C(X)] on full antisymmetric matrices, with c = a G v + b t.
 
-
-def _compile_rate(g: QuarticCoupling, t: CouplingMatrix):
-    """The drift rate X -> [X, C(X)] on full antisymmetric matrices, compiled once.
-
-    The coefficient is c_P = 8(4M-3) (G v)_P - 4 t_P at the packed upper
-    entries v of X.  C starts as the full matrix of -4 t; a stage rewrites
-    only the entries the coupling reaches, with one product by the compact
-    map K of :attr:`QuarticCoupling.rate_map` (the factor 8(4M-3) folded
-    into K) plus those entries of -4 t, and one ``put``.  Both couplings
-    keep their compiled parts (``rate_map`` and the full t), so building
-    the rate costs two calls.  The commutator is one matmul, P = X C, with
-    [X, C] = P - P^T (C X = (X C)^T for antisymmetric X and C).
+    v holds the packed upper entries of X.  Compiling costs one scale of
+    the coupling's block K0 into K = a K0 and one of the full t into C = b t
+    (both parts are cached on the couplings), and one ``take`` of the b t
+    entries the block writes.  A stage rewrites only those entries of C,
+    with one product by K plus those entries of b t, and one ``put``.  The
+    commutator is one matmul, P = X C, with [X, C] = P - P^T (C X = (X C)^T
+    for antisymmetric X and C).
 
     The lower rows of K are the exact negations of its upper rows, but
     their products may round apart, so C is antisymmetric to rounding
     only; the rate P - P^T is antisymmetric bit for bit: below the diagonal
     it is the exact negation of the entries above it and, where P is
-    finite, its diagonal is 0.  Both products are ``np.dot``, which has
-    less per-call overhead than ``@`` on arrays this small.
+    finite, its diagonal is 0.  Both products call the arrays' ``dot``
+    method, which skips the array-function dispatch of ``np.dot`` and costs
+    less than ``@`` on arrays this small.
     """
-    read, write, K = g.rate_map
-    C = -4.0 * t._full
+    _, read, write, K0 = g.pair_block
+    K = a * K0
+    C = b * t._full
     base = C.take(write)
 
     def rate(X: np.ndarray) -> np.ndarray:
-        C.put(write, np.dot(K, X.take(read)) + base)
-        P = np.dot(X, C)
+        C.put(write, K.dot(X.take(read)) + base)
+        P = X.dot(C)
         return P - P.T
 
     return rate
+
+
+def _drift_rate(g: QuarticCoupling, t: CouplingMatrix):
+    """The stage kernel of the full drift, c = 4((4M - 3)(g.x) - t) = 8(4M - 3) G v - 4 t."""
+    return _compile_rate(g, t, 8.0 * (4 * g.M - 3), -4.0)
 
 
 def drift_bar(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """First-order coefficient Abar^a = 4 Im X_{ij}^a (3 (g.x)_{ij} - t_{ij}).
 
     The identity-part of x+ in the cubic term is annihilated by the
-    antisymmetry of g, so the evaluation stays in real arithmetic.
+    antisymmetry of g, so the evaluation stays in real arithmetic:
+    c = 12 (g.x) - 4 t = 24 G v - 4 t.
     """
     _check_dims(x, t, g)
-    xm = x.matrix()
-    return _commutator_drift(xm, 12.0 * contract_quartic(g, xm) - 4.0 * t.matrix())
+    return _pack(x.M, _compile_rate(g, t, 24.0, -4.0)(x.matrix()))
 
 
 def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
@@ -438,14 +457,14 @@ def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     in :func:`majoranaq.suites.run_appendix_c`.
     """
     _check_dims(x, g)
-    xm = x.matrix()
-    return _commutator_drift(xm, -8.0 * (3 - 2 * x.M) * contract_quartic(g, xm))
+    rate = _compile_rate(g, CouplingMatrix.zero(x.M), -16.0 * (3 - 2 * x.M), 0.0)
+    return _pack(x.M, rate(x.matrix()))
 
 
 def drift(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """Full drift A = Abar + div D = 4 Im X_{ij}^a [(4M-3)(g.x)_{ij} - t_{ij}]."""
     _check_dims(x, t, g)
-    return _pack(x.M, _compile_rate(g, t)(x.matrix()))
+    return _pack(x.M, _drift_rate(g, t)(x.matrix()))
 
 
 def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
@@ -456,8 +475,7 @@ def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> n
     the sign of t; exact-oracle comparisons are reported for both.
     """
     _check_dims(x, t, g)
-    xm = x.matrix()
-    return _commutator_drift(xm, (64 * x.M - 120.0) * contract_quartic(g, xm) + 4.0 * t.matrix())
+    return _pack(x.M, _compile_rate(g, t, 2.0 * (64 * x.M - 120.0), 4.0)(x.matrix()))
 
 
 def drift_matrix(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
@@ -466,7 +484,7 @@ def drift_matrix(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.nda
     Evaluated by the same stage kernel as :func:`majoranaq.dynamics.flow`.
     """
     _check_dims(x, t, g)
-    return _compile_rate(g, t)(x.matrix())
+    return _drift_rate(g, t)(x.matrix())
 
 
 def _derivative_arrays(M: int, grad, hess) -> tuple[np.ndarray, np.ndarray]:

@@ -10,10 +10,12 @@ antisymmetric orthogonal matrices, i.e. complex structures).
 Quadratic couplings t_{ij} use the same packed antisymmetric storage; quartic
 couplings g_{ijkl} are stored on sorted quadruples i<j<k<l with the
 permutation sign applied on access.  Each quartic coupling is compiled once,
-on first use, into the symmetric pair-space matrix G[P, Q] = g_{PQ} over
-packed pairs P = (i<j), Q = (k<l) (a dense npairs x npairs array with six
-nonzero entries per stored quadruple), which is the only form the kernel
-contracts with.
+on first use, into the part of its symmetric pair-space matrix
+G[P, Q] = g_{PQ} (P = (i<j), Q = (k<l) packed) that is not zero: the block
+over the w pairs its quadruples touch, unscaled, with the flat indices of
+those pairs in a full matrix (:attr:`QuarticCoupling.pair_block`).  That
+block is the only form of g the kernel contracts with; no npairs x npairs
+matrix is built.
 
 All indices in the public API are 1-based, matching the conventions of the
 file formats; internal numpy arrays are 0-based.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from types import MappingProxyType
 
 import numpy as np
@@ -117,8 +119,11 @@ def _unpack(M: int, packed: np.ndarray) -> np.ndarray:
     upper, lower = _pair_flat(M)
     packed = np.asarray(packed, dtype=float)
     x = np.zeros(packed.shape[:-1] + (4 * M * M,))
-    x[..., upper] = packed
-    x[..., lower] = -packed
+    # one point takes numpy's fast path for a single index array, which
+    # the Ellipsis of the stacked form bypasses
+    at = () if packed.ndim == 1 else (Ellipsis,)
+    x[at + (upper,)] = packed
+    x[at + (lower,)] = -packed
     return x.reshape(packed.shape[:-1] + (2 * M, 2 * M))
 
 
@@ -307,61 +312,39 @@ class QuarticCoupling:
         quads = np.array([key for key, _ in items], dtype=np.intp).reshape(-1, 4) - 1
         return quads, np.array([v for _, v in items], dtype=float)
 
-    def _pair_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values of the nonzero entries of :attr:`pair_matrix`.
+    @cached_property
+    def pair_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The coupling compiled once for the kernel: (pairs, read, write, K0).
 
-        A canonical quadruple a<b<c<d fills its three pair splits
-        (ab|cd), (ac|bd), (ad|bc) with signs +, -, +, each in both orders.
-        No two quadruples share a slot.
+        The pair-space matrix G[P, Q] = g_{PQ} has six nonzero entries per
+        canonical quadruple a<b<c<d: its three pair splits (ab|cd), (ac|bd),
+        (ad|bc) with signs +, -, +, each in both orders, and no two
+        quadruples share a slot.  So (g.x)_P = 2 (G v)_P at the packed
+        entries v of x.  G is symmetric, and only the w rows and columns
+        ``pairs`` (sorted packed indices) that a stored quadruple touches are
+        nonzero.  K0 is the (2w, w) block G[pairs, pairs] over its negation;
+        ``read`` holds the flat indices of the entries (p_a, p_b) of a
+        (2M, 2M) matrix, and ``write`` those entries and then their mirrors
+        (p_b, p_a).  So K0 X.take(read), put at ``write`` into a zero matrix,
+        is G v unpacked antisymmetrically (each half to rounding).  The block
+        is unscaled: every formula applies its own coefficients (see
+        :mod:`majoranaq.kernel`).  Read-only; empty for a zero coupling.
         """
         quads, values = self._canonical_arrays()
         idx = _pair_index_matrix(self.M)
         a, b, c, d = quads.T
         left = [idx[a, b], idx[a, c], idx[a, d]]
         right = [idx[c, d], idx[b, d], idx[b, c]]
-        return (np.concatenate(left + right), np.concatenate(right + left),
-                np.concatenate([values, -values, values] * 2))
-
-    @cached_property
-    def pair_matrix(self) -> np.ndarray:
-        """Symmetric pair-space matrix G[P, Q] = g_{PQ}, P = (i<j) and Q = (k<l) packed.
-
-        So (g.x)_{ij} = 2 (G x_packed)_P, and G has 6 nonzero entries per
-        stored quadruple.  G is a read-only dense float64 array of
-        npairs^2 = (M(2M-1))^2 entries.
-        """
-        rows, cols, data = self._pair_entries()
-        npairs = pair_count(self.M)
-        G = np.zeros((npairs, npairs))
-        G[rows, cols] = data
-        G.flags.writeable = False
-        return G
-
-    @cached_property
-    def rate_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The coupling's part of the drift coefficient, compact: (read, write, K).
-
-        Over the w packed pairs p that a stored quadruple touches (the
-        nonzero rows of the symmetric :attr:`pair_matrix`, which are also its
-        nonzero columns), ``read`` holds the flat indices of the entries
-        (p_a, p_b) of a (2M, 2M) matrix, ``write`` those entries and then
-        their mirrors (p_b, p_a), and K is the (2w, w) matrix
-        8(4M - 3) G[p, p] over its negation, so that K X.take(read) is the
-        quartic part 8(4M - 3)(G v) of the drift coefficient c (see
-        :func:`majoranaq.kernel._compile_rate`) at every entry of ``write``,
-        and G v is 0 elsewhere.  Read-only; empty for a zero coupling.
-        """
-        rows, cols, data = self._pair_entries()
-        npairs = pair_count(self.M)
-        pairs = np.flatnonzero(np.bincount(rows, minlength=npairs))
+        rows, cols = np.concatenate(left + right), np.concatenate(right + left)
+        pairs = np.flatnonzero(np.bincount(rows, minlength=pair_count(self.M)))
         w = len(pairs)
-        r, c = np.searchsorted(pairs, rows), np.searchsorted(pairs, cols)
-        K = np.zeros((2 * w, w))
-        K[r, c] = 8.0 * (4 * self.M - 3) * data
-        K[w:] = -K[:w]
+        K0 = np.zeros((2 * w, w))
+        K0[np.searchsorted(pairs, rows), np.searchsorted(pairs, cols)] = np.concatenate(
+            [values, -values, values] * 2)
+        K0[w:] = -K0[:w]
         upper, lower = _pair_flat(self.M)
         read = upper[pairs]
-        out = read, np.concatenate([read, lower[pairs]]), K
+        out = pairs, read, np.concatenate([read, lower[pairs]]), K0
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -385,10 +368,8 @@ class QuarticCoupling:
         """Materialized (2M)^4 tensor; intended for small-M cross-checks."""
         n = 2 * self.M
         out = np.zeros((n, n, n, n))
-        for (i, j, k, l), v in self.table.items():
-            for perm in permutations((i - 1, j - 1, k - 1, l - 1)):
-                _, sign = _sort_sign(perm)
-                out[perm] = sign * v
+        tuples, weights = self.ordered_tuples
+        out[tuple(tuples.T)] = weights
         return out
 
 
@@ -397,23 +378,20 @@ def antisymmetrize_quartic(dense: np.ndarray, M: int) -> QuarticCoupling:
 
     The canonical value on i<j<k<l is (1/4!) sum_sigma sign(sigma) *
     dense[sigma(i,j,k,l)]; the accessor then reproduces the full projection.
+    The 24 signed terms of each quadruple are summed in the order of
+    ``itertools.permutations``, one after the other.
     """
-    from itertools import combinations
-
     dense = np.asarray(dense, dtype=float)
     n = 2 * M
     if dense.shape != (n, n, n, n):
         raise DimensionError(f"dense shape {dense.shape} != {(n, n, n, n)} for M={M}")
-    table = {}
-    for quad in combinations(range(n), 4):
-        acc = 0.0
-        for perm in permutations(range(4)):
-            _, sign = _sort_sign(perm)
-            acc += sign * dense[tuple(quad[p] for p in perm)]
-        v = acc / 24.0
-        if v != 0.0:
-            table[tuple(q + 1 for q in quad)] = v
-    return QuarticCoupling(M, table)
+    quads = np.array(list(combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    i, j, k, l = quads[:, _PERMUTATIONS4].T  # each (24, nq)
+    terms = dense[i, j, k, l] * _PERMUTATION_SIGNS4[:, None]
+    # accumulate adds the rows in order; a reduce may pair them up instead
+    values = np.add.accumulate(terms)[-1] / 24.0
+    return QuarticCoupling(M, {tuple(q): v for q, v in zip((quads + 1).tolist(), values.tolist())
+                               if v != 0.0})
 
 
 @dataclass(frozen=True)

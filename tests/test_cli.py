@@ -272,8 +272,11 @@ class TestFlowCommand:
         err = capsys.readouterr().err
         assert "step 0" in err and "Traceback" not in err
 
+    # the two large step counts are refused by numpy before any memory is
+    # touched: a MemoryError (199 PiB) and "array is too big" (past the index range)
     @pytest.mark.parametrize("flag,value", [
         ("--steps", "0"), ("--steps", "-3"),
+        ("--steps", "1000000000000000"), ("--steps", "4611686018427387904"),
         ("--dt", "0"), ("--dt", "-1e-3"), ("--dt", "nan"), ("--dt", "inf"),
     ])
     def test_invalid_step_arguments_exit_2(self, tmp_path, capsys, flag, value):

@@ -35,7 +35,9 @@ from majoranaq import (
 )
 from majoranaq.errors import DimensionError, IndexRangeError, OffBoundaryError
 from majoranaq.suites import _central
-from majoranaq.tensors import _unpack
+from majoranaq.tensors import _pack, _unpack
+
+from coupling_oracle import dense_pair_matrix
 
 
 def all_quadruples(M, seed):
@@ -624,7 +626,7 @@ def _stage_models():
 
 
 class TestStageMap:
-    """The compact drift map of every RK4 stage (kernel._compile_rate)."""
+    """The drift's stage kernel, run by every RK4 stage (kernel._compile_rate)."""
 
     @pytest.mark.parametrize("M, t, g", list(_stage_models()))
     def test_rate_is_antisymmetric_and_matches_the_formula(self, M, t, g):
@@ -636,7 +638,7 @@ class TestStageMap:
             # against 4((4M - 3) 2 G v - t), with the scale applied after G v:
             # componentwise relative to the scale |x||c| + |c||x| of [x, c]
             xm = x.matrix()
-            c = _unpack(M, 4.0 * ((4 * M - 3) * 2.0 * (g.pair_matrix @ x.packed) - t.packed))
+            c = _unpack(M, 4.0 * ((4 * M - 3) * 2.0 * (dense_pair_matrix(g) @ x.packed) - t.packed))
             bound = np.abs(xm) @ np.abs(c) + np.abs(c) @ np.abs(xm)
             assert np.all(np.abs(A - (xm @ c - c @ xm)) <= 1e-15 * bound)
 
@@ -653,15 +655,14 @@ class TestStageMap:
         np.testing.assert_array_equal(drift(x, t, g), packed)
 
     @pytest.mark.parametrize("M", [1, 3, 4])
-    def test_rate_map_reads_and_writes_only_the_coupled_pairs(self, M):
+    def test_pair_block_reads_and_writes_only_the_coupled_pairs(self, M):
         if M == 1:
             g = QuarticCoupling.zero(M)
         else:
             g = QuarticCoupling.from_entries(M, [(1, 2, 3, 4, 0.5)])
-        read, write, K = g.rate_map
+        _, read, write, K0 = g.pair_block
         w = len(read)
-        assert K.shape == (2 * w, w) and len(write) == 2 * w
-        assert g.rate_map is g.rate_map  # compiled once per coupling
+        assert K0.shape == (2 * w, w) and len(write) == 2 * w
         if M == 1:
             assert w == 0
             return
@@ -670,10 +671,74 @@ class TestStageMap:
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         np.testing.assert_array_equal(read, [a * n + b for a, b in pairs])
         np.testing.assert_array_equal(write[w:], [b * n + a for a, b in pairs])
-        np.testing.assert_array_equal(K[w:], -K[:w])
-        G = g.pair_matrix
-        p = np.flatnonzero(G.any(axis=0))
-        np.testing.assert_array_equal(K[:w], 8.0 * (4 * M - 3) * G[np.ix_(p, p)])
+        # a stage rewrites the coefficient c = -4 t at those entries only
+        x = random_boundary_point(M, 1)
+        t = random_t(M, 1)
+        A = drift_matrix(x, t, g)
+        c = -4.0 * t.matrix()
+        c.put(write, (8.0 * (4 * M - 3) * K0).dot(x.matrix().take(read)) + c.take(write))
+        P = x.matrix() @ c
+        np.testing.assert_array_equal(A, P - P.T)
+
+
+class TestDenseReference:
+    """Every kernel route that reads the compiled block, against the dense pair matrix G."""
+
+    @pytest.mark.parametrize("M, t, g", list(_stage_models()))
+    def test_drift_type_terms_match_their_formulas(self, M, t, g):
+        # [x, c] with c = a (2 G v) + b t for each term, componentwise
+        # relative to the scale |x||c| + |c||x| of the commutator
+        G = dense_pair_matrix(g)
+        for x in (random_boundary_point(M, M), random_interior_point(M, M)):
+            xm, Gv = x.matrix(), G @ x.packed
+            for got, a, b in (
+                (drift(x, t, g), 4.0 * (4 * M - 3), -4.0),
+                (drift_bar(x, t, g), 12.0, -4.0),
+                (div_diffusion(x, g), -8.0 * (3 - 2 * M), 0.0),
+                (kernel.drift_alternative(x, t, g), 64 * M - 120.0, 4.0),
+            ):
+                c = _unpack(M, a * 2.0 * Gv + b * t.packed)
+                bound = _pack(M, np.abs(xm) @ np.abs(c) + np.abs(c) @ np.abs(xm))
+                assert np.all(np.abs(got - _pack(M, xm @ c - c @ xm)) <= 1e-15 * bound)
+
+    @pytest.mark.parametrize("M, t, g", list(_stage_models()))
+    def test_contract_quartic_is_two_g_v(self, M, t, g):
+        G = dense_pair_matrix(g)
+        for x in (random_boundary_point(M, M), random_interior_point(M, M)):
+            got = contract_quartic(g, x.matrix())
+            scale = _unpack(M, 2.0 * (np.abs(G) @ np.abs(x.packed)))
+            assert np.all(np.abs(got - _unpack(M, 2.0 * (G @ x.packed))) <= 1e-15 * np.abs(scale))
+
+    @pytest.mark.parametrize("M, t, g", [p for p in _stage_models() if p.values[0] <= 8])
+    def test_diffusion_is_the_dense_contraction_bit_for_bit(self, M, t, g):
+        # the zero rows and columns of G add exact zeros, so leaving them
+        # out keeps every product and its order in a single-block matmul
+        G = dense_pair_matrix(g)
+        _, stack = _sample_stack(M, 3)
+        REa, IMa = kernel._compound_rows(M, stack.matrix())
+        E = REa.swapaxes(-1, -2) @ (G @ IMa)
+        np.testing.assert_array_equal(diffusion(stack, g), -8.0 * (E + E.swapaxes(-1, -2)))
+
+    def test_no_pair_space_matrix_at_m16(self):
+        # the 8-site Hubbard chain: a 496 x 496 float array would take 1.97 MB
+        import tracemalloc
+
+        from majoranaq.hubbard import preset_hubbard
+
+        pre = preset_hubbard(8, 1.0, 4.0)
+        x = random_boundary_point(16, 1)
+        xm = x.matrix()
+        limit = pair_count(16) ** 2 * 8
+        tracemalloc.start()
+        try:
+            for call in (lambda g: contract_quartic(g, xm), lambda g: drift_bar(x, pre.t, g)):
+                g = QuarticCoupling(16, dict(pre.g.table))  # compiled inside the trace
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call(g)
+                assert tracemalloc.get_traced_memory()[1] - before < limit
+        finally:
+            tracemalloc.stop()
 
 
 def _sample_stack(M, B, seed=300):

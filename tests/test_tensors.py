@@ -20,6 +20,12 @@ from majoranaq import (
 )
 from majoranaq.errors import DimensionError, IndexRangeError
 
+from coupling_oracle import (
+    antisymmetrize_by_permutations,
+    dense_by_permutations,
+    dense_pair_matrix,
+)
+
 
 def perm_sign(perm):
     sign = 1
@@ -146,6 +152,22 @@ class TestQuarticAccessor:
             QuarticCoupling.from_entries(2, [(1, 2, 3, 5, 1.0)])
 
 
+def _block_couplings():
+    """Random couplings at M = 1-4, the Hubbard chains at M = 4, 8 and 16, and zero ones."""
+    from majoranaq.hubbard import preset_hubbard
+
+    for M in (1, 2, 3, 4):
+        rng = np.random.default_rng(40 + M)
+        quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
+        chosen = rng.choice(len(quads), size=min(3, len(quads)), replace=False) if quads else []
+        yield pytest.param(QuarticCoupling.from_entries(
+            M, [(*quads[c], rng.uniform(-1, 1)) for c in chosen]), id=f"M{M}-sparse")
+    for sites in (2, 4, 8):
+        yield pytest.param(preset_hubbard(sites, 1.0, 4.0).g, id=f"M{2 * sites}-hubbard")
+    for M in (1, 3, 16):
+        yield pytest.param(QuarticCoupling.zero(M), id=f"M{M}-zero")
+
+
 class TestCompiledQuartic:
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
     def test_pair_matrix_is_dense_restricted_to_pairs(self, M):
@@ -153,36 +175,54 @@ class TestCompiledQuartic:
         quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
         g = QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])
         rows, cols = np.triu_indices(2 * M, k=1)
-        G = g.pair_matrix
+        G = dense_pair_matrix(g)
         np.testing.assert_array_equal(G, g.dense()[rows, cols][:, rows, cols])
         np.testing.assert_array_equal(G, G.T)
         assert np.count_nonzero(G) == 6 * len(quads)
+        # every quadruple present: the block is all of G
+        pairs, _, _, K0 = g.pair_block
+        np.testing.assert_array_equal(pairs, np.arange(pair_count(M)))
+        np.testing.assert_array_equal(K0[:pair_count(M)], G)
 
     def test_pair_matrix_signs_of_the_three_splits(self):
         # pairs of M = 2 in packed order: 12, 13, 14, 23, 24, 34
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
-        G = g.pair_matrix
-        assert (G[0, 5], G[1, 4], G[2, 3]) == (0.5, -0.5, 0.5)
-        assert (G[5, 0], G[4, 1], G[3, 2]) == (0.5, -0.5, 0.5)
+        for G in (dense_pair_matrix(g), g.pair_block[3][:6]):
+            assert (G[0, 5], G[1, 4], G[2, 3]) == (0.5, -0.5, 0.5)
+            assert (G[5, 0], G[4, 1], G[3, 2]) == (0.5, -0.5, 0.5)
+
+    @pytest.mark.parametrize("g", list(_block_couplings()))
+    def test_pair_block_is_the_nonzero_block_of_the_pair_matrix(self, g):
+        G = dense_pair_matrix(g)
+        pairs, read, write, K0 = g.pair_block
+        w = len(pairs)
+        np.testing.assert_array_equal(pairs, np.flatnonzero(G.any(axis=0)))
+        assert K0.shape == (2 * w, w)
+        np.testing.assert_array_equal(K0[:w], G[np.ix_(pairs, pairs)])
+        np.testing.assert_array_equal(K0[w:], -K0[:w])
+        n = 2 * g.M
+        rows, cols = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(read, rows[pairs] * n + cols[pairs])
+        np.testing.assert_array_equal(write, np.concatenate([read, cols[pairs] * n + rows[pairs]]))
 
     def test_compiled_once(self):
         g = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.5)])
-        assert g.pair_matrix is g.pair_matrix
+        assert g.pair_block is g.pair_block
         assert g.ordered_tuples is g.ordered_tuples
 
-    def test_pair_matrix_is_read_only_float64(self):
+    def test_pair_block_is_read_only_float64(self):
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
-        G = g.pair_matrix
-        assert isinstance(G, np.ndarray) and G.dtype == np.float64
-        assert G.shape == (pair_count(2), pair_count(2))
-        assert not G.flags.writeable
+        K0 = g.pair_block[3]
+        assert isinstance(K0, np.ndarray) and K0.dtype == np.float64
+        assert K0.shape == (2 * pair_count(2), pair_count(2))
+        assert not any(arr.flags.writeable for arr in g.pair_block)
         with pytest.raises(ValueError):
-            G[0, 5] = 1.0
+            K0[0, 5] = 1.0
 
     def test_empty(self):
         g = QuarticCoupling.zero(3)
-        assert g.pair_matrix.shape == (pair_count(3), pair_count(3))
-        assert np.count_nonzero(g.pair_matrix) == 0
+        pairs, read, write, K0 = g.pair_block
+        assert pairs.shape == read.shape == write.shape == (0,) and K0.shape == (0, 0)
         tuples, weights = g.ordered_tuples
         assert tuples.shape == (0, 4) and weights.shape == (0,)
 
@@ -193,6 +233,30 @@ class TestCompiledQuartic:
         assert len({tuple(t) for t in tuples}) == 48
         for t, w in zip(tuples, weights):
             assert w == g.entry(*(t + 1))
+
+
+class TestPermutationTables:
+    """dense() and antisymmetrize_quartic read the 24-ordering tables, bit for bit."""
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_dense_equals_the_permutation_loop(self, M):
+        rng = np.random.default_rng(60 + M)
+        quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
+        g = QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])
+        assert g.dense().tobytes() == dense_by_permutations(g).tobytes()
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_antisymmetrize_equals_the_sequential_sum(self, M):
+        # magnitudes over twelve decades, so that another summation order of
+        # the 24 signed terms rounds differently; at M = 2 (one quadruple)
+        # a reduction over them may run pairwise
+        for seed in range(8):
+            rng = np.random.default_rng([70 + M, seed])
+            shape = (2 * M,) * 4
+            dense = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+            got = antisymmetrize_quartic(dense, M).items()
+            assert got == antisymmetrize_by_permutations(dense, M).items()
+            assert len(got) == len(list(itertools.combinations(range(2 * M), 4)))
 
 
 class TestCouplings:

@@ -12,7 +12,6 @@ import numpy as np
 
 from majoranaq import (
     QuarticCoupling,
-    channel_spectrum,
     diffusion,
     diffusion_channels,
     diffusion_expanded,
@@ -30,12 +29,12 @@ print(f"symmetry defect        : {np.max(np.abs(D - D.T)):.2e}")
 print(f"largest |diagonal|     : {np.max(np.abs(np.diag(D))):.2e}")
 print(f"vs expanded-form check : {np.max(np.abs(D - diffusion_expanded(x, g))):.2e}")
 
-spec = channel_spectrum(x, g)
+eigs = np.linalg.eigvalsh(D)
+forward, backward = int(np.sum(eigs > 1e-10)), int(np.sum(eigs < -1e-10))
 print("\n=== sign-resolved spectrum ===")
-print(f"eigenvalues: {np.array2string(spec.eigenvalues, precision=3)}")
-print(f"forward / backward / null: {spec.forward_count} / "
-      f"{spec.backward_count} / {spec.null_count}")
-print(f"eigenvalue sum (traceless): {np.sum(spec.eigenvalues):+.2e}")
+print(f"eigenvalues: {np.array2string(eigs, precision=3)}")
+print(f"forward / backward / null: {forward} / {backward} / {len(eigs) - forward - backward}")
+print(f"eigenvalue sum (traceless): {np.sum(eigs):+.2e}")
 
 decomp = diffusion_channels(x, g)
 recon = decomp.reconstruct()
@@ -54,7 +53,8 @@ xb3 = random_boundary_point(3, 2)
 print(f"  M = 3 boundary: max |D| = {np.max(np.abs(diffusion(xb3, g))):.2e}")
 g4 = QuarticCoupling.from_entries(4, [(1, 2, 3, 4, 0.5), (2, 4, 6, 8, 0.7)])
 xb4 = random_boundary_point(4, 2)
-spec4 = channel_spectrum(xb4, g4)
-print(f"  M = 4 boundary: max |D| = {np.max(np.abs(diffusion(xb4, g4))):.2f}, "
-      f"forward/backward = {spec4.forward_count}/{spec4.backward_count}, "
-      f"eigenvalue sum = {np.sum(spec4.eigenvalues):+.2e}")
+D4 = diffusion(xb4, g4)
+eigs4 = np.linalg.eigvalsh(D4)
+print(f"  M = 4 boundary: max |D| = {np.max(np.abs(D4)):.2f}, "
+      f"forward/backward = {np.sum(eigs4 > 1e-10)}/{np.sum(eigs4 < -1e-10)}, "
+      f"eigenvalue sum = {np.sum(eigs4):+.2e}")

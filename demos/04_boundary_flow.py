@@ -53,8 +53,3 @@ for method in ("euler", "rk4"):
         print(f"{method:>5}: final margin = {coarse.margins[-1]:+.3e}")
     except DivergenceError as exc:
         print(f"{method:>5}: {exc}")
-
-print("\n=== optional retraction keeps even coarse runs on the surface ===")
-projected = flow(x0, spec, dt=1e-2, steps=100, method="rk4", project=True)
-print(f"rk4 + polar retraction: worst |margin| = "
-      f"{np.max(np.abs(projected.margins)):.3e}")

@@ -33,11 +33,6 @@ _EXPORTS = {
         "standard_complex_structure",
     ),
     "kernel": (
-        "x_plus_minus",
-        "x_component",
-        "re_x",
-        "im_x",
-        "contract_quartic",
         "diffusion",
         "diffusion_expanded",
         "diffusion_channels",
@@ -72,9 +67,6 @@ _EXPORTS = {
     "dynamics": (
         "Trajectory",
         "flow",
-        "polar_project",
-        "ChannelSpectrum",
-        "channel_spectrum",
         "gaussian_covariance_comparison",
     ),
     "hubbard": (

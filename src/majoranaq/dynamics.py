@@ -1,9 +1,9 @@
-"""Deterministic drift flow on the phase space and diffusion spectra.
+"""Deterministic drift flow on the phase space.
 
 The drift defines an ordinary flow dx/dt = A(x).  Because A is tangent to the
 pure-state boundary x^2 = -I, a trajectory started on the boundary should stay
-there up to integrator error; no projection is applied by default so that the
-recorded domain margin directly measures that property.  The flow steps the
+there up to integrator error; no projection is applied, so the recorded
+domain margin directly measures that property.  The flow steps the
 full antisymmetric matrix x through every stage: each drift evaluation runs
 the stage kernel compiled once per flow
 (:func:`majoranaq.kernel._compile_rate`), one product with the coupling's
@@ -11,9 +11,8 @@ compiled block over only the pairs its quadruples touch, and one matmul,
 with no scatter of x and no gather of the rate.  Stored
 states go into a block buffer of at most 64 full matrices; each block is
 written to the run's packed array with one gather and given its margins by
-one stacked eigensolve.  A failure inside the loop first evaluates the
-pending margins, so the earliest failing step is reported, with its own
-cause.
+one stacked eigensolve.  A non-finite state first evaluates the pending
+margins, so the earliest failing step is reported, with its own cause.
 
 In the quadratic sector the flow transports the covariance of a pure Gaussian
 state at the generator rate 4; :func:`gaussian_covariance_comparison` checks
@@ -27,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .kernel import _drift_rate, diffusion
+from .kernel import _drift_rate
 from .tensors import (
     CouplingMatrix,
     HamiltonianSpec,
     PhasePoint,
-    QuarticCoupling,
     _margin,
     _pack,
     pair_count,
@@ -45,9 +43,6 @@ _MARGIN_BLOCK = 64
 __all__ = [
     "Trajectory",
     "flow",
-    "polar_project",
-    "ChannelSpectrum",
-    "channel_spectrum",
     "gaussian_covariance_comparison",
 ]
 
@@ -64,22 +59,6 @@ class Trajectory:
     @property
     def final(self) -> PhasePoint:
         return PhasePoint(self.M, self.packed[-1])
-
-
-def polar_project(x: PhasePoint) -> PhasePoint:
-    """Retract onto the boundary x^2 = -I via the polar orthogonal factor.
-
-    A singular x^T x raises :class:`DivergenceError` at step 0; :func:`flow`
-    re-raises it at the step it projects.
-    """
-    xm = x.matrix()
-    w, V = np.linalg.eigh(xm.T @ xm)
-    if np.min(w) <= 0:
-        raise DivergenceError(0, "singular x^T x")
-    inv_sqrt = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    q = xm @ inv_sqrt
-    q = (q - q.T) / 2.0
-    return PhasePoint.from_matrix(q, tol=1e-9)
 
 
 def _guarded_margin(xm: np.ndarray, step: int) -> float:
@@ -119,14 +98,12 @@ def flow(
     dt: float,
     steps: int,
     method: str = "rk4",
-    project: bool = False,
 ) -> Trajectory:
     """Integrate dx/dt = A(x) with fixed steps; records the domain margin.
 
-    ``method`` is 'euler' or 'rk4'.  With ``project`` the state is retracted
-    onto the boundary after every step (off by default, see module note).
-    The state is the full antisymmetric matrix x through every stage; each
-    stage is one product with the coupling's compiled block
+    ``method`` is 'euler' or 'rk4'.  The state is the full antisymmetric
+    matrix x through every stage; each stage is one product with the
+    coupling's compiled block
     (:attr:`majoranaq.tensors.QuarticCoupling.pair_block`, built once per
     coupling) scaled by the drift's coefficient, and one matmul
     (:func:`majoranaq.kernel._compile_rate`).
@@ -135,14 +112,14 @@ def flow(
     gather and its margins with one stacked eigensolve.
 
     A trajectory too large to allocate raises :class:`MemoryError` before
-    any step.  A non-finite state or margin, a failed margin eigensolve, or
-    a singular projection raises :class:`DivergenceError` at its step; the
-    initial point is step 0.  Before a failure inside the loop is raised,
-    the pending margins are evaluated, so the earliest failing step wins, as
-    if each margin were taken right after its step.  Overflow and invalid-value
-    warnings of the stages and margin solves are silenced: every non-finite
-    result they flag becomes that error.  States, margins and times are
-    bit-identical to a step-by-step loop through
+    any step.  A non-finite state or margin, or a failed margin eigensolve,
+    raises :class:`DivergenceError` at its step; the initial point is step
+    0.  Before a non-finite state is raised, the pending margins are
+    evaluated, so the earliest failing step wins, as if each margin were
+    taken right after its step.  Overflow and invalid-value warnings of the
+    stages and margin solves are silenced: every non-finite result they flag
+    becomes that error.  States, margins and times are bit-identical to a
+    step-by-step loop through
     :func:`majoranaq.kernel.drift` and :func:`majoranaq.tensors.domain_margin`.
     """
     if spec.M != x0.M:
@@ -164,56 +141,23 @@ def flow(
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            try:
-                if method == "euler":
-                    X = X + dt * rate(X)
-                else:
-                    k1 = rate(X)
-                    k2 = rate(X + half * k1)
-                    k3 = rate(X + half * k2)
-                    k4 = rate(X + dt * k3)
-                    X = X + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
-                if not np.isfinite(X).all():
-                    raise DivergenceError(step)
-                if project:
-                    try:
-                        X = polar_project(PhasePoint(M, _pack(M, X))).matrix()
-                    except DivergenceError as exc:
-                        raise DivergenceError(step, exc.reason) from exc
-            except (ArithmeticError, DivergenceError, np.linalg.LinAlgError):
+            if method == "euler":
+                X = X + dt * rate(X)
+            else:
+                k1 = rate(X)
+                k2 = rate(X + half * k1)
+                k3 = rate(X + half * k2)
+                k4 = rate(X + dt * k3)
+                X = X + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            if not np.isfinite(X).all():
                 _settle_block(block, packed, margins, pending, step)
-                raise
+                raise DivergenceError(step)
             block[step - pending] = X
             if step + 1 - pending == _MARGIN_BLOCK:
                 _settle_block(block, packed, margins, pending, step + 1)
                 pending = step + 1
         _settle_block(block, packed, margins, pending, steps + 1)
     return Trajectory(M, np.arange(steps + 1) * dt, packed, margins)
-
-
-@dataclass(frozen=True)
-class ChannelSpectrum:
-    """Sign-resolved spectrum of the diffusion matrix at one phase point."""
-
-    eigenvalues: np.ndarray
-    forward_count: int
-    backward_count: int
-    null_count: int
-
-
-def channel_spectrum(
-    x: PhasePoint, g: QuarticCoupling, tol: float = 1e-10
-) -> ChannelSpectrum:
-    """Eigen-decompose the diffusion into forward/backward/null directions.
-
-    Positive eigenvalues diffuse forward in time, negative ones backward; the
-    eigenvalue sum vanishes because the matrix is traceless.
-    """
-    eigs = np.sort(np.linalg.eigvalsh(diffusion(x, g)))
-    forward = int(np.sum(eigs > tol))
-    backward = int(np.sum(eigs < -tol))
-    null = len(eigs) - forward - backward
-    return ChannelSpectrum(eigs, forward, backward, null)
 
 
 def gaussian_covariance_comparison(

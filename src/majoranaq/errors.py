@@ -24,8 +24,8 @@ class OffBoundaryError(ValueError):
 class DivergenceError(RuntimeError):
     """Trajectory integration failed at ``step``; ``reason`` names the cause.
 
-    The causes are a non-finite state, a failed or non-finite margin
-    eigensolve, and a singular x^T x in the polar projection.
+    The causes are a non-finite state and a failed or non-finite margin
+    eigensolve.
     """
 
     def __init__(self, step, reason="non-finite state"):

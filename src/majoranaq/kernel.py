@@ -90,7 +90,6 @@ from .tensors import (
     CouplingMatrix,
     PhasePoint,
     QuarticCoupling,
-    _check_index,
     _pack,
     _pair_rows_cols,
     domain_margin,
@@ -98,11 +97,6 @@ from .tensors import (
 )
 
 __all__ = [
-    "x_plus_minus",
-    "x_component",
-    "re_x",
-    "im_x",
-    "contract_quartic",
     "diffusion",
     "diffusion_expanded",
     "diffusion_channels",
@@ -116,41 +110,6 @@ __all__ = [
     "conservative_rhs",
     "tangency_residual",
 ]
-
-
-def x_plus_minus(x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-    """The complex matrices x+ = x + iI and x- = x - iI."""
-    xm = x.matrix()
-    eye = np.eye(2 * x.M)
-    return xm + 1j * eye, xm - 1j * eye
-
-
-def x_component(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> complex:
-    """The complex scalar X_{ij}^{(alpha beta)} = x+_{i alpha} x-_{beta j}.
-
-    Satisfies X_{ji}^{(beta alpha)} = X_{ij}^{(alpha beta)} and has conjugate
-    x-_{i alpha} x+_{beta j}; :func:`re_x` and :func:`im_x` are its closed-form
-    real and imaginary parts.
-    """
-    _check_index(x.M, i, j, alpha, beta)
-    xp, xm = x_plus_minus(x)
-    return complex(xp[i - 1, alpha - 1] * xm[beta - 1, j - 1])
-
-
-def re_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
-    """Re X_{ij}^{(alpha beta)} = x_{i alpha} x_{beta j} + d_{i alpha} d_{beta j}."""
-    _check_index(x.M, i, j, alpha, beta)
-    xm = x.matrix()
-    i, j, a, b = i - 1, j - 1, alpha - 1, beta - 1
-    return float(xm[i, a] * xm[b, j] + (i == a) * (b == j))
-
-
-def im_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
-    """Im X_{ij}^{(alpha beta)} = -x_{i alpha} d_{beta j} + d_{i alpha} x_{beta j}."""
-    _check_index(x.M, i, j, alpha, beta)
-    xm = x.matrix()
-    i, j, a, b = i - 1, j - 1, alpha - 1, beta - 1
-    return float(-xm[i, a] * (b == j) + (i == a) * xm[b, j])
 
 
 def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,20 +129,6 @@ def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the split advanced indices put the pair axis first: (npairs, ..., n)
     IM[..., al, :, p] += np.moveaxis(xbj, -2, 0)  # d_{i alpha} x_{beta j}: i = alpha
     return RE, IM
-
-
-def contract_quartic(g: QuarticCoupling, xm: np.ndarray) -> np.ndarray:
-    """(g.x)_{ij} = sum_{kl} g_{ijkl} x_{kl}, as one product with the compiled block.
-
-    The sum over ordered (k, l) counts each packed pair twice, so
-    (g.x)_P = 2 (G x_packed)_P for P = (i<j): one product of 2 K0 with the
-    touched entries of x, put into a zero matrix at those entries and their
-    mirrors (see :attr:`QuarticCoupling.pair_block`).
-    """
-    _, read, write, K0 = g.pair_block
-    out = np.zeros(xm.shape)
-    out.put(write, 2.0 * K0.dot(xm.take(read)))
-    return out
 
 
 def _check_dims(x: PhasePoint, *couplings, stack: bool = False) -> None:
@@ -470,9 +415,12 @@ def drift(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
 def drift_alternative(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:
     """Alternative closed-form assembly of the drift, kept for arbitration.
 
-    Assembles to 4 Im X_{ij}^a [ (30 - 16M)(g.x)_{ij} + t_{ij} ], which
-    disagrees with ``drift`` by a factor of two on the coupling term and by
-    the sign of t; exact-oracle comparisons are reported for both.
+    Builds the commutator [x, c] with c = (64M - 120)(g.x) + 4t, that is
+    4 Im X_{ij}^a [(16M - 30)(g.x)_{ij} + t_{ij}], where :func:`drift` has
+    4 Im X_{ij}^a [(4M - 3)(g.x)_{ij} - t_{ij}]: the coupling coefficients
+    differ and t has the opposite sign.  This is the form that the ``eq50``
+    report records (``verify --drift-form eq50``, informational), through
+    :func:`majoranaq.fock.verify_fpe`.
     """
     _check_dims(x, t, g)
     return _pack(x.M, _compile_rate(g, t, 2.0 * (64 * x.M - 120.0), 4.0)(x.matrix()))

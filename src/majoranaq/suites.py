@@ -339,16 +339,16 @@ def run_fpe_sweep(
     from . import fock
 
     tol = TOLERANCES["fpe"] if tol is None else tol
-    residuals = []
+    checks = []
     with _Sweep(label, tol, seed) as sweep:
         majo = fock.build_majoranas(spec.M)
         for i in range(n_instances):
             rho, x = fpe_instance(spec.M, seed, i)
-            chk = fock.verify_fpe(rho, spec, x, majo, scale=scale, drift_form=drift_form)
-            sweep.add(chk.residual, _instance(i, seed, x))
-            residuals.append(chk.residual)
+            checks.append(fock.verify_fpe(rho, spec, x, majo, scale=scale, drift_form=drift_form))
+            sweep.add(checks[-1].residual, _instance(i, seed, x))
     return sweep.result(informational=drift_form != "eq36", drift_form=drift_form,
-                        median_residual=_median(residuals))
+                        median_residual=_median([c.residual for c in checks]),
+                        conservative_residual=_peak([c.conservative for c in checks]))
 
 
 def fpe_instance(M: int, seed: int, index: int) -> tuple[np.ndarray, PhasePoint]:

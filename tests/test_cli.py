@@ -62,6 +62,37 @@ class TestVerifyCommand:
         assert chk["info"]["drift_form"] == "eq50"
         assert chk["max_residual"] > 1e-3  # the alternative form disagrees
 
+    # the fpe check also compares the conservative form, which reads the full
+    # drift that flow integrates; tangency and the flow margin pass for any
+    # commutator drift, so only fpe can catch a wrong coefficient or sign
+    @pytest.mark.parametrize("a, b", [
+        (lambda M: 8.0 * (4 * M - 2), -4.0),  # coefficient 8(4M - 2) for 8(4M - 3)
+        (lambda M: 8.0 * (4 * M - 3), 4.0),   # the sign of t flipped
+    ], ids=["coefficient", "sign-of-t"])
+    def test_wrong_drift_fails_verify_all(self, tmp_path, capsys, monkeypatch, a, b):
+        from majoranaq import dynamics, kernel
+
+        cfg = write_config(tmp_path, {
+            "M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2], [3, 6, 0.25]],
+            "g_entries": [[1, 2, 3, 4, 0.4], [1, 3, 5, 6, -0.3]], "seed": 1,
+        })
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--suite", "all", "--out", str(report_path)]) == 0
+        (fpe,) = [c for c in json.loads(report_path.read_text())["checks"] if c["name"] == "fpe"]
+        assert fpe["info"]["conservative_residual"] <= fpe["max_residual"] <= fpe["tolerance"]
+
+        def wrong_rate(g, t):
+            return kernel._compile_rate(g, t, a(g.M), b)
+
+        monkeypatch.setattr(kernel, "_drift_rate", wrong_rate)
+        monkeypatch.setattr(dynamics, "_drift_rate", wrong_rate)
+        assert main(["verify", "--config", cfg, "--suite", "all", "--out", str(report_path)]) == 1
+        checks = json.loads(report_path.read_text())["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == ["fpe"]
+        (fpe,) = [c for c in checks if c["name"] == "fpe"]
+        assert fpe["max_residual"] == fpe["info"]["conservative_residual"] > 1e-6
+        assert "FAIL" in capsys.readouterr().out
+
     def test_overall_fail_exit_code(self, tmp_path, capsys):
         # impossible tolerance forces a verification failure
         cfg = write_config(tmp_path, {

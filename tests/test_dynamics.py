@@ -16,13 +16,12 @@ from majoranaq import (
     HamiltonianSpec,
     PhasePoint,
     QuarticCoupling,
-    channel_spectrum,
+    diffusion,
     domain_margin,
     drift,
     flow,
     gaussian_covariance_comparison,
     pair_count,
-    polar_project,
     random_boundary_point,
     random_interior_point,
 )
@@ -117,32 +116,31 @@ class TestFlow:
     ])
     def test_packed_flow_matches_public_drift(self, M, g_entries):
         # the flow runs on the compiled stage kernel and stacked margins; a
-        # hand-written loop through the public kernel.drift, polar_project
-        # and domain_margin on phase points must reproduce its states and
-        # margins bit for bit
+        # hand-written loop through the public kernel.drift and domain_margin
+        # on phase points must reproduce its states and margins bit for bit
         spec = random_spec(M, 20 + M, g_entries=g_entries)
         x0 = random_boundary_point(M, 30 + M)
-        self._assert_matches_public_loop(x0, spec, 1e-2, 20, "rk4", False)
+        self._assert_matches_public_loop(x0, spec, 1e-2, 20, "rk4")
 
     # margins are evaluated in blocks of 64 stored states: runs that end
-    # inside, on and just past a block boundary, and past the second one
-    @pytest.mark.parametrize("project", [False, True])
+    # inside, on and just past a block boundary, and past the second one,
+    # from a boundary point (margin near 0) and from an interior one
+    @pytest.mark.parametrize("interior", [False, True])
     @pytest.mark.parametrize("method", ["rk4", "euler"])
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
-    def test_packed_flow_matches_public_drift_across_blocks(self, steps, method, project):
+    def test_packed_flow_matches_public_drift_across_blocks(self, steps, method, interior):
         spec = random_spec(3, 23, g_entries=[(1, 2, 3, 4, 0.6), (1, 3, 5, 6, -0.4)])
-        x0 = random_boundary_point(3, 33)
-        self._assert_matches_public_loop(x0, spec, 1e-3, steps, method, project)
+        x0 = random_interior_point(3, 33, scale=0.5) if interior else random_boundary_point(3, 33)
+        self._assert_matches_public_loop(x0, spec, 1e-3, steps, method)
 
     def test_packed_flow_matches_public_drift_at_m16(self):
         pre = preset_hubbard(8, 1.0, 4.0)
         spec = HamiltonianSpec(pre.M, pre.t, pre.g)
-        self._assert_matches_public_loop(
-            random_boundary_point(16, 3), spec, 1e-3, 130, "rk4", False)
+        self._assert_matches_public_loop(random_boundary_point(16, 3), spec, 1e-3, 130, "rk4")
 
     @staticmethod
-    def _assert_matches_public_loop(x0, spec, dt, steps, method, project):
-        traj = flow(x0, spec, dt=dt, steps=steps, method=method, project=project)
+    def _assert_matches_public_loop(x0, spec, dt, steps, method):
+        traj = flow(x0, spec, dt=dt, steps=steps, method=method)
         M = x0.M
 
         def rate(v):
@@ -159,8 +157,6 @@ class TestFlow:
                 k3 = rate(v + 0.5 * dt * k2)
                 k4 = rate(v + dt * k3)
                 v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if project:
-                v = np.asarray(polar_project(PhasePoint(M, v)).packed)
             expected.append(v)
         np.testing.assert_array_equal(traj.packed, np.array(expected))
         np.testing.assert_array_equal(
@@ -244,22 +240,6 @@ class TestFlow:
         assert err.value.step == margin_step
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
-    def test_projection_failure_reports_its_step(self):
-        # the origin has margin 1, but x^T x = 0 cannot be projected: the
-        # first projection, after step 1, fails
-        spec = HamiltonianSpec.free(CouplingMatrix.zero(2))
-        with pytest.raises(DivergenceError) as err:
-            flow(PhasePoint.zero(2), spec, 1e-2, 5, project=True)
-        assert err.value.step == 1
-        assert "singular x^T x" in str(err.value)
-        assert isinstance(err.value.__cause__, DivergenceError)
-
-    def test_projection_option(self):
-        spec = random_spec(2, 8, g_entries=[(1, 2, 3, 4, 0.7)])
-        x0 = random_boundary_point(2, 8)
-        traj = flow(x0, spec, dt=1e-2, steps=100, project=True)
-        assert np.max(np.abs(traj.margins)) <= 1e-11
-
     def test_bad_arguments(self):
         spec = random_spec(2, 9)
         x0 = random_boundary_point(2, 9)
@@ -269,21 +249,21 @@ class TestFlow:
             flow(x0, spec, dt=0.1, steps=10, method="leapfrog")
 
 
-class TestPolarProjection:
-    def test_retracts_scaled_complex_structure(self):
-        x = random_boundary_point(2, 11)
-        scaled = PhasePoint(2, 1.1 * np.asarray(x.packed))
-        proj = polar_project(scaled)
-        assert abs(domain_margin(proj)) <= 1e-12
-        np.testing.assert_allclose(proj.packed, x.packed, atol=1e-12)
+def spectrum(x, g, tol=1e-10):
+    """Eigenvalues of D, with the forward (> tol), backward (< -tol) and null counts."""
+    eigs = np.linalg.eigvalsh(diffusion(x, g))
+    forward, backward = int(np.sum(eigs > tol)), int(np.sum(eigs < -tol))
+    return eigs, forward, backward, len(eigs) - forward - backward
 
 
 class TestChannelSpectrum:
+    """The sign-resolved spectrum of D: forward and backward diffusion directions."""
+
     def test_free_model_all_null(self):
         x = random_interior_point(2, 12)
-        spec = channel_spectrum(x, QuarticCoupling.zero(2))
-        assert spec.null_count == pair_count(2)
-        assert spec.forward_count == spec.backward_count == 0
+        _, forward, backward, null = spectrum(x, QuarticCoupling.zero(2))
+        assert null == pair_count(2)
+        assert forward == backward == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_traceless_spectrum(self, seed):
@@ -291,27 +271,27 @@ class TestChannelSpectrum:
         # itself (a quartic of 2M <= 6 Majoranas is parity times a quadratic)
         g = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.8), (1, 2, 5, 6, -0.5)])
         x = random_interior_point(3, seed, scale=0.5)
-        spec = channel_spectrum(x, g)
-        assert spec.forward_count + spec.backward_count + spec.null_count == pair_count(3)
-        assert abs(np.sum(spec.eigenvalues)) <= 1e-10
-        assert spec.forward_count > 0 and spec.backward_count > 0
+        eigs, forward, backward, null = spectrum(x, g)
+        assert forward + backward + null == pair_count(3)
+        assert abs(np.sum(eigs)) <= 1e-10
+        assert forward > 0 and backward > 0
 
     def test_m2_boundary_example(self):
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 1.0)])
-        spec = channel_spectrum(random_boundary_point(2, 3), g)
-        assert abs(np.sum(spec.eigenvalues)) <= 1e-10
-        assert spec.forward_count == spec.backward_count
+        eigs, forward, backward, _ = spectrum(random_boundary_point(2, 3), g)
+        assert abs(np.sum(eigs)) <= 1e-10
+        assert forward == backward
 
     def test_boundary_spectrum_vanishes_at_small_m(self):
         g = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.8), (1, 2, 5, 6, -0.5)])
-        spec = channel_spectrum(random_boundary_point(3, 0), g)
-        assert spec.null_count == pair_count(3)
+        _, _, _, null = spectrum(random_boundary_point(3, 0), g)
+        assert null == pair_count(3)
 
     def test_boundary_spectrum_nonzero_at_m4(self):
         g = QuarticCoupling.from_entries(4, [(1, 2, 3, 4, 0.5), (2, 4, 6, 8, 0.7)])
-        spec = channel_spectrum(random_boundary_point(4, 0), g)
-        assert abs(np.sum(spec.eigenvalues)) <= 1e-10
-        assert spec.forward_count > 0 and spec.backward_count > 0
+        eigs, forward, backward, _ = spectrum(random_boundary_point(4, 0), g)
+        assert abs(np.sum(eigs)) <= 1e-10
+        assert forward > 0 and backward > 0
 
 
 class TestCovarianceTransport:

@@ -582,6 +582,26 @@ class TestVerifyFpe:
         rho = random_density_matrix(3, 6)
         chk = verify_fpe(rho, spec, interior(3, 7, scale=0.3))
         assert chk.residual <= 1e-10
+        assert chk.conservative <= chk.residual
+
+    @pytest.mark.parametrize("shift", [1.0, np.nan])
+    def test_conservative_form_gates_the_residual(self, monkeypatch, shift):
+        # the residual is the worse of the defining and the conservative
+        # form, and a NaN in the conservative form is not dropped
+        from majoranaq import fock
+
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 4)) * 0.5
+        spec = HamiltonianSpec(2, CouplingMatrix.from_matrix(a - a.T),
+                               QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)]))
+        rho, x = random_density_matrix(2, 6), interior(2, 7)
+        good = verify_fpe(rho, spec, x)
+        exact = fock.conservative_rhs
+        monkeypatch.setattr(fock, "conservative_rhs", lambda *args: exact(*args) + shift)
+        bad = verify_fpe(rho, spec, x)
+        assert (bad.lhs, bad.rhs) == (good.lhs, good.rhs)
+        assert bad.conservative > 1e-3 or np.isnan(shift)
+        np.testing.assert_array_equal(bad.residual, bad.conservative)
 
     def test_alternative_drift_form_disagrees(self):
         # the recorded arbitration form should NOT match exact dynamics

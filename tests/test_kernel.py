@@ -12,7 +12,6 @@ from majoranaq import (
     PhasePoint,
     QuarticCoupling,
     conservative_rhs,
-    contract_quartic,
     diffusion,
     diffusion_channels,
     diffusion_expanded,
@@ -21,23 +20,20 @@ from majoranaq import (
     drift_bar,
     drift_matrix,
     fpe_rhs,
-    im_x,
     kernel,
     pair_count,
     pair_enumerate,
     random_boundary_point,
     random_interior_point,
-    re_x,
     suites,
     tangency_residual,
-    x_component,
-    x_plus_minus,
 )
 from majoranaq.errors import DimensionError, IndexRangeError, OffBoundaryError
 from majoranaq.suites import _central
 from majoranaq.tensors import _pack, _unpack
 
 from coupling_oracle import dense_pair_matrix
+from x_oracle import im_x, re_x, x_component, x_plus_minus
 
 
 def all_quadruples(M, seed):
@@ -45,6 +41,14 @@ def all_quadruples(M, seed):
     rng = np.random.default_rng(seed)
     quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
     return QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])
+
+
+def block_contraction(g, xm):
+    """(g.x) read off the compiled block: 2 K0 times the touched entries of x, put there and mirrored."""
+    _, read, write, K0 = g.pair_block
+    out = np.zeros(xm.shape)
+    out.put(write, 2.0 * K0.dot(xm.take(read)))
+    return out
 
 
 def random_t(M, seed, scale=0.5):
@@ -114,23 +118,25 @@ class TestXComponents:
 
 
 class TestContractQuartic:
-    @pytest.mark.parametrize("M", [2, 3, 4])
+    """(g.x)_{ij} = sum_{kl} g_{ijkl} x_{kl} through QuarticCoupling.pair_block, against the dense einsum."""
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
     def test_against_dense_einsum(self, M):
         rng = np.random.default_rng(M)
         quads = list(itertools.combinations(range(1, 2 * M + 1), 4))[:6]
         g = QuarticCoupling.from_entries(
             M, [(*q, rng.uniform(-1, 1)) for q in quads]
         )
-        x = random_interior_point(M, M + 1)
-        ref = np.einsum("ijkl,kl->ij", g.dense(), x.matrix())
-        np.testing.assert_allclose(contract_quartic(g, x.matrix()), ref, atol=1e-13)
+        for x in (random_interior_point(M, M + 1), random_boundary_point(M, M + 1)):
+            ref = np.einsum("ijkl,kl->ij", g.dense(), x.matrix())
+            np.testing.assert_allclose(block_contraction(g, x.matrix()), ref, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
     def test_all_quadruples_against_dense_einsum(self, M):
         g = all_quadruples(M, seed=10 + M)
         for x in (random_interior_point(M, M), random_boundary_point(M, M)):
             ref = np.einsum("ijkl,kl->ij", g.dense(), x.matrix())
-            np.testing.assert_allclose(contract_quartic(g, x.matrix()), ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(block_contraction(g, x.matrix()), ref, rtol=0, atol=1e-12)
 
 
 class TestDiffusion:
@@ -705,7 +711,7 @@ class TestDenseReference:
     def test_contract_quartic_is_two_g_v(self, M, t, g):
         G = dense_pair_matrix(g)
         for x in (random_boundary_point(M, M), random_interior_point(M, M)):
-            got = contract_quartic(g, x.matrix())
+            got = block_contraction(g, x.matrix())
             scale = _unpack(M, 2.0 * (np.abs(G) @ np.abs(x.packed)))
             assert np.all(np.abs(got - _unpack(M, 2.0 * (G @ x.packed))) <= 1e-15 * np.abs(scale))
 
@@ -727,11 +733,10 @@ class TestDenseReference:
 
         pre = preset_hubbard(8, 1.0, 4.0)
         x = random_boundary_point(16, 1)
-        xm = x.matrix()
         limit = pair_count(16) ** 2 * 8
         tracemalloc.start()
         try:
-            for call in (lambda g: contract_quartic(g, xm), lambda g: drift_bar(x, pre.t, g)):
+            for call in (lambda g: g.pair_block, lambda g: drift_bar(x, pre.t, g)):
                 g = QuarticCoupling(16, dict(pre.g.table))  # compiled inside the trace
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()

@@ -16,6 +16,12 @@ from importlib import import_module
 # The public names of each submodule.  ``import majoranaq`` loads no
 # submodule: a name is imported from its module on first access (PEP 562), so
 # each command line loads only the modules it runs.
+#
+# Start-up is most of every command line, so no value type is a dataclass,
+# whose decorator generates and compiles its methods in every process.  Plain
+# records are ``typing.NamedTuple``s; types that validate their fields or
+# cache derived arrays are plain classes that refuse attribute assignment
+# (``tensors._Frozen``).  No command loads ``dataclasses``.
 _EXPORTS = {
     "tensors": (
         "PairIndex",

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import ConfigError
-from .hubbard import preset_hubbard
 from .tensors import CouplingMatrix, HamiltonianSpec, QuarticCoupling
 
 __all__ = ["ModelConfig", "load_config", "parse_config", "emit_config", "config_to_spec",
@@ -66,14 +66,20 @@ TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
+    """A validated model configuration.
+
+    ``tolerances`` maps pinned tolerance names to their overrides; its
+    default is an empty read-only map, which no two configs can share as
+    mutable state.
+    """
+
     M: int
     t_entries: tuple = ()
     g_entries: tuple = ()
     preset: dict | None = None
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict | MappingProxyType = MappingProxyType({})
 
 
 def _require_int(value, name: str) -> int:
@@ -243,6 +249,8 @@ def emit_config(cfg: ModelConfig) -> dict:
 def config_to_spec(cfg: ModelConfig) -> tuple[HamiltonianSpec, float]:
     """Materialize the Hamiltonian couplings; returns (spec, identity shift)."""
     if cfg.preset is not None:
+        from .hubbard import preset_hubbard  # only a preset loads the Hubbard module
+
         preset = preset_hubbard(
             cfg.preset.get("sites", 1),
             float(cfg.preset.get("hop", 0.0)),

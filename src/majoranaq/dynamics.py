@@ -21,7 +21,7 @@ that rate against exact evolution in Fock space, with nothing fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One flow run: row k of ``packed`` is x at ``times[k]``, with margin ``margins[k]``."""
 
     M: int

@@ -34,14 +34,14 @@ test oracles in ``tests/basis_oracle.py``, asserted equal to the tables here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError
-from .kernel import conservative_rhs, diffusion, div_diffusion, drift_alternative, fpe_rhs
-from .tensors import HamiltonianSpec, PhasePoint, _pair_index_matrix, _pair_rows_cols
+from .kernel import _rhs_forms, diffusion, div_diffusion, drift_alternative
+from .tensors import HamiltonianSpec, PhasePoint, _Frozen, _pair_index_matrix, _pair_rows_cols
 
 __all__ = [
     "MajoranaSet",
@@ -77,12 +77,14 @@ def jordan_wigner_ladders(M: int) -> tuple[np.ndarray, ...]:
     return tuple(reduce(np.kron, [zpauli] * k + [lower] + [eye2] * (M - k - 1)) for k in range(M))
 
 
-@dataclass(frozen=True)
-class MajoranaSet:
+class MajoranaSet(_Frozen):
     """The 2M Hermitian Majorana operators for an M-mode register."""
 
     M: int
     gammas: tuple
+
+    def __init__(self, M: int, gammas: tuple):
+        self.__dict__.update(M=M, gammas=gammas)
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.gammas[i]
@@ -197,8 +199,7 @@ def _subsets(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return masks, bits, index
 
 
-@dataclass(frozen=True)
-class _WickTable:
+class _WickTable(NamedTuple):
     """Tables of the Wick expansion over the even subsets, smallest first.
 
     * ``phase[S]`` = 2^-M i^{|S|/2}.
@@ -465,8 +466,7 @@ def verify_four_gamma(
     return report
 
 
-@dataclass(frozen=True)
-class FpeCheck:
+class FpeCheck(NamedTuple):
     """One phase-space-vs-exact comparison of dQ/dt.
 
     ``residual`` is the worse of the two forms' residuals; ``conservative``
@@ -508,10 +508,10 @@ def verify_fpe(
     lhs = exact_dqdt(rho, spec, x, majoranas)
     grad, hess = q_derivatives(rho, x, majoranas)
     if drift_form == "eq36":
-        rhs = fpe_rhs(x, spec.t, spec.g, grad, hess)
         # div A = 0 and div div D = 0 in closed form (Appendix C checks
-        # both), so the terms in Q vanish and Q itself is not needed
-        form = conservative_rhs(x, spec.t, spec.g, 0.0, grad, hess, 0.0, 0.0)
+        # both), so the terms in Q vanish and Q itself is not needed; the
+        # two forms share one (1/2) D : hess term
+        rhs, form = _rhs_forms(x, spec.t, spec.g, grad, hess, conservative=(0.0, 0.0, 0.0))
     else:
         rhs = -float(drift_alternative(x, spec.t, spec.g) @ grad)
         rhs += float(div_diffusion(x, spec.g) @ grad)

@@ -36,8 +36,9 @@ __all__ = [
 class HubbardPreset(NamedTuple):
     """Majorana couplings of a Hubbard chain, plus the dropped identity shift.
 
-    A named tuple, so that the ``preset`` command does not import
-    ``dataclasses``; like a frozen value type, its fields cannot be assigned.
+    A named tuple, like every plain record of the package (see
+    :mod:`majoranaq`): it generates no code at import, and its fields
+    cannot be assigned.
     """
 
     sites: int

@@ -80,7 +80,6 @@ Conventions (hbar = 1 throughout; couplings are rates):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -90,6 +89,7 @@ from .tensors import (
     CouplingMatrix,
     PhasePoint,
     QuarticCoupling,
+    _Frozen,
     _pack,
     _pair_rows_cols,
     domain_margin,
@@ -239,8 +239,7 @@ def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     return D
 
 
-@dataclass(frozen=True)
-class ChannelDecomposition:
+class ChannelDecomposition(_Frozen):
     """Diffusion split into rank-1 channels, one per ordered nonzero tuple.
 
     Channel t holds the 1-based ordered tuple ``indices[t]`` = (i, j, k, l)
@@ -264,6 +263,11 @@ class ChannelDecomposition:
     weights: np.ndarray
     re_rows: np.ndarray
     im_rows: np.ndarray
+
+    def __init__(self, M: int, indices: np.ndarray, weights: np.ndarray,
+                 re_rows: np.ndarray, im_rows: np.ndarray):
+        self.__dict__.update(M=M, indices=indices, weights=weights, re_rows=re_rows,
+                             im_rows=im_rows)
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The table rows r = (i, j) and s = (k, l) that each channel reads."""
@@ -456,11 +460,7 @@ def fpe_rhs(
     hess: np.ndarray,
 ) -> float:
     """dQ/dt = -sum_a Abar^a grad_a + (1/2) sum_{am} D^{am} hess_{am}."""
-    grad, hess = _derivative_arrays(x.M, grad, hess)
-    rhs = -float(drift_bar(x, t, g) @ grad)
-    if g.table:
-        rhs += 0.5 * float(np.einsum("pq,pq->", diffusion(x, g), hess))
-    return rhs
+    return _rhs_forms(x, t, g, grad, hess)[0]
 
 
 def conservative_rhs(
@@ -481,12 +481,31 @@ def conservative_rhs(
     vanish in closed form, and the result then agrees with :func:`fpe_rhs`
     to rounding.
     """
+    return _rhs_forms(x, t, g, grad, hess, (q, div_a, double_div_d), defining=False)[0]
+
+
+def _rhs_forms(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling, grad, hess,
+               conservative: tuple | None = None, defining: bool = True) -> list:
+    """The right sides of :func:`fpe_rhs` (if ``defining``) and of
+    :func:`conservative_rhs` (if ``conservative`` = (q, div_a, double_div_d)),
+    in that order.
+
+    Both end in the same (1/2) D : hess, which is evaluated once, and only
+    for a coupling with quartic entries; each side sums its terms in the
+    order of its own function.
+    """
     grad, hess = _derivative_arrays(x.M, grad, hess)
-    rhs = -div_a * q - float(drift(x, t, g) @ grad)
-    rhs += 0.5 * double_div_d * q + float(div_diffusion(x, g) @ grad)
+    sides = []
+    if defining:
+        sides.append(-float(drift_bar(x, t, g) @ grad))
+    if conservative is not None:
+        q, div_a, double_div_d = conservative
+        sides.append(-div_a * q - float(drift(x, t, g) @ grad)
+                     + (0.5 * double_div_d * q + float(div_diffusion(x, g) @ grad)))
     if g.table:
-        rhs += 0.5 * float(np.einsum("pq,pq->", diffusion(x, g), hess))
-    return rhs
+        term = 0.5 * float(np.einsum("pq,pq->", diffusion(x, g), hess))
+        sides = [side + term for side in sides]
+    return sides
 
 
 def tangency_residual(

@@ -10,23 +10,22 @@ value that gates ``passed``, and builds the result.  NaN ranks above every
 number there, so a NaN residual or gated value at any instance fails its
 check, and ``verify`` exits 1.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
 which validates overrides against it without loading this module; this
-module re-exports the same dictionary.  The Fock-space oracle is imported
-by the runners that use it, so the kernel sweeps (traceless, tangency) run
-without loading it.
+module re-exports the same dictionary.  The Fock-space oracle, the flow
+and the Hubbard preset are imported by the runners that use them, so the
+traceless sweep loads none of them, and the tangency suite only the flow.
 """
 
 from __future__ import annotations
 
 import platform
 import time
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
 from .config import TOLERANCES
-from .dynamics import flow
-from .hubbard import hubbard_comparison, preset_hubbard
 from .tensors import (
     CouplingMatrix,
     HamiltonianSpec,
@@ -61,8 +60,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check's record; ``info`` defaults to an empty read-only map."""
+
     name: str
     instances: int
     max_residual: float
@@ -70,7 +70,7 @@ class CheckResult:
     passed: bool
     seconds: float = 0.0
     informational: bool = False
-    info: dict = field(default_factory=dict)
+    info: dict | MappingProxyType = MappingProxyType({})
 
     def line(self) -> str:
         if self.informational:
@@ -84,8 +84,7 @@ class CheckResult:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     checks: tuple
     seed: int
@@ -153,9 +152,9 @@ _ORACLE_SCALE = 0.35
 
 # instances per stacked kernel call of the traceless/channel sweep with a
 # given coupling: each holds its tables and a (4M^2, 4M^2) cross Gram, about
-# 70 KB at M = 4, so the blocks stay small beside the per-instance overhead
-# they remove
-_SWEEP_BLOCK = 4
+# 70 KB at M = 4, so a block of 16 peaks near 1.5 MB there (traced) and pays
+# the per-call overhead once for 16 instances
+_SWEEP_BLOCK = 16
 
 
 def _instance(index: int, seed: int, x: PhasePoint) -> dict:
@@ -362,6 +361,8 @@ def fpe_instance(M: int, seed: int, index: int) -> tuple[np.ndarray, PhasePoint]
 
 def acceptance_fpe_cases(seed: int) -> list[tuple[str, HamiltonianSpec, int]]:
     """The headline comparison set: (label, model, instance count)."""
+    from .hubbard import preset_hubbard
+
     rng = np.random.default_rng(seed)
     cases = []
     t1 = CouplingMatrix.from_entries(1, [(1, 2, float(rng.uniform(0.3, 0.8)))])
@@ -637,6 +638,8 @@ def run_flow_margin(
     the random ensemble drawn from ``default_rng(seed + M)``) it re-runs that
     flow.
     """
+    from .dynamics import flow
+
     tol = TOLERANCES["flow-boundary-margin"] if tol is None else tol
     ms = (spec.M,) if spec is not None else Ms
     with _Sweep("flow-boundary-margin", tol, seed) as sweep:
@@ -690,6 +693,8 @@ def run_flow_equivalence(
     """Quadratic-only trajectories against the matrix-exponential transport."""
     from scipy.linalg import expm  # on use, like dynamics: no CLI command runs this
 
+    from .dynamics import flow
+
     tol = TOLERANCES["flow-matrix-equivalence"] if tol is None else tol
     with _Sweep("flow-matrix-equivalence", tol) as sweep:
         for M in Ms:
@@ -706,6 +711,8 @@ def run_flow_equivalence(
 
 
 def run_hubbard_fidelity(tol: float | None = None) -> CheckResult:
+    from .hubbard import hubbard_comparison, preset_hubbard
+
     tol = TOLERANCES["hubbard-fidelity"] if tol is None else tol
     shifts = []
     with _Sweep("hubbard-fidelity", tol) as sweep:

@@ -23,10 +23,10 @@ file formats; internal numpy arrays are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,30 @@ def pair_count(M: int) -> int:
     return M * (2 * M - 1)
 
 
-@dataclass(frozen=True)
-class PairIndex:
+class _Frozen:
+    """Base of the value types that validate their fields or cache derived data.
+
+    Each subclass annotates its fields and sets them once, in ``__init__``,
+    through the instance ``__dict__``, which also holds the
+    ``functools.cached_property`` caches; assigning or deleting an attribute
+    afterwards raises :class:`AttributeError`.  Nothing is generated at
+    import (see :mod:`majoranaq`).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__name__}({fields})"
+
+
+class PairIndex(NamedTuple):
     """One independent component slot: 1 <= alpha < beta <= 2M."""
 
     alpha: int
@@ -111,7 +133,10 @@ def _pair_flat(M: int) -> tuple[np.ndarray, np.ndarray]:
 def _pack(M: int, mat: np.ndarray) -> np.ndarray:
     """The packed upper entries of ``mat``, or one row per matrix of a stack (..., 2M, 2M)."""
     mat = np.asarray(mat, dtype=float)
-    return mat.reshape(mat.shape[:-2] + (4 * M * M,)).take(_pair_flat(M)[0], axis=-1)
+    upper = _pair_flat(M)[0]
+    if mat.ndim == 2:  # one matrix: a flat take costs less than the reshape and axis
+        return mat.take(upper)
+    return mat.reshape(mat.shape[:-2] + (4 * M * M,)).take(upper, axis=-1)
 
 
 def _unpack(M: int, packed: np.ndarray) -> np.ndarray:
@@ -133,8 +158,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(_Frozen):
     """Phase-space point: packed independent components of antisymmetric x.
 
     A ``packed`` of shape (B, npairs) holds a stack of B points, for the
@@ -146,16 +170,16 @@ class PhasePoint:
     M: int
     packed: np.ndarray
 
-    def __post_init__(self):
-        if self.M < 1:
-            raise DimensionError(f"mode count must be >= 1, got {self.M}")
-        packed = np.asarray(self.packed, dtype=float)
-        if packed.ndim not in (1, 2) or packed.shape[-1] != pair_count(self.M):
+    def __init__(self, M: int, packed: np.ndarray):
+        if M < 1:
+            raise DimensionError(f"mode count must be >= 1, got {M}")
+        packed = np.asarray(packed, dtype=float)
+        if packed.ndim not in (1, 2) or packed.shape[-1] != pair_count(M):
             raise DimensionError(
-                f"packed shape {packed.shape} is not ({pair_count(self.M)},) "
-                f"or (B, {pair_count(self.M)}) for M={self.M}"
+                f"packed shape {packed.shape} is not ({pair_count(M)},) "
+                f"or (B, {pair_count(M)}) for M={M}"
             )
-        object.__setattr__(self, "packed", _frozen(packed))
+        self.__dict__.update(M=M, packed=_frozen(packed))
 
     @classmethod
     def zero(cls, M: int) -> "PhasePoint":
@@ -191,22 +215,21 @@ class PhasePoint:
         return PhasePoint(self.M, packed)
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
+class CouplingMatrix(_Frozen):
     """Real antisymmetric quadratic coupling t_{ij}, packed like PhasePoint."""
 
     M: int
     packed: np.ndarray
 
-    def __post_init__(self):
-        if self.M < 1:
-            raise DimensionError(f"mode count must be >= 1, got {self.M}")
-        packed = np.asarray(self.packed, dtype=float)
-        if packed.shape != (pair_count(self.M),):
+    def __init__(self, M: int, packed: np.ndarray):
+        if M < 1:
+            raise DimensionError(f"mode count must be >= 1, got {M}")
+        packed = np.asarray(packed, dtype=float)
+        if packed.shape != (pair_count(M),):
             raise DimensionError(
-                f"packed length {packed.shape} != ({pair_count(self.M)},) for M={self.M}"
+                f"packed length {packed.shape} != ({pair_count(M)},) for M={M}"
             )
-        object.__setattr__(self, "packed", _frozen(packed))
+        self.__dict__.update(M=M, packed=_frozen(packed))
 
     @classmethod
     def zero(cls, M: int) -> "CouplingMatrix":
@@ -260,25 +283,27 @@ _PERMUTATIONS4 = np.array(list(permutations(range(4))), dtype=np.intp)
 _PERMUTATION_SIGNS4 = np.array([float(_sort_sign(tuple(p))[1]) for p in _PERMUTATIONS4])
 
 
-@dataclass(frozen=True)
-class QuarticCoupling:
-    """Fully antisymmetric rank-4 coupling g_{ijkl}; canonical quadruples stored."""
+class QuarticCoupling(_Frozen):
+    """Fully antisymmetric rank-4 coupling g_{ijkl}; canonical quadruples stored.
+
+    ``table`` is a read-only copy of the given map, without its zero values.
+    """
 
     M: int
-    table: dict = field(default_factory=dict)
+    table: MappingProxyType
 
-    def __post_init__(self):
-        if self.M < 1:
-            raise DimensionError(f"mode count must be >= 1, got {self.M}")
+    def __init__(self, M: int, table=MappingProxyType({})):
+        if M < 1:
+            raise DimensionError(f"mode count must be >= 1, got {M}")
         clean = {}
-        for key, v in self.table.items():
+        for key, v in table.items():
             i, j, k, l = key
-            _check_index(self.M, i, j, k, l)
+            _check_index(M, i, j, k, l)
             if not (i < j < k < l):
                 raise IndexRangeError(f"quadruple {key} must be strictly increasing")
             if v != 0.0:
                 clean[(i, j, k, l)] = float(v)
-        object.__setattr__(self, "table", MappingProxyType(clean))
+        self.__dict__.update(M=M, table=MappingProxyType(clean))
 
     @classmethod
     def zero(cls, M: int) -> "QuarticCoupling":
@@ -394,19 +419,17 @@ def antisymmetrize_quartic(dense: np.ndarray, M: int) -> QuarticCoupling:
                                if v != 0.0})
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(_Frozen):
     """Model definition: H = i sum t_{ij} g_i g_j + (1/2) sum g_{ijkl} g_i g_j g_k g_l."""
 
     M: int
     t: CouplingMatrix
     g: QuarticCoupling
 
-    def __post_init__(self):
-        if self.t.M != self.M or self.g.M != self.M:
-            raise DimensionError(
-                f"coupling mode counts (t: {self.t.M}, g: {self.g.M}) != M={self.M}"
-            )
+    def __init__(self, M: int, t: CouplingMatrix, g: QuarticCoupling):
+        if t.M != M or g.M != M:
+            raise DimensionError(f"coupling mode counts (t: {t.M}, g: {g.M}) != M={M}")
+        self.__dict__.update(M=M, t=t, g=g)
 
     @classmethod
     def free(cls, t: CouplingMatrix) -> "HamiltonianSpec":

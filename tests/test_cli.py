@@ -661,13 +661,38 @@ class TestImportLayering:
         assert "majoranaq.fock" in loaded and "numpy.ma" not in loaded
 
     def test_config_setup_loads_only_the_model_layers(self, tmp_path):
+        # a config without a preset does not load the Hubbard module
         cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 2, 0.5]]})
         loaded = _modules_after(
             "import majoranaq\n"
             "from majoranaq.config import config_to_spec, load_config\n"
             f"config_to_spec(load_config({cfg!r}))", tmp_path)
         assert loaded == ["majoranaq", "majoranaq.config", "majoranaq.errors",
-                          "majoranaq.hubbard", "majoranaq.tensors", "numpy"]
+                          "majoranaq.tensors", "numpy"]
+
+    def test_traceless_loads_no_flow_and_no_preset(self, tmp_path):
+        cfg = write_config(tmp_path, {"M": 3, "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3})
+        loaded = _modules_after(_cli_run("verify", "--config", cfg, "--suite", "traceless"),
+                                tmp_path)
+        assert "majoranaq.kernel" in loaded
+        assert "majoranaq.dynamics" not in loaded and "majoranaq.hubbard" not in loaded
+
+    @pytest.mark.parametrize("command", ["flow", "traceless", "all"])
+    def test_commands_load_no_dataclasses(self, tmp_path, command):
+        # no value type is a dataclass, whose decorator generates and
+        # compiles its methods at every start-up
+        hub = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
+                                                         "hop": 1.0, "onsite": 4.0}},
+                           name="hub.json")
+        m3 = write_config(tmp_path, {"M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2]],
+                                     "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3})
+        argv = {
+            "flow": ("flow", "--config", hub, "--steps", "3", "--out", "t.csv"),
+            "traceless": ("verify", "--config", m3, "--suite", "traceless"),
+            "all": ("verify", "--config", m3, "--suite", "all"),
+        }[command]
+        loaded = _modules_after(_cli_run(*argv), tmp_path, also=("dataclasses",))
+        assert "majoranaq.tensors" in loaded and "dataclasses" not in loaded
 
 
 class TestWithoutScipy:

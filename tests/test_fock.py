@@ -596,8 +596,13 @@ class TestVerifyFpe:
                                QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)]))
         rho, x = random_density_matrix(2, 6), interior(2, 7)
         good = verify_fpe(rho, spec, x)
-        exact = fock.conservative_rhs
-        monkeypatch.setattr(fock, "conservative_rhs", lambda *args: exact(*args) + shift)
+        exact = fock._rhs_forms
+
+        def shifted(*args, **kwargs):
+            defining, conservative = exact(*args, **kwargs)
+            return [defining, conservative + shift]
+
+        monkeypatch.setattr(fock, "_rhs_forms", shifted)
         bad = verify_fpe(rho, spec, x)
         assert (bad.lhs, bad.rhs) == (good.lhs, good.rhs)
         assert bad.conservative > 1e-3 or np.isnan(shift)

@@ -3,14 +3,23 @@
 import itertools
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majoranaq import HamiltonianSpec, PhasePoint, QuarticCoupling, flow, fock, kernel, suites
+from majoranaq import (
+    HamiltonianSpec,
+    PhasePoint,
+    QuarticCoupling,
+    dynamics,
+    flow,
+    fock,
+    hubbard,
+    kernel,
+    suites,
+)
 from majoranaq.tensors import _pair_rows_cols, random_boundary_point, random_interior_point
 
 
@@ -49,11 +58,14 @@ def test_eigensum_gates_the_traceless_check(monkeypatch):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda d: replace(d, indices=d.indices[1:], weights=d.weights[1:]),
+        lambda d: kernel.ChannelDecomposition(d.M, d.indices[1:], d.weights[1:],
+                                              d.re_rows, d.im_rows),
         # only the positive weights: sum_t w_t (|b_minus_t|^2 - |b_plus_t|^2)
         # vanishes on its own, so scaling every weight alike leaves the
         # balance untouched
-        lambda d: replace(d, weights=d.weights * np.where(d.weights > 0, 1 + 1e-6, 1.0)),
+        lambda d: kernel.ChannelDecomposition(
+            d.M, d.indices, d.weights * np.where(d.weights > 0, 1 + 1e-6, 1.0),
+            d.re_rows, d.im_rows),
     ],
     ids=["ordering-dropped", "positive-weights-scaled"],
 )
@@ -263,7 +275,8 @@ def _per_point_sweep(M, seed, cases, g):
 _BLOCK = suites._SWEEP_BLOCK
 
 
-@pytest.mark.parametrize("cases", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100])
+# 3 to 5 cases fill part of one block; the next three meet its edge
+@pytest.mark.parametrize("cases", [1, 3, 4, 5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100])
 @pytest.mark.parametrize("given_coupling", [True, False], ids=["given", "random"])
 @pytest.mark.parametrize("M", [3, 4])
 def test_stacked_sweep_equals_the_per_point_route(M, given_coupling, cases):
@@ -463,16 +476,18 @@ NAN_CASES = {
                  lambda: suites.run_tangency(Ms=(2, 3), seed=5, n_points=8),
                  "tangency", "max_residual"),
     "channel-balance": (kernel.ChannelDecomposition, "traces", 2, lambda fb: (fb[0], _nan(fb[1])),
-                        lambda: suites.run_traceless_and_channels(3, seed=4, cases=8, g=_G3),
+                        lambda: suites.run_traceless_and_channels(3, seed=4, cases=_BLOCK + 4,
+                                                                  g=_G3),
                         "channels-m3", "balance"),
     "channel-reconstruction": (kernel.ChannelDecomposition, "reconstruct", 2, _nan,
-                               lambda: suites.run_traceless_and_channels(3, seed=4, cases=8, g=_G3),
+                               lambda: suites.run_traceless_and_channels(3, seed=4,
+                                                                         cases=_BLOCK + 4, g=_G3),
                                "channels-m3", "max_residual"),
     # conservative_rhs calls div_diffusion too: call 3 is the second instance's check
     "divergence-closed-form": (kernel, "div_diffusion", 3, _nan,
                                lambda: suites.run_appendix_c(Ms=(2,), seed=4, cases=3),
                                "divergence-closed-form", "max_residual"),
-    "fpe": (fock, "verify_fpe", 2, lambda chk: replace(chk, residual=np.nan),
+    "fpe": (fock, "verify_fpe", 2, lambda chk: chk._replace(residual=np.nan),
             lambda: suites.run_fpe_sweep(suites.acceptance_fpe_cases(11)[1][1], 11, n_instances=3),
             "fpe", "max_residual"),
     "quadratic-identities": (fock, "verify_quadratic_identities", 2,
@@ -483,10 +498,10 @@ NAN_CASES = {
                    lambda report: {k: (left, np.nan) for k, (left, _) in report.items()},
                    lambda: suites.run_four_gamma(M=2, seed=5, n_points=3),
                    "four-gamma", "max_residual"),
-    "flow-boundary-margin": (suites, "flow", 2, lambda traj: replace(traj, margins=_nan(traj.margins)),
+    "flow-boundary-margin": (dynamics, "flow", 2, lambda traj: traj._replace(margins=_nan(traj.margins)),
                              lambda: suites.run_flow_margin(Ms=(2, 3), seed=5, steps=20),
                              "flow-boundary-margin", "max_residual"),
-    "flow-matrix-equivalence": (suites, "flow", 2, lambda traj: replace(traj, packed=_nan(traj.packed)),
+    "flow-matrix-equivalence": (dynamics, "flow", 2, lambda traj: traj._replace(packed=_nan(traj.packed)),
                                 lambda: suites.run_flow_equivalence(Ms=(1,), seed=5, seeds_per_m=3,
                                                                     steps=20),
                                 "flow-matrix-equivalence", "max_residual"),
@@ -495,7 +510,7 @@ NAN_CASES = {
     "basis-at-origin": (fock, "gaussian_basis", 2, _nan,
                         lambda: suites.run_gaussian_basis(seed=5, n_boundary=2),
                         "basis-at-origin", "max_residual"),
-    "hubbard-fidelity": (suites, "hubbard_comparison", 2, lambda residual: np.nan,
+    "hubbard-fidelity": (hubbard, "hubbard_comparison", 2, lambda residual: np.nan,
                          suites.run_hubbard_fidelity, "hubbard-fidelity", "max_residual"),
 }
 

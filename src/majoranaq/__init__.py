@@ -11,8 +11,6 @@ the structural claims (traceless diffusion, divergence-free drift, boundary
 tangency, equivalence with exact Liouville dynamics) against it.
 """
 
-from importlib import import_module
-
 # The public names of each submodule.  ``import majoranaq`` loads no
 # submodule: a name is imported from its module on first access (PEP 562), so
 # each command line loads only the modules it runs.
@@ -94,9 +92,13 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
+        # the import statement's own route, which binds the submodule here
+        # and which ``python -X importtime`` logs; importlib.import_module
+        # loads it unlogged
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     if name in _MODULE_OF:
-        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+        return getattr(__getattr__(_MODULE_OF[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

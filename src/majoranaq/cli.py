@@ -6,8 +6,9 @@ Exit codes: 0 all enabled checks passed, 1 a verification check failed,
 error; any other ``OSError`` is a runtime error.
 
 Each command imports the modules it runs when it runs: ``preset`` needs the
-standard library only, and ``flow`` loads neither the Fock-space oracle nor
-the verification suites.
+standard library only, and ``flow`` loads neither the coefficient kernel
+(:mod:`majoranaq.kernel`), the Fock-space oracle nor the verification
+suites, which also assemble the checks of each ``verify --suite``.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ if TYPE_CHECKING:
 
 SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 
-# mode-count caps of the traceless and tangency suites and of the flow
-# command; at the flow cap x is 32 x 32, and a coupling that touches all 496
-# packed pairs compiles a 992 x 496 block (3.9 MB).  The identities and fpe
-# suites are capped at fock.ORACLE_MAX_M.
-_KERNEL_SUITE_MAX_M = 4
+# mode-count cap of the flow command: x is then 32 x 32, and a coupling that
+# touches all 496 packed pairs compiles a 992 x 496 block (3.9 MB).  The
+# suites' caps are checked in majoranaq.suites.
 _FLOW_MAX_M = 16
 
 # trajectory rows formatted per write of the flow CSV: its Python floats
@@ -47,83 +46,13 @@ _CSV_BLOCK = 256
 _PATH_OPTIONS = ("config", "x0_file", "out")
 
 
-def _check_cap(name: str, M: int, cap: int) -> None:
-    if M > cap:
-        raise ConfigError(f"'{name}' supports M <= {cap}, config has M = {M}")
-
-
-def _check_suite_caps(suite: str, M: int) -> None:
-    """Check every mode-count cap of ``suite`` at ``M``, before any model is built."""
-    if suite in ("identities", "fpe", "all"):
-        from .fock import ORACLE_MAX_M  # loaded only for the suites that run the oracle
-
-        _check_cap("identities" if suite == "all" else suite, M, ORACLE_MAX_M)
-    if suite in ("traceless", "tangency", "all"):
-        _check_cap("traceless" if suite == "all" else suite, M, _KERNEL_SUITE_MAX_M)
-    if suite == "moment-m1" and M != 1:
-        raise ConfigError(f"suite 'moment-m1' requires M = 1, config has M = {M}")
-
-
-def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> list:
-    _check_suite_caps(suite, cfg.M)
-
-    import numpy as np
-
-    from . import suites
-    from .config import config_to_spec
-
-    spec, _shift = config_to_spec(cfg)
-    M = cfg.M
-    tol = cfg.tolerances
-    checks = []
-    if suite in ("identities", "all"):
-        checks.append(
-            suites.run_quadratic_identities(
-                Ms=(M,), seed=seed, n_points=10,
-                tol=tol.get("quadratic-identities"),
-            )
-        )
-        if 2 * M >= 4:
-            checks.append(
-                suites.run_four_gamma(M=M, seed=seed, n_points=3,
-                                      tol=tol.get("four-gamma"))
-            )
-    if suite in ("fpe", "all"):
-        n_inst = 20 if M <= 2 else 5
-        checks.append(
-            suites.run_fpe_sweep(
-                spec, seed, n_instances=n_inst, label="fpe",
-                drift_form=drift_form, tol=tol.get("fpe"),
-            )
-        )
-    if suite in ("traceless", "all"):
-        g = spec.g if spec.g.table else None
-        checks.extend(
-            suites.run_traceless_and_channels(M, seed, cases=100, g=g)
-        )
-    if suite in ("tangency", "all"):
-        has_model = bool(spec.g.table) or np.any(np.asarray(spec.t.packed) != 0.0)
-        model = spec if has_model else None
-        checks.append(
-            suites.run_tangency(Ms=(M,), seed=seed, n_points=25,
-                                tol=tol.get("tangency"), spec=model)
-        )
-        checks.append(
-            suites.run_flow_margin(Ms=(M,), seed=seed,
-                                   tol=tol.get("flow-boundary-margin"), spec=model)
-        )
-    if suite == "moment-m1" or (suite == "all" and M == 1):
-        checks.append(suites.run_moment_m1(seed=seed, tol=tol.get("moment-m1")))
-    return checks
-
-
 def cmd_verify(args) -> int:
     from . import suites
     from .config import load_config
 
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    checks = _verify_checks(cfg, args.suite, seed, args.drift_form)
+    checks = suites._verify_checks(cfg, args.suite, seed, args.drift_form)
     report = suites.build_report(args.suite, checks, seed, cfg.M)
     print(report.text())
     if args.out:
@@ -174,7 +103,7 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
 def cmd_flow(args) -> int:
     import numpy as np
 
-    from .config import config_to_spec, load_config
+    from .config import _check_cap, config_to_spec, load_config
     from .dynamics import flow
     from .tensors import pair_enumerate
 

@@ -261,3 +261,9 @@ def config_to_spec(cfg: ModelConfig) -> tuple[HamiltonianSpec, float]:
     t = CouplingMatrix.from_entries(cfg.M, cfg.t_entries)
     g = QuarticCoupling.from_entries(cfg.M, cfg.g_entries)
     return HamiltonianSpec(cfg.M, t, g), 0.0
+
+
+def _check_cap(name: str, M: int, cap: int) -> None:
+    """Reject a config whose mode count ``M`` exceeds the cap of the command or suite ``name``."""
+    if M > cap:
+        raise ConfigError(f"'{name}' supports M <= {cap}, config has M = {M}")

@@ -6,13 +6,16 @@ there up to integrator error; no projection is applied, so the recorded
 domain margin directly measures that property.  The flow steps the
 full antisymmetric matrix x through every stage: each drift evaluation runs
 the stage kernel compiled once per flow
-(:func:`majoranaq.kernel._compile_rate`), one product with the coupling's
+(:func:`majoranaq.tensors._compile_rate`), one product with the coupling's
 compiled block over only the pairs its quadruples touch, and one matmul,
-with no scatter of x and no gather of the rate.  Stored
-states go into a block buffer of at most 64 full matrices; each block is
-written to the run's packed array with one gather and given its margins by
-one stacked eigensolve.  A non-finite state first evaluates the pending
-margins, so the earliest failing step is reported, with its own cause.
+with no scatter of x and no gather of the rate.  The flow imports that
+kernel from :mod:`majoranaq.tensors`, so it loads neither
+:mod:`majoranaq.kernel` nor the verification suites.  Each step writes its
+state straight into a block buffer of at most 64 full matrices; each block
+is checked for non-finite entries with one vectorised ``isfinite``, written
+to the run's packed array with one gather and given its margins by one
+stacked eigensolve.  A non-finite state first evaluates the margins before
+it, so the earliest failing step is reported, with its own cause.
 
 In the quadratic sector the flow transports the covariance of a pure Gaussian
 state at the generator rate 4; :func:`gaussian_covariance_comparison` checks
@@ -26,11 +29,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .kernel import _drift_rate
 from .tensors import (
     CouplingMatrix,
     HamiltonianSpec,
     PhasePoint,
+    _drift_rate,
     _margin,
     _pack,
     pair_count,
@@ -72,13 +75,26 @@ def _guarded_margin(xm: np.ndarray, step: int) -> float:
 
 def _settle_block(block: np.ndarray, packed: np.ndarray, margins: np.ndarray,
                   start: int, stop: int) -> None:
-    """Store the states start..stop-1, held in ``block``, as packed rows and margins.
+    """Check and store the states start..stop-1, held in ``block``, as packed rows and margins.
+
+    One vectorised ``isfinite`` checks every computed state of the block.  A
+    non-finite entry stays non-finite under X + s, so the states from the
+    first non-finite one on are all non-finite, and its step is the first
+    to fail: only the states before it are stored, and then
+    :class:`DivergenceError` is raised at that step.  The initial point
+    (step 0) is given, not computed; its margin alone checks it.
 
     The packed rows are one ``take`` of the block, and the margins one
     stacked eigensolve.  If that call fails or gives a non-finite margin, the
     block is re-run one state at a time through the guard, so the earliest
-    failing step raises, with its own cause.
+    failing step raises, with its own cause, ahead of a later non-finite
+    state.
     """
+    given = 1 if start == 0 else 0
+    finite = np.isfinite(block[given:stop - start])
+    diverged = not finite.all()
+    if diverged:
+        stop = start + given + int(np.argmin(finite.all(axis=(1, 2))))
     xs = block[:stop - start]
     packed[start:stop] = _pack(block.shape[-1] // 2, xs)
     try:
@@ -89,6 +105,8 @@ def _settle_block(block: np.ndarray, packed: np.ndarray, margins: np.ndarray,
     if not settled:
         values = [_guarded_margin(xm, step) for step, xm in enumerate(xs, start)]
     margins[start:stop] = values
+    if diverged:
+        raise DivergenceError(stop)
 
 
 def flow(
@@ -105,20 +123,21 @@ def flow(
     coupling's compiled block
     (:attr:`majoranaq.tensors.QuarticCoupling.pair_block`, built once per
     coupling) scaled by the drift's coefficient, and one matmul
-    (:func:`majoranaq.kernel._compile_rate`).
-    Stored states go into a block buffer of at most 64 full matrices; each
-    full block gives its packed rows to ``Trajectory.packed`` with one
+    (:func:`majoranaq.tensors._compile_rate`).
+    Each step writes its state straight into a block buffer of at most 64
+    full matrices; each full block is checked for non-finite entries with
+    one ``isfinite``, gives its packed rows to ``Trajectory.packed`` with one
     gather and its margins with one stacked eigensolve.
 
     A trajectory too large to allocate raises :class:`MemoryError` before
     any step.  A non-finite state or margin, or a failed margin eigensolve,
     raises :class:`DivergenceError` at its step; the initial point is step
-    0.  Before a non-finite state is raised, the pending margins are
-    evaluated, so the earliest failing step wins, as if each margin were
-    taken right after its step.  Overflow and invalid-value warnings of the
-    stages and margin solves are silenced: every non-finite result they flag
-    becomes that error.  States, margins and times are bit-identical to a
-    step-by-step loop through
+    0.  Before a non-finite state is raised, the margins of the states
+    before it are evaluated, so the earliest failing step wins, as if each
+    state and margin were checked right after its step.  Overflow and
+    invalid-value warnings of the stages and margin solves are silenced:
+    every non-finite result they flag becomes that error.  States, margins
+    and times are bit-identical to a step-by-step loop through
     :func:`majoranaq.kernel.drift` and :func:`majoranaq.tensors.domain_margin`.
     """
     if spec.M != x0.M:
@@ -136,22 +155,20 @@ def flow(
     margins = np.empty(steps + 1)
     block = np.empty((min(steps + 1, _MARGIN_BLOCK), 2 * M, 2 * M))
     X = block[0] = x0.matrix()
-    pending = 0  # first step whose margin is not yet evaluated
+    pending = 0  # first step whose state is not yet settled
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
+            out = block[step - pending]
             if method == "euler":
-                X = X + dt * rate(X)
+                np.add(X, dt * rate(X), out=out)
             else:
                 k1 = rate(X)
                 k2 = rate(X + half * k1)
                 k3 = rate(X + half * k2)
                 k4 = rate(X + dt * k3)
-                X = X + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
-            if not np.isfinite(X).all():
-                _settle_block(block, packed, margins, pending, step)
-                raise DivergenceError(step)
-            block[step - pending] = X
+                np.add(X, sixth * (k1 + (k2 + k2) + (k3 + k3) + k4), out=out)
+            X = out
             if step + 1 - pending == _MARGIN_BLOCK:
                 _settle_block(block, packed, margins, pending, step + 1)
                 pending = step + 1

@@ -41,17 +41,17 @@ Conventions (hbar = 1 throughout; couplings are rates):
 
 * Stage kernel:  every drift-type vector is a commutator [x, c] with
   c = a G v + b t at the packed entries v of x, computed on the full
-  antisymmetric matrix x by :func:`_compile_rate`.  The drift has
-  a = 8(4M - 3) and b = -4 (c = 4((4M - 3)(g.x) - t)); :func:`drift_bar`,
+  antisymmetric matrix x by the stage kernel
+  :func:`majoranaq.tensors._compile_rate`, which is defined beside the
+  coupling's compiled block and describes one stage.  The drift has
+  a = 8(4M - 3) and b = -4 (c = 4((4M - 3)(g.x) - t),
+  :func:`majoranaq.tensors._drift_rate`); :func:`drift_bar`,
   :func:`div_diffusion` and :func:`drift_alternative` differ only in a and
-  b.  Compiling scales K0 by a into K and t by b into a buffer c.  A stage
-  is one gather of the w touched entries of x, one product with K, one
-  addition of the b t entries there, one scatter into c, and one matmul
-  P = x c, read as [x, c] = P - P^T.  The buffer c is antisymmetric to
-  rounding only (the two halves of K v may round apart); the rate P - P^T
-  is antisymmetric bit for bit.  Every drift-type function and every RK4
-  stage of :func:`majoranaq.dynamics.flow` run this one kernel, so the
-  flow's states equal a loop through :func:`drift` bit for bit.
+  b.  The rate is antisymmetric bit for bit.  Every drift-type function
+  here and every RK4 stage of :func:`majoranaq.dynamics.flow` run this one
+  kernel, so the flow's states equal a loop through :func:`drift` bit for
+  bit; the flow imports it from :mod:`majoranaq.tensors`, so the ``flow``
+  command does not load this module.
 
 * Stacks:  :func:`diffusion` and :func:`diffusion_channels` take a
   :class:`PhasePoint` holding a stack of B points, and every result then
@@ -89,6 +89,8 @@ from .tensors import (
     CouplingMatrix,
     PhasePoint,
     QuarticCoupling,
+    _compile_rate,
+    _drift_rate,
     _Frozen,
     _pack,
     _pair_rows_cols,
@@ -347,43 +349,6 @@ def diffusion_channels(x: PhasePoint, g: QuarticCoupling) -> ChannelDecompositio
     rows = RE.shape[:-3] + (4 * M * M, -1)
     tuples, weights = g.ordered_tuples
     return ChannelDecomposition(M, tuples + 1, 4.0 * weights, RE.reshape(rows), IM.reshape(rows))
-
-
-def _compile_rate(g: QuarticCoupling, t: CouplingMatrix, a: float, b: float):
-    """The rate X -> [X, C(X)] on full antisymmetric matrices, with c = a G v + b t.
-
-    v holds the packed upper entries of X.  Compiling costs one scale of
-    the coupling's block K0 into K = a K0 and one of the full t into C = b t
-    (both parts are cached on the couplings), and one ``take`` of the b t
-    entries the block writes.  A stage rewrites only those entries of C,
-    with one product by K plus those entries of b t, and one ``put``.  The
-    commutator is one matmul, P = X C, with [X, C] = P - P^T (C X = (X C)^T
-    for antisymmetric X and C).
-
-    The lower rows of K are the exact negations of its upper rows, but
-    their products may round apart, so C is antisymmetric to rounding
-    only; the rate P - P^T is antisymmetric bit for bit: below the diagonal
-    it is the exact negation of the entries above it and, where P is
-    finite, its diagonal is 0.  Both products call the arrays' ``dot``
-    method, which skips the array-function dispatch of ``np.dot`` and costs
-    less than ``@`` on arrays this small.
-    """
-    _, read, write, K0 = g.pair_block
-    K = a * K0
-    C = b * t._full
-    base = C.take(write)
-
-    def rate(X: np.ndarray) -> np.ndarray:
-        C.put(write, K.dot(X.take(read)) + base)
-        P = X.dot(C)
-        return P - P.T
-
-    return rate
-
-
-def _drift_rate(g: QuarticCoupling, t: CouplingMatrix):
-    """The stage kernel of the full drift, c = 4((4M - 3)(g.x) - t) = 8(4M - 3) G v - 4 t."""
-    return _compile_rate(g, t, 8.0 * (4 * g.M - 3), -4.0)
 
 
 def drift_bar(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling) -> np.ndarray:

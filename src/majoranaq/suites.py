@@ -1,14 +1,16 @@
 """Seeded verification sweeps with pass/fail records.
 
 Each runner executes one structural claim over a reproducible ensemble and
-returns a :class:`CheckResult`; the CLI assembles them into a
-:class:`VerificationReport`, and the acceptance test suite runs them at the
-pinned tolerances.  Every check is kept in one record, :class:`_Sweep`: it
-times the check, counts its instances, keeps the worst residual (with the
-record that re-runs its instance, where the check has one) and every other
-value that gates ``passed``, and builds the result.  NaN ranks above every
-number there, so a NaN residual or gated value at any instance fails its
-check, and ``verify`` exits 1.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
+returns a :class:`CheckResult`; :func:`_verify_checks` checks the
+mode-count caps of each ``verify --suite`` and runs its runners, the CLI
+assembles their results into a :class:`VerificationReport`, and the
+acceptance test suite runs them at the pinned tolerances.  Every check is
+kept in one record, :class:`_Sweep`: it times the check, counts its
+instances, keeps the worst residual (with the record that re-runs its
+instance, where the check has one) and every other value that gates
+``passed``, and builds the result.  NaN ranks above every number there, so
+a NaN residual or gated value at any instance fails its check, and
+``verify`` exits 1.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
 which validates overrides against it without loading this module; this
 module re-exports the same dictionary.  The Fock-space oracle, the flow
 and the Hubbard preset are imported by the runners that use them, so the
@@ -20,7 +22,7 @@ from __future__ import annotations
 import platform
 import time
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .tensors import (
     random_interior_point,
     random_points,
 )
+
+if TYPE_CHECKING:
+    from .config import ModelConfig
 
 __all__ = [
     "CheckResult",
@@ -581,9 +586,10 @@ def run_appendix_c(
                 hess = rng.normal(size=(npairs, npairs))
                 hess = (hess + hess.T) / 2
                 q = float(rng.normal())
-                r1 = kernel.fpe_rhs(x, t, g, grad, hess)
-                r2 = kernel.conservative_rhs(x, t, g, q, grad, hess,
-                                             float(div_a), float(div_div_d))
+                # both sides from one evaluation of D, bit for bit those
+                # of kernel.fpe_rhs and kernel.conservative_rhs
+                r1, r2 = kernel._rhs_forms(x, t, g, grad, hess,
+                                           (q, float(div_a), float(div_div_d)))
                 equiv.add(abs(r1 - r2) / max(abs(r1), 1e-12), at)
     return [div.result(), free.result(), double.result(), equiv.result()]
 
@@ -721,3 +727,81 @@ def run_hubbard_fidelity(tol: float | None = None) -> CheckResult:
             sweep.add(hubbard_comparison(preset, hop, onsite))
             shifts.append(preset.identity_shift)
     return sweep.result(identity_shifts=shifts)
+
+
+# ---------------------------------------------------------------------------
+# the checks of each ``verify --suite``
+# ---------------------------------------------------------------------------
+
+# mode-count cap of the traceless and tangency suites; the identities and
+# fpe suites are capped at fock.ORACLE_MAX_M
+_KERNEL_SUITE_MAX_M = 4
+
+
+def _check_suite_caps(suite: str, M: int) -> None:
+    """Check every mode-count cap of ``suite`` at ``M``, before any model is built."""
+    from .config import _check_cap
+    from .errors import ConfigError
+
+    if suite in ("identities", "fpe", "all"):
+        from .fock import ORACLE_MAX_M  # loaded only for the suites that run the oracle
+
+        _check_cap("identities" if suite == "all" else suite, M, ORACLE_MAX_M)
+    if suite in ("traceless", "tangency", "all"):
+        _check_cap("traceless" if suite == "all" else suite, M, _KERNEL_SUITE_MAX_M)
+    if suite == "moment-m1" and M != 1:
+        raise ConfigError(f"suite 'moment-m1' requires M = 1, config has M = {M}")
+
+
+def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> list[CheckResult]:
+    """The checks of ``verify --suite suite`` on the model of ``cfg``, in report order.
+
+    Every cap of the suite is checked first, so an oversized config builds
+    no model and runs no check.
+    """
+    _check_suite_caps(suite, cfg.M)
+
+    from .config import config_to_spec
+
+    spec, _shift = config_to_spec(cfg)
+    M = cfg.M
+    tol = cfg.tolerances
+    checks = []
+    if suite in ("identities", "all"):
+        checks.append(
+            run_quadratic_identities(
+                Ms=(M,), seed=seed, n_points=10,
+                tol=tol.get("quadratic-identities"),
+            )
+        )
+        if 2 * M >= 4:
+            checks.append(
+                run_four_gamma(M=M, seed=seed, n_points=3, tol=tol.get("four-gamma"))
+            )
+    if suite in ("fpe", "all"):
+        n_inst = 20 if M <= 2 else 5
+        checks.append(
+            run_fpe_sweep(
+                spec, seed, n_instances=n_inst, label="fpe",
+                drift_form=drift_form, tol=tol.get("fpe"),
+            )
+        )
+    if suite in ("traceless", "all"):
+        g = spec.g if spec.g.table else None
+        checks.extend(
+            run_traceless_and_channels(M, seed, cases=100, g=g)
+        )
+    if suite in ("tangency", "all"):
+        has_model = bool(spec.g.table) or np.any(np.asarray(spec.t.packed) != 0.0)
+        model = spec if has_model else None
+        checks.append(
+            run_tangency(Ms=(M,), seed=seed, n_points=25,
+                         tol=tol.get("tangency"), spec=model)
+        )
+        checks.append(
+            run_flow_margin(Ms=(M,), seed=seed,
+                            tol=tol.get("flow-boundary-margin"), spec=model)
+        )
+    if suite == "moment-m1" or (suite == "all" and M == 1):
+        checks.append(run_moment_m1(seed=seed, tol=tol.get("moment-m1")))
+    return checks

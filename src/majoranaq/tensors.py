@@ -15,7 +15,10 @@ G[P, Q] = g_{PQ} (P = (i<j), Q = (k<l) packed) that is not zero: the block
 over the w pairs its quadruples touch, unscaled, with the flat indices of
 those pairs in a full matrix (:attr:`QuarticCoupling.pair_block`).  That
 block is the only form of g the kernel contracts with; no npairs x npairs
-matrix is built.
+matrix is built.  The stage kernel that evaluates every drift-type
+commutator [x, c] from it, :func:`_compile_rate`, is defined here as well,
+so :mod:`majoranaq.dynamics` integrates the flow without loading
+:mod:`majoranaq.kernel`.
 
 All indices in the public API are 1-based, matching the conventions of the
 file formats; internal numpy arrays are 0-based.
@@ -353,7 +356,7 @@ class QuarticCoupling(_Frozen):
         (p_b, p_a).  So K0 X.take(read), put at ``write`` into a zero matrix,
         is G v unpacked antisymmetrically (each half to rounding).  The block
         is unscaled: every formula applies its own coefficients (see
-        :mod:`majoranaq.kernel`).  Read-only; empty for a zero coupling.
+        :func:`_compile_rate`).  Read-only; empty for a zero coupling.
         """
         quads, values = self._canonical_arrays()
         idx = _pair_index_matrix(self.M)
@@ -396,6 +399,51 @@ class QuarticCoupling(_Frozen):
         tuples, weights = self.ordered_tuples
         out[tuple(tuples.T)] = weights
         return out
+
+
+def _compile_rate(g: QuarticCoupling, t: CouplingMatrix, a: float, b: float):
+    """The stage kernel: the rate X -> [X, C(X)] on full antisymmetric matrices.
+
+    C is the full matrix of c = a G v + b t, where v holds the packed upper
+    entries of X.  Every drift-type vector of :mod:`majoranaq.kernel` and
+    every stage of :func:`majoranaq.dynamics.flow` runs this one function;
+    they differ only in a and b.  Compiling costs one scale of the
+    coupling's block K0 (:attr:`QuarticCoupling.pair_block`) into K = a K0
+    and one of the full t into C = b t (both parts are cached on the
+    couplings), and one ``take`` of the b t entries the block writes.  A
+    stage gathers the w entries of X it reads, and rewrites only the
+    entries of C the block writes, with one product by K plus those entries
+    of b t; both index the flat view of the matrix, which costs about half
+    of ``take`` and ``put`` on arrays this small.  The commutator is one
+    matmul, P = X C, with [X, C] = P - P^T (C X = (X C)^T for antisymmetric
+    X and C); P^T is copied to a contiguous array first, which gives the
+    same bits at a lower cost than subtracting the strided view.
+
+    The lower rows of K are the exact negations of its upper rows, but
+    their products may round apart, so C is antisymmetric to rounding
+    only; the rate P - P^T is antisymmetric bit for bit: below the diagonal
+    it is the exact negation of the entries above it and, where P is
+    finite, its diagonal is 0.  Both products call the arrays' ``dot``
+    method, which skips the array-function dispatch of ``np.dot`` and costs
+    less than ``@`` on arrays this small.
+    """
+    _, read, write, K0 = g.pair_block
+    K = a * K0
+    C = b * t._full
+    base = C.take(write)
+    flat = C.reshape(-1)  # a view: writing its entries writes C
+
+    def rate(X: np.ndarray) -> np.ndarray:
+        flat[write] = K.dot(X.ravel()[read]) + base
+        P = X.dot(C)
+        return P - P.T.copy()
+
+    return rate
+
+
+def _drift_rate(g: QuarticCoupling, t: CouplingMatrix):
+    """The stage kernel of the full drift, c = 4((4M - 3)(g.x) - t) = 8(4M - 3) G v - 4 t."""
+    return _compile_rate(g, t, 8.0 * (4 * g.M - 3), -4.0)
 
 
 def antisymmetrize_quartic(dense: np.ndarray, M: int) -> QuarticCoupling:

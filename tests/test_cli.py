@@ -70,7 +70,7 @@ class TestVerifyCommand:
         (lambda M: 8.0 * (4 * M - 3), 4.0),   # the sign of t flipped
     ], ids=["coefficient", "sign-of-t"])
     def test_wrong_drift_fails_verify_all(self, tmp_path, capsys, monkeypatch, a, b):
-        from majoranaq import dynamics, kernel
+        from majoranaq import dynamics, kernel, tensors
 
         cfg = write_config(tmp_path, {
             "M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2], [3, 6, 0.25]],
@@ -82,7 +82,7 @@ class TestVerifyCommand:
         assert fpe["info"]["conservative_residual"] <= fpe["max_residual"] <= fpe["tolerance"]
 
         def wrong_rate(g, t):
-            return kernel._compile_rate(g, t, a(g.M), b)
+            return tensors._compile_rate(g, t, a(g.M), b)
 
         monkeypatch.setattr(kernel, "_drift_rate", wrong_rate)
         monkeypatch.setattr(dynamics, "_drift_rate", wrong_rate)
@@ -616,6 +616,18 @@ def _cli_run(*argv: str) -> str:
     )
 
 
+def _import_time_modules(cwd, *argv: str) -> set:
+    """The modules that ``python -X importtime -m majoranaq.cli *argv`` logs."""
+    src = str(Path(majoranaq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "majoranaq.cli", *argv],
+                         env=env, capture_output=True, text=True, cwd=cwd)
+    assert out.returncode == 0, out.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 class TestImportLayering:
     """Each command loads only the modules it runs."""
 
@@ -638,12 +650,27 @@ class TestImportLayering:
         assert "dataclasses" not in loaded and "inspect" not in loaded
 
     def test_flow_loads_no_oracle(self, tmp_path):
+        # the stage kernel is defined in tensors, so flow also leaves the
+        # coefficient kernel unloaded
         cfg = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
                                                          "hop": 1.0, "onsite": 4.0}})
         loaded = _modules_after(_cli_run("flow", "--config", cfg, "--steps", "3",
                                          "--out", "t.csv"), tmp_path)
         assert "majoranaq.dynamics" in loaded
-        assert "majoranaq.fock" not in loaded and "majoranaq.suites" not in loaded
+        assert not {"majoranaq.fock", "majoranaq.suites", "majoranaq.kernel"} & set(loaded)
+
+    def test_import_time_lists_every_loaded_submodule(self, tmp_path):
+        # `from . import name` reaches a submodule through the package's
+        # __getattr__, which loads it by the route -X importtime logs
+        m3 = write_config(tmp_path, {"M": 3, "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3},
+                          name="m3.json")
+        hub = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
+                                                         "hop": 1.0, "onsite": 4.0}})
+        verify = _import_time_modules(tmp_path, "verify", "--config", m3, "--suite", "traceless")
+        assert {"majoranaq.kernel", "majoranaq.suites"} <= verify
+        flow = _import_time_modules(tmp_path, "flow", "--config", hub, "--steps", "3",
+                                    "--out", "t.csv")
+        assert "majoranaq.dynamics" in flow and "majoranaq.kernel" not in flow
 
     @pytest.mark.parametrize("suite", ["traceless", "tangency"])
     def test_kernel_suites_load_no_oracle(self, tmp_path, suite):

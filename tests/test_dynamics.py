@@ -1,5 +1,6 @@
 """Drift flow, boundary preservation, diffusion spectra, covariance transport."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from majoranaq import (
     diffusion,
     domain_margin,
     drift,
+    dynamics,
     flow,
     gaussian_covariance_comparison,
     pair_count,
@@ -28,6 +30,7 @@ from majoranaq import (
 from majoranaq.dynamics import _MARGIN_BLOCK
 from majoranaq.errors import DivergenceError
 from majoranaq.hubbard import preset_hubbard
+from majoranaq.tensors import _drift_rate
 
 
 def random_spec(M, seed, t_scale=0.5, g_entries=None):
@@ -90,13 +93,18 @@ class TestFlow:
     @pytest.mark.parametrize("x0", [
         PhasePoint(1, [1e160]),
         PhasePoint(3, 1e160 * random_boundary_point(3, 7).packed),
-    ], ids=["M1", "M3"])
+        PhasePoint(1, [np.inf]),
+        PhasePoint(2, [0.0, np.nan, 0.0, 0.0, 0.0, 0.0]),
+    ], ids=["M1", "M3", "M1-inf", "M2-nan"])
     def test_initial_margin_is_guarded(self, x0):
-        # the eigensolver overflows (M = 3) or the margin is not finite (M = 1)
+        # the eigensolver overflows (M = 3) or the margin is not finite (M = 1);
+        # a non-finite initial point is given, not computed, so its margin
+        # names the cause, not the check of the states the steps compute
         spec = HamiltonianSpec.free(CouplingMatrix.zero(x0.M))
         with pytest.raises(DivergenceError) as err:
             flow(x0, spec, dt=1e-3, steps=5)
         assert err.value.step == 0
+        assert err.value.reason in ("margin eigensolve", "non-finite margin")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_margin_failure_on_finite_state(self):
@@ -165,17 +173,26 @@ class TestFlow:
         np.testing.assert_array_equal(traj.final.packed, traj.packed[-1])
 
     @staticmethod
-    def _first_failures(x0, spec, dt, steps):
-        # public-API reference for an Euler run: the first step whose margin
-        # eigensolve raises, and the first step whose state is not finite;
-        # the public functions warn on overflow, the flow does not
+    def _first_failures(x0, spec, dt, steps, method="euler", wrap=lambda rate: rate):
+        # public-API reference: the first step whose margin eigensolve
+        # raises, and the first step whose state is not finite; ``wrap``
+        # alters the packed drift as a patched stage kernel alters the
+        # flow's; the public functions warn on overflow, the flow does not
         M = x0.M
+        rate = wrap(lambda v: drift(PhasePoint(M, v), spec.t, spec.g))
         v = np.asarray(x0.packed)
         margin_step = state_step = None
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(steps + 1):
                 if step:
-                    v = v + dt * drift(PhasePoint(M, v), spec.t, spec.g)
+                    if method == "euler":
+                        v = v + dt * rate(v)
+                    else:
+                        k1 = rate(v)
+                        k2 = rate(v + 0.5 * dt * k1)
+                        k3 = rate(v + 0.5 * dt * k2)
+                        k4 = rate(v + dt * k3)
+                        v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
                     if not np.all(np.isfinite(v)):
                         state_step = step
                         break
@@ -185,6 +202,42 @@ class TestFlow:
                     except np.linalg.LinAlgError:
                         margin_step = step
         return margin_step, state_step
+
+    @staticmethod
+    def _poison(call, value):
+        """A wrapper of a rate that sets the first entry of its ``call``-th result (from 0) to ``value``."""
+        def wrap(rate):
+            calls = itertools.count()
+
+            def poisoned(X):
+                out = rate(X)
+                if next(calls) == call:
+                    out.flat[1 if out.ndim == 2 else 0] = value  # x_12, full or packed
+                return out
+            return poisoned
+        return wrap
+
+    # finiteness is checked once per block of 64 stored states: a state
+    # that first goes non-finite in the last slot of the first block, in the
+    # first slot of the next one, and inside the final partial block; for
+    # RK4 the poisoned stage varies with the step
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("bad_step", [_MARGIN_BLOCK - 1, _MARGIN_BLOCK, 2 * _MARGIN_BLOCK + 13])
+    def test_non_finite_state_raises_at_its_step(self, monkeypatch, bad_step, method, value):
+        spec = random_spec(3, 23, g_entries=[(1, 2, 3, 4, 0.6), (1, 3, 5, 6, -0.4)])
+        x0 = random_boundary_point(3, 33)
+        steps = 2 * _MARGIN_BLOCK + 22
+        stages = 4 if method == "rk4" else 1
+        wrap = self._poison(stages * (bad_step - 1) + bad_step % stages, value)
+        margin_step, state_step = self._first_failures(x0, spec, 1e-3, steps, method, wrap)
+        assert (margin_step, state_step) == (None, bad_step)
+        monkeypatch.setattr(dynamics, "_drift_rate", lambda g, t: wrap(_drift_rate(g, t)))
+        with pytest.raises(DivergenceError) as err:
+            flow(x0, spec, dt=1e-3, steps=steps, method=method)
+        assert err.value.step == bad_step
+        assert err.value.reason == "non-finite state"
 
     def test_euler_divergence_raises_no_warning(self):
         # demo 04's coarse Euler run: its margin eigensolve overflows at a
@@ -235,6 +288,25 @@ class TestFlow:
         margin_step, state_step = self._first_failures(x0, spec, dt, steps)
         assert margin_step < state_step
         assert margin_step // _MARGIN_BLOCK == state_step // _MARGIN_BLOCK == 1
+        with pytest.raises(DivergenceError) as err:
+            flow(x0, spec, dt=dt, steps=steps, method="euler")
+        assert err.value.step == margin_step
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_earlier_margin_failure_wins_over_a_poisoned_state(self, monkeypatch):
+        # the margin fails on a finite state, and a poisoned stage makes a
+        # later state of the same block non-finite: the margins before that
+        # state are evaluated first, so the margin's step is reported
+        spec = random_spec(3, 0, t_scale=1.0)
+        x0 = PhasePoint(3, 1e-150 * np.asarray(random_boundary_point(3, 7).packed))
+        dt, steps = 100.0, 130
+        clean_margin_step, _ = self._first_failures(x0, spec, dt, steps)
+        wrap = self._poison(clean_margin_step + 1, np.inf)
+        margin_step, state_step = self._first_failures(x0, spec, dt, steps, wrap=wrap)
+        assert (margin_step, state_step) == (clean_margin_step, clean_margin_step + 2)
+        assert margin_step // _MARGIN_BLOCK == state_step // _MARGIN_BLOCK == 1
+        monkeypatch.setattr(dynamics, "_drift_rate", lambda g, t: wrap(_drift_rate(g, t)))
         with pytest.raises(DivergenceError) as err:
             flow(x0, spec, dt=dt, steps=steps, method="euler")
         assert err.value.step == margin_step

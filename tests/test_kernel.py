@@ -632,7 +632,7 @@ def _stage_models():
 
 
 class TestStageMap:
-    """The drift's stage kernel, run by every RK4 stage (kernel._compile_rate)."""
+    """The drift's stage kernel, run by every RK4 stage (tensors._compile_rate)."""
 
     @pytest.mark.parametrize("M, t, g", list(_stage_models()))
     def test_rate_is_antisymmetric_and_matches_the_formula(self, M, t, g):

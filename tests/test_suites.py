@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 import time
 
 import numpy as np
@@ -436,6 +437,38 @@ def test_worst_divergence_instance_reproduces_its_residual():
                 for q in range(x.packed.size))
     residual = float(np.max(np.abs(kernel.div_diffusion(x, g) - div_d)))
     assert residual == check.max_residual > 0.0
+
+
+def test_conservative_equivalence_evaluates_one_diffusion_per_instance(monkeypatch):
+    # both sides come from one kernel._rhs_forms call per instance, which
+    # evaluates D once, and equal the separate fpe_rhs and conservative_rhs
+    # bit for bit; the stencils of the other checks call kernel.diffusion
+    # too, so only the calls made by _rhs_forms are counted
+    diffusion, rhs_forms = kernel.diffusion, kernel._rhs_forms
+    calls, from_rhs = [], []
+
+    def counted(x, g):
+        if sys._getframe(1).f_code is rhs_forms.__code__:
+            from_rhs.append(x)
+        return diffusion(x, g)
+
+    def recorded(*args):
+        calls.append(args)
+        return rhs_forms(*args)
+
+    monkeypatch.setattr(kernel, "diffusion", counted)
+    monkeypatch.setattr(kernel, "_rhs_forms", recorded)
+    equiv = suites.run_appendix_c(Ms=(2, 3), seed=5, cases=6)[3]
+    monkeypatch.undo()
+    assert equiv.name == "conservative-equivalence"
+    assert len(calls) == len(from_rhs) == equiv.instances == 6
+    old = []
+    for x, t, g, grad, hess, (q, div_a, double_div_d) in calls:
+        r1 = kernel.fpe_rhs(x, t, g, grad, hess)
+        r2 = kernel.conservative_rhs(x, t, g, q, grad, hess, div_a, double_div_d)
+        assert rhs_forms(x, t, g, grad, hess, (q, div_a, double_div_d)) == [r1, r2]
+        old.append(abs(r1 - r2) / max(abs(r1), 1e-12))
+    assert equiv.max_residual == max(old) > 0.0
 
 
 def test_worst_moment_state_reproduces_its_residual():

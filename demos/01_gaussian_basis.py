@@ -14,7 +14,6 @@ import numpy as np
 
 from majoranaq import (
     PhasePoint,
-    build_majoranas,
     covariance_of_basis,
     domain_margin,
     gaussian_basis,
@@ -56,7 +55,6 @@ print("Tr[Lambda(x) Xhat_mn] with Xhat = (i/2)[gamma_m, gamma_n] equals x")
 print("exactly at M = 1; the tests assert it to 1e-12 at M = 2, 3, on interior")
 print("and boundary points:")
 for M in (1, 2, 3):
-    majo = build_majoranas(M)
     x = random_interior_point(M, seed=11)
-    cov = covariance_of_basis(x, majo)
+    cov = covariance_of_basis(x)
     print(f"  M = {M}: max |cov - x| = {np.max(np.abs(cov - x.matrix())):.2e}")

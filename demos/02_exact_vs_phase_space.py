@@ -14,7 +14,6 @@ from majoranaq import (
     CouplingMatrix,
     HamiltonianSpec,
     QuarticCoupling,
-    build_majoranas,
     preset_hubbard,
     random_density_matrix,
     random_interior_point,
@@ -24,12 +23,11 @@ from majoranaq import (
 print("=== M = 2, single-site Hubbard couplings ===")
 hub = preset_hubbard(sites=1, hop=0.0, onsite=4.0)
 spec = HamiltonianSpec(2, hub.t, hub.g)
-majo = build_majoranas(2)
 print(f"{'instance':>8} {'exact dQ/dt':>14} {'kernel rhs':>14} {'residual':>10}")
 for i in range(4):
     rho = random_density_matrix(2, 100 + i)
     x = random_interior_point(2, 200 + i)
-    chk = verify_fpe(rho, spec, x, majo)
+    chk = verify_fpe(rho, spec, x)
     print(f"{i:>8} {chk.lhs:>14.8f} {chk.rhs:>14.8f} {chk.residual:>10.2e}")
 
 print("\n=== M = 3, random quadratic plus two quartic couplings ===")
@@ -40,12 +38,11 @@ spec3 = HamiltonianSpec(
     CouplingMatrix.from_matrix(a - a.T),
     QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.5), (1, 3, 5, 6, -0.4)]),
 )
-majo3 = build_majoranas(3)
 print(f"{'instance':>8} {'exact dQ/dt':>14} {'kernel rhs':>14} {'residual':>10}")
 for i in range(3):
     rho = random_density_matrix(3, 300 + i)
     x = random_interior_point(3, 400 + i, scale=0.3)
-    chk = verify_fpe(rho, spec3, x, majo3)
+    chk = verify_fpe(rho, spec3, x)
     print(f"{i:>8} {chk.lhs:>14.8f} {chk.rhs:>14.8f} {chk.residual:>10.2e}")
 
 print("\n=== drift-form arbitration ===")
@@ -55,5 +52,5 @@ print("oracle, the alternative form (eq50) does not:")
 rho = random_density_matrix(3, 999)
 x = random_interior_point(3, 888, scale=0.3)
 for form in ("eq36", "eq50"):
-    chk = verify_fpe(rho, spec3, x, majo3, drift_form=form)
+    chk = verify_fpe(rho, spec3, x, drift_form=form)
     print(f"  {form}: residual = {chk.residual:.3e}")

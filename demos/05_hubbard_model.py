@@ -12,7 +12,6 @@ import numpy as np
 from majoranaq import (
     HamiltonianSpec,
     build_hamiltonian,
-    build_majoranas,
     fermi_hubbard_matrix,
     gaussian_covariance_comparison,
     hubbard_comparison,
@@ -31,8 +30,7 @@ for sites, hop, onsite in ((1, 0.0, 4.0), (2, 1.0, 4.0)):
     print(f"dropped identity shift: {preset.identity_shift:+.3f}")
     residual = hubbard_comparison(preset, hop, onsite)
     print(f"fidelity vs ladder-operator reference (traceless parts): {residual:.2e}")
-    majo = build_majoranas(preset.M)
-    H = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g), majo)
+    H = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g))
     direct = fermi_hubbard_matrix(sites, hop, onsite)
     print(f"spectrum (Majorana build) : "
           f"{np.array2string(np.linalg.eigvalsh(H)[:4], precision=4)} ...")

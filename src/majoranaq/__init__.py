@@ -51,7 +51,6 @@ _EXPORTS = {
         "tangency_residual",
     ),
     "fock": (
-        "MajoranaSet",
         "build_majoranas",
         "jordan_wigner_ladders",
         "build_hamiltonian",

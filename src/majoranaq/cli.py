@@ -35,7 +35,8 @@ SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 
 # mode-count cap of the flow command: x is then 32 x 32, and a coupling that
 # touches all 496 packed pairs compiles a 992 x 496 block (3.9 MB).  The
-# suites' caps are checked in majoranaq.suites.
+# suites' caps, checked in majoranaq.suites, are lower, so this cap also
+# bounds `preset hubbard --sites` at _FLOW_MAX_M // 2.
 _FLOW_MAX_M = 16
 
 # trajectory rows formatted per write of the flow CSV: its Python floats
@@ -143,7 +144,13 @@ def cmd_flow(args) -> int:
 def cmd_preset(args) -> int:
     from .hubbard import chain_entries
 
-    t, g, shift = chain_entries(args.sites, args.hop, args.onsite, args.geometry)
+    if args.sites > _FLOW_MAX_M // 2:
+        raise ConfigError(
+            f"must be <= {_FLOW_MAX_M // 2}, the largest chain any command runs, "
+            f"got {args.sites}",
+            field="--sites",
+        )
+    t, g, shift = chain_entries(args.sites, args.hop, args.onsite)
     M = 2 * args.sites
     cfg = {
         "M": M,

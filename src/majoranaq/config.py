@@ -255,7 +255,6 @@ def config_to_spec(cfg: ModelConfig) -> tuple[HamiltonianSpec, float]:
             cfg.preset.get("sites", 1),
             float(cfg.preset.get("hop", 0.0)),
             float(cfg.preset.get("onsite", 0.0)),
-            cfg.preset.get("geometry", "chain"),
         )
         return HamiltonianSpec(preset.M, preset.t, preset.g), preset.identity_shift
     t = CouplingMatrix.from_entries(cfg.M, cfg.t_entries)

@@ -43,6 +43,9 @@ from .tensors import (
 # (64, 2M, 2M) block is 32 KB at M = 4 and 0.5 MB at the M = 16 flow cap
 _MARGIN_BLOCK = 64
 
+# evenly spaced times at which gaussian_covariance_comparison compares
+_COMPARISON_SAMPLES = 8
+
 __all__ = [
     "Trajectory",
     "flow",
@@ -180,7 +183,6 @@ def gaussian_covariance_comparison(
     x0: PhasePoint,
     t: CouplingMatrix,
     horizon: float,
-    n_samples: int = 8,
 ) -> float:
     """Quadratic-sector cross-validation against exact quantum evolution.
 
@@ -188,7 +190,7 @@ def gaussian_covariance_comparison(
     Hamiltonian and compares its covariance Tr[rho(tau) Xhat] with the
     transported matrix e^{c tau T} Gamma_0 e^{-c tau T} at the generator rate
     c = 4 of dx/dt = 4[t, x].  Returns the max deviation over the
-    ``n_samples`` times evenly spaced in (0, horizon].
+    :data:`_COMPARISON_SAMPLES` times evenly spaced in (0, horizon].
     """
     if t.M != x0.M:
         raise DimensionError(f"coupling M={t.M} != initial point M={x0.M}")
@@ -196,22 +198,19 @@ def gaussian_covariance_comparison(
     # `flow` command, which never reaches this comparison, loads neither
     from scipy.linalg import expm
 
-    from .fock import _covariance, build_hamiltonian, build_majoranas, gaussian_basis
+    from .fock import _covariance, build_hamiltonian, gaussian_basis
 
-    M = x0.M
-    majo = build_majoranas(M)
-    spec = HamiltonianSpec.free(t)
-    H = build_hamiltonian(spec, majo)
-    lam0 = gaussian_basis(x0, majo)
+    H = build_hamiltonian(HamiltonianSpec.free(t))
+    lam0 = gaussian_basis(x0)
     rho0 = lam0 / np.trace(lam0).real
-    gamma0 = _covariance(lam0, majo)
+    gamma0 = _covariance(lam0)
     T = t.matrix()
-    taus = np.linspace(0.0, horizon, n_samples + 1)[1:]
+    taus = np.linspace(0.0, horizon, _COMPARISON_SAMPLES + 1)[1:]
 
     def mismatch(tau: float) -> float:
         U = expm(-1j * tau * H)
         prop = expm(4.0 * tau * T)
-        exact = _covariance(U @ rho0 @ U.conj().T, majo)
+        exact = _covariance(U @ rho0 @ U.conj().T)
         return float(np.max(np.abs(prop @ gamma0 @ prop.T - exact)))
 
     return max(mismatch(tau) for tau in taus)

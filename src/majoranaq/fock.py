@@ -10,7 +10,9 @@ sign strings on the preceding modes; gamma_k = a_k + a_k^dag and
 gamma_{M+k} = i (a_k^dag - a_k).  In the basis ordering used here
 (|n_1 n_2 ...>, first mode slowest), gamma_1 at M=1 is the Pauli X matrix
 and gamma_2 is Pauli Y.  All verification quantities are traces or residuals
-and do not depend on these sign/phase choices.
+and do not depend on these sign/phase choices.  This is the oracle's one
+representation: :func:`build_majoranas` returns its cached read-only
+(2M, 2^M, 2^M) stack, and no function takes another set.
 
 The Gaussian basis is a polynomial of degree <= M in x, by Wick's theorem for
 fermionic Gaussian states (Bravyi, quant-ph/0404180; Corney & Drummond,
@@ -34,17 +36,16 @@ test oracles in ``tests/basis_oracle.py``, asserted equal to the tables here.
 from __future__ import annotations
 
 import warnings
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError
 from .kernel import _rhs_forms, diffusion, div_diffusion, drift_alternative
-from .tensors import HamiltonianSpec, PhasePoint, _Frozen, _pair_index_matrix, _pair_rows_cols
+from .tensors import HamiltonianSpec, PhasePoint, _pair_index_matrix, _pair_rows_cols
 
 __all__ = [
-    "MajoranaSet",
     "build_majoranas",
     "jordan_wigner_ladders",
     "build_hamiltonian",
@@ -67,6 +68,9 @@ __all__ = [
 # phase rows take 2 MB and the identities' Clifford sign tables 9 MB.
 ORACLE_MAX_M = 6
 
+# Gauss-Legendre nodes of the M = 1 moment-identity quadratures
+_MOMENT_NODES = 64
+
 
 @lru_cache(maxsize=None)
 def jordan_wigner_ladders(M: int) -> tuple[np.ndarray, ...]:
@@ -77,83 +81,23 @@ def jordan_wigner_ladders(M: int) -> tuple[np.ndarray, ...]:
     return tuple(reduce(np.kron, [zpauli] * k + [lower] + [eye2] * (M - k - 1)) for k in range(M))
 
 
-class MajoranaSet(_Frozen):
-    """The 2M Hermitian Majorana operators for an M-mode register."""
-
-    M: int
-    gammas: tuple
-
-    def __init__(self, M: int, gammas: tuple):
-        self.__dict__.update(M=M, gammas=gammas)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.gammas[i]
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.M
-
-    @cached_property
-    def monomials(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The gamma_S as signed bit flips, built once per set from its gammas, level by level.
-
-        ``(flips, order, phases)``: gamma_S[k ^ flips[g], k] = phases[g, s, k]
-        for S = order[g, s], grouped by flip, so each entry of sum_S c_S gamma_S
-        is fed by one group.  Raises :class:`DimensionError` for a set whose
-        gammas are not signed bit flips.
-        """
-        gam = np.asarray(self.gammas)
-        a, k = np.arange(2 * self.M)[:, None], np.arange(self.dim)
-        flip = np.argmax(gam[:, :, 0] != 0, axis=1)
-        phase = gam[a, flip[:, None] ^ k, k]
-        signed_flips = np.zeros_like(gam)
-        signed_flips[a, flip[:, None] ^ k, k] = phase
-        if not np.array_equal(signed_flips, gam):
-            raise DimensionError(
-                f"MajoranaSet M={self.M} is not monomial: the Fock oracle needs every "
-                "gamma to be a signed bit flip gamma[k ^ f, k] = phase[k]"
-            )
-        # (gamma_a gamma_b)[k ^ f_a ^ f_b, k] = phase_a[k ^ f_b] phase_b[k]
-        rows, cols = _pair_rows_cols(self.M)
-        pair_flip = flip[rows] ^ flip[cols]
-        pair_phase = phase[rows[:, None], flip[cols, None] ^ k] * phase[cols]
-        table = _wick_table(self.M)
-        flips = np.zeros(len(table.phase), dtype=np.intp)
-        phases = np.ones((len(table.phase), self.dim), dtype=complex)
-        for level_rows, pairs, rests, _ in table.levels:
-            p, r = pairs[:, 0], rests[:, 0]
-            flips[level_rows] = pair_flip[p] ^ flips[r]
-            phases[level_rows] = pair_phase[p[:, None], flips[r, None] ^ k] * phases[r]
-        # distinct flips counted on the sorted array: np.unique would import numpy.ma
-        order = np.argsort(flips, kind="stable")
-        order = order.reshape(np.count_nonzero(np.diff(flips[order])) + 1, -1)
-        out = flips[order[:, 0]], order, phases[order]
-        for arr in out:
-            arr.flags.writeable = False
-        return out
-
-
 @lru_cache(maxsize=None)
-def _jordan_wigner_majoranas(M: int) -> MajoranaSet:
-    """The Jordan-Wigner Majorana set, cached per M with read-only operators."""
+def _jordan_wigner_majoranas(M: int) -> np.ndarray:
+    """The Jordan-Wigner Majoranas as one read-only (2M, 2^M, 2^M) stack, cached per M."""
     a = jordan_wigner_ladders(M)
     gammas = [a[k] + a[k].conj().T for k in range(M)]
     gammas += [1j * (a[k].conj().T - a[k]) for k in range(M)]
     stack = np.stack(gammas)
     stack.flags.writeable = False
-    return MajoranaSet(M, tuple(stack))
+    return stack
 
 
-def _majoranas_for(M: int, majoranas: MajoranaSet | None) -> MajoranaSet:
-    if majoranas is None:
-        return _jordan_wigner_majoranas(M)
-    if majoranas.M != M:
-        raise DimensionError(f"majoranas M={majoranas.M} != phase point M={M}")
-    return majoranas
+def build_majoranas(M: int) -> np.ndarray:
+    """gamma_k = a_k + a_k^dag, gamma_{M+k} = i (a_k^dag - a_k), as one read-only stack.
 
-
-def build_majoranas(M: int) -> MajoranaSet:
-    """gamma_k = a_k + a_k^dag, gamma_{M+k} = i (a_k^dag - a_k)."""
+    The stack has shape (2M, 2^M, 2^M) and is the cached one every oracle
+    function uses; it warns above :data:`ORACLE_MAX_M`.
+    """
     if M > ORACLE_MAX_M:
         warnings.warn(
             f"dense oracle at M={M} needs {2**M}-dimensional matrices; expect slow sweeps",
@@ -162,17 +106,15 @@ def build_majoranas(M: int) -> MajoranaSet:
     return _jordan_wigner_majoranas(M)
 
 
-def build_hamiltonian(spec: HamiltonianSpec, majoranas: MajoranaSet) -> np.ndarray:
+def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """H = i sum_{ij} t_{ij} g_i g_j + (1/2) sum_{ijkl} g_{ijkl} g_i g_j g_k g_l.
 
     Full-range sums collapse onto canonical entries: 2i t_{ij} g_i g_j for
     i < j and 12 g_{ijkl} g_i g_j g_k g_l for i < j < k < l.
     """
-    if spec.M != majoranas.M:
-        raise DimensionError(f"spec M={spec.M} != majoranas M={majoranas.M}")
-    dim = majoranas.dim
+    dim = 2 ** spec.M
     H = np.zeros((dim, dim), dtype=complex)
-    gam = majoranas.gammas
+    gam = _jordan_wigner_majoranas(spec.M)
     for i, j, tv in zip(*_pair_rows_cols(spec.M), spec.t.packed):
         if tv != 0.0:
             H += 2j * tv * gam[i] @ gam[j]
@@ -275,9 +217,41 @@ def _clifford_signs(M: int) -> tuple[np.ndarray, ...]:
     return (index[S], *(1 - 2 * (count % 2) for count in (left, right, mixed)))
 
 
-def _entries(majoranas: MajoranaSet, coeff: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _monomials(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gamma_S as signed bit flips, built from the Jordan-Wigner stack, level by level.
+
+    ``(flips, order, phases)``: gamma_S[k ^ flips[g], k] = phases[g, s, k]
+    for S = order[g, s], grouped by flip, so each entry of sum_S c_S gamma_S
+    is fed by one group.
+    """
+    gam = _jordan_wigner_majoranas(M)
+    a, k = np.arange(2 * M)[:, None], np.arange(2 ** M)
+    flip = np.argmax(gam[:, :, 0] != 0, axis=1)
+    phase = gam[a, flip[:, None] ^ k, k]
+    # (gamma_a gamma_b)[k ^ f_a ^ f_b, k] = phase_a[k ^ f_b] phase_b[k]
+    rows, cols = _pair_rows_cols(M)
+    pair_flip = flip[rows] ^ flip[cols]
+    pair_phase = phase[rows[:, None], flip[cols, None] ^ k] * phase[cols]
+    table = _wick_table(M)
+    flips = np.zeros(len(table.phase), dtype=np.intp)
+    phases = np.ones((len(table.phase), 2 ** M), dtype=complex)
+    for level_rows, pairs, rests, _ in table.levels:
+        p, r = pairs[:, 0], rests[:, 0]
+        flips[level_rows] = pair_flip[p] ^ flips[r]
+        phases[level_rows] = pair_phase[p[:, None], flips[r, None] ^ k] * phases[r]
+    # distinct flips counted on the sorted array: np.unique would import numpy.ma
+    order = np.argsort(flips, kind="stable")
+    order = order.reshape(np.count_nonzero(np.diff(flips[order])) + 1, -1)
+    out = flips[order[:, 0]], order, phases[order]
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _entries(M: int, coeff: np.ndarray) -> np.ndarray:
     """(..., groups, dim) entries of sum_S coeff[..., S] gamma_S at (k ^ flips[g], k)."""
-    _, order, phases = majoranas.monomials
+    _, order, phases = _monomials(M)
     return np.einsum("...gs,gsk->...gk", coeff[..., order], phases, optimize=True)
 
 
@@ -289,35 +263,37 @@ def _pfaffians(table: _WickTable, packed: np.ndarray) -> np.ndarray:
     return pf
 
 
-def gaussian_basis(x: PhasePoint, majoranas: MajoranaSet | None = None) -> np.ndarray:
+def gaussian_basis(x: PhasePoint) -> np.ndarray:
     """Unit-trace Gaussian basis operator Lambda(x) = 2^-M sum_S i^{|S|/2} Pf(x_S) gamma_S.
 
     Only the empty subset contributes to the trace, so the trace is 1 by
-    construction.  ``majoranas`` defaults to the cached Jordan-Wigner set.
+    construction.
     """
-    majo = _majoranas_for(x.M, majoranas)
     table = _wick_table(x.M)
     coeff = table.phase * _pfaffians(table, np.asarray(x.packed))
-    k = np.arange(majo.dim)
-    lam = np.zeros((majo.dim, majo.dim), dtype=complex)
-    lam[majo.monomials[0][:, None] ^ k, k] = _entries(majo, coeff)
+    k = np.arange(2 ** x.M)
+    lam = np.zeros((len(k), len(k)), dtype=complex)
+    lam[_monomials(x.M)[0][:, None] ^ k, k] = _entries(x.M, coeff)
     return lam
 
 
-def qfunction(rho: np.ndarray, x: PhasePoint, majoranas: MajoranaSet | None = None) -> float:
+def qfunction(rho: np.ndarray, x: PhasePoint) -> float:
     """Q(x) = Tr[rho Lambda(x)] (overall normalization constant omitted)."""
-    lam = gaussian_basis(x, majoranas)
+    lam = gaussian_basis(x)
     return float(np.trace(np.asarray(rho) @ lam).real)
 
 
-def covariance_of_basis(x: PhasePoint, majoranas: MajoranaSet) -> np.ndarray:
+def covariance_of_basis(x: PhasePoint) -> np.ndarray:
     """Tr[Lambda(x) Xhat_{mu nu}] with Xhat = (i/2)[gamma_mu, gamma_nu]."""
-    return _covariance(gaussian_basis(x, majoranas), majoranas)
+    return _covariance(gaussian_basis(x))
 
 
-def _covariance(op: np.ndarray, majoranas: MajoranaSet) -> np.ndarray:
-    """Tr[op Xhat_{mu nu}], each entry on its own so antisymmetry is a genuine check."""
-    gam = majoranas.gammas
+def _covariance(op: np.ndarray) -> np.ndarray:
+    """Tr[op Xhat_{mu nu}] for a 2^M x 2^M op.
+
+    Each entry is taken on its own, so antisymmetry is a genuine check.
+    """
+    gam = _jordan_wigner_majoranas(len(op).bit_length() - 1)
     n = len(gam)
     out = np.zeros((n, n))
     for mu in range(n):
@@ -327,22 +303,17 @@ def _covariance(op: np.ndarray, majoranas: MajoranaSet) -> np.ndarray:
     return out
 
 
-def exact_dqdt(
-    rho: np.ndarray,
-    spec: HamiltonianSpec,
-    x: PhasePoint,
-    majoranas: MajoranaSet,
-) -> float:
+def exact_dqdt(rho: np.ndarray, spec: HamiltonianSpec, x: PhasePoint) -> float:
     """Exact Liouville rate dQ/dt = (1/i) Tr[[H, rho] Lambda(x)]."""
-    H = build_hamiltonian(spec, majoranas)
-    lam = gaussian_basis(x, majoranas)
+    if spec.M != x.M:
+        raise DimensionError(f"spec M={spec.M} != phase point M={x.M}")
+    H = build_hamiltonian(spec)
+    lam = gaussian_basis(x)
     val = np.trace((H @ rho - rho @ H) @ lam) / 1j
     return float(val.real)
 
 
-def q_derivatives(
-    rho: np.ndarray, x: PhasePoint, majoranas: MajoranaSet | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def q_derivatives(rho: np.ndarray, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient and Hessian of Q(x) = Tr[rho Lambda(x)] over the packed components.
 
     A packed component moves x_ab and x_ba = -x_ab together.  With the moments
@@ -350,7 +321,7 @@ def q_derivatives(
     minor rule moves w onto the subsets R = S minus p, W_pR = sign w_{R+p}, so
     the gradient is W Pf and the Hessian W (dPf/dx_q): no operator is built at x.
     """
-    flips, order, phases = _majoranas_for(x.M, majoranas).monomials
+    flips, order, phases = _monomials(x.M)
     table = _wick_table(x.M)
     into, sign = _insertion_map(x.M)
     pf = _pfaffians(table, np.asarray(x.packed))
@@ -363,7 +334,7 @@ def q_derivatives(
     return grad, hess
 
 
-def verify_quadratic_identities(x: PhasePoint, majoranas: MajoranaSet) -> dict[str, float]:
+def verify_quadratic_identities(x: PhasePoint) -> dict[str, float]:
     """Residuals of the four quadratic differential identities of Lambda.
 
     Each identity relates an operator product of two Majoranas with Lambda to
@@ -372,7 +343,6 @@ def verify_quadratic_identities(x: PhasePoint, majoranas: MajoranaSet) -> dict[s
     max elementwise residual of each identity's operator.
     """
     M = x.M
-    majo = _majoranas_for(M, majoranas)
     table = _wick_table(M)
     pf = _pfaffians(table, np.asarray(x.packed))
     lam = table.phase * pf
@@ -399,14 +369,12 @@ def verify_quadratic_identities(x: PhasePoint, majoranas: MajoranaSet) -> dict[s
         "commutator": lam_left - lam_left.swapaxes(0, 1) - lam_right + lam_right.swapaxes(0, 1)
         - 4.0 * (framed(eye, xm) - framed(xm, eye)),
     }
-    return {name: float(np.max(np.abs(_entries(majo, res))))
+    return {name: float(np.max(np.abs(_entries(M, res))))
             for name, res in residuals.items()}
 
 
 def verify_four_gamma(
-    x: PhasePoint,
-    majoranas: MajoranaSet,
-    tuples: list[tuple[int, int, int, int]] | None = None,
+    x: PhasePoint, *, tuples: list[tuple[int, int, int, int]] | None = None
 ) -> dict[tuple, tuple[float, float]]:
     """Residuals of the four-operator identities, per sampled index tuple.
 
@@ -419,7 +387,6 @@ def verify_four_gamma(
     n = 2 * M
     if tuples is None:
         tuples = [(1, 2, 3, 4)] if n >= 4 else []
-    majo = _majoranas_for(M, majoranas)
     table = _wick_table(M)
     pf = _pfaffians(table, np.asarray(x.packed))
     raised = _raised(pf, M)
@@ -460,7 +427,7 @@ def verify_four_gamma(
         left_rhs = expansion(np.outer(xmc[k], xp[:, l]), xmc[i], xp[:, j], i, j, xp[k, l])
         word_lam = word(left, word(left, lam, k, l), i, j)
         lam_word = word(right, word(right, lam, i, j), k, l)
-        res = _entries(majo, np.stack([word_lam - left_rhs, lam_word - right_rhs]))
+        res = _entries(M, np.stack([word_lam - left_rhs, lam_word - right_rhs]))
         res_left, res_right = np.max(np.abs(res), axis=(1, 2))
         report[tup] = (float(res_left), float(res_right))
     return report
@@ -483,8 +450,7 @@ def verify_fpe(
     rho: np.ndarray,
     spec: HamiltonianSpec,
     x: PhasePoint,
-    majoranas: MajoranaSet | None = None,
-    scale: float = 1.0,
+    *,
     drift_form: str = "eq36",
 ) -> FpeCheck:
     """Exact Liouville dQ/dt vs the phase-space equation of motion at x.
@@ -499,14 +465,13 @@ def verify_fpe(
     agree with dQ/dt.  ``drift_form='eq50'`` substitutes the alternative
     closed-form drift assembly into the conservative expansion (recorded
     for arbitration; it is not expected to agree).  Each residual is
-    |lhs - rhs| / max(|lhs|, scale); the floor keeps near-stationary
+    |lhs - rhs| / max(|lhs|, 1); the floor keeps near-stationary
     instances meaningful when couplings are of order one.
     """
     if drift_form not in ("eq36", "eq50"):
         raise ValueError(f"unknown drift form {drift_form!r}")
-    majoranas = _majoranas_for(x.M, majoranas)
-    lhs = exact_dqdt(rho, spec, x, majoranas)
-    grad, hess = q_derivatives(rho, x, majoranas)
+    lhs = exact_dqdt(rho, spec, x)
+    grad, hess = q_derivatives(rho, x)
     if drift_form == "eq36":
         # div A = 0 and div div D = 0 in closed form (Appendix C checks
         # both), so the terms in Q vanish and Q itself is not needed; the
@@ -518,26 +483,25 @@ def verify_fpe(
         if spec.g.table:
             rhs += 0.5 * float(np.einsum("pq,pq->", diffusion(x, spec.g), hess))
         form = rhs
-    floor = max(abs(lhs), scale)
+    floor = max(abs(lhs), 1.0)
     conservative = abs(lhs - form) / floor
     residual = float(np.maximum(abs(lhs - rhs) / floor, conservative))  # a NaN is kept
     return FpeCheck(lhs, rhs, residual, conservative)
 
 
-def verify_moment_identity_m1(rho: np.ndarray, n_nodes: int = 64) -> tuple[float, float]:
+def verify_moment_identity_m1(rho: np.ndarray) -> tuple[float, float]:
     """Check <Xhat_12> = 3 * integral of s Q(s) ds at M = 1.
 
-    The normalization is fixed from the resolution of identity: the quadrature
-    of Lambda(s) over s in [-1, 1] must be proportional to the identity, and
-    the proportionality constant divides the moment integral.
+    The integrals are Gauss-Legendre quadratures on :data:`_MOMENT_NODES`
+    nodes.  The normalization is fixed from the resolution of identity: the
+    quadrature of Lambda(s) over s in [-1, 1] must be proportional to the
+    identity, and the proportionality constant divides the moment integral.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise DimensionError(f"M=1 density matrix must be 2x2, got {rho.shape}")
-    majo = build_majoranas(1)
-    xhat = 0.5j * (majo[0] @ majo[1] - majo[1] @ majo[0])
-    lhs = float(np.trace(rho @ xhat).real)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    lhs = float(_covariance(rho)[0, 1])
+    nodes, weights = np.polynomial.legendre.leggauss(_MOMENT_NODES)
     lam_int = np.zeros((2, 2), dtype=complex)
     moment = 0.0
     for s, w in zip(nodes, weights):

@@ -51,9 +51,7 @@ class HubbardPreset(NamedTuple):
         return 2 * self.sites
 
 
-def chain_entries(
-    sites: int, hop: float, onsite: float, geometry: str = "chain"
-) -> tuple[dict, dict, float]:
+def chain_entries(sites: int, hop: float, onsite: float) -> tuple[dict, dict, float]:
     """1-based canonical Majorana entries of the Hubbard chain, and its identity shift.
 
     Returns ``(t, g, shift)``: ``t`` maps ``(i, j)``, i < j, to the quadratic
@@ -61,8 +59,6 @@ def chain_entries(
     one.  Zero values are kept; the coupling classes drop them.  Uses
     the standard library only, so the ``preset`` command loads no numpy.
     """
-    if geometry != "chain":
-        raise ValueError(f"unsupported geometry {geometry!r}; only 'chain' is available")
     if sites < 1:
         raise DimensionError(f"need at least one site, got {sites}")
     M = 2 * sites
@@ -82,13 +78,11 @@ def chain_entries(
     return t, g, shift
 
 
-def preset_hubbard(
-    sites: int, hop: float, onsite: float, geometry: str = "chain"
-) -> HubbardPreset:
+def preset_hubbard(sites: int, hop: float, onsite: float) -> HubbardPreset:
     """Couplings (t, g) reproducing the Hubbard chain up to an identity shift."""
     from .tensors import CouplingMatrix, QuarticCoupling
 
-    t, g, shift = chain_entries(sites, hop, onsite, geometry)
+    t, g, shift = chain_entries(sites, hop, onsite)
     M = 2 * sites
     return HubbardPreset(
         sites,
@@ -127,11 +121,10 @@ def hubbard_comparison(preset: HubbardPreset, hop: float, onsite: float) -> floa
     """
     import numpy as np
 
-    from .fock import build_majoranas, build_hamiltonian
+    from .fock import build_hamiltonian
     from .tensors import HamiltonianSpec
 
-    majo = build_majoranas(preset.M)
-    h_majorana = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g), majo)
+    h_majorana = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g))
     h_direct = fermi_hubbard_matrix(preset.sites, hop, onsite)
     dim = h_direct.shape[0]
 

@@ -113,6 +113,9 @@ __all__ = [
     "tangency_residual",
 ]
 
+# largest |domain margin| at which tangency_residual takes x to be on the boundary
+_BOUNDARY_TOL = 1e-8
+
 
 def _re_im_tables(M: int, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RE[..., i, j, p] and IM[..., i, j, p] over all index pairs and packed pairs p.
@@ -477,17 +480,17 @@ def tangency_residual(
     x: PhasePoint,
     t: CouplingMatrix,
     g: QuarticCoupling,
-    margin_tol: float = 1e-8,
 ) -> np.ndarray:
     """Boundary tangency defect x A + A x for the drift matrix A.
 
     On the pure-state boundary x^2 = -I this is [x^2, c] = [-I, c] = 0 for the
     commutator-form drift A = [x, c], so the residual measures how exactly the
-    drift is tangent to the boundary.  Raises if x is not on the boundary.
+    drift is tangent to the boundary.  Raises if x is off the boundary by
+    more than :data:`_BOUNDARY_TOL` in domain margin.
     """
     margin = domain_margin(x)
-    if abs(margin) > margin_tol:
-        raise OffBoundaryError(margin, margin_tol)
+    if abs(margin) > _BOUNDARY_TOL:
+        raise OffBoundaryError(margin, _BOUNDARY_TOL)
     A = drift_matrix(x, t, g)
     xm = x.matrix()
     return xm @ A + A @ xm

@@ -200,7 +200,7 @@ def dense_subset_gammas(M: int) -> np.ndarray:
     Each level splits gamma_S = (gamma_{s_1} gamma_{s_2}) gamma_{S minus {s_1, s_2}}
     and multiplies the matrices.
     """
-    gam = np.asarray(build_majoranas(M).gammas)
+    gam = build_majoranas(M)
     rows, cols = np.triu_indices(2 * M, k=1)
     pair_ops = gam[rows] @ gam[cols]
     table = _wick_table(M)
@@ -214,7 +214,7 @@ def dense_subset_gammas(M: int) -> np.ndarray:
 def product_basis(x: PhasePoint) -> np.ndarray:
     """Unit-trace Lambda(x) as the product over the 2x2 blocks of x."""
     M = x.M
-    gam = np.asarray(build_majoranas(M).gammas)
+    gam = build_majoranas(M)
     weights, vecs = np.linalg.eigh(1j * x.matrix())
     top = np.sqrt(2.0) * vecs[:, M:]
     O = np.concatenate([top.imag, top.real], axis=1)

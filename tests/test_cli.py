@@ -383,6 +383,15 @@ class TestPresetCommand:
         # the generated config is immediately usable
         assert main(["verify", "--config", str(out), "--suite", "tangency"]) == 0
 
+    @pytest.mark.parametrize("sites,code", [(8, 0), (9, 2)])
+    def test_sites_are_capped_by_the_flow_cap(self, tmp_path, capsys, sites, code):
+        # 9 sites make M = 18, which no command runs; the preset refuses to write it
+        out = tmp_path / "hub.json"
+        assert main(["preset", "hubbard", "--sites", str(sites), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: --sites: must be <= 8") and "Traceback" not in err
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("sites", range(1, 9))
     @pytest.mark.parametrize("hop,onsite", [(0.0, 0.0), (1.0, 0.0), (0.0, 4.0), (-1.3, 2.5)])

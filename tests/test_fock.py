@@ -18,7 +18,6 @@ from basis_oracle import (
 from majoranaq import (
     CouplingMatrix,
     HamiltonianSpec,
-    MajoranaSet,
     PhasePoint,
     QuarticCoupling,
     build_hamiltonian,
@@ -38,7 +37,7 @@ from majoranaq import (
     verify_quadratic_identities,
 )
 from majoranaq.errors import DimensionError
-from majoranaq.fock import _clifford_signs
+from majoranaq.fock import _clifford_signs, _monomials
 
 
 def interior(M, seed, scale=0.35):
@@ -121,6 +120,33 @@ class TestMajoranas:
                 anti = majo[i] @ majo[j] + majo[j] @ majo[i]
                 np.testing.assert_allclose(anti, 2 * (i == j) * eye, atol=1e-13)
 
+    def test_one_jordan_wigner_representation(self):
+        # the oracle works in the Jordan-Wigner set alone: no function takes a
+        # set, and one passed positionally is refused, not read as a later option
+        import inspect
+
+        from majoranaq import fock, jordan_wigner_ladders
+
+        for name in fock.__all__:
+            obj = getattr(fock, name)
+            if inspect.isfunction(obj):
+                assert "majoranas" not in inspect.signature(obj).parameters, name
+        for M in (1, 2, 3):
+            majo = build_majoranas(M)
+            a = jordan_wigner_ladders(M)
+            jw = [a[k] + a[k].conj().T for k in range(M)] + [1j * (a[k].conj().T - a[k])
+                                                              for k in range(M)]
+            assert majo.shape == (2 * M, 2 ** M, 2 ** M) and not majo.flags.writeable
+            np.testing.assert_array_equal(majo, np.stack(jw))
+            with pytest.raises(ValueError):
+                majo[0, 0, 0] = 1.0
+        spec = HamiltonianSpec(2, CouplingMatrix.zero(2), QuarticCoupling.zero(2))
+        x = interior(2, 5)
+        with pytest.raises(TypeError):
+            verify_four_gamma(x, build_majoranas(2))
+        with pytest.raises(TypeError):
+            verify_fpe(random_density_matrix(2, 1), spec, x, build_majoranas(2))
+
     def test_large_m_warns(self):
         with pytest.warns(UserWarning):
             build_majoranas(7)
@@ -136,13 +162,13 @@ class TestMajoranas:
 class TestHamiltonian:
     def test_zero(self):
         spec = HamiltonianSpec(2, CouplingMatrix.zero(2), QuarticCoupling.zero(2))
-        H = build_hamiltonian(spec, build_majoranas(2))
+        H = build_hamiltonian(spec)
         np.testing.assert_array_equal(H, 0.0)
 
     def test_single_mode_spectrum(self):
         tau = 0.8
         spec = HamiltonianSpec.free(CouplingMatrix.from_entries(1, [(1, 2, tau)]))
-        H = build_hamiltonian(spec, build_majoranas(1))
+        H = build_hamiltonian(spec)
         np.testing.assert_allclose(H, H.conj().T, atol=1e-15)
         np.testing.assert_allclose(np.linalg.eigvalsh(H), [-2 * tau, 2 * tau])
 
@@ -152,7 +178,7 @@ class TestHamiltonian:
         spec = HamiltonianSpec(
             2, CouplingMatrix.zero(2), QuarticCoupling.from_entries(2, [(1, 2, 3, 4, u)])
         )
-        H = build_hamiltonian(spec, majo)
+        H = build_hamiltonian(spec)
         ref = 12 * u * majo[0] @ majo[1] @ majo[2] @ majo[3]
         np.testing.assert_allclose(H, ref, atol=1e-14)
         np.testing.assert_allclose(
@@ -167,13 +193,8 @@ class TestHamiltonian:
             CouplingMatrix.from_matrix(a - a.T),
             QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.5), (2, 3, 4, 6, -0.7)]),
         )
-        H = build_hamiltonian(spec, build_majoranas(3))
+        H = build_hamiltonian(spec)
         np.testing.assert_allclose(H, H.conj().T, atol=1e-12)
-
-    def test_m_mismatch(self):
-        spec = HamiltonianSpec(2, CouplingMatrix.zero(2), QuarticCoupling.zero(2))
-        with pytest.raises(DimensionError):
-            build_hamiltonian(spec, build_majoranas(1))
 
 
 class TestGaussianBasis:
@@ -256,15 +277,6 @@ class TestGaussianBasis:
             x = self._blocked_point(weights, seed)
             np.testing.assert_allclose(gaussian_basis(x), definition_basis(x), rtol=0, atol=1e-13)
 
-    def test_explicit_majoranas_match_cached(self):
-        x = interior(3, 5)
-        np.testing.assert_array_equal(gaussian_basis(x), gaussian_basis(x, build_majoranas(3)))
-        # a separate set builds its own gamma_S products
-        copied = MajoranaSet(3, tuple(np.array(g) for g in build_majoranas(3).gammas))
-        np.testing.assert_array_equal(gaussian_basis(x), gaussian_basis(x, copied))
-        with pytest.raises(DimensionError):
-            gaussian_basis(x, build_majoranas(2))
-
     def test_default_majoranas_do_not_warn(self):
         import warnings
 
@@ -308,7 +320,7 @@ class TestMonomialTables:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_monomial_form_is_the_dense_stack(self, M):
-        flips, order, phases = build_majoranas(M).monomials
+        flips, order, phases = _monomials(M)
         dense = dense_subset_gammas(M)
         k = np.arange(2 ** M)
         rebuilt = np.zeros_like(dense)
@@ -317,7 +329,7 @@ class TestMonomialTables:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
     def test_clifford_signs_are_the_dense_words(self, M):
-        gam = build_majoranas(M).gammas
+        gam = build_majoranas(M)
         dense = dense_subset_gammas(M)
         source, left, right, mixed = _clifford_signs(M)
         for i in range(2 * M):
@@ -326,19 +338,6 @@ class TestMonomialTables:
                 np.testing.assert_array_equal(gam[i] @ gam[j] @ S, left[i, j, :, None, None] * dense)
                 np.testing.assert_array_equal(S @ gam[i] @ gam[j], right[i, j, :, None, None] * dense)
                 np.testing.assert_array_equal(gam[i] @ S @ gam[j], mixed[i, j, :, None, None] * dense)
-
-    def test_rotated_majoranas_are_rejected(self):
-        # O^T gamma is a valid Majorana set, but no gamma of it is a signed bit
-        # flip, so the monomial tables cannot represent it
-        majo = build_majoranas(2)
-        O, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
-        rotated = MajoranaSet(2, tuple(np.tensordot(O.T, np.asarray(majo.gammas), axes=1)))
-        x = interior(2, 5)
-        rho = random_density_matrix(2, 1)
-        for call in (lambda: gaussian_basis(x, rotated), lambda: q_derivatives(rho, x, rotated),
-                     lambda: verify_quadratic_identities(x, rotated)):
-            with pytest.raises(DimensionError, match="MajoranaSet M=2 is not monomial"):
-                call()
 
 
 class TestQFunction:
@@ -373,47 +372,48 @@ class TestQFunction:
 
 class TestCovariance:
     def test_zero_point(self):
-        majo = build_majoranas(2)
         np.testing.assert_allclose(
-            covariance_of_basis(PhasePoint.zero(2), majo), 0.0, atol=1e-13
+            covariance_of_basis(PhasePoint.zero(2)), 0.0, atol=1e-13
         )
 
     def test_single_mode_equals_point(self):
-        majo = build_majoranas(1)
         for s in (-0.7, 0.0, 0.5):
-            cov = covariance_of_basis(PhasePoint(1, np.array([s])), majo)
+            cov = covariance_of_basis(PhasePoint(1, np.array([s])))
             np.testing.assert_allclose(cov, [[0, s], [-s, 0]], atol=1e-10)
 
     def test_antisymmetry_m2(self):
-        majo = build_majoranas(2)
-        cov = covariance_of_basis(interior(2, 21), majo)
+        cov = covariance_of_basis(interior(2, 21))
         np.testing.assert_allclose(cov, -cov.T, atol=1e-12)
 
     @pytest.mark.parametrize("M", [2, 3])
     def test_equals_point(self, M):
-        majo = build_majoranas(M)
         for seed in range(4):
             for x in (interior(M, seed + 60), random_boundary_point(M, seed + 60)):
-                cov = covariance_of_basis(x, majo)
+                cov = covariance_of_basis(x)
                 np.testing.assert_allclose(cov, x.matrix(), rtol=0, atol=1e-12)
 
 
 class TestExactRate:
     def test_stationary_cases(self):
-        majo = build_majoranas(2)
         x = interior(2, 1)
         spec = HamiltonianSpec(2, CouplingMatrix.zero(2), QuarticCoupling.zero(2))
         rho = random_density_matrix(2, 3)
-        assert exact_dqdt(rho, spec, x, majo) == 0.0
+        assert exact_dqdt(rho, spec, x) == 0.0
         spec2 = HamiltonianSpec.free(
             CouplingMatrix.from_entries(2, [(1, 2, 0.9), (3, 4, -0.4)])
         )
         mixed = np.eye(4) / 4
-        assert exact_dqdt(mixed, spec2, x, majo) == pytest.approx(0.0, abs=1e-14)
+        assert exact_dqdt(mixed, spec2, x) == pytest.approx(0.0, abs=1e-14)
+
+    def test_m_mismatch(self):
+        spec = HamiltonianSpec(2, CouplingMatrix.zero(2), QuarticCoupling.zero(2))
+        rho, x = random_density_matrix(2, 3), interior(3, 1)
+        for call in (lambda: exact_dqdt(rho, spec, x), lambda: verify_fpe(rho, spec, x)):
+            with pytest.raises(DimensionError, match="spec M=2 != phase point M=3"):
+                call()
 
     @pytest.mark.parametrize("M,seed", [(1, 0), (2, 1)])
     def test_against_propagator(self, M, seed):
-        majo = build_majoranas(M)
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(2 * M, 2 * M)) * 0.5
         entries = [(1, 2, 3, 4, 0.6)] if M == 2 else []
@@ -431,7 +431,7 @@ class TestExactRate:
         else:
             rho = random_density_matrix(M, seed + 5)
         x = interior(M, seed + 9)
-        H = build_hamiltonian(spec, majo)
+        H = build_hamiltonian(spec)
         lam = gaussian_basis(x)
         delta = 1e-6
         up = expm(-1j * delta * H)
@@ -439,7 +439,7 @@ class TestExactRate:
         q_plus = np.trace(up @ rho @ up.conj().T @ lam).real
         q_minus = np.trace(down @ rho @ down.conj().T @ lam).real
         fd_rate = (q_plus - q_minus) / (2 * delta)
-        rate = exact_dqdt(rho, spec, x, majo)
+        rate = exact_dqdt(rho, spec, x)
         if M == 2:
             assert abs(rate) > 1e-4  # non-degenerate instance
         assert abs(rate - fd_rate) / max(abs(rate), 1e-3) <= 1e-5
@@ -459,9 +459,8 @@ class TestRealityContracts:
             CouplingMatrix.from_matrix(a - a.T),
             QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.5)]),
         )
-        majo = build_majoranas(3)
         rho = random_density_matrix(3, 34)
-        H = build_hamiltonian(spec, majo)
+        H = build_hamiltonian(spec)
         lam = gaussian_basis(interior(3, 35))
         raw = np.trace((H @ rho - rho @ H) @ lam) / 1j
         assert abs(raw.imag) <= 1e-11
@@ -509,37 +508,30 @@ class TestFiniteDifferencesOfQ:
 class TestQuadraticIdentities:
     @pytest.mark.parametrize("M", [1, 2])
     def test_residuals(self, M):
-        majo = build_majoranas(M)
         for seed in range(2):
-            res = verify_quadratic_identities(interior(M, seed + 30), majo)
+            res = verify_quadratic_identities(interior(M, seed + 30))
             assert set(res) == {"left", "right", "mixed", "commutator"}
             assert max(res.values()) <= 1e-10
 
     def test_at_origin(self):
-        majo = build_majoranas(1)
-        res = verify_quadratic_identities(PhasePoint.zero(1), majo)
+        res = verify_quadratic_identities(PhasePoint.zero(1))
         assert max(res.values()) <= 1e-10
 
 
 class TestFourGamma:
     def test_at_origin(self):
-        majo = build_majoranas(2)
-        report = verify_four_gamma(PhasePoint.zero(2), majo)
+        report = verify_four_gamma(PhasePoint.zero(2))
         res_left, res_right = report[(1, 2, 3, 4)]
         assert res_left <= 1e-10 and res_right <= 1e-10
 
     def test_random_interior(self):
-        majo = build_majoranas(2)
-        report = verify_four_gamma(interior(2, 42), majo)
+        report = verify_four_gamma(interior(2, 42))
         res_left, res_right = report[(1, 2, 3, 4)]
         # both sides are exact, so each residual is round-off
         assert res_left <= 1e-13 and res_right <= 1e-13
 
     def test_m3_tuple_selection(self):
-        majo = build_majoranas(3)
-        report = verify_four_gamma(
-            interior(3, 4), majo, tuples=[(1, 2, 3, 4), (2, 3, 5, 6)]
-        )
+        report = verify_four_gamma(interior(3, 4), tuples=[(1, 2, 3, 4), (2, 3, 5, 6)])
         assert set(report) == {(1, 2, 3, 4), (2, 3, 5, 6)}
         assert all(max(pair) <= 1e-10 for pair in report.values())
 

@@ -6,7 +6,6 @@ import pytest
 from majoranaq import (
     HamiltonianSpec,
     build_hamiltonian,
-    build_majoranas,
     fermi_hubbard_matrix,
     hubbard_comparison,
     preset_hubbard,
@@ -27,18 +26,13 @@ class TestPresetStructure:
         preset = preset_hubbard(2, 1.0, 0.0)
         assert preset.g.table == {}
         assert preset.identity_shift == 0.0
-        majo = build_majoranas(preset.M)
-        H = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g), majo)
+        H = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g))
         assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
     def test_trivial_model(self):
         preset = preset_hubbard(2, 0.0, 0.0)
         assert np.all(np.asarray(preset.t.packed) == 0.0)
         assert preset.g.table == {}
-
-    def test_unsupported_geometry(self):
-        with pytest.raises(ValueError):
-            preset_hubbard(2, 1.0, 1.0, geometry="ring")
 
     @pytest.mark.parametrize("field", ["sites", "t", "g", "identity_shift", "M"])
     def test_preset_is_frozen(self, field):
@@ -61,8 +55,7 @@ class TestFidelity:
         # the shift is exactly what the comparison removes
         sites, hop, onsite = 2, 0.9, 3.0
         preset = preset_hubbard(sites, hop, onsite)
-        majo = build_majoranas(preset.M)
-        h_m = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g), majo)
+        h_m = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g))
         h_d = fermi_hubbard_matrix(sites, hop, onsite)
         diff = h_d - h_m
         np.testing.assert_allclose(

@@ -47,11 +47,6 @@ def _channel_decomposition():
     return kernel.ChannelDecomposition(**fields), fields
 
 
-def _majorana_set():
-    fields = {"M": 2, "gammas": fock.build_majoranas(2).gammas}
-    return fock.MajoranaSet(**fields), fields
-
-
 def _wick_table():
     table = fock._wick_table(2)
     fields = {"phase": table.phase, "levels": table.levels}
@@ -94,7 +89,6 @@ VALUES = {
     "QuarticCoupling": _quartic_coupling,
     "HamiltonianSpec": _hamiltonian_spec,
     "ChannelDecomposition": _channel_decomposition,
-    "MajoranaSet": _majorana_set,
     "_WickTable": _wick_table,
     "FpeCheck": _fpe_check,
     "Trajectory": _trajectory,
@@ -131,7 +125,6 @@ CACHED = {
     "CouplingMatrix": (lambda: tensors.CouplingMatrix.from_entries(2, [(1, 2, 0.5)]), ("_full",)),
     "QuarticCoupling": (lambda: tensors.QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.3)]),
                         ("pair_block", "ordered_tuples")),
-    "MajoranaSet": (lambda: fock.MajoranaSet(2, fock.build_majoranas(2).gammas), ("monomials",)),
     "ChannelDecomposition": (lambda: kernel.diffusion_channels(_X, _G), ("_weight_matrix",)),
 }
 

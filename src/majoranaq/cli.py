@@ -54,7 +54,7 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     checks = suites._verify_checks(cfg, args.suite, seed, args.drift_form)
-    report = suites.build_report(args.suite, checks, seed, cfg.M)
+    report = suites.VerificationReport(args.suite, tuple(checks), seed, cfg.M)
     print(report.text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -70,6 +70,8 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
     from .tensors import PhasePoint, random_boundary_point
 
     if args.x0 == "boundary-seed":
+        if args.x0_file:
+            raise ConfigError("requires --x0 file", field="--x0-file")
         seed = args.seed if args.seed is not None else cfg.seed
         return random_boundary_point(cfg.M, seed)
     if not args.x0_file:

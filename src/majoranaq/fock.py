@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .kernel import _rhs_forms, diffusion, div_diffusion, drift_alternative
+from .kernel import _rhs_forms, drift_alternative
 from .tensors import HamiltonianSpec, PhasePoint, _pair_index_matrix, _pair_rows_cols
 
 __all__ = [
@@ -472,16 +472,13 @@ def verify_fpe(
         raise ValueError(f"unknown drift form {drift_form!r}")
     lhs = exact_dqdt(rho, spec, x)
     grad, hess = q_derivatives(rho, x)
+    # div A = 0 and div div D = 0 in closed form (Appendix C checks both),
+    # so the terms in Q vanish and Q itself is not needed; the two forms
+    # share one (1/2) D : hess term
     if drift_form == "eq36":
-        # div A = 0 and div div D = 0 in closed form (Appendix C checks
-        # both), so the terms in Q vanish and Q itself is not needed; the
-        # two forms share one (1/2) D : hess term
-        rhs, form = _rhs_forms(x, spec.t, spec.g, grad, hess, conservative=(0.0, 0.0, 0.0))
+        rhs, form = _rhs_forms(x, spec.t, spec.g, grad, hess)
     else:
-        rhs = -float(drift_alternative(x, spec.t, spec.g) @ grad)
-        rhs += float(div_diffusion(x, spec.g) @ grad)
-        if spec.g.table:
-            rhs += 0.5 * float(np.einsum("pq,pq->", diffusion(x, spec.g), hess))
+        _, rhs = _rhs_forms(x, spec.t, spec.g, grad, hess, full_drift=drift_alternative)
         form = rhs
     floor = max(abs(lhs), 1.0)
     conservative = abs(lhs - form) / floor
@@ -528,17 +525,16 @@ def random_density_matrix(M: int, seed: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    psd_tol: float = 1e-10,
-) -> None:
+# bars of check_density_matrix: Hermiticity, unit trace, smallest eigenvalue
+_HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-12, 1e-12, 1e-10
+
+
+def check_density_matrix(rho: np.ndarray) -> None:
     """Validate the density-matrix contract: Hermitian, unit trace, PSD."""
     rho = np.asarray(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {np.trace(rho).real} != 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -psd_tol:
+    if np.min(np.linalg.eigvalsh(rho)) < -_PSD_TOL:
         raise ValueError("density matrix has a significantly negative eigenvalue")

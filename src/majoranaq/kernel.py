@@ -449,27 +449,25 @@ def conservative_rhs(
     vanish in closed form, and the result then agrees with :func:`fpe_rhs`
     to rounding.
     """
-    return _rhs_forms(x, t, g, grad, hess, (q, div_a, double_div_d), defining=False)[0]
+    return _rhs_forms(x, t, g, grad, hess, (q, div_a, double_div_d))[1]
 
 
 def _rhs_forms(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling, grad, hess,
-               conservative: tuple | None = None, defining: bool = True) -> list:
-    """The right sides of :func:`fpe_rhs` (if ``defining``) and of
-    :func:`conservative_rhs` (if ``conservative`` = (q, div_a, double_div_d)),
-    in that order.
+               conservative: tuple = (0.0, 0.0, 0.0), full_drift=drift) -> list:
+    """The right sides of :func:`fpe_rhs` and of :func:`conservative_rhs`,
+    with ``conservative`` = (q, div_a, double_div_d), in that order.
 
-    Both end in the same (1/2) D : hess, which is evaluated once, and only
-    for a coupling with quartic entries; each side sums its terms in the
-    order of its own function.
+    ``full_drift`` assembles the drift A of the conservative side:
+    :func:`drift`, or :func:`drift_alternative` for the recorded eq50 form.
+    Both sides end in the same (1/2) D : hess, which is evaluated once, and
+    only for a coupling with quartic entries; each side sums its terms in
+    the order of its own function.
     """
     grad, hess = _derivative_arrays(x.M, grad, hess)
-    sides = []
-    if defining:
-        sides.append(-float(drift_bar(x, t, g) @ grad))
-    if conservative is not None:
-        q, div_a, double_div_d = conservative
-        sides.append(-div_a * q - float(drift(x, t, g) @ grad)
-                     + (0.5 * double_div_d * q + float(div_diffusion(x, g) @ grad)))
+    q, div_a, double_div_d = conservative
+    sides = [-float(drift_bar(x, t, g) @ grad),
+             -div_a * q - float(full_drift(x, t, g) @ grad)
+             + (0.5 * double_div_d * q + float(div_diffusion(x, g) @ grad))]
     if g.table:
         term = 0.5 * float(np.einsum("pq,pq->", diffusion(x, g), hess))
         sides = [side + term for side in sides]

@@ -12,9 +12,14 @@ instance, where the check has one) and every other value that gates
 a NaN residual or gated value at any instance fails its check, and
 ``verify`` exits 1.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
 which validates overrides against it without loading this module; this
-module re-exports the same dictionary.  The Fock-space oracle, the flow
-and the Hubbard preset are imported by the runners that use them, so the
-traceless sweep loads none of them, and the tangency suite only the flow.
+module re-exports the same dictionary.  A runner that ``verify`` calls
+takes a ``tolerances`` map, the pinned ``TOLERANCES`` by default, and reads
+every bar it gates from it; :func:`_verify_checks` hands each one the
+pinned map updated by the config's overrides, so an override of any name
+a suite reads gates that suite.  The other runners gate at ``TOLERANCES``.
+The Fock-space oracle, the flow and the Hubbard preset are imported by the
+runners that use them, so the traceless sweep loads none of them, and the
+tangency suite only the flow.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ __all__ = [
     "run_moment_m1",
     "run_flow_equivalence",
     "run_hubbard_fidelity",
-    "build_report",
 ]
 
 
@@ -130,10 +134,6 @@ class VerificationReport(NamedTuple):
         lines += [c.line() for c in self.checks]
         lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines)
-
-
-def build_report(suite: str, checks: list[CheckResult], seed: int, M: int | None = None) -> VerificationReport:
-    return VerificationReport(suite, tuple(checks), seed, M)
 
 
 def _random_coupling_matrix(M: int, rng: np.random.Generator, scale: float = 0.5) -> CouplingMatrix:
@@ -262,11 +262,11 @@ class _Sweep:
 # ---------------------------------------------------------------------------
 
 
-def run_anticommutation(Ms=(1, 2, 3), tol: float | None = None) -> CheckResult:
+def run_anticommutation() -> CheckResult:
     from . import fock
 
-    tol = TOLERANCES["anticommutation"] if tol is None else tol
-    with _Sweep("anticommutation", tol) as sweep:
+    Ms = (1, 2, 3)
+    with _Sweep("anticommutation", TOLERANCES["anticommutation"]) as sweep:
         for M in Ms:
             majo = fock.build_majoranas(M)
             eye = np.eye(2 ** M)
@@ -299,13 +299,12 @@ def run_gaussian_basis(seed: int, n_boundary: int = 10) -> list[CheckResult]:
 
 
 def run_quadratic_identities(
-    Ms=(1, 2), seed: int = 0, n_points: int = 20, tol: float | None = None,
+    Ms=(1, 2), seed: int = 0, n_points: int = 20, tolerances: dict = TOLERANCES,
 ) -> CheckResult:
     from . import fock
 
-    tol = TOLERANCES["quadratic-identities"] if tol is None else tol
     per_m = max(1, n_points // len(Ms))
-    with _Sweep("quadratic-identities", tol, seed) as sweep:
+    with _Sweep("quadratic-identities", tolerances["quadratic-identities"], seed) as sweep:
         for M in Ms:
             for i in range(per_m):
                 x = random_interior_point(M, seed + 100 * M + i, scale=_ORACLE_SCALE)
@@ -315,12 +314,11 @@ def run_quadratic_identities(
 
 
 def run_four_gamma(
-    M: int = 2, seed: int = 0, n_points: int = 5, tol: float | None = None,
+    M: int = 2, seed: int = 0, n_points: int = 5, tolerances: dict = TOLERANCES,
 ) -> CheckResult:
     from . import fock
 
-    tol = TOLERANCES["four-gamma"] if tol is None else tol
-    with _Sweep("four-gamma", tol, seed) as sweep:
+    with _Sweep("four-gamma", tolerances["four-gamma"], seed) as sweep:
         for i in range(n_points):
             x = random_interior_point(M, seed + i, scale=_ORACLE_SCALE)
             report = fock.verify_four_gamma(x)
@@ -334,14 +332,13 @@ def run_fpe_sweep(
     n_instances: int = 20,
     label: str = "fpe",
     drift_form: str = "eq36",
-    tol: float | None = None,
+    tolerances: dict = TOLERANCES,
 ) -> CheckResult:
     """Exact-vs-kernel dQ/dt over seeded (rho, x) instances for one model."""
     from . import fock
 
-    tol = TOLERANCES["fpe"] if tol is None else tol
     checks = []
-    with _Sweep(label, tol, seed) as sweep:
+    with _Sweep(label, tolerances["fpe"], seed) as sweep:
         for i in range(n_instances):
             rho, x = fpe_instance(spec.M, seed, i)
             checks.append(fock.verify_fpe(rho, spec, x, drift_form=drift_form))
@@ -390,6 +387,7 @@ def run_traceless_and_channels(
     seed: int,
     cases: int = 100,
     g: QuarticCoupling | None = None,
+    tolerances: dict = TOLERANCES,
 ) -> list[CheckResult]:
     """Diagonal/trace/eigensum of D plus its forward/backward split, one sweep.
 
@@ -443,11 +441,11 @@ def run_traceless_and_channels(
     ``_random_quartic(M, default_rng(seed + index))``) it re-runs that
     instance.
     """
-    tol_sum = TOLERANCES["traceless-eigsum"]
-    tol_bnd = TOLERANCES["channel-boundary"]
-    traceless = _Sweep(f"traceless-m{M}", TOLERANCES["traceless-diagonal"], seed, eigsum=tol_sum)
-    channels = _Sweep(f"channels-m{M}", TOLERANCES["channel-reconstruction"], seed,
-                      balance=TOLERANCES["channel-balance"], boundary_tangency=tol_bnd,
+    tol_sum = tolerances["traceless-eigsum"]
+    tol_bnd = tolerances["channel-boundary"]
+    traceless = _Sweep(f"traceless-m{M}", tolerances["traceless-diagonal"], seed, eigsum=tol_sum)
+    channels = _Sweep(f"channels-m{M}", tolerances["channel-reconstruction"], seed,
+                      balance=tolerances["channel-balance"], boundary_tangency=tol_bnd,
                       boundary_symmetry=tol_bnd, boundary_vanishing=tol_bnd)
     npairs = pair_count(M)
     on_boundary = np.arange(cases) % 2 == 1
@@ -591,7 +589,7 @@ def run_appendix_c(
 
 
 def run_tangency(
-    Ms=(2, 3), seed: int = 0, n_points: int = 50, tol: float | None = None,
+    Ms=(2, 3), seed: int = 0, n_points: int = 50, tolerances: dict = TOLERANCES,
     spec: HamiltonianSpec | None = None,
 ) -> CheckResult:
     """Boundary tangency of the drift; couplings random unless a model is given.
@@ -604,10 +602,9 @@ def run_tangency(
     ``_random_quartic`` drawn from ``default_rng(seed + 500 M + index)``) it
     re-runs that instance.
     """
-    tol = TOLERANCES["tangency"] if tol is None else tol
     ms = (spec.M,) if spec is not None else Ms
     per_m = max(1, n_points // len(ms))
-    with _Sweep("tangency", tol, seed) as sweep:
+    with _Sweep("tangency", tolerances["tangency"], seed) as sweep:
         for M in ms:
             seeds = range(seed + 500 * M, seed + 500 * M + per_m)
             points = random_points(M, seeds, True)
@@ -625,7 +622,7 @@ def run_tangency(
 
 def run_flow_margin(
     Ms=(2, 3), seed: int = 0, dt: float = 1e-3, steps: int = 1000,
-    tol: float | None = None, spec: HamiltonianSpec | None = None,
+    tolerances: dict = TOLERANCES, spec: HamiltonianSpec | None = None,
 ) -> CheckResult:
     """Margin growth of a boundary-started trajectory over the full horizon.
 
@@ -642,9 +639,8 @@ def run_flow_margin(
     """
     from .dynamics import flow
 
-    tol = TOLERANCES["flow-boundary-margin"] if tol is None else tol
     ms = (spec.M,) if spec is not None else Ms
-    with _Sweep("flow-boundary-margin", tol, seed) as sweep:
+    with _Sweep("flow-boundary-margin", tolerances["flow-boundary-margin"], seed) as sweep:
         for i, M in enumerate(ms):
             rng = np.random.default_rng(seed + M)
             x0 = random_boundary_point(M, seed + M)
@@ -663,7 +659,7 @@ def run_flow_margin(
     return sweep.result()
 
 
-def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:
+def run_moment_m1(seed: int = 0, tolerances: dict = TOLERANCES) -> CheckResult:
     """The M = 1 moment identity over five states, the vacuum first.
 
     The vacuum's right side must also read -1.  ``info["worst"]`` records
@@ -671,7 +667,7 @@ def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:
     """
     from . import fock
 
-    tol = TOLERANCES["moment-m1"] if tol is None else tol
+    tol = tolerances["moment-m1"]
     with _Sweep("moment-m1", tol, seed, vacuum=tol) as sweep:
         states = [
             np.diag([1.0, 0.0]).astype(complex),
@@ -689,16 +685,15 @@ def run_moment_m1(seed: int = 0, tol: float | None = None) -> CheckResult:
 
 
 def run_flow_equivalence(
-    Ms=(1, 2, 3), seed: int = 0, seeds_per_m: int = 10, dt: float = 1e-3,
-    steps: int = 1000, tol: float | None = None,
+    Ms=(1, 2, 3), seed: int = 0, seeds_per_m: int = 10, steps: int = 1000,
 ) -> CheckResult:
     """Quadratic-only trajectories against the matrix-exponential transport."""
     from scipy.linalg import expm  # on use, like dynamics: no CLI command runs this
 
     from .dynamics import flow
 
-    tol = TOLERANCES["flow-matrix-equivalence"] if tol is None else tol
-    with _Sweep("flow-matrix-equivalence", tol) as sweep:
+    dt = 1e-3
+    with _Sweep("flow-matrix-equivalence", TOLERANCES["flow-matrix-equivalence"]) as sweep:
         for M in Ms:
             for i in range(seeds_per_m):
                 rng = np.random.default_rng(seed + 37 * M + i)
@@ -712,12 +707,11 @@ def run_flow_equivalence(
     return sweep.result()
 
 
-def run_hubbard_fidelity(tol: float | None = None) -> CheckResult:
+def run_hubbard_fidelity() -> CheckResult:
     from .hubbard import hubbard_comparison, preset_hubbard
 
-    tol = TOLERANCES["hubbard-fidelity"] if tol is None else tol
     shifts = []
-    with _Sweep("hubbard-fidelity", tol) as sweep:
+    with _Sweep("hubbard-fidelity", TOLERANCES["hubbard-fidelity"]) as sweep:
         for sites, hop, onsite in ((1, 0.0, 4.0), (2, 1.0, 4.0), (2, 0.7, 0.0)):
             preset = preset_hubbard(sites, hop, onsite)
             sweep.add(hubbard_comparison(preset, hop, onsite))
@@ -753,7 +747,8 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
     """The checks of ``verify --suite suite`` on the model of ``cfg``, in report order.
 
     Every cap of the suite is checked first, so an oversized config builds
-    no model and runs no check.
+    no model and runs no check.  Every runner reads each bar it gates from
+    one map: the pinned :data:`TOLERANCES` updated by the config's overrides.
     """
     _check_suite_caps(suite, cfg.M)
 
@@ -761,43 +756,26 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
 
     spec, _shift = config_to_spec(cfg)
     M = cfg.M
-    tol = cfg.tolerances
+    tolerances = {**TOLERANCES, **cfg.tolerances}
     checks = []
     if suite in ("identities", "all"):
-        checks.append(
-            run_quadratic_identities(
-                Ms=(M,), seed=seed, n_points=10,
-                tol=tol.get("quadratic-identities"),
-            )
-        )
+        checks.append(run_quadratic_identities(Ms=(M,), seed=seed, n_points=10,
+                                               tolerances=tolerances))
         if 2 * M >= 4:
-            checks.append(
-                run_four_gamma(M=M, seed=seed, n_points=3, tol=tol.get("four-gamma"))
-            )
+            checks.append(run_four_gamma(M=M, seed=seed, n_points=3, tolerances=tolerances))
     if suite in ("fpe", "all"):
         n_inst = 20 if M <= 2 else 5
-        checks.append(
-            run_fpe_sweep(
-                spec, seed, n_instances=n_inst, label="fpe",
-                drift_form=drift_form, tol=tol.get("fpe"),
-            )
-        )
+        checks.append(run_fpe_sweep(spec, seed, n_instances=n_inst, label="fpe",
+                                    drift_form=drift_form, tolerances=tolerances))
     if suite in ("traceless", "all"):
         g = spec.g if spec.g.table else None
-        checks.extend(
-            run_traceless_and_channels(M, seed, cases=100, g=g)
-        )
+        checks.extend(run_traceless_and_channels(M, seed, cases=100, g=g, tolerances=tolerances))
     if suite in ("tangency", "all"):
         has_model = bool(spec.g.table) or np.any(np.asarray(spec.t.packed) != 0.0)
         model = spec if has_model else None
-        checks.append(
-            run_tangency(Ms=(M,), seed=seed, n_points=25,
-                         tol=tol.get("tangency"), spec=model)
-        )
-        checks.append(
-            run_flow_margin(Ms=(M,), seed=seed,
-                            tol=tol.get("flow-boundary-margin"), spec=model)
-        )
+        checks.append(run_tangency(Ms=(M,), seed=seed, n_points=25, tolerances=tolerances,
+                                   spec=model))
+        checks.append(run_flow_margin(Ms=(M,), seed=seed, tolerances=tolerances, spec=model))
     if suite == "moment-m1" or (suite == "all" and M == 1):
-        checks.append(run_moment_m1(seed=seed, tol=tol.get("moment-m1")))
+        checks.append(run_moment_m1(seed=seed, tolerances=tolerances))
     return checks

@@ -214,9 +214,6 @@ class PhasePoint(_Frozen):
         value = float(self.packed[_pair_index_matrix(self.M)[a - 1, b - 1]])
         return value if a < b else -value
 
-    def replace(self, packed: np.ndarray) -> "PhasePoint":
-        return PhasePoint(self.M, packed)
-
 
 class CouplingMatrix(_Frozen):
     """Real antisymmetric quadratic coupling t_{ij}, packed like PhasePoint."""
@@ -507,9 +504,11 @@ def standard_complex_structure(M: int) -> np.ndarray:
     return J
 
 
-def random_points(
-    M: int, seeds, boundary, scale: float = 0.4, margin_floor: float = 0.05
-) -> PhasePoint:
+# smallest domain margin of a random interior point
+_MARGIN_FLOOR = 0.05
+
+
+def random_points(M: int, seeds, boundary, scale: float = 0.4) -> PhasePoint:
     """Seeded points, one per seed, drawn as one stack of ``len(seeds)``.
 
     ``boundary`` (one flag, or one per seed) picks the kind of each point.
@@ -518,7 +517,7 @@ def random_points(
     for determinism) and conjugates the standard complex structure.  An
     interior point has its packed entries drawn normal, times
     ``scale / sqrt(M)``, and shrunk by 0.8 until its domain margin is at
-    least ``margin_floor``.  Each point has its own ``default_rng(seed)``;
+    least :data:`_MARGIN_FLOOR`.  Each point has its own ``default_rng(seed)``;
     the QR factorizations, products and margin eigensolves are stacked,
     and each point equals the one drawn alone bit for bit.
     """
@@ -539,7 +538,7 @@ def random_points(
         inner = np.array([draws[k] for k in at]) * scale / np.sqrt(M)
         low = np.arange(len(at))
         while low.size:
-            low = low[_margin(_unpack(M, inner[low])) < margin_floor]
+            low = low[_margin(_unpack(M, inner[low])) < _MARGIN_FLOOR]
             inner[low] *= 0.8
         packed[at] = inner
     return PhasePoint(M, packed)
@@ -550,11 +549,9 @@ def random_boundary_point(M: int, seed: int) -> PhasePoint:
     return PhasePoint(M, random_points(M, [seed], True).packed[0])
 
 
-def random_interior_point(
-    M: int, seed: int, scale: float = 0.4, margin_floor: float = 0.05
-) -> PhasePoint:
-    """Seeded interior point with domain margin at least ``margin_floor``.
+def random_interior_point(M: int, seed: int, scale: float = 0.4) -> PhasePoint:
+    """Seeded interior point with domain margin at least :data:`_MARGIN_FLOOR`.
 
     See :func:`random_points`.
     """
-    return PhasePoint(M, random_points(M, [seed], False, scale, margin_floor).packed[0])
+    return PhasePoint(M, random_points(M, [seed], False, scale).packed[0])

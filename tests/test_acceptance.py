@@ -40,7 +40,7 @@ def report(label, checks):
 
 
 def test_criterion_01_anticommutation():
-    chk = run_anticommutation(Ms=(1, 2, 3))
+    chk = run_anticommutation()
     report("criterion 01", chk)
     assert chk.passed
     assert chk.max_residual <= 1e-13
@@ -84,7 +84,7 @@ def test_criterion_04_arbitration_alternative_drift():
             drift_form="eq50",
         )
         recorded.append(chk)
-    rep = suites.build_report("fpe-drift-arbitration", recorded, SEED)
+    rep = suites.VerificationReport("fpe-drift-arbitration", tuple(recorded), SEED)
     print(rep.text())
     assert all(np.isfinite(c.max_residual) for c in recorded)
     assert all(c.informational for c in recorded)

@@ -28,6 +28,13 @@ def write_config(tmp_path, data, name="model.json"):
     return str(path)
 
 
+# an M = 3 model with quadratic and quartic couplings
+_MODEL_M3 = {
+    "M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2], [3, 6, 0.25]],
+    "g_entries": [[1, 2, 3, 4, 0.4], [1, 3, 5, 6, -0.3]], "seed": 1,
+}
+
+
 class TestVerifyCommand:
     def test_traceless_suite_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"M": 3, "seed": 3})
@@ -72,10 +79,7 @@ class TestVerifyCommand:
     def test_wrong_drift_fails_verify_all(self, tmp_path, capsys, monkeypatch, a, b):
         from majoranaq import dynamics, kernel, tensors
 
-        cfg = write_config(tmp_path, {
-            "M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2], [3, 6, 0.25]],
-            "g_entries": [[1, 2, 3, 4, 0.4], [1, 3, 5, 6, -0.3]], "seed": 1,
-        })
+        cfg = write_config(tmp_path, _MODEL_M3)
         report_path = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--suite", "all", "--out", str(report_path)]) == 0
         (fpe,) = [c for c in json.loads(report_path.read_text())["checks"] if c["name"] == "fpe"]
@@ -102,6 +106,76 @@ class TestVerifyCommand:
         code = main(["verify", "--config", cfg, "--suite", "tangency"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, check, shown", [
+        ("traceless-diagonal", "traceless-m3", "tolerance"),
+        ("traceless-eigsum", "traceless-m3", "eigsum_tol"),
+        ("channel-reconstruction", "channels-m3", "tolerance"),
+        ("channel-boundary", "channels-m3", None),
+    ], ids=["traceless-diagonal", "traceless-eigsum", "channel-reconstruction",
+            "channel-boundary"])
+    def test_traceless_suite_reads_the_config_tolerances(self, tmp_path, name, check, shown):
+        # each of these values is positive here, so a bar of 1e-300 fails its check
+        cfg = write_config(tmp_path, {"M": 3, "seed": 3, "tolerances": {name: 1e-300}})
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--suite", "traceless",
+                     "--out", str(report_path)]) == 1
+        checks = {c["name"]: c for c in json.loads(report_path.read_text())["checks"]}
+        assert [n for n, c in checks.items() if not c["pass"]] == [check]
+        if shown == "tolerance":
+            assert checks[check]["tolerance"] == 1e-300
+        elif shown:
+            assert checks[check]["info"][shown] == 1e-300
+
+    @pytest.mark.parametrize("override, code", [({}, 0), ({"channel-balance": 1e-15}, 1)],
+                             ids=["pinned", "override"])
+    def test_balance_override_gates_the_traceless_suite(self, tmp_path, monkeypatch,
+                                                         override, code):
+        from majoranaq import kernel
+
+        # the balance reads exactly 0 on its own; a planted imbalance of 1e-14
+        # passes the pinned 1e-12 and fails an override of 1e-15
+        traces_of = kernel.ChannelDecomposition.traces
+
+        def unbalanced(self):
+            forward, backward = traces_of(self)
+            return forward, backward - 1e-14 * np.maximum(forward, 1.0)
+
+        monkeypatch.setattr(kernel.ChannelDecomposition, "traces", unbalanced)
+        cfg = write_config(tmp_path, {"M": 3, "seed": 3, "tolerances": override})
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--suite", "traceless",
+                     "--out", str(report_path)]) == code
+        checks = {c["name"]: c for c in json.loads(report_path.read_text())["checks"]}
+        assert checks["channels-m3"]["info"]["balance"] == pytest.approx(1e-14, rel=0.05)
+        assert checks["channels-m3"]["pass"] is (code == 0)
+        assert checks["traceless-m3"]["pass"]
+
+    # every name a suite reads whose measured value is positive, with the one
+    # check it gates; channel-balance reads exactly 0, and at M = 1 so does
+    # every traceless value, as no quadruple fits in 2 Majoranas
+    @pytest.mark.parametrize("data, suite, name, check", [
+        *(pytest.param(_MODEL_M3, "all", name, check, id=f"all-{name}") for name, check in [
+            ("quadratic-identities", "quadratic-identities"),
+            ("four-gamma", "four-gamma"),
+            ("fpe", "fpe"),
+            ("traceless-diagonal", "traceless-m3"),
+            ("traceless-eigsum", "traceless-m3"),
+            ("channel-reconstruction", "channels-m3"),
+            ("channel-boundary", "channels-m3"),
+            ("tangency", "tangency"),
+            ("flow-boundary-margin", "flow-boundary-margin"),
+        ]),
+        pytest.param({"M": 1, "seed": 1}, "moment-m1", "moment-m1", "moment-m1",
+                     id="moment-m1-moment-m1"),
+    ])
+    def test_every_override_a_suite_reads_gates_it(self, tmp_path, data, suite, name, check):
+        cfg = write_config(tmp_path, {**data, "tolerances": {name: 1e-300}})
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--suite", suite,
+                     "--out", str(report_path)]) == 1
+        checks = json.loads(report_path.read_text())["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == [check]
 
     def test_m_cap_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"M": 7, "seed": 0})
@@ -367,6 +441,20 @@ class TestFlowCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "--x0-file" in err and "Traceback" not in err
+        assert not out_csv.exists()
+
+
+    @pytest.mark.parametrize("mode", [[], ["--x0", "boundary-seed"]], ids=["default", "explicit"])
+    def test_x0_file_without_file_mode_exit_2(self, tmp_path, capsys, mode):
+        # the file would otherwise be dropped for the seeded boundary point
+        cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text(json.dumps({"M": 1, "packed": [0.5]}))
+        out_csv = tmp_path / "t.csv"
+        assert main(["flow", "--config", cfg, *mode, "--x0-file", str(x0_path),
+                     "--steps", "2", "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert "--x0-file: requires --x0 file" in err and "Traceback" not in err
         assert not out_csv.exists()
 
 

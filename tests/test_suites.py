@@ -352,7 +352,7 @@ def test_diffusion_is_tangent_and_symmetric_on_the_boundary(M, seed, quadruples)
 
 def _recorded_point(check):
     # through the JSON report, as a user re-running a FAIL would read it
-    info = json.loads(json.dumps(suites.build_report("x", [check], 0).to_dict()))["checks"][0]["info"]
+    info = json.loads(json.dumps(suites.VerificationReport("x", (check,), 0).to_dict()))["checks"][0]["info"]
     worst = info["worst"]
     return worst, PhasePoint(worst["M"], np.array(worst["x"]))
 

@@ -8,7 +8,6 @@ retraction is applied).
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from majoranaq import (
     CouplingMatrix,
@@ -41,7 +40,10 @@ print(f"worst |margin| over the run: {np.max(np.abs(traj.margins)):.3e}")
 print("\n=== quadratic-only flow vs matrix-exponential transport ===")
 free = HamiltonianSpec.free(t)
 traj_free = flow(x0, free, dt=1e-3, steps=1000, method="rk4")
-prop = expm(4 * t.matrix())
+# e^(4T) from one eigendecomposition: iT = W diag(mu) W^H is Hermitian for
+# the real antisymmetric T, so e^(4T) = W e^(-4i mu) W^H, which is real
+mu, W = np.linalg.eigh(1j * t.matrix())
+prop = ((W * np.exp(-4j * mu)) @ W.conj().T).real
 ref = prop @ x0.matrix() @ prop.T
 dev = np.max(np.abs(traj_free.final.matrix() - ref))
 print(f"deviation from e^(4tT) x0 e^(-4tT) at t = 1: {dev:.2e}")

@@ -46,8 +46,6 @@ _EXPORTS = {
         "drift",
         "drift_alternative",
         "drift_matrix",
-        "fpe_rhs",
-        "conservative_rhs",
         "tangency_residual",
     ),
     "fock": (

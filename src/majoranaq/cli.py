@@ -66,7 +66,7 @@ def cmd_verify(args) -> int:
 def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
     import numpy as np
 
-    from .config import _require_int
+    from .config import _read_json, _require_int
     from .tensors import PhasePoint, random_boundary_point
 
     if args.x0 == "boundary-seed":
@@ -76,17 +76,7 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
         return random_boundary_point(cfg.M, seed)
     if not args.x0_file:
         raise ConfigError("--x0 file requires --x0-file PATH")
-    with open(args.x0_file, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-                field="--x0-file",
-            ) from exc
-        except ValueError as exc:
-            # an integer literal with more digits than the interpreter converts
-            raise ConfigError(f"parse error: {exc}", field="--x0-file") from exc
+    data = _read_json(args.x0_file, field="--x0-file")
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object", field="--x0-file")
     M = _require_int(data.get("M"), '--x0-file "M"')

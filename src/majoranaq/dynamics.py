@@ -194,22 +194,25 @@ def gaussian_covariance_comparison(
     """
     if t.M != x0.M:
         raise DimensionError(f"coupling M={t.M} != initial point M={x0.M}")
-    # scipy and the Fock-space oracle are imported on use, so that the
-    # `flow` command, which never reaches this comparison, loads neither
-    from scipy.linalg import expm
-
+    # the Fock-space oracle is imported on use, so that the `flow` command,
+    # which never reaches this comparison, does not load it
     from .fock import _covariance, build_hamiltonian, gaussian_basis
 
     H = build_hamiltonian(HamiltonianSpec.free(t))
     lam0 = gaussian_basis(x0)
     rho0 = lam0 / np.trace(lam0).real
     gamma0 = _covariance(lam0)
-    T = t.matrix()
     taus = np.linspace(0.0, horizon, _COMPARISON_SAMPLES + 1)[1:]
+    # one eigendecomposition per exponential, outside the time loop: with
+    # H = V diag(lam) V^H, e^{-i tau H} = V e^{-i tau lam} V^H; the real
+    # antisymmetric T makes iT = W diag(mu) W^H Hermitian, so
+    # e^{4 tau T} = W e^{-4 i tau mu} W^H, which is real
+    lam, V = np.linalg.eigh(H)
+    mu, W = np.linalg.eigh(1j * t.matrix())
 
     def mismatch(tau: float) -> float:
-        U = expm(-1j * tau * H)
-        prop = expm(4.0 * tau * T)
+        U = (V * np.exp(-1j * tau * lam)) @ V.conj().T
+        prop = ((W * np.exp(-4j * tau * mu)) @ W.conj().T).real
         exact = _covariance(U @ rho0 @ U.conj().T)
         return float(np.max(np.abs(prop @ gamma0 @ prop.T - exact)))
 

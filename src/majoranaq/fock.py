@@ -459,9 +459,9 @@ def verify_fpe(
     takes the exact gradient and Hessian of Q from :func:`q_derivatives`.
     ``drift_form='eq36'`` evaluates the defining form
     -Abar.grad + (1/2) D : hess as ``rhs``, and also the conservative form
-    -A.grad + (div D).grad + (1/2) D : hess of
-    :func:`majoranaq.kernel.conservative_rhs`, which reads the full drift
-    that :func:`majoranaq.dynamics.flow` integrates; the two must both
+    -A.grad + (div D).grad + (1/2) D : hess, which reads the full drift
+    that :func:`majoranaq.dynamics.flow` integrates; both come from one
+    :func:`majoranaq.kernel._rhs_forms` evaluation, and both must
     agree with dQ/dt.  ``drift_form='eq50'`` substitutes the alternative
     closed-form drift assembly into the conservative expansion (recorded
     for arbitration; it is not expected to agree).  Each residual is

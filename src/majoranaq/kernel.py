@@ -108,8 +108,6 @@ __all__ = [
     "drift",
     "drift_alternative",
     "drift_matrix",
-    "fpe_rhs",
-    "conservative_rhs",
     "tangency_residual",
 ]
 
@@ -371,7 +369,7 @@ def div_diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     Equals -8 (3 - 2M) sum g_{ijkl} x_{kl} Im X_{ij}^a with the derivative
     pair index summed over independent components; checked against the
     polynomial-exact central stencils of :func:`diffusion` (D is cubic in x)
-    in :func:`majoranaq.suites.run_appendix_c`.
+    by the acceptance tests' ``run_appendix_c`` (``tests/acceptance_runners.py``).
     """
     _check_dims(x, g)
     rate = _compile_rate(g, CouplingMatrix.zero(x.M), -16.0 * (3 - 2 * x.M), 0.0)
@@ -420,48 +418,23 @@ def _derivative_arrays(M: int, grad, hess) -> tuple[np.ndarray, np.ndarray]:
     return grad, hess
 
 
-def fpe_rhs(
-    x: PhasePoint,
-    t: CouplingMatrix,
-    g: QuarticCoupling,
-    grad: np.ndarray,
-    hess: np.ndarray,
-) -> float:
-    """dQ/dt = -sum_a Abar^a grad_a + (1/2) sum_{am} D^{am} hess_{am}."""
-    return _rhs_forms(x, t, g, grad, hess)[0]
-
-
-def conservative_rhs(
-    x: PhasePoint,
-    t: CouplingMatrix,
-    g: QuarticCoupling,
-    q: float,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    div_a: float,
-    double_div_d: float,
-) -> float:
-    """Probability-conserving form d_a [-A^a + (1/2) d_m D^{am}] Q, expanded.
-
-    The expansion is -(div A) q - A.grad + (1/2)(div div D) q + (div D).grad
-    + (1/2) D : hess.  The drift's divergence ``div_a`` and the double
-    divergence ``double_div_d`` of D are inputs, measured by the caller; both
-    vanish in closed form, and the result then agrees with :func:`fpe_rhs`
-    to rounding.
-    """
-    return _rhs_forms(x, t, g, grad, hess, (q, div_a, double_div_d))[1]
-
-
 def _rhs_forms(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling, grad, hess,
                conservative: tuple = (0.0, 0.0, 0.0), full_drift=drift) -> list:
-    """The right sides of :func:`fpe_rhs` and of :func:`conservative_rhs`,
-    with ``conservative`` = (q, div_a, double_div_d), in that order.
+    """The two right sides of the FPE at x, as [defining, conservative].
+
+    The defining form is dQ/dt = -sum_a Abar^a grad_a
+    + (1/2) sum_{am} D^{am} hess_{am}.  The conservative form is the
+    probability-conserving d_a [-A^a + (1/2) d_m D^{am}] Q, expanded as
+    -(div A) q - A.grad + (1/2)(div div D) q + (div D).grad + (1/2) D : hess,
+    with ``conservative`` = (q, div_a, double_div_d), in that order: the
+    value q of Q, the drift's divergence and the double divergence of D,
+    measured by the caller.  Both divergences vanish in closed form, and the
+    two sides then agree to rounding.
 
     ``full_drift`` assembles the drift A of the conservative side:
     :func:`drift`, or :func:`drift_alternative` for the recorded eq50 form.
     Both sides end in the same (1/2) D : hess, which is evaluated once, and
-    only for a coupling with quartic entries; each side sums its terms in
-    the order of its own function.
+    only for a coupling with quartic entries.
     """
     grad, hess = _derivative_arrays(x.M, grad, hess)
     q, div_a, double_div_d = conservative

@@ -2,24 +2,24 @@
 
 Each runner executes one structural claim over a reproducible ensemble and
 returns a :class:`CheckResult`; :func:`_verify_checks` checks the
-mode-count caps of each ``verify --suite`` and runs its runners, the CLI
-assembles their results into a :class:`VerificationReport`, and the
-acceptance test suite runs them at the pinned tolerances.  Every check is
-kept in one record, :class:`_Sweep`: it times the check, counts its
-instances, keeps the worst residual (with the record that re-runs its
-instance, where the check has one) and every other value that gates
-``passed``, and builds the result.  NaN ranks above every number there, so
-a NaN residual or gated value at any instance fails its check, and
-``verify`` exits 1.  ``TOLERANCES`` is defined in :mod:`majoranaq.config`,
-which validates overrides against it without loading this module; this
-module re-exports the same dictionary.  A runner that ``verify`` calls
-takes a ``tolerances`` map, the pinned ``TOLERANCES`` by default, and reads
-every bar it gates from it; :func:`_verify_checks` hands each one the
-pinned map updated by the config's overrides, so an override of any name
-a suite reads gates that suite.  The other runners gate at ``TOLERANCES``.
-The Fock-space oracle, the flow and the Hubbard preset are imported by the
-runners that use them, so the traceless sweep loads none of them, and the
-tangency suite only the flow.
+mode-count caps of each ``verify --suite`` and runs its runners, and the
+CLI assembles their results into a :class:`VerificationReport`.  Every
+runner here is one that ``verify`` reaches; the sweeps that only the
+acceptance tests run, with their own pinned bars, live with the tests.
+Every check is kept in one record, :class:`_Sweep`: it times the check,
+counts its instances, keeps the worst residual (with the record that
+re-runs its instance, where the check has one) and every other value that
+gates ``passed``, and builds the result.  NaN ranks above every number
+there, so a NaN residual or gated value at any instance fails its check,
+and ``verify`` exits 1.  ``TOLERANCES`` is defined in
+:mod:`majoranaq.config`, which validates overrides against it without
+loading this module; this module re-exports the same dictionary.  Every
+runner takes a ``tolerances`` map, the pinned ``TOLERANCES`` by default,
+and reads every bar it gates from it; :func:`_verify_checks` hands each
+one the pinned map updated by the config's overrides, so an override of
+any pinned name gates the suites that read it.  The Fock-space oracle and
+the flow are imported by the runners that use them, so the traceless sweep
+loads neither, and the tangency suite only the flow.
 """
 
 from __future__ import annotations
@@ -52,20 +52,14 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "TOLERANCES",
-    "run_anticommutation",
-    "run_gaussian_basis",
     "run_quadratic_identities",
     "run_four_gamma",
     "run_fpe_sweep",
     "fpe_instance",
-    "acceptance_fpe_cases",
     "run_traceless_and_channels",
-    "run_appendix_c",
     "run_tangency",
     "run_flow_margin",
     "run_moment_m1",
-    "run_flow_equivalence",
-    "run_hubbard_fidelity",
 ]
 
 
@@ -262,42 +256,6 @@ class _Sweep:
 # ---------------------------------------------------------------------------
 
 
-def run_anticommutation() -> CheckResult:
-    from . import fock
-
-    Ms = (1, 2, 3)
-    with _Sweep("anticommutation", TOLERANCES["anticommutation"]) as sweep:
-        for M in Ms:
-            majo = fock.build_majoranas(M)
-            eye = np.eye(2 ** M)
-            for i in range(2 * M):
-                for j in range(2 * M):
-                    anti = majo[i] @ majo[j] + majo[j] @ majo[i]
-                    residuals = [np.max(np.abs(anti - 2 * (i == j) * eye))]
-                    if i == j:  # the diagonal instance also checks that gamma_i is Hermitian
-                        residuals.append(np.max(np.abs(majo[i] - majo[i].conj().T)))
-                    sweep.add(residuals)
-    return sweep.result(modes=list(Ms))
-
-
-def run_gaussian_basis(seed: int, n_boundary: int = 10) -> list[CheckResult]:
-    from . import fock
-
-    with _Sweep("basis-at-origin", TOLERANCES["basis-at-origin"]) as origin:
-        for M in (1, 2, 3):
-            lam = fock.gaussian_basis(PhasePoint.zero(M))
-            origin.add(np.abs(lam - np.eye(2 ** M) / 2 ** M))
-    with _Sweep("basis-single-mode", TOLERANCES["basis-single-mode"]) as single:
-        for s in (-0.9, -0.5, 0.0, 0.5, 0.9):
-            lam = fock.gaussian_basis(PhasePoint(1, np.array([s])))
-            single.add(np.abs(lam - np.diag([(1 - s) / 2, (1 + s) / 2])))
-    with _Sweep("basis-boundary-purity", TOLERANCES["basis-boundary-purity"]) as purity:
-        for i in range(n_boundary):
-            lam = fock.gaussian_basis(random_boundary_point(1 + i % 2, seed + i))
-            purity.add(np.abs(lam @ lam - lam))
-    return [origin.result(), single.result(), purity.result()]
-
-
 def run_quadratic_identities(
     Ms=(1, 2), seed: int = 0, n_points: int = 20, tolerances: dict = TOLERANCES,
 ) -> CheckResult:
@@ -355,31 +313,6 @@ def fpe_instance(M: int, seed: int, index: int) -> tuple[np.ndarray, PhasePoint]
     rho = fock.random_density_matrix(M, seed + 31 * index + 1)
     x = random_interior_point(M, seed + 97 * index, scale=_ORACLE_SCALE)
     return rho, x
-
-
-def acceptance_fpe_cases(seed: int) -> list[tuple[str, HamiltonianSpec, int]]:
-    """The headline comparison set: (label, model, instance count)."""
-    from .hubbard import preset_hubbard
-
-    rng = np.random.default_rng(seed)
-    cases = []
-    t1 = CouplingMatrix.from_entries(1, [(1, 2, float(rng.uniform(0.3, 0.8)))])
-    cases.append(("fpe-m1-quadratic", HamiltonianSpec.free(t1), 20))
-    t2 = _random_coupling_matrix(2, rng, scale=0.4)
-    cases.append(("fpe-m2-quadratic", HamiltonianSpec.free(t2), 20))
-    g2 = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, float(rng.uniform(0.3, 0.8)))])
-    cases.append(("fpe-m2-quartic", HamiltonianSpec(2, _random_coupling_matrix(2, rng, 0.4), g2), 20))
-    hub = preset_hubbard(1, 0.0, 4.0)
-    cases.append(("fpe-m2-hubbard", HamiltonianSpec(2, hub.t, hub.g), 20))
-    t3 = _random_coupling_matrix(3, rng, scale=0.25)
-    quads = [(1, 2, 3, 4), (1, 3, 5, 6)]
-    g3 = QuarticCoupling.from_entries(
-        3, [(*q, float(rng.uniform(-0.5, 0.5))) for q in quads]
-    )
-    cases.append(("fpe-m3-quartic", HamiltonianSpec(3, t3, g3), 5))
-    hub3 = preset_hubbard(3, 1.0, 4.0)
-    cases.append(("fpe-m6-hubbard", HamiltonianSpec(6, hub3.t, hub3.g), 5))
-    return cases
 
 
 def run_traceless_and_channels(
@@ -499,95 +432,6 @@ def run_traceless_and_channels(
     ]
 
 
-# Central stencils along packed axes: (step h, derivative order, offsets in
-# steps along each axis, weights).  D is cubic and A quadratic in the packed
-# point, so at a step of order one these are exact up to round-off: the
-# 5-point first derivative is exact for polynomials of degree <= 4 along the
-# line, the 3-point second difference and the 4-point mixed stencil for total
-# degree <= 3.
-_FIRST = (0.5, 1, ((-2,), (-1,), (1,), (2,)), (1 / 12, -8 / 12, 8 / 12, -1 / 12))
-_SECOND = (1.0, 2, ((-1,), (0,), (1,)), (1.0, -2.0, 1.0))
-_MIXED = (1.0, 2, ((1, 1), (-1, -1), (1, -1), (-1, 1)), (0.25, 0.25, -0.25, -0.25))
-
-
-def _central(f, v: np.ndarray, *axes: int):
-    """d_p f, d_p^2 f (repeated axis) or d_p d_q f of ``f`` at the packed point ``v``."""
-    if len(axes) == 1:
-        h, order, offsets, weights = _FIRST
-    elif axes[0] == axes[1]:
-        (h, order, offsets, weights), axes = _SECOND, axes[:1]
-    else:
-        h, order, offsets, weights = _MIXED
-    total = 0.0
-    for offset, w in zip(offsets, weights):
-        u = v.copy()
-        for axis, k in zip(axes, offset):
-            u[axis] += k * h
-        total = total + w * f(u)
-    return total / h**order
-
-
-def run_appendix_c(
-    Ms=(2, 3), seed: int = 0, cases: int = 50,
-) -> list[CheckResult]:
-    """Divergence identities of the closed-form coefficients.
-
-    Each divergence is taken with the polynomial-exact stencils of
-    :func:`_central`.  ``drift-divergence-free`` holds term by term for any
-    commutator drift [x, c(x)] with antisymmetric couplings, so it is a
-    structural identity of the commutator form: it catches a non-commutator
-    term, such as a dilation, rather than a wrong coefficient.
-
-    ``info["worst"]`` of each check records the instance of its worst
-    residual as its index, seed, M and packed x; the instance's ``t``, ``g``
-    (``_random_coupling_matrix`` then ``_random_quartic``) and the
-    conservative-equivalence test data are drawn, in that order, from
-    ``default_rng(seed + 1000 M + index)``.
-    """
-    div, free, double, equiv = (
-        _Sweep(name, TOLERANCES[name], seed)
-        for name in ("divergence-closed-form", "drift-divergence-free",
-                     "double-divergence", "conservative-equivalence"))
-    per_m = max(1, cases // len(Ms))
-    for M in Ms:
-        npairs = pair_count(M)
-        for i in range(per_m):
-            rng = np.random.default_rng(seed + 1000 * M + i)
-            x = random_interior_point(M, seed + 1000 * M + i, scale=0.5)
-            t = _random_coupling_matrix(M, rng)
-            g = _random_quartic(M, rng)
-            v = x.packed
-            at = _instance(i, seed, x)
-
-            def dmat(u):
-                return kernel.diffusion(PhasePoint(M, u), g)
-
-            def avec(u):
-                return kernel.drift(PhasePoint(M, u), t, g)
-
-            with div:
-                div_d = sum(_central(dmat, v, q)[:, q] for q in range(npairs))
-                div.add(np.abs(kernel.div_diffusion(x, g) - div_d), at)
-            with free:
-                div_a = sum(_central(avec, v, p)[p] for p in range(npairs))
-                free.add(abs(float(div_a)), at)
-            with double:
-                div_div_d = sum(_central(dmat, v, p, q)[p, q] * (1 if p == q else 2)
-                                for p in range(npairs) for q in range(p, npairs))
-                double.add(abs(float(div_div_d)), at)
-            with equiv:
-                grad = rng.normal(size=npairs)
-                hess = rng.normal(size=(npairs, npairs))
-                hess = (hess + hess.T) / 2
-                q = float(rng.normal())
-                # both sides from one evaluation of D, bit for bit those
-                # of kernel.fpe_rhs and kernel.conservative_rhs
-                r1, r2 = kernel._rhs_forms(x, t, g, grad, hess,
-                                           (q, float(div_a), float(div_div_d)))
-                equiv.add(abs(r1 - r2) / max(abs(r1), 1e-12), at)
-    return [div.result(), free.result(), double.result(), equiv.result()]
-
-
 def run_tangency(
     Ms=(2, 3), seed: int = 0, n_points: int = 50, tolerances: dict = TOLERANCES,
     spec: HamiltonianSpec | None = None,
@@ -682,41 +526,6 @@ def run_moment_m1(seed: int = 0, tolerances: dict = TOLERANCES) -> CheckResult:
         vacuum_lhs, vacuum_rhs = moments[0]
         sweep.peak("vacuum", abs(vacuum_rhs + 1.0))
     return sweep.result(vacuum_lhs=vacuum_lhs, vacuum_rhs=vacuum_rhs)
-
-
-def run_flow_equivalence(
-    Ms=(1, 2, 3), seed: int = 0, seeds_per_m: int = 10, steps: int = 1000,
-) -> CheckResult:
-    """Quadratic-only trajectories against the matrix-exponential transport."""
-    from scipy.linalg import expm  # on use, like dynamics: no CLI command runs this
-
-    from .dynamics import flow
-
-    dt = 1e-3
-    with _Sweep("flow-matrix-equivalence", TOLERANCES["flow-matrix-equivalence"]) as sweep:
-        for M in Ms:
-            for i in range(seeds_per_m):
-                rng = np.random.default_rng(seed + 37 * M + i)
-                t = _random_coupling_matrix(M, rng)
-                x0 = random_boundary_point(M, seed + 37 * M + i)
-                traj = flow(x0, HamiltonianSpec.free(t), dt, steps, method="rk4")
-                horizon = steps * dt
-                prop = expm(4 * horizon * t.matrix())
-                ref = prop @ x0.matrix() @ prop.T
-                sweep.add(np.abs(traj.final.matrix() - ref))
-    return sweep.result()
-
-
-def run_hubbard_fidelity() -> CheckResult:
-    from .hubbard import hubbard_comparison, preset_hubbard
-
-    shifts = []
-    with _Sweep("hubbard-fidelity", TOLERANCES["hubbard-fidelity"]) as sweep:
-        for sites, hop, onsite in ((1, 0.0, 4.0), (2, 1.0, 4.0), (2, 0.7, 0.0)):
-            preset = preset_hubbard(sites, hop, onsite)
-            sweep.add(hubbard_comparison(preset, hop, onsite))
-            shifts.append(preset.identity_shift)
-    return sweep.result(identity_shifts=shifts)
 
 
 # ---------------------------------------------------------------------------

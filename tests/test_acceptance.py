@@ -1,8 +1,9 @@
 """Acceptance gate: every headline claim at its pinned tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion with the measured residuals.  The sweeps live in
-:mod:`majoranaq.suites`; this module fixes the ensemble sizes, mode counts,
+criterion with the measured residuals.  The sweeps that
+``verify`` runs live in :mod:`majoranaq.suites`, the others in
+``acceptance_runners``; this module fixes the ensemble sizes, mode counts,
 and tolerances, and is intentionally the slowest part of the test suite
 (about a minute in total).
 """
@@ -13,19 +14,23 @@ import pytest
 from majoranaq import suites
 from majoranaq.suites import (
     TOLERANCES,
-    acceptance_fpe_cases,
-    run_anticommutation,
-    run_appendix_c,
-    run_flow_equivalence,
     run_flow_margin,
     run_four_gamma,
     run_fpe_sweep,
-    run_gaussian_basis,
-    run_hubbard_fidelity,
     run_moment_m1,
     run_quadratic_identities,
     run_tangency,
     run_traceless_and_channels,
+)
+
+from acceptance_runners import (
+    ACCEPTANCE_TOLERANCES,
+    acceptance_fpe_cases,
+    run_anticommutation,
+    run_appendix_c,
+    run_flow_equivalence,
+    run_gaussian_basis,
+    run_hubbard_fidelity,
 )
 
 SEED = 20260810
@@ -153,10 +158,10 @@ def test_criterion_11_hubbard_fidelity():
 
 def test_default_tolerances_are_the_pinned_ones():
     # guard against accidental loosening: these are the contract values
-    assert TOLERANCES["anticommutation"] == 1e-13
-    assert TOLERANCES["basis-at-origin"] == 1e-14
-    assert TOLERANCES["basis-single-mode"] == 1e-12
-    assert TOLERANCES["basis-boundary-purity"] == 1e-10
+    assert ACCEPTANCE_TOLERANCES["anticommutation"] == 1e-13
+    assert ACCEPTANCE_TOLERANCES["basis-at-origin"] == 1e-14
+    assert ACCEPTANCE_TOLERANCES["basis-single-mode"] == 1e-12
+    assert ACCEPTANCE_TOLERANCES["basis-boundary-purity"] == 1e-10
     assert TOLERANCES["quadratic-identities"] == 1e-10
     assert TOLERANCES["four-gamma"] == 1e-10
     assert TOLERANCES["fpe"] == 1e-10
@@ -165,12 +170,19 @@ def test_default_tolerances_are_the_pinned_ones():
     assert TOLERANCES["channel-reconstruction"] == 1e-12
     assert TOLERANCES["channel-balance"] == 1e-12
     assert TOLERANCES["channel-boundary"] == 1e-12
-    assert TOLERANCES["divergence-closed-form"] == 1e-12
-    assert TOLERANCES["drift-divergence-free"] == 1e-12
-    assert TOLERANCES["double-divergence"] == 1e-12
-    assert TOLERANCES["conservative-equivalence"] == 1e-12
+    assert ACCEPTANCE_TOLERANCES["divergence-closed-form"] == 1e-12
+    assert ACCEPTANCE_TOLERANCES["drift-divergence-free"] == 1e-12
+    assert ACCEPTANCE_TOLERANCES["double-divergence"] == 1e-12
+    assert ACCEPTANCE_TOLERANCES["conservative-equivalence"] == 1e-12
     assert TOLERANCES["tangency"] == 1e-9
     assert TOLERANCES["flow-boundary-margin"] == 1e-7
     assert TOLERANCES["moment-m1"] == 1e-6
-    assert TOLERANCES["flow-matrix-equivalence"] == 1e-8
-    assert TOLERANCES["hubbard-fidelity"] == 1e-12
+    assert ACCEPTANCE_TOLERANCES["flow-matrix-equivalence"] == 1e-8
+    assert ACCEPTANCE_TOLERANCES["hubbard-fidelity"] == 1e-12
+    # a config may override exactly the names that a verify suite gates
+    assert set(TOLERANCES) == {
+        "quadratic-identities", "four-gamma", "fpe", "traceless-diagonal",
+        "traceless-eigsum", "channel-reconstruction", "channel-balance",
+        "channel-boundary", "tangency", "flow-boundary-margin", "moment-m1",
+    }
+    assert len(ACCEPTANCE_TOLERANCES) == 10 and not set(ACCEPTANCE_TOLERANCES) & set(TOLERANCES)

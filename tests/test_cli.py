@@ -243,8 +243,11 @@ class TestVerifyCommand:
         ({"M": 1, "tolerances": {"tangency": -1.0}}, "tolerances.tangency"),
         # replaced by channel-boundary: an override of it names no check
         ({"M": 1, "tolerances": {"channel-psd": 1e-12}}, "channel-psd"),
+        # bars of acceptance-only checks, which no verify suite runs
+        ({"M": 1, "tolerances": {"hubbard-fidelity": 1e-12}}, "hubbard-fidelity"),
+        ({"M": 1, "tolerances": {"flow-matrix-equivalence": 2.0}}, "flow-matrix-equivalence"),
     ], ids=["non-numeric", "nan-coupling", "unknown-tolerance", "negative-tolerance",
-            "retired-tolerance"])
+            "retired-tolerance", "acceptance-only-tolerance", "acceptance-only-tolerance-2"])
     def test_malformed_config_numbers_exit_2(self, tmp_path, capsys, data, field):
         # json.dumps writes NaN, which Python's json reader accepts
         cfg = write_config(tmp_path, data)
@@ -430,11 +433,14 @@ class TestFlowCommand:
         '[0.5]',
         '{"M": 1, "packed": ["a"]}',
         '{"M": 1, "packed": [NaN]}',
-    ], ids=["no-packed", "truncated", "not-object", "non-numeric", "non-finite"])
+        "[" * 100_000,
+        b'{"M": 1, "packed": [0.5]} \xff',
+    ], ids=["no-packed", "truncated", "not-object", "non-numeric", "non-finite", "nested",
+            "non-utf8"])
     def test_malformed_x0_file_exit_2(self, tmp_path, capsys, text):
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
         x0_path = tmp_path / "x0.json"
-        x0_path.write_text(text)
+        x0_path.write_bytes(text if isinstance(text, bytes) else text.encode())
         out_csv = tmp_path / "t.csv"
         code = main(["flow", "--config", cfg, "--x0", "file",
                      "--x0-file", str(x0_path), "--out", str(out_csv)])
@@ -660,6 +666,22 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "parse error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"M": 1, "seed": 0} \xff'],
+                             ids=["nested", "non-utf8"])
+    @pytest.mark.parametrize("command", ["verify", "flow"])
+    def test_undecodable_config_exit_2(self, tmp_path, capsys, command, raw):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(raw)
+        argv = {
+            "verify": ["verify", "--config", str(path), "--suite", "tangency"],
+            "flow": ["flow", "--config", str(path), "--steps", "2",
+                     "--out", str(tmp_path / "t.csv")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_x0_beyond_the_float_range_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
         x0_path = tmp_path / "x0.json"
@@ -853,3 +875,22 @@ class TestWithoutScipy:
                              capture_output=True, text=True, cwd=tmp_path)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]
+
+    def test_covariance_comparison_runs_with_scipy_blocked(self, tmp_path):
+        # the library's one comparison against exact evolution takes both
+        # exponentials from numpy eigendecompositions
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from majoranaq import CouplingMatrix, gaussian_covariance_comparison\n"
+            "from majoranaq import random_boundary_point\n"
+            "t = CouplingMatrix.from_entries(2, [(1, 2, 0.5), (2, 3, -0.3), (1, 4, 0.2)])\n"
+            "print(gaussian_covariance_comparison(random_boundary_point(2, 13), t, 1.0))\n"
+        )
+        src = str(Path(majoranaq.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert 0.0 <= float(out.stdout.strip().splitlines()[-1]) <= 1e-12

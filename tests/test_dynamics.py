@@ -397,7 +397,7 @@ class TestCovarianceTransport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
-        # scipy.linalg.expm is imported on use too, so the CLI loads no scipy
+        # the package imports no scipy at all, so the CLI loads none of it
         code = ("import sys, majoranaq.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -11,7 +11,6 @@ from majoranaq import (
     CouplingMatrix,
     PhasePoint,
     QuarticCoupling,
-    conservative_rhs,
     diffusion,
     diffusion_channels,
     diffusion_expanded,
@@ -19,7 +18,6 @@ from majoranaq import (
     drift,
     drift_bar,
     drift_matrix,
-    fpe_rhs,
     kernel,
     pair_count,
     pair_enumerate,
@@ -29,8 +27,10 @@ from majoranaq import (
     tangency_residual,
 )
 from majoranaq.errors import DimensionError, IndexRangeError, OffBoundaryError
-from majoranaq.suites import _central
+from majoranaq.kernel import _rhs_forms
 from majoranaq.tensors import _pack, _unpack
+
+from acceptance_runners import _central
 
 from coupling_oracle import dense_pair_matrix
 from x_oracle import im_x, re_x, x_component, x_plus_minus
@@ -403,7 +403,7 @@ class TestDivergences:
 
 class TestPolynomialDegree:
     """D is cubic and A quadratic in the packed point: the premise that makes
-    the divergence stencils of ``suites._central`` exact at a step of order one."""
+    the divergence stencils of ``acceptance_runners._central`` exact at a step of order one."""
 
     @settings(deadline=None, derandomize=True, database=None, max_examples=30)
     @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
@@ -459,8 +459,7 @@ class TestRhsForms:
         t = random_t(2, 14)
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
         zeros = np.zeros(6)
-        assert fpe_rhs(x, t, g, zeros, np.zeros((6, 6))) == 0.0
-        assert conservative_rhs(x, t, g, 0.0, zeros, np.zeros((6, 6)), 0.0, 0.0) == 0.0
+        assert _rhs_forms(x, t, g, zeros, np.zeros((6, 6))) == [0.0, 0.0]
 
     def test_quadratic_only_is_first_order(self):
         x = random_interior_point(2, 15)
@@ -469,7 +468,7 @@ class TestRhsForms:
         rng = np.random.default_rng(15)
         grad = rng.normal(size=6)
         hess = rng.normal(size=(6, 6)); hess = (hess + hess.T) / 2
-        assert fpe_rhs(x, t, g, grad, hess) == pytest.approx(
+        assert _rhs_forms(x, t, g, grad, hess)[0] == pytest.approx(
             -float(drift_bar(x, t, g) @ grad)
         )
 
@@ -483,14 +482,14 @@ class TestRhsForms:
         grad = rng.normal(size=6)
         hess = rng.normal(size=(6, 6)); hess = (hess + hess.T) / 2
         q = float(rng.normal())
-        r1 = fpe_rhs(x, t, g, grad, hess)
         # the closed-form divergences: div A = 0 and div div D = 0
-        r2 = conservative_rhs(x, t, g, q, grad, hess, 0.0, 0.0)
+        r1, r2 = _rhs_forms(x, t, g, grad, hess, (q, 0.0, 0.0))
         assert abs(r1 - r2) / max(abs(r1), 1e-12) <= 1e-12
 
+    # the ids name the defining and the conservative side
     @pytest.mark.parametrize("rhs", [
-        lambda x, t, g, grad, hess: fpe_rhs(x, t, g, grad, hess),
-        lambda x, t, g, grad, hess: conservative_rhs(x, t, g, 1.0, grad, hess, 0.0, 0.0),
+        lambda x, t, g, grad, hess: _rhs_forms(x, t, g, grad, hess)[0],
+        lambda x, t, g, grad, hess: _rhs_forms(x, t, g, grad, hess, (1.0, 0.0, 0.0))[1],
     ], ids=["fpe_rhs", "conservative_rhs"])
     def test_derivative_shapes_are_checked(self, rhs):
         x = random_interior_point(2, 17)
@@ -508,8 +507,8 @@ class TestRhsForms:
         grad = np.zeros(6)
         hess = np.zeros((6, 6))
         # with zero derivatives only the q terms -(div A) q + (1/2)(div div D) q remain
-        assert conservative_rhs(x, t, g, 2.0, grad, hess, 0.25, 0.0) == -0.5
-        assert conservative_rhs(x, t, g, 2.0, grad, hess, 0.0, 0.25) == 0.25
+        assert _rhs_forms(x, t, g, grad, hess, (2.0, 0.25, 0.0))[1] == -0.5
+        assert _rhs_forms(x, t, g, grad, hess, (2.0, 0.0, 0.25))[1] == 0.25
 
 
 class TestTracelessExpansion:

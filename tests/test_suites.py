@@ -23,12 +23,14 @@ from majoranaq import (
 )
 from majoranaq.tensors import _pair_rows_cols, random_boundary_point, random_interior_point
 
+import acceptance_runners
+
 
 @pytest.mark.parametrize(
     "runner",
     [
         lambda: suites.run_traceless_and_channels(3, seed=4, cases=6),
-        lambda: suites.run_appendix_c(Ms=(2,), seed=4, cases=2),
+        lambda: acceptance_runners.run_appendix_c(Ms=(2,), seed=4, cases=2),
     ],
     ids=["traceless_and_channels", "appendix_c"],
 )
@@ -358,7 +360,7 @@ def _recorded_point(check):
 
 
 def test_worst_fpe_instance_reproduces_its_residual():
-    _, spec, _ = suites.acceptance_fpe_cases(11)[4]
+    _, spec, _ = acceptance_runners.acceptance_fpe_cases(11)[4]
     check = suites.run_fpe_sweep(spec, seed=11, n_instances=5)
     worst, x = _recorded_point(check)
     assert (worst["seed"], worst["M"]) == (11, 3) and "resampled_singular_points" not in check.info
@@ -423,7 +425,7 @@ def test_worst_flow_margin_instance_reproduces_its_residual(given):
 
 def test_worst_divergence_instance_reproduces_its_residual():
     seed = 918273
-    checks = suites.run_appendix_c(Ms=(2, 3), seed=seed, cases=6)
+    checks = acceptance_runners.run_appendix_c(Ms=(2, 3), seed=seed, cases=6)
     assert all(set(c.info["worst"]) == {"index", "seed", "M", "x"} for c in checks)
     check = checks[0]
     assert check.name == "divergence-closed-form"
@@ -433,7 +435,8 @@ def test_worst_divergence_instance_reproduces_its_residual():
     rng = np.random.default_rng(seed + 1000 * M + worst["index"])
     suites._random_coupling_matrix(M, rng)  # t is drawn before g
     g = suites._random_quartic(M, rng)
-    div_d = sum(suites._central(lambda u: kernel.diffusion(PhasePoint(M, u), g), x.packed, q)[:, q]
+    div_d = sum(acceptance_runners._central(lambda u: kernel.diffusion(PhasePoint(M, u), g),
+                                            x.packed, q)[:, q]
                 for q in range(x.packed.size))
     residual = float(np.max(np.abs(kernel.div_diffusion(x, g) - div_d)))
     assert residual == check.max_residual > 0.0
@@ -441,9 +444,9 @@ def test_worst_divergence_instance_reproduces_its_residual():
 
 def test_conservative_equivalence_evaluates_one_diffusion_per_instance(monkeypatch):
     # both sides come from one kernel._rhs_forms call per instance, which
-    # evaluates D once, and equal the separate fpe_rhs and conservative_rhs
-    # bit for bit; the stencils of the other checks call kernel.diffusion
-    # too, so only the calls made by _rhs_forms are counted
+    # evaluates D once, and the defining side does not read the conservative
+    # inputs; the stencils of the other checks call kernel.diffusion too, so
+    # only the calls made by _rhs_forms are counted
     diffusion, rhs_forms = kernel.diffusion, kernel._rhs_forms
     calls, from_rhs = [], []
 
@@ -458,15 +461,14 @@ def test_conservative_equivalence_evaluates_one_diffusion_per_instance(monkeypat
 
     monkeypatch.setattr(kernel, "diffusion", counted)
     monkeypatch.setattr(kernel, "_rhs_forms", recorded)
-    equiv = suites.run_appendix_c(Ms=(2, 3), seed=5, cases=6)[3]
+    equiv = acceptance_runners.run_appendix_c(Ms=(2, 3), seed=5, cases=6)[3]
     monkeypatch.undo()
     assert equiv.name == "conservative-equivalence"
     assert len(calls) == len(from_rhs) == equiv.instances == 6
     old = []
-    for x, t, g, grad, hess, (q, div_a, double_div_d) in calls:
-        r1 = kernel.fpe_rhs(x, t, g, grad, hess)
-        r2 = kernel.conservative_rhs(x, t, g, q, grad, hess, div_a, double_div_d)
-        assert rhs_forms(x, t, g, grad, hess, (q, div_a, double_div_d)) == [r1, r2]
+    for x, t, g, grad, hess, conservative in calls:
+        r1, r2 = rhs_forms(x, t, g, grad, hess, conservative)
+        assert rhs_forms(x, t, g, grad, hess)[0] == r1
         old.append(abs(r1 - r2) / max(abs(r1), 1e-12))
     assert equiv.max_residual == max(old) > 0.0
 
@@ -516,12 +518,13 @@ NAN_CASES = {
                                lambda: suites.run_traceless_and_channels(3, seed=4,
                                                                          cases=_BLOCK + 4, g=_G3),
                                "channels-m3", "max_residual"),
-    # conservative_rhs calls div_diffusion too: call 3 is the second instance's check
+    # _rhs_forms calls div_diffusion too: call 3 is the second instance's check
     "divergence-closed-form": (kernel, "div_diffusion", 3, _nan,
-                               lambda: suites.run_appendix_c(Ms=(2,), seed=4, cases=3),
+                               lambda: acceptance_runners.run_appendix_c(Ms=(2,), seed=4, cases=3),
                                "divergence-closed-form", "max_residual"),
     "fpe": (fock, "verify_fpe", 2, lambda chk: chk._replace(residual=np.nan),
-            lambda: suites.run_fpe_sweep(suites.acceptance_fpe_cases(11)[1][1], 11, n_instances=3),
+            lambda: suites.run_fpe_sweep(acceptance_runners.acceptance_fpe_cases(11)[1][1], 11,
+                                         n_instances=3),
             "fpe", "max_residual"),
     "quadratic-identities": (fock, "verify_quadratic_identities", 2,
                              lambda res: {**res, "mixed": np.nan},
@@ -535,16 +538,16 @@ NAN_CASES = {
                              lambda: suites.run_flow_margin(Ms=(2, 3), seed=5, steps=20),
                              "flow-boundary-margin", "max_residual"),
     "flow-matrix-equivalence": (dynamics, "flow", 2, lambda traj: traj._replace(packed=_nan(traj.packed)),
-                                lambda: suites.run_flow_equivalence(Ms=(1,), seed=5, seeds_per_m=3,
-                                                                    steps=20),
+                                lambda: acceptance_runners.run_flow_equivalence(
+                                    Ms=(1,), seed=5, seeds_per_m=3, steps=20),
                                 "flow-matrix-equivalence", "max_residual"),
     "moment-m1": (fock, "verify_moment_identity_m1", 2, lambda lr: (lr[0], np.nan),
                   lambda: suites.run_moment_m1(seed=5), "moment-m1", "max_residual"),
     "basis-at-origin": (fock, "gaussian_basis", 2, _nan,
-                        lambda: suites.run_gaussian_basis(seed=5, n_boundary=2),
+                        lambda: acceptance_runners.run_gaussian_basis(seed=5, n_boundary=2),
                         "basis-at-origin", "max_residual"),
     "hubbard-fidelity": (hubbard, "hubbard_comparison", 2, lambda residual: np.nan,
-                         suites.run_hubbard_fidelity, "hubbard-fidelity", "max_residual"),
+                         acceptance_runners.run_hubbard_fidelity, "hubbard-fidelity", "max_residual"),
 }
 
 
@@ -600,7 +603,7 @@ STENCILS = [(4, (1,)), (3, (2, 2)), (3, (0, 2))]
 def test_stencils_are_exact_at_their_degree(degree, axes, seed):
     poly = _polynomial(3, degree, seed)
     v = np.random.default_rng(seed + 10).uniform(-0.5, 0.5, size=3)
-    assert abs(suites._central(poly, v, *axes) - poly(v, *axes)) <= 1e-12
+    assert abs(acceptance_runners._central(poly, v, *axes) - poly(v, *axes)) <= 1e-12
 
 
 @pytest.mark.parametrize("monomial, axes, error", [
@@ -613,4 +616,4 @@ def test_stencils_are_exact_at_their_degree(degree, axes, seed):
 def test_stencils_are_wrong_one_degree_higher(monomial, axes, error):
     v = np.array([0.3, -0.2, 0.1])
     exact = {(1,): 5 * v[1] ** 4, (2, 2): 12 * v[2] ** 2, (0, 2): 3 * v[0] ** 2}[axes]
-    assert suites._central(monomial, v, *axes) - exact == pytest.approx(error, abs=1e-12)
+    assert acceptance_runners._central(monomial, v, *axes) - exact == pytest.approx(error, abs=1e-12)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -704,6 +705,13 @@ class TestInputValidation:
         assert not out_csv.exists()
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this majoranaq."""
+    src = str(Path(majoranaq.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def _modules_after(snippet: str, cwd, also: tuple = ()) -> list:
     """The majoranaq and numpy modules (and those named in ``also``) a fresh
     interpreter holds after ``snippet``."""
@@ -714,10 +722,7 @@ def _modules_after(snippet: str, cwd, also: tuple = ()) -> list:
         f"print(json.dumps(sorted(m for m in sys.modules if m in {names!r}\n"
         "                        or m.split('.')[0] == 'majoranaq')))\n"
     )
-    src = str(Path(majoranaq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                          text=True, cwd=cwd)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -737,11 +742,8 @@ def _cli_run(*argv: str) -> str:
 
 def _import_time_modules(cwd, *argv: str) -> set:
     """The modules that ``python -X importtime -m majoranaq.cli *argv`` logs."""
-    src = str(Path(majoranaq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-X", "importtime", "-m", "majoranaq.cli", *argv],
-                         env=env, capture_output=True, text=True, cwd=cwd)
+                         env=_child_env(), capture_output=True, text=True, cwd=cwd)
     assert out.returncode == 0, out.stderr
     return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
             if line.startswith("import time:")}
@@ -868,10 +870,7 @@ class TestWithoutScipy:
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps(codes))\n"
         )
-        src = str(Path(majoranaq.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=_child_env(),
                              capture_output=True, text=True, cwd=tmp_path)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]
@@ -887,10 +886,74 @@ class TestWithoutScipy:
             "t = CouplingMatrix.from_entries(2, [(1, 2, 0.5), (2, 3, -0.3), (1, 4, 0.2)])\n"
             "print(gaussian_covariance_comparison(random_boundary_point(2, 13), t, 1.0))\n"
         )
-        src = str(Path(majoranaq.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                              capture_output=True, text=True, cwd=tmp_path)
         assert out.returncode == 0, out.stderr
         assert 0.0 <= float(out.stdout.strip().splitlines()[-1]) <= 1e-12
+
+
+def _process_run(cwd, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m majoranaq.cli *argv`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "majoranaq.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, cwd=cwd)
+
+
+class TestProcessEntry:
+    """The process entry freezes the collector after main() returns; main()
+    called in-process leaves the collector as it found it."""
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        hub = str(tmp_path / "hub.json")
+        commands = [
+            ["preset", "hubbard", "--sites", "2", "--hop", "1.0", "--onsite", "4.0",
+             "--out", hub],
+            ["flow", "--config", hub, "--steps", "5", "--out", str(tmp_path / "t.csv")],
+            ["verify", "--config", hub, "--suite", "tangency"],
+        ]
+        before = (gc.get_freeze_count(), gc.isenabled())
+        for argv in commands:
+            assert main(argv) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == before, argv[0]
+
+    def test_import_freezes_nothing(self, tmp_path):
+        code = ("import gc, majoranaq, majoranaq.cli\n"
+                "print(gc.get_freeze_count(), gc.isenabled())")
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                             capture_output=True, text=True, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["0", "True"]
+
+    @pytest.mark.parametrize("case, expected", [
+        ("flow", 0),
+        ("failed-check", 1),
+        ("no-config", 2),
+        ("missing-config", 2),
+        ("diverged", 3),
+    ])
+    def test_exit_code_contract(self, tmp_path, case, expected):
+        hub = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
+                                                         "hop": 1.0, "onsite": 4.0}})
+        strict = write_config(tmp_path, {"M": 3, "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3,
+                                         "tolerances": {"tangency": 1e-300}},
+                              name="strict.json")
+        argv = {
+            "flow": ["flow", "--config", hub, "--steps", "20", "--out", "t.csv"],
+            "failed-check": ["verify", "--config", strict, "--suite", "tangency"],
+            "no-config": ["flow", "--out", "t.csv"],
+            "missing-config": ["flow", "--config", "absent.json", "--out", "t.csv"],
+            # the first step overflows the state to non-finite values
+            "diverged": ["flow", "--config", hub, "--dt", "1e300", "--out", "t.csv"],
+        }[case]
+        out = _process_run(tmp_path, *argv)
+        assert out.returncode == expected, out.stderr
+        assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+
+    def test_flow_csv_matches_in_process_main(self, tmp_path, capsys):
+        hub = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
+                                                         "hop": 1.0, "onsite": 4.0}})
+        argv = ["flow", "--config", hub, "--steps", "40", "--seed", "11"]
+        out = _process_run(tmp_path, *argv, "--out", "process.csv")
+        assert out.returncode == 0, out.stderr
+        assert main([*argv, "--out", str(tmp_path / "in-process.csv")]) == 0
+        assert ((tmp_path / "process.csv").read_bytes()
+                == (tmp_path / "in-process.csv").read_bytes())

@@ -8,7 +8,8 @@ error; any other ``OSError`` is a runtime error.
 Each command imports the modules it runs when it runs: ``preset`` needs the
 standard library only, and ``flow`` loads neither the coefficient kernel
 (:mod:`majoranaq.kernel`), the Fock-space oracle nor the verification
-suites, which also assemble the checks of each ``verify --suite``.
+suites, which also assemble the checks of each ``verify --suite``.  Only
+``flow`` loads its CSV writer, :mod:`majoranaq._csvrows`.
 
 The process entry, of ``python -m majoranaq.cli`` and of the ``majoranaq``
 script, is :func:`_process_main`: it runs :func:`main`, then freezes the
@@ -45,8 +46,9 @@ SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 # bounds `preset hubbard --sites` at _FLOW_MAX_M // 2.
 _FLOW_MAX_M = 16
 
-# trajectory rows formatted per write of the flow CSV: its Python floats
-# are held for one block at a time, not for the whole run
+# trajectory rows formatted per write of the flow CSV: majoranaq._csvrows
+# lays out one block at a time, so its arrays and text are held for one
+# block, not for the whole run
 _CSV_BLOCK = 256
 
 # argparse destinations of the options that name a file
@@ -102,6 +104,7 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
 def cmd_flow(args) -> int:
     import numpy as np
 
+    from ._csvrows import format_rows
     from .config import _check_cap, config_to_spec, load_config
     from .dynamics import flow
     from .tensors import pair_enumerate
@@ -110,6 +113,10 @@ def cmd_flow(args) -> int:
         raise ConfigError(f"must be >= 1, got {args.steps}", field="--steps")
     if not (math.isfinite(args.dt) and args.dt > 0.0):
         raise ConfigError(f"must be finite and positive, got {args.dt!r}", field="--dt")
+    # a count past sys.maxsize is refused below as too many to store
+    if args.steps <= sys.maxsize and not math.isfinite(args.dt * args.steps):
+        raise ConfigError(f"the horizon --dt x --steps must be finite, got {args.dt!r} x "
+                          f"{args.steps}", field="--dt")
     cfg = load_config(args.config)
     _check_cap("flow", cfg.M, _FLOW_MAX_M)
     spec, _shift = config_to_spec(cfg)
@@ -120,15 +127,15 @@ def cmd_flow(args) -> int:
     except MemoryError:  # numpy refuses the trajectory arrays before any step
         raise ConfigError(f"too many to store, got {args.steps}", field="--steps") from None
     elapsed = time.perf_counter() - start
-    pairs = pair_enumerate(cfg.M)
-    header = ["time"] + [f"x_{p.alpha}_{p.beta}" for p in pairs] + ["margin"]
-    row_format = ",".join(["%.10g"] + ["%.16e"] * (len(pairs) + 1)) + "\n"
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    start = time.perf_counter()
+    header = ["time"] + [f"x_{p.alpha}_{p.beta}" for p in pair_enumerate(cfg.M)] + ["margin"]
+    with open(args.out, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, len(traj.times), _CSV_BLOCK):
             hi = lo + _CSV_BLOCK
-            block = np.column_stack((traj.times[lo:hi], traj.packed[lo:hi], traj.margins[lo:hi]))
-            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+            values = np.column_stack((traj.packed[lo:hi], traj.margins[lo:hi]))
+            fh.write(format_rows(traj.times[lo:hi], values))
+    written = time.perf_counter() - start
     worst = int(np.argmax(np.abs(traj.margins)))
     evaluations = args.steps * (4 if args.method == "rk4" else 1)
     print(f"trajectory written to {args.out} ({args.steps} steps, dt={args.dt})")
@@ -136,6 +143,7 @@ def cmd_flow(args) -> int:
     print(f"max |margin|: {abs(traj.margins[worst]):.3e} at step {worst}")
     print(f"drift evaluations: {evaluations}")
     print(f"integration wall time: {elapsed:.3f} s")
+    print(f"csv write wall time: {written:.3f} s")
     return 0
 
 

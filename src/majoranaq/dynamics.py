@@ -24,6 +24,8 @@ that rate against exact evolution in Fock space, with nothing fitted.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -138,8 +140,10 @@ def flow(
     0.  Before a non-finite state is raised, the margins of the states
     before it are evaluated, so the earliest failing step wins, as if each
     state and margin were checked right after its step.  Overflow and
-    invalid-value warnings of the stages and margin solves are silenced:
-    every non-finite result they flag becomes that error.  States, margins
+    invalid-value warnings of the rate's compilation, the stages and the
+    margin solves are silenced: every non-finite result they flag becomes
+    that error.  A horizon ``dt * steps`` that is not finite raises
+    :class:`ValueError`, so every recorded time is finite.  States, margins
     and times are bit-identical to a step-by-step loop through
     :func:`majoranaq.kernel.drift` and :func:`majoranaq.tensors.domain_margin`.
     """
@@ -147,10 +151,12 @@ def flow(
         raise DimensionError(f"spec M={spec.M} != initial point M={x0.M}")
     if dt <= 0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
+    # a count past sys.maxsize cannot be stored: it raises MemoryError below
+    if steps <= sys.maxsize and not math.isfinite(float(dt) * steps):
+        raise ValueError(f"the horizon dt * steps must be finite, got {dt!r} * {steps}")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     M = x0.M
-    rate = _drift_rate(spec.g, spec.t)
     try:
         packed = np.empty((steps + 1, pair_count(M)))
     except ValueError as exc:  # numpy refuses a byte count past the index range
@@ -161,6 +167,7 @@ def flow(
     pending = 0  # first step whose state is not yet settled
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
+        rate = _drift_rate(spec.g, spec.t)
         for step in range(1, steps + 1):
             out = block[step - pending]
             if method == "euler":

@@ -309,23 +309,59 @@ class TestFlowCommand:
         final_margin = abs(float(rows[-1][-1]))
         assert final_margin <= 1e-7
 
-    def test_csv_bytes_match_per_value_formatting(self, tmp_path):
-        # the writer formats each row with one %-format string; the file must
-        # equal the text of per-value f-string formatting of the trajectory
-        cfg = {"M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2]],
-               "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3}
-        path = write_config(tmp_path, cfg)
-        out_csv = tmp_path / "traj.csv"
-        assert main(["flow", "--config", path, "--dt", "1e-2", "--steps", "130",
-                     "--out", str(out_csv)]) == 0
-        spec, _shift = config_to_spec(load_config(path))
-        traj = majoranaq.flow(majoranaq.random_boundary_point(3, 3), spec, 1e-2, 130)
+    @staticmethod
+    def _per_value_csv(traj) -> bytes:
+        """The trajectory CSV text of per-value f-string formatting."""
         lines = [",".join(["time"] + [f"x_{p.alpha}_{p.beta}"
-                                      for p in majoranaq.pair_enumerate(3)] + ["margin"])]
+                                      for p in majoranaq.pair_enumerate(traj.M)] + ["margin"])]
         for t, state, margin in zip(traj.times, traj.packed, traj.margins):
             lines.append(",".join([f"{t:.10g}"] + [f"{v:.16e}" for v in state]
                                   + [f"{margin:.16e}"]))
-        assert out_csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+        return ("\n".join(lines) + "\n").encode()
+
+    # 2000 steps are 8 blocks of 256 rows and a partial ninth
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("cfg,dt,steps", [
+        ({"M": 1, "t_entries": [[1, 2, 0.7]], "seed": 5}, 1e-3, 2000),
+        ({"M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2]], "g_entries": [[1, 2, 3, 4, 0.05]],
+          "seed": 3}, 1e-2, 130),
+        ({"M": 4, "preset": {"name": "hubbard", "sites": 2, "hop": 1.0, "onsite": 4.0},
+          "seed": 2}, 1e-3, 2000),
+        ({"M": 16, "preset": {"name": "hubbard", "sites": 8, "hop": 1.0, "onsite": 4.0},
+          "seed": 1}, 1e-3, 300),
+    ], ids=["m1", "m3", "m4", "m16"])
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path, cfg, dt, steps, method):
+        # the writer lays out each block of rows at once; the file must equal
+        # the text of per-value f-string formatting of the trajectory
+        path = write_config(tmp_path, cfg)
+        out_csv = tmp_path / "traj.csv"
+        assert main(["flow", "--config", path, "--dt", repr(dt), "--steps", str(steps),
+                     "--method", method, "--out", str(out_csv)]) == 0
+        spec, _shift = config_to_spec(load_config(path))
+        traj = majoranaq.flow(majoranaq.random_boundary_point(cfg["M"], cfg["seed"]), spec,
+                              dt, steps, method=method)
+        assert out_csv.read_bytes() == self._per_value_csv(traj)
+
+    def test_csv_carries_edge_values_unchanged(self, tmp_path):
+        # a model without couplings keeps its initial point: zeros, -0.0, a
+        # subnormal, the smallest normal, and both edges of the writer's
+        # exact range [1e-15, 1e17) reach the CSV as %.16e writes them
+        edges = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-15, np.nextafter(1e-15, 0),
+                 -1e-15, 9.999999999999998e16, 1e17, -1e17, 1e-300, 0.5, -1.0, 123.456,
+                 np.nextafter(1e-14, 0)]
+        cfg = write_config(tmp_path, {"M": 3, "seed": 0})
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text(json.dumps({"M": 3, "packed": [float(v) for v in edges]}))
+        out_csv = tmp_path / "traj.csv"
+        assert main(["flow", "--config", cfg, "--x0", "file", "--x0-file", str(x0_path),
+                     "--dt", "1e-2", "--steps", "300", "--out", str(out_csv)]) == 0
+        spec, _shift = config_to_spec(load_config(cfg))
+        traj = majoranaq.flow(majoranaq.PhasePoint(3, np.array(edges)), spec, 1e-2, 300)
+        text = out_csv.read_bytes()
+        assert text == self._per_value_csv(traj)
+        first = text.split(b"\n")[1].split(b",")[1:-1]
+        assert first == [b"%.16e" % v for v in edges]
+        assert first[1] == b"-0.0000000000000000e+00" and first[2] == b"4.9406564584124654e-324"
 
     def test_flow_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 3, 0.4]],
@@ -342,7 +378,8 @@ class TestFlowCommand:
             assert lines[2] == f"max |margin|: {abs(margins[worst]):.3e} at step {worst}"
             assert lines[3] == f"drift evaluations: {evaluations}"
             assert re.fullmatch(r"integration wall time: \d+\.\d{3} s", lines[4])
-            assert len(lines) == 5
+            assert re.fullmatch(r"csv write wall time: \d+\.\d{3} s", lines[5])
+            assert len(lines) == 6
 
     def test_file_sourced_initial_point(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 1.0]], "seed": 0})
@@ -396,6 +433,32 @@ class TestFlowCommand:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not out_csv.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_horizon_exit_2(self, tmp_path, capsys):
+        # on a stationary model every step succeeds, so only the horizon
+        # check keeps inf out of the time column
+        cfg = write_config(tmp_path, {"M": 1, "seed": 0})
+        out_csv = tmp_path / "t.csv"
+        code = main(["flow", "--config", cfg, "--dt", "1e308", "--steps", "3",
+                     "--out", str(out_csv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--dt" in err and "Traceback" not in err
+        assert not out_csv.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_coupling_exit_3_without_warning(self, tmp_path, capsys):
+        # the rate compiled from these couplings overflows; its overflow is
+        # a divergence at step 1, not a numpy warning
+        hub = str(tmp_path / "hub.json")
+        assert main(["preset", "hubbard", "--sites", "2", "--hop", "1e308",
+                     "--onsite", "1.7e308", "--out", hub]) == 0
+        capsys.readouterr()
+        code = main(["flow", "--config", hub, "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged" in err and "Traceback" not in err
 
     def test_m_cap_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"M": 17, "seed": 0})
@@ -779,6 +842,20 @@ class TestImportLayering:
                                          "--out", "t.csv"), tmp_path)
         assert "majoranaq.dynamics" in loaded
         assert not {"majoranaq.fock", "majoranaq.suites", "majoranaq.kernel"} & set(loaded)
+
+    def test_only_flow_loads_the_csv_writer(self, tmp_path):
+        hub = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
+                                                         "hop": 1.0, "onsite": 4.0}})
+        m3 = write_config(tmp_path, {"M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2]],
+                                     "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3},
+                          name="m3.json")
+        for argv in (("preset", "hubbard", "--sites", "2", "--hop", "1", "--onsite", "4",
+                      "--out", "hub.json"),
+                     ("verify", "--config", m3, "--suite", "all")):
+            assert "majoranaq._csvrows" not in _modules_after(_cli_run(*argv), tmp_path)
+        flow = _modules_after(_cli_run("flow", "--config", hub, "--steps", "3", "--out", "t.csv"),
+                              tmp_path)
+        assert "majoranaq._csvrows" in flow
 
     def test_import_time_lists_every_loaded_submodule(self, tmp_path):
         # `from . import name` reaches a submodule through the package's

@@ -312,6 +312,7 @@ class TestFlow:
         assert err.value.step == margin_step
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_arguments(self):
         spec = random_spec(2, 9)
         x0 = random_boundary_point(2, 9)
@@ -319,6 +320,10 @@ class TestFlow:
             flow(x0, spec, dt=-0.1, steps=10)
         with pytest.raises(ValueError):
             flow(x0, spec, dt=0.1, steps=10, method="leapfrog")
+        # a horizon past the float range would record inf times
+        for dt in (1e308, np.float64(1e308), np.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                flow(x0, spec, dt=dt, steps=3)
 
 
 def spectrum(x, g, tol=1e-10):

@@ -77,13 +77,9 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
     from .config import _read_json, _require_int
     from .tensors import PhasePoint, random_boundary_point
 
-    if args.x0 == "boundary-seed":
-        if args.x0_file:
-            raise ConfigError("requires --x0 file", field="--x0-file")
+    if args.x0_file is None:
         seed = args.seed if args.seed is not None else cfg.seed
         return random_boundary_point(cfg.M, seed)
-    if not args.x0_file:
-        raise ConfigError("--x0 file requires --x0-file PATH")
     data = _read_json(args.x0_file, field="--x0-file")
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object", field="--x0-file")
@@ -165,7 +161,7 @@ def cmd_preset(args) -> int:
             "sites": args.sites,
             "hop": args.hop,
             "onsite": args.onsite,
-            "geometry": args.geometry,
+            "geometry": "chain",
         },
         "seed": args.seed if args.seed is not None else 0,
     }
@@ -208,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Majorana phase-space dynamics: verification and flow runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each option has one spelling: no prefix of it is read as the option,
+    # so a retired option such as ``flow --x0`` is an error, not --x0-file
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     p_verify.add_argument("--config", required=True, help="model config JSON")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--seed", type=_seed, default=None,
@@ -222,12 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_flow = sub.add_parser("flow", help="integrate the drift flow, write CSV")
+    p_flow = sub.add_parser("flow", help="integrate the drift flow, write CSV", allow_abbrev=False)
     p_flow.add_argument("--config", required=True)
-    p_flow.add_argument("--x0", choices=("boundary-seed", "file"),
-                        default="boundary-seed")
     p_flow.add_argument("--x0-file", default=None,
-                        help="JSON {'M': ..., 'packed': [...]} when --x0 file")
+                        help="start from JSON {'M': ..., 'packed': [...]}, not from the "
+                             "seeded boundary point")
     p_flow.add_argument("--dt", type=float, default=1e-3)
     p_flow.add_argument("--steps", type=int, default=1000)
     p_flow.add_argument("--method", choices=("euler", "rk4"), default="rk4")
@@ -235,12 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--out", required=True, help="trajectory CSV path")
     p_flow.set_defaults(func=cmd_flow)
 
-    p_preset = sub.add_parser("preset", help="write a model-preset config")
+    p_preset = sub.add_parser("preset", help="write a model-preset config", allow_abbrev=False)
     p_preset.add_argument("name", choices=("hubbard",))
     p_preset.add_argument("--sites", type=int, required=True)
     p_preset.add_argument("--hop", type=_finite_float, default=0.0)
     p_preset.add_argument("--onsite", type=_finite_float, default=0.0)
-    p_preset.add_argument("--geometry", choices=("chain",), default="chain")
     p_preset.add_argument("--seed", type=_seed, default=None)
     p_preset.add_argument("--out", required=True)
     p_preset.set_defaults(func=cmd_preset)

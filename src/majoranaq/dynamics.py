@@ -165,18 +165,22 @@ def flow(
     block = np.empty((min(steps + 1, _MARGIN_BLOCK), 2 * M, 2 * M))
     X = block[0] = x0.matrix()
     pending = 0  # first step whose state is not yet settled
-    half, sixth = 0.5 * dt, dt / 6.0
+    # the step factors as read-only full matrices, built once: a Python float
+    # is converted on every product, and each product is the same bit for bit
+    half, full, sixth = factors = [np.full(X.shape, f, float) for f in (0.5 * dt, dt, dt / 6.0)]
+    for factor in factors:
+        factor.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):
         rate = _drift_rate(spec.g, spec.t)
         for step in range(1, steps + 1):
             out = block[step - pending]
             if method == "euler":
-                np.add(X, dt * rate(X), out=out)
+                np.add(X, full * rate(X), out=out)
             else:
                 k1 = rate(X)
                 k2 = rate(X + half * k1)
                 k3 = rate(X + half * k2)
-                k4 = rate(X + dt * k3)
+                k4 = rate(X + full * k3)
                 np.add(X, sixth * (k1 + (k2 + k2) + (k3 + k3) + k4), out=out)
             X = out
             if step + 1 - pending == _MARGIN_BLOCK:

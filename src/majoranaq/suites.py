@@ -1,7 +1,8 @@
 """Seeded verification sweeps with pass/fail records.
 
-Each runner executes one structural claim over a reproducible ensemble and
-returns a :class:`CheckResult`; :func:`_verify_checks` checks the
+Each runner executes one structural claim over a reproducible ensemble at
+one mode count M and returns a :class:`CheckResult`; its default ensemble
+size is the one ``verify`` runs.  :func:`_verify_checks` checks the
 mode-count caps of each ``verify --suite`` and runs its runners, and the
 CLI assembles their results into a :class:`VerificationReport`.  Every
 runner here is one that ``verify`` reaches; the sweeps that only the
@@ -257,23 +258,23 @@ class _Sweep:
 
 
 def run_quadratic_identities(
-    Ms=(1, 2), seed: int = 0, n_points: int = 20, tolerances: dict = TOLERANCES,
+    M: int, seed: int = 0, n_points: int = 10, tolerances: dict = TOLERANCES,
 ) -> CheckResult:
+    """Quadratic identities at M modes; point i is drawn from seed ``seed + 100 M + i``."""
     from . import fock
 
-    per_m = max(1, n_points // len(Ms))
     with _Sweep("quadratic-identities", tolerances["quadratic-identities"], seed) as sweep:
-        for M in Ms:
-            for i in range(per_m):
-                x = random_interior_point(M, seed + 100 * M + i, scale=_ORACLE_SCALE)
-                res = fock.verify_quadratic_identities(x)
-                sweep.add(list(res.values()), _instance(i, seed, x))
+        for i in range(n_points):
+            x = random_interior_point(M, seed + 100 * M + i, scale=_ORACLE_SCALE)
+            res = fock.verify_quadratic_identities(x)
+            sweep.add(list(res.values()), _instance(i, seed, x))
     return sweep.result()
 
 
 def run_four_gamma(
-    M: int = 2, seed: int = 0, n_points: int = 5, tolerances: dict = TOLERANCES,
+    M: int, seed: int = 0, n_points: int = 3, tolerances: dict = TOLERANCES,
 ) -> CheckResult:
+    """Four-gamma identities at M >= 2 modes; point i is drawn from seed ``seed + i``."""
     from . import fock
 
     with _Sweep("four-gamma", tolerances["four-gamma"], seed) as sweep:
@@ -288,7 +289,6 @@ def run_fpe_sweep(
     spec: HamiltonianSpec,
     seed: int,
     n_instances: int = 20,
-    label: str = "fpe",
     drift_form: str = "eq36",
     tolerances: dict = TOLERANCES,
 ) -> CheckResult:
@@ -296,7 +296,7 @@ def run_fpe_sweep(
     from . import fock
 
     checks = []
-    with _Sweep(label, tolerances["fpe"], seed) as sweep:
+    with _Sweep("fpe", tolerances["fpe"], seed) as sweep:
         for i in range(n_instances):
             rho, x = fpe_instance(spec.M, seed, i)
             checks.append(fock.verify_fpe(rho, spec, x, drift_form=drift_form))
@@ -399,7 +399,11 @@ def run_traceless_and_channels(
         with traceless:
             D = kernel.diffusion(x, gi)
             diags[lo:hi] = np.abs(np.diagonal(D, axis1=-2, axis2=-1)).max(axis=-1)
-            eigs[lo:hi] = np.linalg.eigvalsh(D)
+            try:
+                eigs[lo:hi] = np.linalg.eigvalsh(D)
+            except np.linalg.LinAlgError as exc:  # an overflowed D: a numerical error
+                raise FloatingPointError(f"{traceless.name}: eigensolve of D failed "
+                                         f"at instances {lo}-{hi - 1}: {exc}") from None
         with channels:
             decomp = kernel.diffusion_channels(x, gi)
             size = np.abs(D).max(axis=(-2, -1))
@@ -433,12 +437,12 @@ def run_traceless_and_channels(
 
 
 def run_tangency(
-    Ms=(2, 3), seed: int = 0, n_points: int = 50, tolerances: dict = TOLERANCES,
+    M: int, seed: int = 0, n_points: int = 25, tolerances: dict = TOLERANCES,
     spec: HamiltonianSpec | None = None,
 ) -> CheckResult:
-    """Boundary tangency of the drift; couplings random unless a model is given.
+    """Boundary tangency of the drift at M modes; couplings random unless a model is given.
 
-    The boundary points of each M are drawn as one stack by
+    The boundary points are drawn as one stack by
     :func:`majoranaq.tensors.random_points`, point i from seed
     ``seed + 500 M + i``.  ``info["worst"]`` records the point with the
     largest residual as its index, seed, M and packed x; with the coupling
@@ -446,60 +450,55 @@ def run_tangency(
     ``_random_quartic`` drawn from ``default_rng(seed + 500 M + index)``) it
     re-runs that instance.
     """
-    ms = (spec.M,) if spec is not None else Ms
-    per_m = max(1, n_points // len(ms))
+    seeds = range(seed + 500 * M, seed + 500 * M + n_points)
     with _Sweep("tangency", tolerances["tangency"], seed) as sweep:
-        for M in ms:
-            seeds = range(seed + 500 * M, seed + 500 * M + per_m)
-            points = random_points(M, seeds, True)
-            for i, point_seed in enumerate(seeds):
-                if spec is not None:
-                    t, g = spec.t, spec.g
-                else:
-                    rng = np.random.default_rng(point_seed)
-                    t = _random_coupling_matrix(M, rng)
-                    g = _random_quartic(M, rng)
-                x = PhasePoint(M, points.packed[i])
-                sweep.add(np.abs(kernel.tangency_residual(x, t, g)), _instance(i, seed, x))
+        points = random_points(M, seeds, True)
+        for i, point_seed in enumerate(seeds):
+            if spec is not None:
+                t, g = spec.t, spec.g
+            else:
+                rng = np.random.default_rng(point_seed)
+                t = _random_coupling_matrix(M, rng)
+                g = _random_quartic(M, rng)
+            x = PhasePoint(M, points.packed[i])
+            sweep.add(np.abs(kernel.tangency_residual(x, t, g)), _instance(i, seed, x))
     return sweep.result()
 
 
+# step and step count of the flow-boundary-margin run: unit time
+_MARGIN_DT = 1e-3
+_MARGIN_STEPS = 1000
+
+
 def run_flow_margin(
-    Ms=(2, 3), seed: int = 0, dt: float = 1e-3, steps: int = 1000,
-    tolerances: dict = TOLERANCES, spec: HamiltonianSpec | None = None,
+    M: int, seed: int = 0, tolerances: dict = TOLERANCES, spec: HamiltonianSpec | None = None,
 ) -> CheckResult:
-    """Margin growth of a boundary-started trajectory over the full horizon.
+    """Margin growth of a boundary-started trajectory of M modes over unit time.
 
-    No retraction is applied, so this measures the tangency of the drift at
-    integrator order.  The random ensemble uses order-1/4 coupling rates: the
-    margin bound is a statement about the integrator error of order-one
-    dynamics over unit time, not about arbitrarily stiff models.
+    The flow starts at ``random_boundary_point(M, seed + M)`` and takes
+    ``_MARGIN_STEPS`` RK4 steps of ``_MARGIN_DT``.  No retraction is applied,
+    so this measures the tangency of the drift at integrator order.  The
+    random ensemble uses order-1/4 coupling rates: the margin bound is a
+    statement about the integrator error of order-one dynamics over unit
+    time, not about arbitrarily stiff models.
 
-    ``info["worst"]`` records the run with the largest |margin| as its index,
-    seed, M and packed starting point, plus the ``step`` of that margin and
-    the run's ``dt`` and ``steps``.  With the model (the given ``spec``, or
-    the random ensemble drawn from ``default_rng(seed + M)``) it re-runs that
-    flow.
+    ``info["worst"]`` records the run as its index, seed, M and packed
+    starting point, plus the ``step`` of its largest |margin| and the run's
+    ``dt`` and ``steps``.  With the model (the given ``spec``, or the random
+    ensemble drawn from ``default_rng(seed + M)``) it re-runs that flow.
     """
     from .dynamics import flow
 
-    ms = (spec.M,) if spec is not None else Ms
     with _Sweep("flow-boundary-margin", tolerances["flow-boundary-margin"], seed) as sweep:
-        for i, M in enumerate(ms):
+        x0 = random_boundary_point(M, seed + M)
+        if spec is None:
             rng = np.random.default_rng(seed + M)
-            x0 = random_boundary_point(M, seed + M)
-            if spec is not None:
-                model = spec
-            else:
-                model = HamiltonianSpec(
-                    M,
-                    _random_coupling_matrix(M, rng, scale=0.25),
-                    _random_quartic(M, rng, max_quadruples=4, scale=0.25),
-                )
-            margins = np.abs(flow(x0, model, dt, steps, method="rk4").margins)
-            step = int(np.argmax(margins))
-            record = {**_instance(i, seed, x0), "step": step, "dt": dt, "steps": steps}
-            sweep.add(margins[step], record)
+            spec = HamiltonianSpec(M, _random_coupling_matrix(M, rng, scale=0.25),
+                                   _random_quartic(M, rng, max_quadruples=4, scale=0.25))
+        margins = np.abs(flow(x0, spec, _MARGIN_DT, _MARGIN_STEPS, method="rk4").margins)
+        step = int(np.argmax(margins))
+        sweep.add(margins[step], {**_instance(0, seed, x0), "step": step, "dt": _MARGIN_DT,
+                                  "steps": _MARGIN_STEPS})
     return sweep.result()
 
 
@@ -558,6 +557,7 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
     Every cap of the suite is checked first, so an oversized config builds
     no model and runs no check.  Every runner reads each bar it gates from
     one map: the pinned :data:`TOLERANCES` updated by the config's overrides.
+    Each runs at its default size, except fpe: 20 instances at M <= 2, else 5.
     """
     _check_suite_caps(suite, cfg.M)
 
@@ -568,23 +568,20 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
     tolerances = {**TOLERANCES, **cfg.tolerances}
     checks = []
     if suite in ("identities", "all"):
-        checks.append(run_quadratic_identities(Ms=(M,), seed=seed, n_points=10,
-                                               tolerances=tolerances))
+        checks.append(run_quadratic_identities(M, seed, tolerances=tolerances))
         if 2 * M >= 4:
-            checks.append(run_four_gamma(M=M, seed=seed, n_points=3, tolerances=tolerances))
+            checks.append(run_four_gamma(M, seed, tolerances=tolerances))
     if suite in ("fpe", "all"):
-        n_inst = 20 if M <= 2 else 5
-        checks.append(run_fpe_sweep(spec, seed, n_instances=n_inst, label="fpe",
+        checks.append(run_fpe_sweep(spec, seed, n_instances=20 if M <= 2 else 5,
                                     drift_form=drift_form, tolerances=tolerances))
     if suite in ("traceless", "all"):
         g = spec.g if spec.g.table else None
-        checks.extend(run_traceless_and_channels(M, seed, cases=100, g=g, tolerances=tolerances))
+        checks.extend(run_traceless_and_channels(M, seed, g=g, tolerances=tolerances))
     if suite in ("tangency", "all"):
         has_model = bool(spec.g.table) or np.any(np.asarray(spec.t.packed) != 0.0)
         model = spec if has_model else None
-        checks.append(run_tangency(Ms=(M,), seed=seed, n_points=25, tolerances=tolerances,
-                                   spec=model))
-        checks.append(run_flow_margin(Ms=(M,), seed=seed, tolerances=tolerances, spec=model))
+        checks.append(run_tangency(M, seed, tolerances=tolerances, spec=model))
+        checks.append(run_flow_margin(M, seed, tolerances=tolerances, spec=model))
     if suite == "moment-m1" or (suite == "all" and M == 1):
         checks.append(run_moment_m1(seed=seed, tolerances=tolerances))
     return checks

@@ -11,7 +11,6 @@ and tolerances, and is intentionally the slowest part of the test suite
 import numpy as np
 import pytest
 
-from majoranaq import suites
 from majoranaq.suites import (
     TOLERANCES,
     run_flow_margin,
@@ -61,20 +60,16 @@ def test_criterion_02_gaussian_basis():
 
 
 def test_criterion_03_differential_identities():
-    quad = run_quadratic_identities(Ms=(1, 2), seed=SEED, n_points=20)
-    four = run_four_gamma(M=2, seed=SEED, n_points=5)
-    report("criterion 03", [quad, four])
-    assert quad.passed and quad.max_residual <= 1e-10
-    assert four.passed and four.max_residual <= 1e-10
+    quad = [run_quadratic_identities(M, seed=SEED, n_points=10) for M in (1, 2)]
+    four = run_four_gamma(2, seed=SEED, n_points=5)
+    report("criterion 03", [*quad, four])
+    assert all(c.passed and c.max_residual <= 1e-10 for c in [*quad, four])
 
 
 def test_criterion_04_fpe_equivalence():
     checks = []
     for label, spec, n_instances in acceptance_fpe_cases(SEED):
-        checks.append(
-            run_fpe_sweep(spec, SEED, n_instances=n_instances, label=label)
-        )
-    report("criterion 04", checks)
+        checks += report(f"criterion 04 ({label})", run_fpe_sweep(spec, SEED, n_instances))
     assert all(c.passed for c in checks)
     assert max(c.max_residual for c in checks) <= 1e-10
 
@@ -84,13 +79,8 @@ def test_criterion_04_arbitration_alternative_drift():
     cases = acceptance_fpe_cases(SEED)
     recorded = []
     for label, spec, _ in (cases[1], cases[4]):
-        chk = run_fpe_sweep(
-            spec, SEED, n_instances=5, label=f"{label}-alt-drift",
-            drift_form="eq50",
-        )
-        recorded.append(chk)
-    rep = suites.VerificationReport("fpe-drift-arbitration", tuple(recorded), SEED)
-    print(rep.text())
+        chk = run_fpe_sweep(spec, SEED, n_instances=5, drift_form="eq50")
+        recorded += report(f"criterion 04 arbitration ({label}, eq50)", chk)
     assert all(np.isfinite(c.max_residual) for c in recorded)
     assert all(c.informational for c in recorded)
     # the defining decomposition wins the arbitration on every sampled model
@@ -125,11 +115,11 @@ def test_criterion_07_divergence_identities():
 
 
 def test_criterion_08_tangency_and_flow_margin():
-    tang = run_tangency(Ms=(2, 3), seed=SEED, n_points=50)
-    margin = run_flow_margin(Ms=(2, 3), seed=SEED, dt=1e-3, steps=1000)
-    report("criterion 08", [tang, margin])
-    assert tang.passed and tang.max_residual <= 1e-9
-    assert margin.passed and margin.max_residual <= 1e-7
+    tang = [run_tangency(M, seed=SEED, n_points=25) for M in (2, 3)]
+    margin = [run_flow_margin(M, seed=SEED) for M in (2, 3)]
+    report("criterion 08", [*tang, *margin])
+    assert all(c.passed and c.max_residual <= 1e-9 for c in tang)
+    assert all(c.passed and c.max_residual <= 1e-7 for c in margin)
 
 
 def test_criterion_09_moment_identity():

@@ -98,6 +98,41 @@ class TestVerifyCommand:
         assert fpe["max_residual"] == fpe["info"]["conservative_residual"] > 1e-6
         assert "FAIL" in capsys.readouterr().out
 
+    # (check name, instances) of each verify run, in report order
+    _ALL_M1 = [("quadratic-identities", 10), ("fpe", 20), ("traceless-m1", 100),
+               ("channels-m1", 100), ("tangency", 25), ("flow-boundary-margin", 1)]
+    _ALL_M2 = _ALL_M1[:1] + [("four-gamma", 3), ("fpe", 20), ("traceless-m2", 100),
+                             ("channels-m2", 100)] + _ALL_M1[4:]
+    _ALL_M3 = [(name.replace("m2", "m3"), 5 if name == "fpe" else n) for name, n in _ALL_M2]
+
+    @pytest.mark.parametrize("M, suite, expected", [
+        (1, "all", _ALL_M1 + [("moment-m1", 5)]),
+        (2, "all", _ALL_M2),
+        (3, "all", _ALL_M3),
+        (4, "traceless", [("traceless-m4", 100), ("channels-m4", 100)]),
+        (4, "tangency", [("tangency", 25), ("flow-boundary-margin", 1)]),
+        (4, "fpe", [("fpe", 5)]),
+    ], ids=["m1-all", "m2-all", "m3-all", "m4-traceless", "m4-tangency", "m4-fpe"])
+    def test_each_check_runs_its_pinned_instances(self, tmp_path, M, suite, expected):
+        # the runners' default ensemble sizes are the ones verify runs
+        cfg = write_config(tmp_path, {"M": M, "t_entries": [[1, 2, 0.3]], "seed": 2})
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--suite", suite,
+                     "--out", str(report_path)]) == 0
+        checks = json.loads(report_path.read_text())["checks"]
+        assert [(c["name"], c["instances"]) for c in checks] == expected
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("M, suite", [(3, "traceless"), (3, "all"), (4, "traceless")])
+    def test_failed_diffusion_eigensolve_exit_3(self, tmp_path, capsys, M, suite):
+        # an overflowing coupling makes D non-finite, so its eigensolve fails:
+        # a numerical error, reported on one line
+        cfg = write_config(tmp_path, {"M": M, "g_entries": [[1, 2, 3, 4, 1e308]]})
+        assert main(["verify", "--config", cfg, "--suite", suite]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"traceless-m{M}: eigensolve of D failed" in err
+        assert "Traceback" not in err
+
     def test_overall_fail_exit_code(self, tmp_path, capsys):
         # impossible tolerance forces a verification failure
         cfg = write_config(tmp_path, {
@@ -353,7 +388,7 @@ class TestFlowCommand:
         x0_path = tmp_path / "x0.json"
         x0_path.write_text(json.dumps({"M": 3, "packed": [float(v) for v in edges]}))
         out_csv = tmp_path / "traj.csv"
-        assert main(["flow", "--config", cfg, "--x0", "file", "--x0-file", str(x0_path),
+        assert main(["flow", "--config", cfg, "--x0-file", str(x0_path),
                      "--dt", "1e-2", "--steps", "300", "--out", str(out_csv)]) == 0
         spec, _shift = config_to_spec(load_config(cfg))
         traj = majoranaq.flow(majoranaq.PhasePoint(3, np.array(edges)), spec, 1e-2, 300)
@@ -386,9 +421,8 @@ class TestFlowCommand:
         x0_path = tmp_path / "x0.json"
         x0_path.write_text(json.dumps({"M": 1, "packed": [0.5]}))
         out_csv = tmp_path / "traj.csv"
-        code = main(["flow", "--config", cfg, "--x0", "file",
-                     "--x0-file", str(x0_path), "--steps", "3", "--dt", "0.1",
-                     "--out", str(out_csv)])
+        code = main(["flow", "--config", cfg, "--x0-file", str(x0_path), "--steps", "3",
+                     "--dt", "0.1", "--out", str(out_csv)])
         assert code == 0
         with open(out_csv, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -412,8 +446,8 @@ class TestFlowCommand:
         x0 = 1e160 * np.asarray(majoranaq.random_boundary_point(3, 7).packed)
         x0_path = tmp_path / "x0.json"
         x0_path.write_text(json.dumps({"M": 3, "packed": x0.tolist()}))
-        code = main(["flow", "--config", cfg, "--x0", "file",
-                     "--x0-file", str(x0_path), "--out", str(tmp_path / "t.csv")])
+        code = main(["flow", "--config", cfg, "--x0-file", str(x0_path),
+                     "--out", str(tmp_path / "t.csv")])
         assert code == 3
         err = capsys.readouterr().err
         assert "step 0" in err and "Traceback" not in err
@@ -487,8 +521,8 @@ class TestFlowCommand:
         cfg = write_config(tmp_path, {"M": 2, "seed": 0})
         x0_path = tmp_path / "x0.json"
         x0_path.write_text(json.dumps({"M": 1, "packed": [0.5]}))
-        code = main(["flow", "--config", cfg, "--x0", "file",
-                     "--x0-file", str(x0_path), "--out", str(tmp_path / "t.csv")])
+        code = main(["flow", "--config", cfg, "--x0-file", str(x0_path),
+                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
     @pytest.mark.parametrize("text", [
@@ -506,25 +540,37 @@ class TestFlowCommand:
         x0_path = tmp_path / "x0.json"
         x0_path.write_bytes(text if isinstance(text, bytes) else text.encode())
         out_csv = tmp_path / "t.csv"
-        code = main(["flow", "--config", cfg, "--x0", "file",
-                     "--x0-file", str(x0_path), "--out", str(out_csv)])
+        code = main(["flow", "--config", cfg, "--x0-file", str(x0_path), "--out", str(out_csv)])
         assert code == 2
         err = capsys.readouterr().err
         assert "--x0-file" in err and "Traceback" not in err
         assert not out_csv.exists()
 
 
-    @pytest.mark.parametrize("mode", [[], ["--x0", "boundary-seed"]], ids=["default", "explicit"])
-    def test_x0_file_without_file_mode_exit_2(self, tmp_path, capsys, mode):
-        # the file would otherwise be dropped for the seeded boundary point
+    def test_x0_file_alone_selects_the_start(self, tmp_path):
+        # row 0 is the file's point, not the seeded boundary point
+        cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 2, 0.5]], "seed": 0})
+        x0 = [0.1, -0.2, 0.3, 0.05, 0.0, 0.25]
+        x0_path = tmp_path / "x0.json"
+        x0_path.write_text(json.dumps({"M": 2, "packed": x0}))
+        out_csv = tmp_path / "t.csv"
+        assert main(["flow", "--config", cfg, "--x0-file", str(x0_path), "--steps", "2",
+                     "--out", str(out_csv)]) == 0
+        with open(out_csv, newline="") as fh:
+            first = [float(v) for v in list(csv.reader(fh))[1][1:-1]]
+        assert first == x0
+        assert first != majoranaq.random_boundary_point(2, 0).packed.tolist()
+
+    @pytest.mark.parametrize("mode", ["file", "boundary-seed"])
+    def test_x0_option_is_gone_exit_2(self, tmp_path, capsys, mode):
+        # --x0 is neither an option nor read as a prefix of --x0-file
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
         x0_path = tmp_path / "x0.json"
         x0_path.write_text(json.dumps({"M": 1, "packed": [0.5]}))
         out_csv = tmp_path / "t.csv"
-        assert main(["flow", "--config", cfg, *mode, "--x0-file", str(x0_path),
-                     "--steps", "2", "--out", str(out_csv)]) == 2
-        err = capsys.readouterr().err
-        assert "--x0-file: requires --x0 file" in err and "Traceback" not in err
+        err = _usage_error(["flow", "--config", cfg, "--x0", mode, "--x0-file", str(x0_path),
+                            "--steps", "2", "--out", str(out_csv)], capsys)
+        assert "unrecognized arguments: --x0" in err and "Traceback" not in err
         assert not out_csv.exists()
 
 
@@ -537,9 +583,16 @@ class TestPresetCommand:
         printed = capsys.readouterr().out
         assert "identity shift" in printed and "+2" in printed
         data = json.loads(out.read_text())
-        assert data["M"] == 4
+        assert data["M"] == 4 and data["preset"]["geometry"] == "chain"
         # the generated config is immediately usable
         assert main(["verify", "--config", str(out), "--suite", "tangency"]) == 0
+
+    def test_geometry_option_is_gone_exit_2(self, tmp_path, capsys):
+        # a chain is the only geometry, and the config still records it
+        out = tmp_path / "hub.json"
+        err = _usage_error(["preset", "hubbard", "--sites", "2", "--geometry", "chain",
+                            "--out", str(out)], capsys)
+        assert "unrecognized arguments: --geometry" in err and not out.exists()
 
     @pytest.mark.parametrize("sites,code", [(8, 0), (9, 2)])
     def test_sites_are_capped_by_the_flow_cap(self, tmp_path, capsys, sites, code):
@@ -682,8 +735,8 @@ class TestInputValidation:
         argv = {
             "verify": ["verify", "--config", paths["--config"], "--suite", "tangency",
                        "--out", paths["--out"]],
-            "flow": ["flow", "--config", cfg, "--steps", "2", "--x0", "file",
-                     "--x0-file", paths["--x0-file"], "--out", paths["--out"]],
+            "flow": ["flow", "--config", cfg, "--steps", "2", "--x0-file", paths["--x0-file"],
+                     "--out", paths["--out"]],
             "preset": ["preset", "hubbard", "--sites", "1", "--out", paths["--out"]],
         }[command]
         assert main(argv) == 2
@@ -723,8 +776,8 @@ class TestInputValidation:
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
         argv = {
             "verify": ["verify", "--config", str(path), "--suite", "tangency"],
-            "flow": ["flow", "--config", cfg, "--steps", "2", "--x0", "file",
-                     "--x0-file", str(x0_path), "--out", str(tmp_path / "t.csv")],
+            "flow": ["flow", "--config", cfg, "--steps", "2", "--x0-file", str(x0_path),
+                     "--out", str(tmp_path / "t.csv")],
         }[command]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -750,8 +803,8 @@ class TestInputValidation:
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
         x0_path = tmp_path / "x0.json"
         x0_path.write_text(json.dumps({"M": 1, "packed": [10 ** 400]}))
-        assert main(["flow", "--config", cfg, "--steps", "2", "--x0", "file",
-                     "--x0-file", str(x0_path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert main(["flow", "--config", cfg, "--steps", "2", "--x0-file", str(x0_path),
+                     "--out", str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err
         assert '--x0-file: "packed" must be a list of numbers' in err and "Traceback" not in err
 
@@ -760,8 +813,7 @@ class TestInputValidation:
         x0_path = tmp_path / "x0.json"
         x0_path.write_text(json.dumps({"M": True, "packed": [0.5]}))
         out_csv = tmp_path / "t.csv"
-        code = main(["flow", "--config", cfg, "--x0", "file",
-                     "--x0-file", str(x0_path), "--out", str(out_csv)])
+        code = main(["flow", "--config", cfg, "--x0-file", str(x0_path), "--out", str(out_csv)])
         assert code == 2
         err = capsys.readouterr().err
         assert '--x0-file "M"' in err and "True" in err

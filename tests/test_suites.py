@@ -370,9 +370,9 @@ def test_worst_fpe_instance_reproduces_its_residual():
 
 
 @pytest.mark.parametrize("runner, verify", [
-    (lambda: suites.run_quadratic_identities(Ms=(2, 3), seed=5, n_points=6),
+    (lambda: suites.run_quadratic_identities(3, seed=5, n_points=3),
      lambda x: max(fock.verify_quadratic_identities(x).values())),
-    (lambda: suites.run_four_gamma(M=3, seed=5, n_points=4),
+    (lambda: suites.run_four_gamma(3, seed=5, n_points=4),
      lambda x: max(max(pair) for pair in fock.verify_four_gamma(x).values())),
 ], ids=["quadratic-identities", "four-gamma"])
 def test_worst_identity_instance_reproduces_its_residual(runner, verify):
@@ -402,17 +402,16 @@ def test_worst_kernel_sweep_instance_reproduces_its_residual(fixed):
 
 @pytest.mark.parametrize("given", [False, True], ids=["random-model", "given-model"])
 def test_worst_flow_margin_instance_reproduces_its_residual(given):
-    seed, dt, steps = 918273, 1e-2, 60
+    seed, M = 918273, 3
     spec = None
     if given:
         rng = np.random.default_rng(3)
-        spec = HamiltonianSpec(3, suites._random_coupling_matrix(3, rng),
-                               suites._random_quartic(3, rng, max_quadruples=2))
-    check = suites.run_flow_margin(Ms=(2, 3), seed=seed, dt=dt, steps=steps, spec=spec)
+        spec = HamiltonianSpec(M, suites._random_coupling_matrix(M, rng),
+                               suites._random_quartic(M, rng, max_quadruples=2))
+    check = suites.run_flow_margin(M, seed=seed, spec=spec)
     worst, x0 = _recorded_point(check)
-    assert (worst["seed"], worst["dt"], worst["steps"]) == (seed, dt, steps)
-    assert 0 <= worst["index"] < check.instances
-    M = worst["M"]
+    assert (worst["seed"], worst["M"], worst["dt"], worst["steps"]) == (seed, M, 1e-3, 1000)
+    assert worst["index"] == 0 and check.instances == 1
     if spec is None:
         rng = np.random.default_rng(seed + M)
         spec = HamiltonianSpec(
@@ -505,10 +504,10 @@ _G3 = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.3)])
 # (owner, name of the call, the call whose result gets the NaN, how, the
 # runner, its check, where the check reports the NaN).  Each NaN lands at an
 # instance or stack block after the first, where a running maximum with
-# Python's max would drop it.
+# Python's max would drop it, wherever the check has more than one.
 NAN_CASES = {
     "tangency": (kernel, "tangency_residual", 3, _nan,
-                 lambda: suites.run_tangency(Ms=(2, 3), seed=5, n_points=8),
+                 lambda: suites.run_tangency(2, seed=5, n_points=4),
                  "tangency", "max_residual"),
     "channel-balance": (kernel.ChannelDecomposition, "traces", 2, lambda fb: (fb[0], _nan(fb[1])),
                         lambda: suites.run_traceless_and_channels(3, seed=4, cases=_BLOCK + 4,
@@ -528,14 +527,15 @@ NAN_CASES = {
             "fpe", "max_residual"),
     "quadratic-identities": (fock, "verify_quadratic_identities", 2,
                              lambda res: {**res, "mixed": np.nan},
-                             lambda: suites.run_quadratic_identities(Ms=(2,), seed=5, n_points=3),
+                             lambda: suites.run_quadratic_identities(2, seed=5, n_points=3),
                              "quadratic-identities", "max_residual"),
     "four-gamma": (fock, "verify_four_gamma", 2,
                    lambda report: {k: (left, np.nan) for k, (left, _) in report.items()},
-                   lambda: suites.run_four_gamma(M=2, seed=5, n_points=3),
+                   lambda: suites.run_four_gamma(2, seed=5, n_points=3),
                    "four-gamma", "max_residual"),
-    "flow-boundary-margin": (dynamics, "flow", 2, lambda traj: traj._replace(margins=_nan(traj.margins)),
-                             lambda: suites.run_flow_margin(Ms=(2, 3), seed=5, steps=20),
+    # one run: its only instance is the first
+    "flow-boundary-margin": (dynamics, "flow", 1, lambda traj: traj._replace(margins=_nan(traj.margins)),
+                             lambda: suites.run_flow_margin(2, seed=5),
                              "flow-boundary-margin", "max_residual"),
     "flow-matrix-equivalence": (dynamics, "flow", 2, lambda traj: traj._replace(packed=_nan(traj.packed)),
                                 lambda: acceptance_runners.run_flow_equivalence(

@@ -21,8 +21,7 @@ from majoranaq import (
 )
 
 print("=== M = 2, single-site Hubbard couplings ===")
-hub = preset_hubbard(sites=1, hop=0.0, onsite=4.0)
-spec = HamiltonianSpec(2, hub.t, hub.g)
+spec, _shift = preset_hubbard(sites=1, hop=0.0, onsite=4.0)
 print(f"{'instance':>8} {'exact dQ/dt':>14} {'kernel rhs':>14} {'residual':>10}")
 for i in range(4):
     rho = random_density_matrix(2, 100 + i)

@@ -71,7 +71,6 @@ _EXPORTS = {
         "gaussian_covariance_comparison",
     ),
     "hubbard": (
-        "HubbardPreset",
         "chain_entries",
         "preset_hubbard",
         "fermi_hubbard_matrix",

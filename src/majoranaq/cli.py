@@ -42,8 +42,9 @@ SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
 
 # mode-count cap of the flow command: x is then 32 x 32, and a coupling that
 # touches all 496 packed pairs compiles a 992 x 496 block (3.9 MB).  The
-# suites' caps, checked in majoranaq.suites, are lower, so this cap also
-# bounds `preset hubbard --sites` at _FLOW_MAX_M // 2.
+# suites' caps, checked in majoranaq.suites, are lower, so the longest
+# Hubbard chain a preset or a config may give, majoranaq.hubbard._MAX_SITES,
+# is _FLOW_MAX_M // 2.
 _FLOW_MAX_M = 16
 
 # trajectory rows formatted per write of the flow CSV: majoranaq._csvrows
@@ -115,7 +116,7 @@ def cmd_flow(args) -> int:
                           f"{args.steps}", field="--dt")
     cfg = load_config(args.config)
     _check_cap("flow", cfg.M, _FLOW_MAX_M)
-    spec, _shift = config_to_spec(cfg)
+    spec = config_to_spec(cfg)
     x0 = _load_x0(args, cfg)
     start = time.perf_counter()
     try:
@@ -144,12 +145,11 @@ def cmd_flow(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    from .hubbard import chain_entries
+    from .hubbard import _MAX_SITES, chain_entries
 
-    if args.sites > _FLOW_MAX_M // 2:
+    if args.sites > _MAX_SITES:
         raise ConfigError(
-            f"must be <= {_FLOW_MAX_M // 2}, the largest chain any command runs, "
-            f"got {args.sites}",
+            f"must be <= {_MAX_SITES}, the largest chain any command runs, got {args.sites}",
             field="--sites",
         )
     t, g, shift = chain_entries(args.sites, args.hop, args.onsite)
@@ -167,11 +167,8 @@ def cmd_preset(args) -> int:
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2)
-    # the coupling classes store only nonzero entries; count the same ones
-    n_t = sum(v != 0.0 for v in t.values())
-    n_g = sum(v != 0.0 for v in g.values())
     print(f"config written to {args.out}")
-    print(f"M = {M}, {n_t} quadratic entries, {n_g} quartic entries")
+    print(f"M = {M}, {len(t)} quadratic entries, {len(g)} quartic entries")
     print(f"dropped identity shift: {shift:+.6g}")
     return 0
 

@@ -7,7 +7,7 @@ Schema::
       "t_entries": [[i, j, value], ...],        # 1 <= i < j <= 2M
       "g_entries": [[i, j, k, l, value], ...],  # 1 <= i < j < k < l <= 2M
       "preset": {"name": "hubbard", "sites": 1, "hop": 0.0,
-                 "onsite": 4.0, "geometry": "chain"},
+                 "onsite": 4.0, "geometry": "chain"},  # expanded into entries
       "seed": 42,
       "tolerances": {"fpe": 1e-5, ...}
     }
@@ -16,9 +16,17 @@ Either explicit entries or a preset may be given, not both.  Entries must be
 in canonical (strictly increasing) index order and unique; anything else is a
 user error and is rejected rather than silently antisymmetrized.  Coupling
 values and the preset's ``hop`` and ``onsite`` must be finite numbers, the
-preset's geometry must be ``"chain"``, the seed must be a non-negative
-integer, and tolerance overrides must name a pinned tolerance of
-:data:`TOLERANCES` and be finite and positive.
+preset's geometry must be ``"chain"`` and its chain at most 8 sites long
+(M = 16, the largest model any command runs), the seed must be a
+non-negative integer, and tolerance overrides must name a pinned tolerance
+of :data:`TOLERANCES` and be finite and positive.
+
+A preset is expanded when the config is parsed: :func:`parse_config` stores
+the chain's canonical entries (:func:`majoranaq.hubbard.chain_entries`) in
+``t_entries`` and ``g_entries``, so a :class:`ModelConfig` holds entries
+only, and :func:`config_to_spec` has one path from entries to the model.
+The chain's identity shift has no Majorana representation and is not kept.
+Only a preset loads :mod:`majoranaq.hubbard`.
 
 :data:`TOLERANCES`, the pinned bar of every check that a ``verify --suite``
 gates, is defined here, so that validating a config loads no verification
@@ -61,6 +69,7 @@ TOLERANCES = {
 class ModelConfig(NamedTuple):
     """A validated model configuration.
 
+    A preset is already expanded into ``t_entries`` and ``g_entries``.
     ``tolerances`` maps pinned tolerance names to their overrides; its
     default is an empty read-only map, which no two configs can share as
     mutable state.
@@ -69,7 +78,6 @@ class ModelConfig(NamedTuple):
     M: int
     t_entries: tuple = ()
     g_entries: tuple = ()
-    preset: dict | None = None
     seed: int = 0
     tolerances: dict | MappingProxyType = MappingProxyType({})
 
@@ -194,18 +202,25 @@ def parse_config(data: dict) -> ModelConfig:
                 f"hubbard preset with {sites} sites needs M = {2 * sites}, config has M = {M}",
                 field="preset",
             )
-        for key in ("hop", "onsite"):
-            _require_number(preset.get(key, 0.0), f"preset.{key}")
+        hop = _require_number(preset.get("hop", 0.0), "preset.hop")
+        onsite = _require_number(preset.get("onsite", 0.0), "preset.onsite")
         if preset.get("geometry", "chain") != "chain":
             raise ConfigError(
                 f"unsupported geometry {preset['geometry']!r}; only 'chain' is available",
                 field="preset.geometry",
             )
+        from .hubbard import _MAX_SITES, chain_entries  # only a preset loads the Hubbard module
+
+        # checked before the chain is expanded: its entries grow with the sites
+        if sites > _MAX_SITES:
+            raise ConfigError(f"must be <= {_MAX_SITES}, the largest chain any command runs, "
+                              f"got {sites}", field="preset.sites")
+        t_entries, g_entries, _shift = chain_entries(sites, hop, onsite)
     seed = _require_int(data.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"must be a non-negative integer, got {seed}", field="seed")
     tolerances = _parse_tolerances(data.get("tolerances", {}))
-    return ModelConfig(M, tuple(t_entries), tuple(g_entries), preset, seed, tolerances)
+    return ModelConfig(M, tuple(t_entries), tuple(g_entries), seed, tolerances)
 
 
 def _read_json(path: str, field: str | None = None):
@@ -239,27 +254,16 @@ def emit_config(cfg: ModelConfig) -> dict:
         out["t_entries"] = [[i, j, v] for i, j, v in cfg.t_entries]
     if cfg.g_entries:
         out["g_entries"] = [[i, j, k, l, v] for i, j, k, l, v in cfg.g_entries]
-    if cfg.preset is not None:
-        out["preset"] = dict(cfg.preset)
     if cfg.tolerances:
         out["tolerances"] = dict(cfg.tolerances)
     return out
 
 
-def config_to_spec(cfg: ModelConfig) -> tuple[HamiltonianSpec, float]:
-    """Materialize the Hamiltonian couplings; returns (spec, identity shift)."""
-    if cfg.preset is not None:
-        from .hubbard import preset_hubbard  # only a preset loads the Hubbard module
-
-        preset = preset_hubbard(
-            cfg.preset.get("sites", 1),
-            float(cfg.preset.get("hop", 0.0)),
-            float(cfg.preset.get("onsite", 0.0)),
-        )
-        return HamiltonianSpec(preset.M, preset.t, preset.g), preset.identity_shift
+def config_to_spec(cfg: ModelConfig) -> HamiltonianSpec:
+    """The model of the config's couplings."""
     t = CouplingMatrix.from_entries(cfg.M, cfg.t_entries)
     g = QuarticCoupling.from_entries(cfg.M, cfg.g_entries)
-    return HamiltonianSpec(cfg.M, t, g), 0.0
+    return HamiltonianSpec(cfg.M, t, g)
 
 
 def _check_cap(name: str, M: int, cap: int) -> None:

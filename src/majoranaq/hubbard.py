@@ -11,53 +11,44 @@ maps onto hopping entries t_{m, M+n} = t_{n, M+m} = -J/4 per bond, on-site
 quadratic entries t_{k, M+k} = U/8, one quartic entry U/48 on the sorted
 quadruple of each site's four Majorana labels, and an additive constant
 U S / 4 that has no Majorana representation and is reported, not encoded.
+
+:func:`chain_entries` writes the chain as canonical config entries.  A
+``preset`` in a config is expanded into them when the config is parsed
+(:func:`majoranaq.config.parse_config`), and :func:`preset_hubbard` builds
+its model from them the same way, so a preset and its written-out entries
+give the same model bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import DimensionError
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .tensors import CouplingMatrix, QuarticCoupling
+    from .tensors import HamiltonianSpec
 
 __all__ = [
-    "HubbardPreset",
     "chain_entries",
     "preset_hubbard",
     "fermi_hubbard_matrix",
     "hubbard_comparison",
 ]
 
-
-class HubbardPreset(NamedTuple):
-    """Majorana couplings of a Hubbard chain, plus the dropped identity shift.
-
-    A named tuple, like every plain record of the package (see
-    :mod:`majoranaq`): it generates no code at import, and its fields
-    cannot be assigned.
-    """
-
-    sites: int
-    t: CouplingMatrix
-    g: QuarticCoupling
-    identity_shift: float
-
-    @property
-    def M(self) -> int:
-        return 2 * self.sites
+# the longest chain any command runs: M = 16, the mode-count cap of ``flow``
+_MAX_SITES = 8
 
 
-def chain_entries(sites: int, hop: float, onsite: float) -> tuple[dict, dict, float]:
-    """1-based canonical Majorana entries of the Hubbard chain, and its identity shift.
+def chain_entries(sites: int, hop: float, onsite: float) -> tuple[tuple, tuple, float]:
+    """The Hubbard chain's canonical config entries, and its identity shift.
 
-    Returns ``(t, g, shift)``: ``t`` maps ``(i, j)``, i < j, to the quadratic
-    coupling and ``g`` maps ``(i, j, k, l)``, i < j < k < l, to the quartic
-    one.  Zero values are kept; the coupling classes drop them.  Uses
-    the standard library only, so the ``preset`` command loads no numpy.
+    Returns ``(t_entries, g_entries, shift)``: the 1-based entries
+    ``(i, j, value)``, i < j, and ``(i, j, k, l, value)``, i < j < k < l,
+    sorted and without zero values, as :func:`majoranaq.config.parse_config`
+    stores them.  Uses the standard library only, so the ``preset`` command
+    loads no numpy.
     """
     if sites < 1:
         raise DimensionError(f"need at least one site, got {sites}")
@@ -75,21 +66,20 @@ def chain_entries(sites: int, hop: float, onsite: float) -> tuple[dict, dict, fl
         t[p, M + p] = t[q, M + q] = onsite / 8.0
         g[p, q, M + p, M + q] = onsite / 48.0
         shift += onsite / 4.0
-    return t, g, shift
+    return (tuple(sorted((*key, v) for key, v in t.items() if v != 0.0)),
+            tuple(sorted((*key, v) for key, v in g.items() if v != 0.0)), shift)
 
 
-def preset_hubbard(sites: int, hop: float, onsite: float) -> HubbardPreset:
-    """Couplings (t, g) reproducing the Hubbard chain up to an identity shift."""
-    from .tensors import CouplingMatrix, QuarticCoupling
+def preset_hubbard(sites: int, hop: float, onsite: float) -> tuple[HamiltonianSpec, float]:
+    """The Hubbard chain's model and its dropped identity shift: ``(spec, shift)``.
+
+    The spec is built as a preset config's is, by
+    :func:`majoranaq.config.config_to_spec` from :func:`chain_entries`.
+    """
+    from .config import ModelConfig, config_to_spec
 
     t, g, shift = chain_entries(sites, hop, onsite)
-    M = 2 * sites
-    return HubbardPreset(
-        sites,
-        CouplingMatrix.from_entries(M, [(*key, v) for key, v in t.items()]),
-        QuarticCoupling(M, g),
-        shift,
-    )
+    return config_to_spec(ModelConfig(2 * sites, t, g)), shift
 
 
 def fermi_hubbard_matrix(sites: int, hop: float, onsite: float) -> np.ndarray:
@@ -113,8 +103,8 @@ def fermi_hubbard_matrix(sites: int, hop: float, onsite: float) -> np.ndarray:
     return H
 
 
-def hubbard_comparison(preset: HubbardPreset, hop: float, onsite: float) -> float:
-    """Max residual between the Majorana build and the ladder-operator build.
+def hubbard_comparison(sites: int, hop: float, onsite: float) -> float:
+    """Max residual between the Majorana build and the ladder-operator build of one chain.
 
     The two differ by the reported identity shift; the comparison removes it
     by subtracting the trace part of each matrix.
@@ -122,10 +112,9 @@ def hubbard_comparison(preset: HubbardPreset, hop: float, onsite: float) -> floa
     import numpy as np
 
     from .fock import build_hamiltonian
-    from .tensors import HamiltonianSpec
 
-    h_majorana = build_hamiltonian(HamiltonianSpec(preset.M, preset.t, preset.g))
-    h_direct = fermi_hubbard_matrix(preset.sites, hop, onsite)
+    h_majorana = build_hamiltonian(preset_hubbard(sites, hop, onsite)[0])
+    h_direct = fermi_hubbard_matrix(sites, hop, onsite)
     dim = h_direct.shape[0]
 
     def traceless(mat: np.ndarray) -> np.ndarray:

@@ -7,7 +7,10 @@ x_{aa} = 0 by sign flips, never by arithmetic.  The physical domain is
 I + x^2 >= 0, with pure Gaussian states on the boundary x^2 = -I (the real
 antisymmetric orthogonal matrices, i.e. complex structures).
 
-Quadratic couplings t_{ij} use the same packed antisymmetric storage; quartic
+Quadratic couplings t_{ij} use the same packed antisymmetric storage, and
+one implementation of it: the shape check, ``zero``, ``from_matrix`` and
+``entry`` of :class:`PhasePoint` and :class:`CouplingMatrix` come from
+their shared base, and only ``matrix`` is each class's own.  Quartic
 couplings g_{ijkl} are stored on sorted quadruples i<j<k<l with the
 permutation sign applied on access.  Each quartic coupling is compiled once,
 on first use, into the part of its symmetric pair-space matrix
@@ -161,35 +164,35 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class PhasePoint(_Frozen):
-    """Phase-space point: packed independent components of antisymmetric x.
+class _PackedAntisymmetric(_Frozen):
+    """Packed independent components of a real antisymmetric 2M x 2M matrix.
 
-    A ``packed`` of shape (B, npairs) holds a stack of B points, for the
-    kernel functions that take one (:func:`majoranaq.kernel.diffusion` and
-    :func:`majoranaq.kernel.diffusion_channels`); ``matrix`` then returns
-    (B, 2M, 2M).  Everything else takes a single point.
+    The one implementation of the packed storage that :class:`PhasePoint`
+    and :class:`CouplingMatrix` share: the shape check, ``zero``,
+    ``from_matrix`` and ``entry``.  A subclass whose ``packed`` may hold a
+    stack (B, npairs) sets ``_STACKS``.  Each subclass annotates its own
+    fields, which its ``repr`` lists, and defines its own ``matrix``.
     """
 
-    M: int
-    packed: np.ndarray
+    _STACKS = False
 
     def __init__(self, M: int, packed: np.ndarray):
         if M < 1:
             raise DimensionError(f"mode count must be >= 1, got {M}")
         packed = np.asarray(packed, dtype=float)
-        if packed.ndim not in (1, 2) or packed.shape[-1] != pair_count(M):
-            raise DimensionError(
-                f"packed shape {packed.shape} is not ({pair_count(M)},) "
-                f"or (B, {pair_count(M)}) for M={M}"
-            )
+        n = pair_count(M)
+        if packed.shape != (n,) and not (self._STACKS and packed.ndim == 2
+                                         and packed.shape[-1] == n):
+            shapes = f"({n},) or (B, {n})" if self._STACKS else f"({n},)"
+            raise DimensionError(f"packed shape {packed.shape} is not {shapes} for M={M}")
         self.__dict__.update(M=M, packed=_frozen(packed))
 
     @classmethod
-    def zero(cls, M: int) -> "PhasePoint":
+    def zero(cls, M: int):
         return cls(M, np.zeros(pair_count(M)))
 
     @classmethod
-    def from_matrix(cls, mat: np.ndarray, tol: float = 1e-12) -> "PhasePoint":
+    def from_matrix(cls, mat: np.ndarray, tol: float = 1e-12):
         mat = np.asarray(mat, dtype=float)
         n = mat.shape[0]
         if mat.shape != (n, n) or n % 2 != 0 or n == 0:
@@ -200,12 +203,8 @@ class PhasePoint(_Frozen):
             )
         return cls(n // 2, _pack(n // 2, mat))
 
-    def matrix(self) -> np.ndarray:
-        """Full 2M x 2M antisymmetric matrix, or one per point of a stack."""
-        return _unpack(self.M, self.packed)
-
     def entry(self, a: int, b: int) -> float:
-        """x_{ab} with 1-based indices; antisymmetry exact by sign flip."""
+        """The (a, b) entry with 1-based indices; antisymmetry exact by sign flip."""
         if self.packed.ndim != 1:
             raise DimensionError("entry() needs a single point, not a stack")
         _check_index(self.M, a, b)
@@ -215,25 +214,29 @@ class PhasePoint(_Frozen):
         return value if a < b else -value
 
 
-class CouplingMatrix(_Frozen):
+class PhasePoint(_PackedAntisymmetric):
+    """Phase-space point: packed independent components of antisymmetric x.
+
+    A ``packed`` of shape (B, npairs) holds a stack of B points, for the
+    kernel functions that take one (:func:`majoranaq.kernel.diffusion` and
+    :func:`majoranaq.kernel.diffusion_channels`); ``matrix`` then returns
+    (B, 2M, 2M).  Everything else takes a single point.
+    """
+
+    M: int
+    packed: np.ndarray
+    _STACKS = True
+
+    def matrix(self) -> np.ndarray:
+        """Full 2M x 2M antisymmetric matrix, or one per point of a stack."""
+        return _unpack(self.M, self.packed)
+
+
+class CouplingMatrix(_PackedAntisymmetric):
     """Real antisymmetric quadratic coupling t_{ij}, packed like PhasePoint."""
 
     M: int
     packed: np.ndarray
-
-    def __init__(self, M: int, packed: np.ndarray):
-        if M < 1:
-            raise DimensionError(f"mode count must be >= 1, got {M}")
-        packed = np.asarray(packed, dtype=float)
-        if packed.shape != (pair_count(M),):
-            raise DimensionError(
-                f"packed length {packed.shape} != ({pair_count(M)},) for M={M}"
-            )
-        self.__dict__.update(M=M, packed=_frozen(packed))
-
-    @classmethod
-    def zero(cls, M: int) -> "CouplingMatrix":
-        return cls(M, np.zeros(pair_count(M)))
 
     @classmethod
     def from_entries(cls, M: int, entries) -> "CouplingMatrix":
@@ -246,11 +249,6 @@ class CouplingMatrix(_Frozen):
             packed[_pair_index_matrix(M)[i - 1, j - 1]] += v
         return cls(M, packed)
 
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, tol: float = 1e-12) -> "CouplingMatrix":
-        pp = PhasePoint.from_matrix(mat, tol)
-        return cls(pp.M, pp.packed)
-
     @cached_property
     def _full(self) -> np.ndarray:
         """The full antisymmetric matrix, unpacked once; read-only."""
@@ -260,9 +258,6 @@ class CouplingMatrix(_Frozen):
 
     def matrix(self) -> np.ndarray:
         return self._full.copy()
-
-    def entry(self, i: int, j: int) -> float:
-        return PhasePoint(self.M, self.packed).entry(i, j)
 
 
 def _sort_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

@@ -95,16 +95,14 @@ def acceptance_fpe_cases(seed: int) -> list[tuple[str, HamiltonianSpec, int]]:
     cases.append(("fpe-m2-quadratic", HamiltonianSpec.free(t2), 20))
     g2 = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, float(rng.uniform(0.3, 0.8)))])
     cases.append(("fpe-m2-quartic", HamiltonianSpec(2, _random_coupling_matrix(2, rng, 0.4), g2), 20))
-    hub = hubbard.preset_hubbard(1, 0.0, 4.0)
-    cases.append(("fpe-m2-hubbard", HamiltonianSpec(2, hub.t, hub.g), 20))
+    cases.append(("fpe-m2-hubbard", hubbard.preset_hubbard(1, 0.0, 4.0)[0], 20))
     t3 = _random_coupling_matrix(3, rng, scale=0.25)
     quads = [(1, 2, 3, 4), (1, 3, 5, 6)]
     g3 = QuarticCoupling.from_entries(
         3, [(*q, float(rng.uniform(-0.5, 0.5))) for q in quads]
     )
     cases.append(("fpe-m3-quartic", HamiltonianSpec(3, t3, g3), 5))
-    hub3 = hubbard.preset_hubbard(3, 1.0, 4.0)
-    cases.append(("fpe-m6-hubbard", HamiltonianSpec(6, hub3.t, hub3.g), 5))
+    cases.append(("fpe-m6-hubbard", hubbard.preset_hubbard(3, 1.0, 4.0)[0], 5))
     return cases
 
 
@@ -220,7 +218,6 @@ def run_hubbard_fidelity() -> CheckResult:
     shifts = []
     with _Sweep("hubbard-fidelity", ACCEPTANCE_TOLERANCES["hubbard-fidelity"]) as sweep:
         for sites, hop, onsite in ((1, 0.0, 4.0), (2, 1.0, 4.0), (2, 0.7, 0.0)):
-            preset = hubbard.preset_hubbard(sites, hop, onsite)
-            sweep.add(hubbard.hubbard_comparison(preset, hop, onsite))
-            shifts.append(preset.identity_shift)
+            sweep.add(hubbard.hubbard_comparison(sites, hop, onsite))
+            shifts.append(hubbard.preset_hubbard(sites, hop, onsite)[1])
     return sweep.result(identity_shifts=shifts)

@@ -1,4 +1,4 @@
-"""Reference forms of a quartic coupling, built loop by loop, used only by the tests.
+"""Reference forms of couplings, built loop by loop, used only by the tests.
 
 :func:`dense_pair_matrix` builds the full pair-space matrix G[P, Q] = g_{PQ}
 (P = (i<j), Q = (k<l) packed) from the canonical quadruples: a quadruple
@@ -11,6 +11,10 @@ and every kernel formula that reads it, against this matrix.
 expand each quadruple over ``itertools.permutations`` with the sign of an
 insertion sort (``tensors._sort_sign``), one scalar at a time, as the
 library did before it read its 24-ordering tables.
+
+:func:`hubbard_chain_config` writes a Hubbard chain's config out as explicit
+entries, site by site, from the mode layout that :mod:`majoranaq.hubbard`
+documents, without its builder: the twin of a ``preset`` config.
 """
 
 from __future__ import annotations
@@ -57,3 +61,23 @@ def antisymmetrize_by_permutations(dense: np.ndarray, M: int) -> QuarticCoupling
         if v != 0.0:
             table[tuple(q + 1 for q in quad)] = v
     return QuarticCoupling(M, table)
+
+
+def hubbard_chain_config(sites: int, hop: float, onsite: float, seed: int = 0) -> dict:
+    """The config of a Hubbard chain with its entries written out, sorted, zeros left out.
+
+    Spin-up orbital s is mode s and spin-down orbital s mode S + s, and mode
+    k has the Majorana labels k and M + k.  Each orbital adds U/8 at
+    (k, M + k), each bond of a spin -J/4 at (k, M + k + 1) and (k + 1, M + k),
+    and each site U/48 on its four labels.
+    """
+    M = 2 * sites
+    t, g = [], []
+    for s in range(1, sites + 1):
+        for k in (s, sites + s):
+            t.append([k, M + k, onsite / 8.0])
+            if s < sites:
+                t += [[k, M + k + 1, -hop / 4.0], [k + 1, M + k, -hop / 4.0]]
+        g.append([s, sites + s, M + s, M + sites + s, onsite / 48.0])
+    return {"M": M, "t_entries": sorted(e for e in t if e[-1] != 0.0),
+            "g_entries": [e for e in g if e[-1] != 0.0], "seed": seed}

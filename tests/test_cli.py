@@ -22,6 +22,8 @@ from majoranaq.cli import main
 from majoranaq.config import config_to_spec, load_config
 from majoranaq.hubbard import preset_hubbard
 
+from coupling_oracle import hubbard_chain_config
+
 
 def write_config(tmp_path, data, name="model.json"):
     path = tmp_path / name
@@ -372,7 +374,7 @@ class TestFlowCommand:
         out_csv = tmp_path / "traj.csv"
         assert main(["flow", "--config", path, "--dt", repr(dt), "--steps", str(steps),
                      "--method", method, "--out", str(out_csv)]) == 0
-        spec, _shift = config_to_spec(load_config(path))
+        spec = config_to_spec(load_config(path))
         traj = majoranaq.flow(majoranaq.random_boundary_point(cfg["M"], cfg["seed"]), spec,
                               dt, steps, method=method)
         assert out_csv.read_bytes() == self._per_value_csv(traj)
@@ -390,7 +392,7 @@ class TestFlowCommand:
         out_csv = tmp_path / "traj.csv"
         assert main(["flow", "--config", cfg, "--x0-file", str(x0_path),
                      "--dt", "1e-2", "--steps", "300", "--out", str(out_csv)]) == 0
-        spec, _shift = config_to_spec(load_config(cfg))
+        spec = config_to_spec(load_config(cfg))
         traj = majoranaq.flow(majoranaq.PhasePoint(3, np.array(edges)), spec, 1e-2, 300)
         text = out_csv.read_bytes()
         assert text == self._per_value_csv(traj)
@@ -611,17 +613,50 @@ class TestPresetCommand:
         out = tmp_path / "hub.json"
         assert main(["preset", "hubbard", "--sites", str(sites), "--hop", repr(hop),
                      "--onsite", repr(onsite), "--out", str(out)]) == 0
-        preset = preset_hubbard(sites, hop, onsite)
-        n_t = int(np.count_nonzero(np.asarray(preset.t.packed)))
+        spec, shift = preset_hubbard(sites, hop, onsite)
+        n_t = int(np.count_nonzero(np.asarray(spec.t.packed)))
         assert capsys.readouterr().out.splitlines()[1:] == [
-            f"M = {preset.M}, {n_t} quadratic entries, {len(preset.g.table)} quartic entries",
-            f"dropped identity shift: {preset.identity_shift:+.6g}",
+            f"M = {spec.M}, {n_t} quadratic entries, {len(spec.g.table)} quartic entries",
+            f"dropped identity shift: {shift:+.6g}",
         ]
 
 
 # values no number field accepts: text, null, a boolean, a list, non-finite
 # floats, and an integer too large for a float
 _BAD_NUMBERS = ["0.5", None, True, [1.0], float("nan"), float("inf"), 10 ** 400]
+
+
+class TestPresetTwin:
+    """A preset config and its twin with the entries written out run one model."""
+
+    @staticmethod
+    def _configs(tmp_path, sites):
+        preset = {"M": 2 * sites, "seed": 5, "preset": {"name": "hubbard", "sites": sites,
+                                                         "hop": 1.0, "onsite": 4.0}}
+        return (write_config(tmp_path, preset, name="preset.json"),
+                write_config(tmp_path, hubbard_chain_config(sites, 1.0, 4.0, seed=5),
+                             name="twin.json"))
+
+    @pytest.mark.parametrize("sites", [1, 2, 3, 8])
+    def test_flow_csvs_are_byte_identical(self, tmp_path, capsys, sites):
+        csvs = []
+        for cfg in self._configs(tmp_path, sites):
+            csvs.append(tmp_path / (Path(cfg).stem + ".csv"))
+            assert main(["flow", "--config", cfg, "--steps", "200", "--out", str(csvs[-1])]) == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+    # M = 6 is past the kernel suites' cap; fpe is the suite there that reads the model
+    @pytest.mark.parametrize("sites,suite", [(1, "all"), (2, "all"), (3, "fpe")])
+    def test_verify_reports_are_equal_but_for_seconds(self, tmp_path, capsys, sites, suite):
+        reports = []
+        for cfg in self._configs(tmp_path, sites):
+            out = tmp_path / (Path(cfg).stem + "-report.json")
+            assert main(["verify", "--config", cfg, "--suite", suite, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            for check in report["checks"]:
+                del check["seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 @st.composite
@@ -877,8 +912,8 @@ class TestImportLayering:
         assert (tmp_path / "hub.json").exists()
 
     def test_preset_loads_no_dataclasses(self, tmp_path):
-        # the preset's value type is a named tuple: dataclasses and the
-        # inspect module it pulls in stay off the preset's path
+        # the preset builds its entries on the standard library: dataclasses
+        # and the inspect module it pulls in stay off the preset's path
         loaded = _modules_after(_cli_run("preset", "hubbard", "--sites", "2", "--hop", "1",
                                          "--onsite", "4", "--out", "hub.json"), tmp_path,
                                 also=("dataclasses", "inspect"))
@@ -1086,3 +1121,23 @@ class TestProcessEntry:
         assert main([*argv, "--out", str(tmp_path / "in-process.csv")]) == 0
         assert ((tmp_path / "process.csv").read_bytes()
                 == (tmp_path / "in-process.csv").read_bytes())
+
+
+class TestOverflowingModel:
+    """``verify`` on couplings whose products overflow keeps its exit code and
+    prints no numpy warning: a child run turns any RuntimeWarning into an error."""
+
+    @pytest.mark.parametrize("M,suite,code", [
+        (3, "all", 3), (3, "fpe", 1), (3, "tangency", 3), (3, "traceless", 3), (4, "traceless", 3),
+    ])
+    def test_exit_code_without_warnings(self, tmp_path, M, suite, code):
+        cfg = write_config(tmp_path, {"M": M, "g_entries": [[1, 2, 3, 4, 1e308]]})
+        out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                              "majoranaq.cli", "verify", "--config", cfg, "--suite", suite],
+                             env=_child_env(), capture_output=True, text=True, cwd=tmp_path)
+        assert out.returncode == code, out.stderr
+        assert "RuntimeWarning" not in out.stderr and "Traceback" not in out.stderr
+        # exit 1: the fpe residual is NaN, which fails its check without an error
+        lines = out.stderr.splitlines()
+        assert len(lines) == (1 if code == 3 else 0)
+        assert all(line.startswith("error: ") for line in lines)

@@ -8,6 +8,13 @@ import pytest
 from majoranaq import config_to_spec, emit_config, load_config, parse_config
 from majoranaq.errors import ConfigError
 
+from coupling_oracle import hubbard_chain_config
+
+
+def _preset(sites, hop, onsite):
+    return {"M": 2 * sites, "preset": {"name": "hubbard", "sites": sites, "hop": hop,
+                                       "onsite": onsite, "geometry": "chain"}}
+
 
 class TestParse:
     def test_minimal_quadratic(self):
@@ -136,8 +143,7 @@ class TestToSpec:
             "t_entries": [[1, 2, 0.5]],
             "g_entries": [[1, 2, 3, 4, 1.0]],
         })
-        spec, shift = config_to_spec(cfg)
-        assert shift == 0.0
+        spec = config_to_spec(cfg)
         assert spec.t.entry(1, 2) == 0.5
         assert spec.g.entry(1, 2, 3, 4) == 1.0
 
@@ -146,7 +152,37 @@ class TestToSpec:
             "M": 2,
             "preset": {"name": "hubbard", "sites": 1, "onsite": 4.0},
         })
-        spec, shift = config_to_spec(cfg)
-        assert shift == pytest.approx(1.0)
+        # the preset is expanded when the config is parsed
+        assert cfg.t_entries == ((1, 3, 0.5), (2, 4, 0.5))
+        assert cfg.g_entries == ((1, 2, 3, 4, 4.0 / 48),)
+        spec = config_to_spec(cfg)
         assert spec.g.entry(1, 2, 3, 4) == pytest.approx(4.0 / 48)
         assert np.count_nonzero(np.asarray(spec.t.packed)) == 2
+
+
+class TestPresetExpansion:
+    """A preset is its chain's entries, written into the config when it is parsed."""
+
+    @pytest.mark.parametrize("sites", [1, 2, 3, 8])
+    @pytest.mark.parametrize("hop,onsite", [(1.0, 4.0), (-1.3, 2.5), (0.0, 4.0), (1.0, 0.0)])
+    def test_preset_and_its_written_out_entries_are_one_model(self, sites, hop, onsite):
+        cfg = parse_config(_preset(sites, hop, onsite))
+        twin = parse_config(hubbard_chain_config(sites, hop, onsite))
+        assert cfg == twin
+        spec, twin_spec = config_to_spec(cfg), config_to_spec(twin)
+        np.testing.assert_array_equal(spec.t.packed, twin_spec.t.packed)
+        assert spec.g.items() == twin_spec.g.items()
+
+    @pytest.mark.parametrize("sites", [1, 2, 3, 8])
+    def test_emitted_preset_parses_back_equal(self, sites):
+        cfg = parse_config({**_preset(sites, 1.0, 4.0), "seed": 4,
+                            "tolerances": {"fpe": 1e-9}})
+        data = emit_config(cfg)
+        assert "preset" not in data and cfg.g_entries
+        assert parse_config(json.loads(json.dumps(data))) == cfg
+
+    @pytest.mark.parametrize("sites", [9, 10 ** 9])
+    def test_chain_past_the_longest_any_command_runs_rejected(self, sites):
+        # refused before its entries are built: they grow with the sites
+        with pytest.raises(ConfigError, match=r"preset\.sites: must be <= 8"):
+            parse_config(_preset(sites, 1.0, 4.0))

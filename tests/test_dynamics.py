@@ -142,8 +142,7 @@ class TestFlow:
         self._assert_matches_public_loop(x0, spec, 1e-3, steps, method)
 
     def test_packed_flow_matches_public_drift_at_m16(self):
-        pre = preset_hubbard(8, 1.0, 4.0)
-        spec = HamiltonianSpec(pre.M, pre.t, pre.g)
+        spec, _shift = preset_hubbard(8, 1.0, 4.0)
         self._assert_matches_public_loop(random_boundary_point(16, 3), spec, 1e-3, 130, "rk4")
 
     @staticmethod

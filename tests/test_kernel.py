@@ -624,7 +624,7 @@ def _stage_models():
         if quads and M <= 6:
             couplings.append(("dense", all_quadruples(M, 80 + M)))
         if M % 2 == 0:
-            couplings.append(("hubbard", preset_hubbard(M // 2, 1.0, 4.0).g))
+            couplings.append(("hubbard", preset_hubbard(M // 2, 1.0, 4.0)[0].g))
         for t_name, t in (("t0", CouplingMatrix.zero(M)), ("t", random_t(M, 90 + M))):
             for g_name, g in couplings:
                 yield pytest.param(M, t, g, id=f"M{M}-{g_name}-{t_name}")
@@ -730,7 +730,7 @@ class TestDenseReference:
 
         from majoranaq.hubbard import preset_hubbard
 
-        pre = preset_hubbard(8, 1.0, 4.0)
+        pre, _shift = preset_hubbard(8, 1.0, 4.0)
         x = random_boundary_point(16, 1)
         limit = pair_count(16) ** 2 * 8
         tracemalloc.start()

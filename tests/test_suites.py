@@ -324,7 +324,7 @@ def test_worst_tangency_instance_reproduces_its_residual(tmp_path, given):
     if given:
         from majoranaq.config import config_to_spec, load_config
 
-        spec, _ = config_to_spec(load_config(str(cfg)))
+        spec = config_to_spec(load_config(str(cfg)))
         t, g = spec.t, spec.g
     else:
         rng = np.random.default_rng(seed + 500 * worst["M"] + worst["index"])

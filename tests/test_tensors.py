@@ -163,7 +163,7 @@ def _block_couplings():
         yield pytest.param(QuarticCoupling.from_entries(
             M, [(*quads[c], rng.uniform(-1, 1)) for c in chosen]), id=f"M{M}-sparse")
     for sites in (2, 4, 8):
-        yield pytest.param(preset_hubbard(sites, 1.0, 4.0).g, id=f"M{2 * sites}-hubbard")
+        yield pytest.param(preset_hubbard(sites, 1.0, 4.0)[0].g, id=f"M{2 * sites}-hubbard")
     for M in (1, 3, 16):
         yield pytest.param(QuarticCoupling.zero(M), id=f"M{M}-zero")
 

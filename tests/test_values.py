@@ -65,7 +65,7 @@ def _trajectory():
 
 
 def _model_config():
-    fields = {"M": 2, "t_entries": ((1, 2, 0.5),), "g_entries": (), "preset": None, "seed": 7,
+    fields = {"M": 2, "t_entries": ((1, 2, 0.5),), "g_entries": (), "seed": 7,
               "tolerances": {"fpe": 1e-9}}
     return config.ModelConfig(**fields), fields
 

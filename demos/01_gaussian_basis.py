@@ -14,12 +14,12 @@ import numpy as np
 
 from majoranaq import (
     PhasePoint,
-    covariance_of_basis,
     domain_margin,
     gaussian_basis,
     random_boundary_point,
     random_interior_point,
 )
+from majoranaq.fock import _covariance
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -56,5 +56,5 @@ print("exactly at M = 1; the tests assert it to 1e-12 at M = 2, 3, on interior")
 print("and boundary points:")
 for M in (1, 2, 3):
     x = random_interior_point(M, seed=11)
-    cov = covariance_of_basis(x)
+    cov = _covariance(gaussian_basis(x))
     print(f"  M = {M}: max |cov - x| = {np.max(np.abs(cov - x.matrix())):.2e}")

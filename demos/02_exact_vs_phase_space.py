@@ -13,15 +13,18 @@ import numpy as np
 from majoranaq import (
     CouplingMatrix,
     HamiltonianSpec,
+    ModelConfig,
     QuarticCoupling,
-    preset_hubbard,
+    chain_entries,
+    config_to_spec,
     random_density_matrix,
     random_interior_point,
     verify_fpe,
 )
 
 print("=== M = 2, single-site Hubbard couplings ===")
-spec, _shift = preset_hubbard(sites=1, hop=0.0, onsite=4.0)
+t_entries, g_entries, _shift = chain_entries(sites=1, hop=0.0, onsite=4.0)
+spec = config_to_spec(ModelConfig(2, t_entries, g_entries))
 print(f"{'instance':>8} {'exact dQ/dt':>14} {'kernel rhs':>14} {'residual':>10}")
 for i in range(4):
     rho = random_density_matrix(2, 100 + i)

@@ -8,16 +8,22 @@ arrays; their sum is an independent route to D, which itself is contracted
 with the coupling's compiled pair-space block.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from majoranaq import (
     QuarticCoupling,
     diffusion,
     diffusion_channels,
-    diffusion_expanded,
     random_boundary_point,
     random_interior_point,
 )
+
+# the explicit polynomial form of D is a test oracle
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from coupling_oracle import diffusion_expanded  # noqa: E402
 
 g = QuarticCoupling.from_entries(3, [(1, 2, 3, 4, 0.8), (1, 2, 5, 6, -0.5)])
 x = random_interior_point(3, seed=1, scale=0.5)

@@ -10,7 +10,6 @@ import numpy as np
 from majoranaq import (
     PhasePoint,
     gaussian_basis,
-    qfunction,
     random_density_matrix,
     verify_moment_identity_m1,
 )
@@ -39,4 +38,5 @@ print("\n=== the Q-function itself is a probability density here ===")
 rho = random_density_matrix(1, 3)
 grid = np.linspace(-0.99, 0.99, 5)
 print(f"Q(s) for a random state at s = {np.round(grid, 2)}:")
-print(np.round([qfunction(rho, PhasePoint(1, np.array([s]))) for s in grid], 6))
+print(np.round([np.trace(rho @ gaussian_basis(PhasePoint(1, np.array([s])))).real
+                for s in grid], 6))

@@ -73,9 +73,7 @@ def cmd_verify(args) -> int:
 
 
 def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
-    import numpy as np
-
-    from .config import _read_json, _require_int
+    from .config import _read_json, _require_int, _require_list, _require_number
     from .tensors import PhasePoint, random_boundary_point
 
     if args.x0_file is None:
@@ -84,17 +82,21 @@ def _load_x0(args, cfg: ModelConfig) -> PhasePoint:
     data = _read_json(args.x0_file, field="--x0-file")
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object", field="--x0-file")
+    unknown = set(data) - {"M", "packed"}
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)}", field="--x0-file")
     M = _require_int(data.get("M"), '--x0-file "M"')
     if M != cfg.M:
         raise ConfigError(f"initial point M = {M} does not match config M = {cfg.M}")
     if "packed" not in data:
         raise ConfigError('missing "packed" list', field="--x0-file")
+    # each entry is read as a config reads a coupling value: a boolean, a
+    # nested list or a non-finite number is refused
     try:
-        packed = np.asarray(data["packed"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f'"packed" must be a list of numbers: {exc}', field="--x0-file") from exc
-    if not np.all(np.isfinite(packed)):
-        raise ConfigError('"packed" values must be finite', field="--x0-file")
+        packed = [_require_number(v, f"packed[{pos}]")
+                  for pos, v in enumerate(_require_list(data["packed"], "packed"))]
+    except ConfigError as exc:
+        raise ConfigError(f'"packed" must be a list of numbers: {exc}', field="--x0-file") from None
     return PhasePoint(cfg.M, packed)
 
 

@@ -45,8 +45,7 @@ from typing import NamedTuple
 from .errors import ConfigError
 from .tensors import CouplingMatrix, HamiltonianSpec, QuarticCoupling
 
-__all__ = ["ModelConfig", "load_config", "parse_config", "emit_config", "config_to_spec",
-           "TOLERANCES"]
+__all__ = ["ModelConfig", "load_config", "parse_config", "config_to_spec", "TOLERANCES"]
 
 _PRESET_KEYS = {"name", "sites", "hop", "onsite", "geometry"}
 
@@ -245,18 +244,6 @@ def _read_json(path: str, field: str | None = None):
 def load_config(path: str) -> ModelConfig:
     """Read and validate a JSON configuration file."""
     return parse_config(_read_json(path))
-
-
-def emit_config(cfg: ModelConfig) -> dict:
-    """Inverse of :func:`parse_config`: a JSON-serializable dictionary."""
-    out: dict = {"M": cfg.M, "seed": cfg.seed}
-    if cfg.t_entries:
-        out["t_entries"] = [[i, j, v] for i, j, v in cfg.t_entries]
-    if cfg.g_entries:
-        out["g_entries"] = [[i, j, k, l, v] for i, j, k, l, v in cfg.g_entries]
-    if cfg.tolerances:
-        out["tolerances"] = dict(cfg.tolerances)
-    return out
 
 
 def config_to_spec(cfg: ModelConfig) -> HamiltonianSpec:

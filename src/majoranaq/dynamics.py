@@ -18,8 +18,8 @@ stacked eigensolve.  A non-finite state first evaluates the margins before
 it, so the earliest failing step is reported, with its own cause.
 
 In the quadratic sector the flow transports the covariance of a pure Gaussian
-state at the generator rate 4; :func:`gaussian_covariance_comparison` checks
-that rate against exact evolution in Fock space, with nothing fitted.
+state at the generator rate 4; the tests check that rate against exact
+evolution in Fock space (``tests/basis_oracle.py``), with nothing fitted.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .tensors import (
-    CouplingMatrix,
     HamiltonianSpec,
     PhasePoint,
     _drift_rate,
@@ -45,13 +44,9 @@ from .tensors import (
 # (64, 2M, 2M) block is 32 KB at M = 4 and 0.5 MB at the M = 16 flow cap
 _MARGIN_BLOCK = 64
 
-# evenly spaced times at which gaussian_covariance_comparison compares
-_COMPARISON_SAMPLES = 8
-
 __all__ = [
     "Trajectory",
     "flow",
-    "gaussian_covariance_comparison",
 ]
 
 
@@ -123,6 +118,7 @@ def flow(
 ) -> Trajectory:
     """Integrate dx/dt = A(x) with fixed steps; records the domain margin.
 
+    ``x0`` is a single point; a stack raises :class:`DimensionError`.
     ``method`` is 'euler' or 'rk4'.  The state is the full antisymmetric
     matrix x through every stage; each stage is one product with the
     coupling's compiled block
@@ -149,6 +145,9 @@ def flow(
     """
     if spec.M != x0.M:
         raise DimensionError(f"spec M={spec.M} != initial point M={x0.M}")
+    if x0.packed.ndim != 1:
+        raise DimensionError(f"the initial point must be a single point, not a stack of "
+                             f"{len(x0.packed)}")
     if dt <= 0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
     # a count past sys.maxsize cannot be stored: it raises MemoryError below
@@ -189,42 +188,3 @@ def flow(
         _settle_block(block, packed, margins, pending, steps + 1)
     return Trajectory(M, np.arange(steps + 1) * dt, packed, margins)
 
-
-def gaussian_covariance_comparison(
-    x0: PhasePoint,
-    t: CouplingMatrix,
-    horizon: float,
-) -> float:
-    """Quadratic-sector cross-validation against exact quantum evolution.
-
-    Evolves the pure Gaussian state Lambda(x0) exactly under the quadratic
-    Hamiltonian and compares its covariance Tr[rho(tau) Xhat] with the
-    transported matrix e^{c tau T} Gamma_0 e^{-c tau T} at the generator rate
-    c = 4 of dx/dt = 4[t, x].  Returns the max deviation over the
-    :data:`_COMPARISON_SAMPLES` times evenly spaced in (0, horizon].
-    """
-    if t.M != x0.M:
-        raise DimensionError(f"coupling M={t.M} != initial point M={x0.M}")
-    # the Fock-space oracle is imported on use, so that the `flow` command,
-    # which never reaches this comparison, does not load it
-    from .fock import _covariance, build_hamiltonian, gaussian_basis
-
-    H = build_hamiltonian(HamiltonianSpec.free(t))
-    lam0 = gaussian_basis(x0)
-    rho0 = lam0 / np.trace(lam0).real
-    gamma0 = _covariance(lam0)
-    taus = np.linspace(0.0, horizon, _COMPARISON_SAMPLES + 1)[1:]
-    # one eigendecomposition per exponential, outside the time loop: with
-    # H = V diag(lam) V^H, e^{-i tau H} = V e^{-i tau lam} V^H; the real
-    # antisymmetric T makes iT = W diag(mu) W^H Hermitian, so
-    # e^{4 tau T} = W e^{-4 i tau mu} W^H, which is real
-    lam, V = np.linalg.eigh(H)
-    mu, W = np.linalg.eigh(1j * t.matrix())
-
-    def mismatch(tau: float) -> float:
-        U = (V * np.exp(-1j * tau * lam)) @ V.conj().T
-        prop = ((W * np.exp(-4j * tau * mu)) @ W.conj().T).real
-        exact = _covariance(U @ rho0 @ U.conj().T)
-        return float(np.max(np.abs(prop @ gamma0 @ prop.T - exact)))
-
-    return max(mismatch(tau) for tau in taus)

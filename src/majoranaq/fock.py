@@ -2,8 +2,11 @@
 
 Everything the phase-space kernel claims is checked here against exact
 quantum mechanics: Jordan-Wigner Majorana operators, the Gaussian basis
-Lambda(x) and its exact derivatives, exact Q-function values and Liouville
-time derivatives, and verification of the operator differential identities.
+Lambda(x) and its exact derivatives, the exact gradient and Hessian of a
+Q-function and its Liouville time derivative, and verification of the
+operator differential identities.  The density-matrix validator and the
+covariance transport against exact evolution are test oracles in
+``tests/basis_oracle.py``.
 
 Conventions: modes k = 1..M carry ladder operators a_k with Jordan-Wigner
 sign strings on the preceding modes; gamma_k = a_k + a_k^dag and
@@ -35,7 +38,6 @@ test oracles in ``tests/basis_oracle.py``, asserted equal to the tables here.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -50,9 +52,7 @@ __all__ = [
     "jordan_wigner_ladders",
     "build_hamiltonian",
     "gaussian_basis",
-    "qfunction",
     "q_derivatives",
-    "covariance_of_basis",
     "exact_dqdt",
     "verify_quadratic_identities",
     "verify_four_gamma",
@@ -60,11 +60,10 @@ __all__ = [
     "FpeCheck",
     "verify_moment_identity_m1",
     "random_density_matrix",
-    "check_density_matrix",
 ]
 
 # Largest mode count the oracle suites run at: the CLI caps its identities and
-# fpe suites here, and build_majoranas warns above it.  At M = 6 the gamma_S
+# fpe suites here.  At M = 6 the gamma_S
 # phase rows take 2 MB and the identities' Clifford sign tables 9 MB.
 ORACLE_MAX_M = 6
 
@@ -82,28 +81,18 @@ def jordan_wigner_ladders(M: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _jordan_wigner_majoranas(M: int) -> np.ndarray:
-    """The Jordan-Wigner Majoranas as one read-only (2M, 2^M, 2^M) stack, cached per M."""
+def build_majoranas(M: int) -> np.ndarray:
+    """gamma_k = a_k + a_k^dag, gamma_{M+k} = i (a_k^dag - a_k), as one read-only stack.
+
+    The stack has shape (2M, 2^M, 2^M), is cached per M and is the one every
+    oracle function uses.
+    """
     a = jordan_wigner_ladders(M)
     gammas = [a[k] + a[k].conj().T for k in range(M)]
     gammas += [1j * (a[k].conj().T - a[k]) for k in range(M)]
     stack = np.stack(gammas)
     stack.flags.writeable = False
     return stack
-
-
-def build_majoranas(M: int) -> np.ndarray:
-    """gamma_k = a_k + a_k^dag, gamma_{M+k} = i (a_k^dag - a_k), as one read-only stack.
-
-    The stack has shape (2M, 2^M, 2^M) and is the cached one every oracle
-    function uses; it warns above :data:`ORACLE_MAX_M`.
-    """
-    if M > ORACLE_MAX_M:
-        warnings.warn(
-            f"dense oracle at M={M} needs {2**M}-dimensional matrices; expect slow sweeps",
-            stacklevel=2,
-        )
-    return _jordan_wigner_majoranas(M)
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
@@ -114,7 +103,7 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """
     dim = 2 ** spec.M
     H = np.zeros((dim, dim), dtype=complex)
-    gam = _jordan_wigner_majoranas(spec.M)
+    gam = build_majoranas(spec.M)
     for i, j, tv in zip(*_pair_rows_cols(spec.M), spec.t.packed):
         if tv != 0.0:
             H += 2j * tv * gam[i] @ gam[j]
@@ -225,7 +214,7 @@ def _monomials(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for S = order[g, s], grouped by flip, so each entry of sum_S c_S gamma_S
     is fed by one group.
     """
-    gam = _jordan_wigner_majoranas(M)
+    gam = build_majoranas(M)
     a, k = np.arange(2 * M)[:, None], np.arange(2 ** M)
     flip = np.argmax(gam[:, :, 0] != 0, axis=1)
     phase = gam[a, flip[:, None] ^ k, k]
@@ -277,23 +266,12 @@ def gaussian_basis(x: PhasePoint) -> np.ndarray:
     return lam
 
 
-def qfunction(rho: np.ndarray, x: PhasePoint) -> float:
-    """Q(x) = Tr[rho Lambda(x)] (overall normalization constant omitted)."""
-    lam = gaussian_basis(x)
-    return float(np.trace(np.asarray(rho) @ lam).real)
-
-
-def covariance_of_basis(x: PhasePoint) -> np.ndarray:
-    """Tr[Lambda(x) Xhat_{mu nu}] with Xhat = (i/2)[gamma_mu, gamma_nu]."""
-    return _covariance(gaussian_basis(x))
-
-
 def _covariance(op: np.ndarray) -> np.ndarray:
     """Tr[op Xhat_{mu nu}] for a 2^M x 2^M op.
 
     Each entry is taken on its own, so antisymmetry is a genuine check.
     """
-    gam = _jordan_wigner_majoranas(len(op).bit_length() - 1)
+    gam = build_majoranas(len(op).bit_length() - 1)
     n = len(gam)
     out = np.zeros((n, n))
     for mu in range(n):
@@ -524,17 +502,3 @@ def random_density_matrix(M: int, seed: int) -> np.ndarray:
     rho = W @ W.conj().T
     return rho / np.trace(rho).real
 
-
-# bars of check_density_matrix: Hermiticity, unit trace, smallest eigenvalue
-_HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-12, 1e-12, 1e-10
-
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Validate the density-matrix contract: Hermitian, unit trace, PSD."""
-    rho = np.asarray(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > _TRACE_TOL:
-        raise ValueError(f"density matrix trace {np.trace(rho).real} != 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -_PSD_TOL:
-        raise ValueError("density matrix has a significantly negative eigenvalue")

@@ -14,28 +14,18 @@ U S / 4 that has no Majorana representation and is reported, not encoded.
 
 :func:`chain_entries` writes the chain as canonical config entries.  A
 ``preset`` in a config is expanded into them when the config is parsed
-(:func:`majoranaq.config.parse_config`), and :func:`preset_hubbard` builds
-its model from them the same way, so a preset and its written-out entries
-give the same model bit for bit.
+(:func:`majoranaq.config.parse_config`), the one path from a preset to its
+model, so a preset and its written-out entries give the same model bit for
+bit; the ``preset`` command counts them.  The ladder-operator build of the
+same chain, which the Majorana build is checked against, is a test oracle in
+``tests/coupling_oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import DimensionError
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .tensors import HamiltonianSpec
-
-__all__ = [
-    "chain_entries",
-    "preset_hubbard",
-    "fermi_hubbard_matrix",
-    "hubbard_comparison",
-]
+__all__ = ["chain_entries"]
 
 # the longest chain any command runs: M = 16, the mode-count cap of ``flow``
 _MAX_SITES = 8
@@ -69,55 +59,3 @@ def chain_entries(sites: int, hop: float, onsite: float) -> tuple[tuple, tuple, 
     return (tuple(sorted((*key, v) for key, v in t.items() if v != 0.0)),
             tuple(sorted((*key, v) for key, v in g.items() if v != 0.0)), shift)
 
-
-def preset_hubbard(sites: int, hop: float, onsite: float) -> tuple[HamiltonianSpec, float]:
-    """The Hubbard chain's model and its dropped identity shift: ``(spec, shift)``.
-
-    The spec is built as a preset config's is, by
-    :func:`majoranaq.config.config_to_spec` from :func:`chain_entries`.
-    """
-    from .config import ModelConfig, config_to_spec
-
-    t, g, shift = chain_entries(sites, hop, onsite)
-    return config_to_spec(ModelConfig(2 * sites, t, g)), shift
-
-
-def fermi_hubbard_matrix(sites: int, hop: float, onsite: float) -> np.ndarray:
-    """Reference Hubbard matrix built directly from ladder operators."""
-    import numpy as np
-
-    from .fock import jordan_wigner_ladders
-
-    M = 2 * sites
-    a = jordan_wigner_ladders(M)
-    dim = 2 ** M
-    H = np.zeros((dim, dim), dtype=complex)
-    for s in range(sites - 1):
-        for spin_offset in (0, sites):
-            m, n = s + spin_offset, s + 1 + spin_offset
-            H += -hop * (a[m].conj().T @ a[n] + a[n].conj().T @ a[m])
-    for s in range(sites):
-        n_up = a[s].conj().T @ a[s]
-        n_dn = a[sites + s].conj().T @ a[sites + s]
-        H += onsite * n_up @ n_dn
-    return H
-
-
-def hubbard_comparison(sites: int, hop: float, onsite: float) -> float:
-    """Max residual between the Majorana build and the ladder-operator build of one chain.
-
-    The two differ by the reported identity shift; the comparison removes it
-    by subtracting the trace part of each matrix.
-    """
-    import numpy as np
-
-    from .fock import build_hamiltonian
-
-    h_majorana = build_hamiltonian(preset_hubbard(sites, hop, onsite)[0])
-    h_direct = fermi_hubbard_matrix(sites, hop, onsite)
-    dim = h_direct.shape[0]
-
-    def traceless(mat: np.ndarray) -> np.ndarray:
-        return mat - np.trace(mat) / dim * np.eye(dim)
-
-    return float(np.max(np.abs(traceless(h_majorana) - traceless(h_direct))))

@@ -67,7 +67,9 @@ Conventions (hbar = 1 throughout; couplings are rates):
   index, one entry of x per slot.  :func:`diffusion` gathers both straight from x.
   :func:`diffusion_channels` reads its rows off the tables
   RE[i, j, a] = Re X_{ij}^a and IM[i, j, a] = Im X_{ij}^a instead, so the
-  channel sum rebuilds D by a second, independent derivation.
+  channel sum rebuilds D by a second, independent derivation.  A third, the
+  explicit polynomial form summed over the dense coupling tensor, is a test
+  oracle in ``tests/coupling_oracle.py``.
 
 * Divergence of the diffusion (closed form):
   (div D)^a = sum_m d_m D^{am} = -8 (3 - 2M) sum g_{ijkl} x_{kl} Im X_{ij}^a,
@@ -100,7 +102,6 @@ from .tensors import (
 
 __all__ = [
     "diffusion",
-    "diffusion_expanded",
     "diffusion_channels",
     "ChannelDecomposition",
     "drift_bar",
@@ -214,32 +215,6 @@ def diffusion(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
     REa, IMa = _compound_rows(x.M, x.matrix())
     E = REa.take(pairs, axis=-2).swapaxes(-1, -2) @ (K0[:len(pairs)] @ IMa.take(pairs, axis=-2))
     return -8.0 * (E + E.swapaxes(-1, -2))
-
-
-def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
-    """Independent cross-check: the diffusion via its explicit polynomial form.
-
-    Evaluates, per ordered tuple, -4 g [ (xx - xd + dx + dd)(xx - xd + dx + dd)
-    - (xx + xd - dx + dd)(xx + xd - dx + dd) ] in the phase-space variables,
-    materializing the dense coupling tensor.  Intended for M <= 4 tests.
-    """
-    _check_dims(x, g)
-    M = x.M
-    xm = x.matrix()
-    npairs = pair_count(M)
-    al, be = _pair_rows_cols(M)
-    eye = np.eye(2 * M)
-    D = np.zeros((npairs, npairs))
-    dense = g.dense()
-    for idx in np.argwhere(dense != 0.0):
-        i, j, k, l = idx
-        gv = dense[i, j, k, l]
-        f1 = xm[i, al] * xm[be, j] - xm[i, al] * eye[be, j] + eye[i, al] * xm[be, j] + eye[i, al] * eye[be, j]
-        f2 = xm[k, al] * xm[be, l] - xm[k, al] * eye[be, l] + eye[k, al] * xm[be, l] + eye[k, al] * eye[be, l]
-        f3 = xm[i, al] * xm[be, j] + xm[i, al] * eye[be, j] - eye[i, al] * xm[be, j] + eye[i, al] * eye[be, j]
-        f4 = xm[k, al] * xm[be, l] + xm[k, al] * eye[be, l] - eye[k, al] * xm[be, l] + eye[k, al] * eye[be, l]
-        D += -4.0 * gv * (np.outer(f1, f2) - np.outer(f3, f4))
-    return D
 
 
 class ChannelDecomposition(_Frozen):

@@ -30,7 +30,7 @@ file formats; internal numpy arrays are 0-based.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -46,7 +46,6 @@ __all__ = [
     "HamiltonianSpec",
     "pair_enumerate",
     "pair_count",
-    "antisymmetrize_quartic",
     "domain_margin",
     "random_points",
     "random_boundary_point",
@@ -384,14 +383,6 @@ class QuarticCoupling(_Frozen):
             arr.flags.writeable = False
         return tuples, weights
 
-    def dense(self) -> np.ndarray:
-        """Materialized (2M)^4 tensor; intended for small-M cross-checks."""
-        n = 2 * self.M
-        out = np.zeros((n, n, n, n))
-        tuples, weights = self.ordered_tuples
-        out[tuple(tuples.T)] = weights
-        return out
-
 
 def _compile_rate(g: QuarticCoupling, t: CouplingMatrix, a: float, b: float):
     """The stage kernel: the rate X -> [X, C(X)] on full antisymmetric matrices.
@@ -436,27 +427,6 @@ def _compile_rate(g: QuarticCoupling, t: CouplingMatrix, a: float, b: float):
 def _drift_rate(g: QuarticCoupling, t: CouplingMatrix):
     """The stage kernel of the full drift, c = 4((4M - 3)(g.x) - t) = 8(4M - 3) G v - 4 t."""
     return _compile_rate(g, t, 8.0 * (4 * g.M - 3), -4.0)
-
-
-def antisymmetrize_quartic(dense: np.ndarray, M: int) -> QuarticCoupling:
-    """Project a dense rank-4 array onto its fully antisymmetric part.
-
-    The canonical value on i<j<k<l is (1/4!) sum_sigma sign(sigma) *
-    dense[sigma(i,j,k,l)]; the accessor then reproduces the full projection.
-    The 24 signed terms of each quadruple are summed in the order of
-    ``itertools.permutations``, one after the other.
-    """
-    dense = np.asarray(dense, dtype=float)
-    n = 2 * M
-    if dense.shape != (n, n, n, n):
-        raise DimensionError(f"dense shape {dense.shape} != {(n, n, n, n)} for M={M}")
-    quads = np.array(list(combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
-    i, j, k, l = quads[:, _PERMUTATIONS4].T  # each (24, nq)
-    terms = dense[i, j, k, l] * _PERMUTATION_SIGNS4[:, None]
-    # accumulate adds the rows in order; a reduce may pair them up instead
-    values = np.add.accumulate(terms)[-1] / 24.0
-    return QuarticCoupling(M, {tuple(q): v for q, v in zip((quads + 1).tolist(), values.tolist())
-                               if v != 0.0})
 
 
 class HamiltonianSpec(_Frozen):

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from majoranaq import dynamics, fock, hubbard, kernel
+from majoranaq.config import ModelConfig, config_to_spec
 from majoranaq.suites import (
     CheckResult,
     _instance,
@@ -36,6 +37,8 @@ from majoranaq.tensors import (
     random_boundary_point,
     random_interior_point,
 )
+
+import coupling_oracle
 
 # Pinned bars of the acceptance-only checks.
 ACCEPTANCE_TOLERANCES = {
@@ -95,15 +98,20 @@ def acceptance_fpe_cases(seed: int) -> list[tuple[str, HamiltonianSpec, int]]:
     cases.append(("fpe-m2-quadratic", HamiltonianSpec.free(t2), 20))
     g2 = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, float(rng.uniform(0.3, 0.8)))])
     cases.append(("fpe-m2-quartic", HamiltonianSpec(2, _random_coupling_matrix(2, rng, 0.4), g2), 20))
-    cases.append(("fpe-m2-hubbard", hubbard.preset_hubbard(1, 0.0, 4.0)[0], 20))
+    cases.append(("fpe-m2-hubbard", _chain_spec(1, 0.0, 4.0), 20))
     t3 = _random_coupling_matrix(3, rng, scale=0.25)
     quads = [(1, 2, 3, 4), (1, 3, 5, 6)]
     g3 = QuarticCoupling.from_entries(
         3, [(*q, float(rng.uniform(-0.5, 0.5))) for q in quads]
     )
     cases.append(("fpe-m3-quartic", HamiltonianSpec(3, t3, g3), 5))
-    cases.append(("fpe-m6-hubbard", hubbard.preset_hubbard(3, 1.0, 4.0)[0], 5))
+    cases.append(("fpe-m6-hubbard", _chain_spec(3, 1.0, 4.0), 5))
     return cases
+
+
+def _chain_spec(sites: int, hop: float, onsite: float) -> HamiltonianSpec:
+    """The Hubbard chain's model, built as a preset config's is."""
+    return config_to_spec(ModelConfig(2 * sites, *hubbard.chain_entries(sites, hop, onsite)[:2]))
 
 
 # Central stencils along packed axes: (step h, derivative order, offsets in
@@ -218,6 +226,6 @@ def run_hubbard_fidelity() -> CheckResult:
     shifts = []
     with _Sweep("hubbard-fidelity", ACCEPTANCE_TOLERANCES["hubbard-fidelity"]) as sweep:
         for sites, hop, onsite in ((1, 0.0, 4.0), (2, 1.0, 4.0), (2, 0.7, 0.0)):
-            sweep.add(hubbard.hubbard_comparison(sites, hop, onsite))
-            shifts.append(hubbard.preset_hubbard(sites, hop, onsite)[1])
+            sweep.add(coupling_oracle.hubbard_comparison(sites, hop, onsite))
+            shifts.append(hubbard.chain_entries(sites, hop, onsite)[2])
     return sweep.result(identity_shifts=shifts)

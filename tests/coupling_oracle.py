@@ -7,14 +7,20 @@ a<b<c<d fills its three pair splits (ab|cd), (ac|bd), (ad|bc) with signs
 block of G over the pairs a coupling touches, and the tests pin that block,
 and every kernel formula that reads it, against this matrix.
 
-:func:`dense_by_permutations` and :func:`antisymmetrize_by_permutations`
-expand each quadruple over ``itertools.permutations`` with the sign of an
-insertion sort (``tensors._sort_sign``), one scalar at a time, as the
-library did before it read its 24-ordering tables.
+:func:`dense_by_permutations` expands each quadruple over
+``itertools.permutations`` with the sign of an insertion sort
+(``tensors._sort_sign``), one scalar at a time, into the (2M)^4 tensor
+g_{ijkl}; the tests pin the coupling's 24-ordering tables against it.
+:func:`diffusion_expanded` sums the diffusion's explicit polynomial form
+over that tensor, a derivation independent of the kernel's compiled block
+and of its channel decomposition.
 
 :func:`hubbard_chain_config` writes a Hubbard chain's config out as explicit
 entries, site by site, from the mode layout that :mod:`majoranaq.hubbard`
 documents, without its builder: the twin of a ``preset`` config.
+:func:`fermi_hubbard_matrix` builds the chain's Hamiltonian from ladder
+operators, and :func:`hubbard_comparison` checks the Majorana build of a
+preset against it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,17 @@ import itertools
 
 import numpy as np
 
-from majoranaq import QuarticCoupling, pair_count, pair_enumerate
+from majoranaq import (
+    ModelConfig,
+    PhasePoint,
+    QuarticCoupling,
+    build_hamiltonian,
+    chain_entries,
+    config_to_spec,
+    jordan_wigner_ladders,
+    pair_count,
+    pair_enumerate,
+)
 from majoranaq.tensors import _sort_sign
 
 
@@ -49,18 +65,29 @@ def dense_by_permutations(g: QuarticCoupling) -> np.ndarray:
     return out
 
 
-def antisymmetrize_by_permutations(dense: np.ndarray, M: int) -> QuarticCoupling:
-    """The antisymmetric projection of ``dense``, summed term by term in permutation order."""
-    table = {}
-    for quad in itertools.combinations(range(2 * M), 4):
-        acc = 0.0
-        for perm in itertools.permutations(range(4)):
-            _, sign = _sort_sign(perm)
-            acc += sign * dense[tuple(quad[p] for p in perm)]
-        v = acc / 24.0
-        if v != 0.0:
-            table[tuple(q + 1 for q in quad)] = v
-    return QuarticCoupling(M, table)
+def diffusion_expanded(x: PhasePoint, g: QuarticCoupling) -> np.ndarray:
+    """The diffusion via its explicit polynomial form, one ordered tuple at a time.
+
+    Evaluates, per ordered tuple, -4 g [ (xx - xd + dx + dd)(xx - xd + dx + dd)
+    - (xx + xd - dx + dd)(xx + xd - dx + dd) ] in the phase-space variables,
+    over the dense coupling tensor of :func:`dense_by_permutations`.
+    """
+    M = x.M
+    xm = x.matrix()
+    npairs = pair_count(M)
+    al, be = np.triu_indices(2 * M, k=1)
+    eye = np.eye(2 * M)
+    D = np.zeros((npairs, npairs))
+    dense = dense_by_permutations(g)
+    for idx in np.argwhere(dense != 0.0):
+        i, j, k, l = idx
+        gv = dense[i, j, k, l]
+        f1 = xm[i, al] * xm[be, j] - xm[i, al] * eye[be, j] + eye[i, al] * xm[be, j] + eye[i, al] * eye[be, j]
+        f2 = xm[k, al] * xm[be, l] - xm[k, al] * eye[be, l] + eye[k, al] * xm[be, l] + eye[k, al] * eye[be, l]
+        f3 = xm[i, al] * xm[be, j] + xm[i, al] * eye[be, j] - eye[i, al] * xm[be, j] + eye[i, al] * eye[be, j]
+        f4 = xm[k, al] * xm[be, l] + xm[k, al] * eye[be, l] - eye[k, al] * xm[be, l] + eye[k, al] * eye[be, l]
+        D += -4.0 * gv * (np.outer(f1, f2) - np.outer(f3, f4))
+    return D
 
 
 def hubbard_chain_config(sites: int, hop: float, onsite: float, seed: int = 0) -> dict:
@@ -81,3 +108,40 @@ def hubbard_chain_config(sites: int, hop: float, onsite: float, seed: int = 0) -
         g.append([s, sites + s, M + s, M + sites + s, onsite / 48.0])
     return {"M": M, "t_entries": sorted(e for e in t if e[-1] != 0.0),
             "g_entries": [e for e in g if e[-1] != 0.0], "seed": seed}
+
+
+def fermi_hubbard_matrix(sites: int, hop: float, onsite: float) -> np.ndarray:
+    """The Hubbard chain's matrix built directly from ladder operators."""
+    M = 2 * sites
+    a = jordan_wigner_ladders(M)
+    dim = 2 ** M
+    H = np.zeros((dim, dim), dtype=complex)
+    for s in range(sites - 1):
+        for spin_offset in (0, sites):
+            m, n = s + spin_offset, s + 1 + spin_offset
+            H += -hop * (a[m].conj().T @ a[n] + a[n].conj().T @ a[m])
+    for s in range(sites):
+        n_up = a[s].conj().T @ a[s]
+        n_dn = a[sites + s].conj().T @ a[sites + s]
+        H += onsite * n_up @ n_dn
+    return H
+
+
+def hubbard_comparison(sites: int, hop: float, onsite: float) -> float:
+    """Max residual between the Majorana build and the ladder-operator build of one chain.
+
+    The Majorana side is the model a preset config gives: the chain's entries
+    from :func:`majoranaq.hubbard.chain_entries` through
+    :func:`majoranaq.config.config_to_spec`.  The two differ by the reported
+    identity shift; the comparison removes it by subtracting the trace part
+    of each matrix.
+    """
+    t, g, _shift = chain_entries(sites, hop, onsite)
+    h_majorana = build_hamiltonian(config_to_spec(ModelConfig(2 * sites, t, g)))
+    h_direct = fermi_hubbard_matrix(sites, hop, onsite)
+    dim = h_direct.shape[0]
+
+    def traceless(mat: np.ndarray) -> np.ndarray:
+        return mat - np.trace(mat) / dim * np.eye(dim)
+
+    return float(np.max(np.abs(traceless(h_majorana) - traceless(h_direct))))

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import majoranaq
 from majoranaq.cli import main
-from majoranaq.config import config_to_spec, load_config
-from majoranaq.hubbard import preset_hubbard
+from majoranaq.config import ModelConfig, config_to_spec, load_config
+from majoranaq.hubbard import chain_entries
 
 from coupling_oracle import hubbard_chain_config
 
@@ -535,8 +535,13 @@ class TestFlowCommand:
         '{"M": 1, "packed": [NaN]}',
         "[" * 100_000,
         b'{"M": 1, "packed": [0.5]} \xff',
+        '{"M": 1, "packed": [[0.5], [0.25]]}',
+        '{"M": 1, "packed": [[0.5]]}',
+        '{"M": 1, "packed": [true]}',
+        '{"M": 1, "packed": 0.5}',
+        '{"M": 1, "packed": [0.5], "seed": 3}',
     ], ids=["no-packed", "truncated", "not-object", "non-numeric", "non-finite", "nested",
-            "non-utf8"])
+            "non-utf8", "stacked-rows", "stacked-row", "boolean", "not-a-list", "unknown-key"])
     def test_malformed_x0_file_exit_2(self, tmp_path, capsys, text):
         cfg = write_config(tmp_path, {"M": 1, "t_entries": [[1, 2, 0.5]], "seed": 0})
         x0_path = tmp_path / "x0.json"
@@ -546,6 +551,7 @@ class TestFlowCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "--x0-file" in err and "Traceback" not in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out_csv.exists()
 
 
@@ -609,11 +615,12 @@ class TestPresetCommand:
     @pytest.mark.parametrize("sites", range(1, 9))
     @pytest.mark.parametrize("hop,onsite", [(0.0, 0.0), (1.0, 0.0), (0.0, 4.0), (-1.3, 2.5)])
     def test_summary_matches_the_coupling_classes(self, tmp_path, capsys, sites, hop, onsite):
-        # the standard-library summary counts what preset_hubbard's couplings store
+        # the standard-library summary counts what the chain's couplings store
         out = tmp_path / "hub.json"
         assert main(["preset", "hubbard", "--sites", str(sites), "--hop", repr(hop),
                      "--onsite", repr(onsite), "--out", str(out)]) == 0
-        spec, shift = preset_hubbard(sites, hop, onsite)
+        t, g, shift = chain_entries(sites, hop, onsite)
+        spec = config_to_spec(ModelConfig(2 * sites, t, g))
         n_t = int(np.count_nonzero(np.asarray(spec.t.packed)))
         assert capsys.readouterr().out.splitlines()[1:] == [
             f"M = {spec.M}, {n_t} quadratic entries, {len(spec.g.table)} quartic entries",
@@ -1040,13 +1047,14 @@ class TestWithoutScipy:
         assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]
 
     def test_covariance_comparison_runs_with_scipy_blocked(self, tmp_path):
-        # the library's one comparison against exact evolution takes both
-        # exponentials from numpy eigendecompositions
+        # the test oracle that demo 05 runs takes both exponentials from numpy
+        # eigendecompositions, so the demo runs where scipy is not installed
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
-            "from majoranaq import CouplingMatrix, gaussian_covariance_comparison\n"
-            "from majoranaq import random_boundary_point\n"
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "from basis_oracle import gaussian_covariance_comparison\n"
+            "from majoranaq import CouplingMatrix, random_boundary_point\n"
             "t = CouplingMatrix.from_entries(2, [(1, 2, 0.5), (2, 3, -0.3), (1, 4, 0.2)])\n"
             "print(gaussian_covariance_comparison(random_boundary_point(2, 13), t, 1.0))\n"
         )

@@ -22,15 +22,17 @@ from majoranaq import (
     drift,
     dynamics,
     flow,
-    gaussian_covariance_comparison,
     pair_count,
     random_boundary_point,
     random_interior_point,
 )
 from majoranaq.dynamics import _MARGIN_BLOCK
-from majoranaq.errors import DivergenceError
-from majoranaq.hubbard import preset_hubbard
+from majoranaq.config import ModelConfig, config_to_spec
+from majoranaq.errors import DimensionError, DivergenceError
+from majoranaq.hubbard import chain_entries
 from majoranaq.tensors import _drift_rate
+
+from basis_oracle import gaussian_covariance_comparison
 
 
 def random_spec(M, seed, t_scale=0.5, g_entries=None):
@@ -142,7 +144,7 @@ class TestFlow:
         self._assert_matches_public_loop(x0, spec, 1e-3, steps, method)
 
     def test_packed_flow_matches_public_drift_at_m16(self):
-        spec, _shift = preset_hubbard(8, 1.0, 4.0)
+        spec = config_to_spec(ModelConfig(16, *chain_entries(8, 1.0, 4.0)[:2]))
         self._assert_matches_public_loop(random_boundary_point(16, 3), spec, 1e-3, 130, "rk4")
 
     @staticmethod
@@ -323,6 +325,14 @@ class TestFlow:
         for dt in (1e308, np.float64(1e308), np.nan):
             with pytest.raises(ValueError, match="horizon"):
                 flow(x0, spec, dt=dt, steps=3)
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_stacked_initial_point_raises(self, points):
+        spec = random_spec(2, 9)
+        x0 = majoranaq.random_points(2, range(points), boundary=True)
+        assert x0.packed.shape == (points, pair_count(2))
+        with pytest.raises(DimensionError, match="single point"):
+            flow(x0, spec, dt=0.1, steps=3)
 
 
 def spectrum(x, g, tol=1e-10):

@@ -13,7 +13,6 @@ from majoranaq import (
     QuarticCoupling,
     diffusion,
     diffusion_channels,
-    diffusion_expanded,
     div_diffusion,
     drift,
     drift_bar,
@@ -32,7 +31,7 @@ from majoranaq.tensors import _pack, _unpack
 
 from acceptance_runners import _central
 
-from coupling_oracle import dense_pair_matrix
+from coupling_oracle import dense_by_permutations, dense_pair_matrix, diffusion_expanded
 from x_oracle import im_x, re_x, x_component, x_plus_minus
 
 
@@ -128,14 +127,14 @@ class TestContractQuartic:
             M, [(*q, rng.uniform(-1, 1)) for q in quads]
         )
         for x in (random_interior_point(M, M + 1), random_boundary_point(M, M + 1)):
-            ref = np.einsum("ijkl,kl->ij", g.dense(), x.matrix())
+            ref = np.einsum("ijkl,kl->ij", dense_by_permutations(g), x.matrix())
             np.testing.assert_allclose(block_contraction(g, x.matrix()), ref, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
     def test_all_quadruples_against_dense_einsum(self, M):
         g = all_quadruples(M, seed=10 + M)
         for x in (random_interior_point(M, M), random_boundary_point(M, M)):
-            ref = np.einsum("ijkl,kl->ij", g.dense(), x.matrix())
+            ref = np.einsum("ijkl,kl->ij", dense_by_permutations(g), x.matrix())
             np.testing.assert_allclose(block_contraction(g, x.matrix()), ref, rtol=0, atol=1e-12)
 
 
@@ -207,7 +206,7 @@ class TestDiffusion:
         pairs = [(p.alpha - 1, p.beta - 1) for p in pair_enumerate(M)]
         npairs = len(pairs)
         D_cplx = np.zeros((npairs, npairs), dtype=complex)
-        dense = g.dense()
+        dense = dense_by_permutations(g)
         for i, j, k, l in itertools.product(range(4), repeat=4):
             gv = dense[i, j, k, l]
             if gv == 0:
@@ -339,7 +338,7 @@ class TestDriftBar:
         t = random_t(M, 1)
         g = QuarticCoupling.from_entries(M, [(1, 2, 3, 4, 0.6), (1, 2, 5, 6, -0.4)])
         x = random_interior_point(M, 2, scale=0.5)
-        gx = np.einsum("ijkl,kl->ij", g.dense(), x.matrix())
+        gx = np.einsum("ijkl,kl->ij", dense_by_permutations(g), x.matrix())
         tm = t.matrix()
         expected = []
         for p in pair_enumerate(M):
@@ -359,7 +358,7 @@ class TestDriftBar:
         g = QuarticCoupling.from_entries(M, [(1, 2, 3, 4, 0.7), (3, 4, 5, 6, 0.2)])
         x = random_interior_point(M, 4)
         xp, _ = x_plus_minus(x)
-        gx_plus = np.einsum("ijkl,kl->ij", g.dense().astype(complex), xp)
+        gx_plus = np.einsum("ijkl,kl->ij", dense_by_permutations(g).astype(complex), xp)
         tm = t.matrix()
         vec = np.zeros(pair_count(M), dtype=complex)
         for pos, p in enumerate(pair_enumerate(M)):
@@ -611,7 +610,7 @@ class TestTangency:
 
 def _stage_models():
     """(M, t, g) over M = 1-8 and 16, with zero, sparse and dense couplings."""
-    from majoranaq.hubbard import preset_hubbard
+    from majoranaq import ModelConfig, chain_entries, config_to_spec
 
     for M in (1, 2, 3, 4, 5, 6, 7, 8, 16):
         rng = np.random.default_rng(70 + M)
@@ -624,7 +623,8 @@ def _stage_models():
         if quads and M <= 6:
             couplings.append(("dense", all_quadruples(M, 80 + M)))
         if M % 2 == 0:
-            couplings.append(("hubbard", preset_hubbard(M // 2, 1.0, 4.0)[0].g))
+            chain = ModelConfig(M, *chain_entries(M // 2, 1.0, 4.0)[:2])
+            couplings.append(("hubbard", config_to_spec(chain).g))
         for t_name, t in (("t0", CouplingMatrix.zero(M)), ("t", random_t(M, 90 + M))):
             for g_name, g in couplings:
                 yield pytest.param(M, t, g, id=f"M{M}-{g_name}-{t_name}")
@@ -728,9 +728,9 @@ class TestDenseReference:
         # the 8-site Hubbard chain: a 496 x 496 float array would take 1.97 MB
         import tracemalloc
 
-        from majoranaq.hubbard import preset_hubbard
+        from majoranaq import ModelConfig, chain_entries, config_to_spec
 
-        pre, _shift = preset_hubbard(8, 1.0, 4.0)
+        pre = config_to_spec(ModelConfig(16, *chain_entries(8, 1.0, 4.0)[:2]))
         x = random_boundary_point(16, 1)
         limit = pair_count(16) ** 2 * 8
         tracemalloc.start()

@@ -1,6 +1,7 @@
 """The package namespace: lazy, complete, and the defining modules' own objects."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -49,3 +50,51 @@ def test_readme_quickstart_runs(tmp_path):
                          capture_output=True, text=True, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert len(out.stdout.splitlines()) == 3
+
+
+def test_every_exported_function_is_run_by_a_command(tmp_path, capsys):
+    # every function the package exports is reached by a command line; one
+    # that only the tests or the demos call belongs with the oracles in tests/
+    import inspect
+
+    from majoranaq.cli import main
+
+    exported = {}
+    for name in majoranaq.__all__:
+        obj = getattr(majoranaq, name)
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()  # a cached result would skip the body the profiler sees
+        fn = inspect.unwrap(obj)
+        if inspect.isfunction(fn):
+            exported[fn.__code__] = name
+    m1, m3, hub, x0 = (str(tmp_path / f) for f in ("m1.json", "m3.json", "hub.json", "x0.json"))
+    (tmp_path / "m1.json").write_text(json.dumps({"M": 1, "t_entries": [[1, 2, 0.5]]}))
+    (tmp_path / "m3.json").write_text(json.dumps({
+        "M": 3, "t_entries": [[1, 2, 0.3], [2, 5, -0.2]], "g_entries": [[1, 2, 3, 4, 0.4]]}))
+    (tmp_path / "x0.json").write_text(json.dumps(
+        {"M": 4, "packed": majoranaq.random_boundary_point(4, 1).packed.tolist()}))
+    csv = str(tmp_path / "t.csv")
+    flow = ["flow", "--config", hub, "--steps", "3", "--out", csv]
+    commands = [
+        ["preset", "hubbard", "--sites", "2", "--hop", "1", "--onsite", "4", "--out", hub],
+        [*flow, "--method", "rk4"],
+        [*flow, "--method", "euler"],
+        [*flow, "--x0-file", x0],
+        ["verify", "--config", m1, "--suite", "all"],
+        ["verify", "--config", m3, "--suite", "all"],
+        ["verify", "--config", m3, "--suite", "fpe", "--drift-form", "eq50"],
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * 7
+    assert sorted(name for code, name in exported.items() if code not in called) == []

@@ -17,13 +17,13 @@ from majoranaq import (
     dynamics,
     flow,
     fock,
-    hubbard,
     kernel,
     suites,
 )
 from majoranaq.tensors import _pair_rows_cols, random_boundary_point, random_interior_point
 
 import acceptance_runners
+import coupling_oracle
 
 
 @pytest.mark.parametrize(
@@ -546,7 +546,7 @@ NAN_CASES = {
     "basis-at-origin": (fock, "gaussian_basis", 2, _nan,
                         lambda: acceptance_runners.run_gaussian_basis(seed=5, n_boundary=2),
                         "basis-at-origin", "max_residual"),
-    "hubbard-fidelity": (hubbard, "hubbard_comparison", 2, lambda residual: np.nan,
+    "hubbard-fidelity": (coupling_oracle, "hubbard_comparison", 2, lambda residual: np.nan,
                          acceptance_runners.run_hubbard_fidelity, "hubbard-fidelity", "max_residual"),
 }
 

@@ -10,7 +10,6 @@ from majoranaq import (
     HamiltonianSpec,
     PhasePoint,
     QuarticCoupling,
-    antisymmetrize_quartic,
     domain_margin,
     pair_count,
     pair_enumerate,
@@ -20,11 +19,7 @@ from majoranaq import (
 )
 from majoranaq.errors import DimensionError, IndexRangeError
 
-from coupling_oracle import (
-    antisymmetrize_by_permutations,
-    dense_by_permutations,
-    dense_pair_matrix,
-)
+from coupling_oracle import dense_by_permutations, dense_pair_matrix
 
 
 def perm_sign(perm):
@@ -90,43 +85,6 @@ class TestPhasePoint:
             PhasePoint(2, np.zeros(5))
 
 
-class TestAntisymmetrizeQuartic:
-    def test_single_entry(self):
-        dense = np.zeros((4, 4, 4, 4))
-        dense[0, 1, 2, 3] = 24.0
-        g = antisymmetrize_quartic(dense, 2)
-        assert g.entry(1, 2, 3, 4) == pytest.approx(1.0)
-        assert g.entry(2, 1, 3, 4) == pytest.approx(-1.0)
-        assert g.entry(1, 1, 3, 4) == 0.0
-
-    def test_projector_idempotent(self):
-        rng = np.random.default_rng(2)
-        dense = rng.normal(size=(4, 4, 4, 4))
-        g1 = antisymmetrize_quartic(dense, 2)
-        g2 = antisymmetrize_quartic(g1.dense(), 2)
-        for key, v in g1.items():
-            assert g2.entry(*key) == pytest.approx(v, abs=1e-15)
-
-    def test_antisymmetric_input_unchanged(self):
-        g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.37)])
-        h = antisymmetrize_quartic(g.dense(), 2)
-        for idx in itertools.product(range(1, 5), repeat=4):
-            assert h.entry(*idx) == pytest.approx(g.entry(*idx), abs=1e-15)
-
-    def test_symmetric_first_pair_annihilates(self):
-        rng = np.random.default_rng(3)
-        dense = rng.normal(size=(4, 4, 4, 4))
-        dense = dense + dense.transpose(1, 0, 2, 3)
-        g = antisymmetrize_quartic(dense, 2)
-        # cancellation is to rounding, not bitwise (24-term alternating sum)
-        for idx in itertools.product(range(1, 5), repeat=4):
-            assert abs(g.entry(*idx)) <= 1e-15
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            antisymmetrize_quartic(np.zeros((4, 4, 4, 3)), 2)
-
-
 class TestQuarticAccessor:
     def test_full_permutation_antisymmetry(self):
         g = QuarticCoupling.from_entries(3, [(1, 3, 4, 6, -0.8)])
@@ -154,7 +112,7 @@ class TestQuarticAccessor:
 
 def _block_couplings():
     """Random couplings at M = 1-4, the Hubbard chains at M = 4, 8 and 16, and zero ones."""
-    from majoranaq.hubbard import preset_hubbard
+    from majoranaq import ModelConfig, chain_entries, config_to_spec
 
     for M in (1, 2, 3, 4):
         rng = np.random.default_rng(40 + M)
@@ -163,7 +121,8 @@ def _block_couplings():
         yield pytest.param(QuarticCoupling.from_entries(
             M, [(*quads[c], rng.uniform(-1, 1)) for c in chosen]), id=f"M{M}-sparse")
     for sites in (2, 4, 8):
-        yield pytest.param(preset_hubbard(sites, 1.0, 4.0)[0].g, id=f"M{2 * sites}-hubbard")
+        chain = ModelConfig(2 * sites, *chain_entries(sites, 1.0, 4.0)[:2])
+        yield pytest.param(config_to_spec(chain).g, id=f"M{2 * sites}-hubbard")
     for M in (1, 3, 16):
         yield pytest.param(QuarticCoupling.zero(M), id=f"M{M}-zero")
 
@@ -176,7 +135,7 @@ class TestCompiledQuartic:
         g = QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])
         rows, cols = np.triu_indices(2 * M, k=1)
         G = dense_pair_matrix(g)
-        np.testing.assert_array_equal(G, g.dense()[rows, cols][:, rows, cols])
+        np.testing.assert_array_equal(G, dense_by_permutations(g)[rows, cols][:, rows, cols])
         np.testing.assert_array_equal(G, G.T)
         assert np.count_nonzero(G) == 6 * len(quads)
         # every quadruple present: the block is all of G
@@ -236,27 +195,17 @@ class TestCompiledQuartic:
 
 
 class TestPermutationTables:
-    """dense() and antisymmetrize_quartic read the 24-ordering tables, bit for bit."""
+    """ordered_tuples reads the 24-ordering tables, bit for bit."""
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
-    def test_dense_equals_the_permutation_loop(self, M):
+    def test_ordered_tuples_fill_the_permutation_loop(self, M):
         rng = np.random.default_rng(60 + M)
         quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
         g = QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])
-        assert g.dense().tobytes() == dense_by_permutations(g).tobytes()
-
-    @pytest.mark.parametrize("M", [1, 2, 3, 4])
-    def test_antisymmetrize_equals_the_sequential_sum(self, M):
-        # magnitudes over twelve decades, so that another summation order of
-        # the 24 signed terms rounds differently; at M = 2 (one quadruple)
-        # a reduction over them may run pairwise
-        for seed in range(8):
-            rng = np.random.default_rng([70 + M, seed])
-            shape = (2 * M,) * 4
-            dense = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
-            got = antisymmetrize_quartic(dense, M).items()
-            assert got == antisymmetrize_by_permutations(dense, M).items()
-            assert len(got) == len(list(itertools.combinations(range(2 * M), 4)))
+        tuples, weights = g.ordered_tuples
+        dense = np.zeros((2 * M,) * 4)
+        dense[tuple(tuples.T)] = weights
+        assert dense.tobytes() == dense_by_permutations(g).tobytes()
 
 
 class TestCouplings:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from majoranaq import ModelConfig, config_to_spec, load_config, parse_config
+from majoranaq import ModelConfig, chain_entries, config_to_spec, load_config, parse_config
+from majoranaq.cli import main
 from majoranaq.errors import ConfigError
 
 from coupling_oracle import hubbard_chain_config
@@ -126,6 +127,22 @@ class TestFiles:
         assert load_config(str(path)) == ModelConfig(
             2, ((1, 2, 0.5), (3, 4, -0.25)), ((1, 2, 3, 4, 1.0),), 7, {"fpe": 1e-5})
 
+    def test_round_trip(self, tmp_path):
+        # a loaded config's fields, written back out as a config, load to the same config
+        data = {
+            "M": 3,
+            "t_entries": [[1, 2, 0.5], [2, 5, -0.25]],
+            "g_entries": [[1, 2, 3, 4, 1.0], [1, 3, 5, 6, -0.125]],
+            "seed": 7,
+            "tolerances": {"fpe": 1e-5},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        cfg = load_config(str(path))
+        path2 = tmp_path / "model2.json"
+        path2.write_text(json.dumps({**cfg._asdict(), "tolerances": dict(cfg.tolerances)}))
+        assert load_config(str(path2)) == cfg
+
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"M": 1,\n  "t_entries": [[1, 2 0.5]]}')
@@ -169,6 +186,18 @@ class TestPresetExpansion:
         spec, twin_spec = config_to_spec(cfg), config_to_spec(twin)
         np.testing.assert_array_equal(spec.t.packed, twin_spec.t.packed)
         assert spec.g.items() == twin_spec.g.items()
+
+    @pytest.mark.parametrize("sites", [1, 2, 3, 8])
+    def test_emitted_preset_parses_back_equal(self, tmp_path, capsys, sites):
+        # the config the preset command writes is the chain's model, its seed kept
+        path = tmp_path / "hub.json"
+        assert main(["preset", "hubbard", "--sites", str(sites), "--hop", "1",
+                     "--onsite", "4", "--seed", "4", "--out", str(path)]) == 0
+        capsys.readouterr()
+        cfg = load_config(str(path))
+        assert cfg == parse_config({**_preset(sites, 1.0, 4.0), "seed": 4})
+        assert cfg == ModelConfig(2 * sites, *chain_entries(sites, 1.0, 4.0)[:2], seed=4)
+        assert cfg.g_entries
 
     @pytest.mark.parametrize("sites", [9, 10 ** 9])
     def test_chain_past_the_longest_any_command_runs_rejected(self, sites):

@@ -145,6 +145,18 @@ class TestMajoranas:
         with pytest.raises(TypeError):
             verify_fpe(random_density_matrix(2, 1), spec, x, build_majoranas(2))
 
+    def test_no_warning_within_the_verify_cap(self):
+        # the largest stack any suite builds comes silently, once per M
+        import warnings
+
+        from majoranaq.fock import ORACLE_MAX_M
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            majo = build_majoranas(ORACLE_MAX_M)
+        assert majo.shape == (2 * ORACLE_MAX_M, 2 ** ORACLE_MAX_M, 2 ** ORACLE_MAX_M)
+        assert build_majoranas(ORACLE_MAX_M) is majo
+
 
 class TestHamiltonian:
     def test_zero(self):

@@ -52,21 +52,29 @@ def test_readme_quickstart_runs(tmp_path):
     assert len(out.stdout.splitlines()) == 3
 
 
-def test_every_exported_function_is_run_by_a_command(tmp_path, capsys):
-    # every function the package exports is reached by a command line; one
-    # that only the tests or the demos call belongs with the oracles in tests/
+def _exported_functions():
+    """Each exported function's name, with its code object (wrappers such as a cache unwrapped)."""
     import inspect
+
+    for name in majoranaq.__all__:
+        fn = inspect.unwrap(getattr(majoranaq, name))
+        if inspect.isfunction(fn):
+            yield name, fn.__code__
+
+
+@pytest.fixture(scope="module")
+def command_calls(tmp_path_factory):
+    """The code objects that the seven command lines call, run once in-process under a profiler."""
+    import contextlib
+    import io
 
     from majoranaq.cli import main
 
-    exported = {}
-    for name in majoranaq.__all__:
+    for name, _code in _exported_functions():
         obj = getattr(majoranaq, name)
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()  # a cached result would skip the body the profiler sees
-        fn = inspect.unwrap(obj)
-        if inspect.isfunction(fn):
-            exported[fn.__code__] = name
+    tmp_path = tmp_path_factory.mktemp("commands")
     m1, m3, hub, x0 = (str(tmp_path / f) for f in ("m1.json", "m3.json", "hub.json", "x0.json"))
     (tmp_path / "m1.json").write_text(json.dumps({"M": 1, "t_entries": [[1, 2, 0.5]]}))
     (tmp_path / "m3.json").write_text(json.dumps({
@@ -90,11 +98,19 @@ def test_every_exported_function_is_run_by_a_command(tmp_path, capsys):
         if event == "call":
             called.add(frame.f_code)
 
-    sys.setprofile(profile)
-    try:
-        codes = [main(argv) for argv in commands]
-    finally:
-        sys.setprofile(None)
-    capsys.readouterr()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            codes = [main(argv) for argv in commands]
+        finally:
+            sys.setprofile(None)
     assert codes == [0] * 7
-    assert sorted(name for code, name in exported.items() if code not in called) == []
+    return called
+
+
+@pytest.mark.parametrize("name,code", list(_exported_functions()),
+                         ids=[name for name, _code in _exported_functions()])
+def test_every_exported_function_is_run_by_a_command(command_calls, name, code):
+    # every function the package exports is reached by a command line; one
+    # that only the tests or the demos call belongs with the oracles in tests/
+    assert code in command_calls, f"{name} is exported but no command line calls it"

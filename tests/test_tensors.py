@@ -195,10 +195,10 @@ class TestCompiledQuartic:
 
 
 class TestPermutationTables:
-    """ordered_tuples reads the 24-ordering tables, bit for bit."""
+    """The dense tensor filled from ordered_tuples is the permutation loop's, bit for bit."""
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
-    def test_ordered_tuples_fill_the_permutation_loop(self, M):
+    def test_dense_equals_the_permutation_loop(self, M):
         rng = np.random.default_rng(60 + M)
         quads = list(itertools.combinations(range(1, 2 * M + 1), 4))
         g = QuarticCoupling.from_entries(M, [(*q, rng.uniform(-1, 1)) for q in quads])

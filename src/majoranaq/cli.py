@@ -147,13 +147,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    from .hubbard import _MAX_SITES, chain_entries
+    from .hubbard import _check_sites, chain_entries
 
-    if args.sites > _MAX_SITES:
-        raise ConfigError(
-            f"must be <= {_MAX_SITES}, the largest chain any command runs, got {args.sites}",
-            field="--sites",
-        )
+    _check_sites(args.sites, "--sites")
     t, g, shift = chain_entries(args.sites, args.hop, args.onsite)
     M = 2 * args.sites
     cfg = {

@@ -4,22 +4,25 @@ Schema::
 
     {
       "M": 2,
-      "t_entries": [[i, j, value], ...],        # 1 <= i < j <= 2M
-      "g_entries": [[i, j, k, l, value], ...],  # 1 <= i < j < k < l <= 2M
+      "t_entries": [[i, j, value], ...],
+      "g_entries": [[i, j, k, l, value], ...],
       "preset": {"name": "hubbard", "sites": 1, "hop": 0.0,
                  "onsite": 4.0, "geometry": "chain"},  # expanded into entries
       "seed": 42,
       "tolerances": {"fpe": 1e-5, ...}
     }
 
-Either explicit entries or a preset may be given, not both.  Entries must be
-in canonical (strictly increasing) index order and unique; anything else is a
-user error and is rejected rather than silently antisymmetrized.  Coupling
-values and the preset's ``hop`` and ``onsite`` must be finite numbers, the
-preset's geometry must be ``"chain"`` and its chain at most 8 sites long
-(M = 16, the largest model any command runs), the seed must be a
-non-negative integer, and tolerance overrides must name a pinned tolerance
-of :data:`TOLERANCES` and be finite and positive.
+Either explicit entries or a preset may be given, not both.  Each coupling
+entry must be in range (integer indices in [1, 2M]), repeat no index, list
+its indices in increasing order, be unique in its list and have a finite
+value.  :func:`_parse_entries` enforces these rules, the first three through
+:func:`majoranaq.tensors._index_fault`, which the coupling constructors
+share.  Anything else is a user error and is rejected rather than silently
+antisymmetrized.  The preset's ``hop`` and ``onsite`` must be finite
+numbers, its geometry ``"chain"`` and its chain at most 8 sites long
+(M = 16, the largest model any command runs), the seed a non-negative
+integer, and tolerance overrides must name a pinned tolerance of
+:data:`TOLERANCES` and be finite and positive.
 
 A preset is expanded when the config is parsed: :func:`parse_config` stores
 the chain's canonical entries (:func:`majoranaq.hubbard.chain_entries`) in
@@ -43,7 +46,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .tensors import CouplingMatrix, HamiltonianSpec, QuarticCoupling
+from .tensors import CouplingMatrix, HamiltonianSpec, QuarticCoupling, _index_fault
 
 __all__ = ["ModelConfig", "load_config", "parse_config", "config_to_spec", "TOLERANCES"]
 
@@ -125,6 +128,23 @@ def _parse_tolerances(tolerances) -> dict:
     return parsed
 
 
+def _parse_entries(data: dict, field: str, M: int, names: str) -> list:
+    """The coupling entries under ``field``: lists of the indices ``names``, then a value."""
+    entries, seen = [], set()
+    for pos, entry in enumerate(_require_list(data.get(field, []), field)):
+        if not isinstance(entry, (list, tuple)) or len(entry) != len(names) + 1:
+            raise ConfigError(f"entry {pos} must be [{', '.join(names)}, value]", field=field)
+        *idx, v = entry
+        idx = tuple(_require_int(q, f"{field}[{pos}].{name}") for q, name in zip(idx, names))
+        if fault := _index_fault(M, idx):
+            raise ConfigError(fault, field=field)
+        if idx in seen:
+            raise ConfigError(f"duplicate canonical entry {idx}", field=field)
+        seen.add(idx)
+        entries.append((*idx, _require_number(v, f"{field}[{pos}].value")))
+    return entries
+
+
 def parse_config(data: dict) -> ModelConfig:
     """Validate a decoded configuration dictionary."""
     if not isinstance(data, dict):
@@ -137,50 +157,8 @@ def parse_config(data: dict) -> ModelConfig:
     M = _require_int(data["M"], "M")
     if M < 1:
         raise ConfigError("mode count must be >= 1", field="M")
-    n = 2 * M
-    t_entries = []
-    seen_t = set()
-    for pos, entry in enumerate(_require_list(data.get("t_entries", []), "t_entries")):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ConfigError(f"entry {pos} must be [i, j, value]", field="t_entries")
-        i, j, v = entry
-        i = _require_int(i, f"t_entries[{pos}].i")
-        j = _require_int(j, f"t_entries[{pos}].j")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ConfigError(f"indices ({i},{j}) outside [1, {n}]", field="t_entries")
-        if i >= j:
-            raise ConfigError(
-                f"entry ({i},{j}) not in canonical order i < j", field="t_entries"
-            )
-        if (i, j) in seen_t:
-            raise ConfigError(f"duplicate canonical entry ({i},{j})", field="t_entries")
-        seen_t.add((i, j))
-        t_entries.append((i, j, _require_number(v, f"t_entries[{pos}].value")))
-    g_entries = []
-    seen_g = set()
-    for pos, entry in enumerate(_require_list(data.get("g_entries", []), "g_entries")):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 5:
-            raise ConfigError(
-                f"entry {pos} must be [i, j, k, l, value]", field="g_entries"
-            )
-        *idx, v = entry
-        idx = tuple(_require_int(q, f"g_entries[{pos}]") for q in idx)
-        if any(not 1 <= q <= n for q in idx):
-            raise ConfigError(f"indices {idx} outside [1, {n}]", field="g_entries")
-        if len(set(idx)) < 4:
-            raise ConfigError(
-                f"indices {idx} repeat; a fully antisymmetric coupling vanishes there",
-                field="g_entries",
-            )
-        if list(idx) != sorted(idx):
-            raise ConfigError(
-                f"quadruple {idx} not in canonical order i < j < k < l",
-                field="g_entries",
-            )
-        if idx in seen_g:
-            raise ConfigError(f"duplicate canonical quadruple {idx}", field="g_entries")
-        seen_g.add(idx)
-        g_entries.append((*idx, _require_number(v, f"g_entries[{pos}].value")))
+    t_entries = _parse_entries(data, "t_entries", M, "ij")
+    g_entries = _parse_entries(data, "g_entries", M, "ijkl")
     preset = data.get("preset")
     if preset is not None:
         if not isinstance(preset, dict) or "name" not in preset:
@@ -208,12 +186,9 @@ def parse_config(data: dict) -> ModelConfig:
                 f"unsupported geometry {preset['geometry']!r}; only 'chain' is available",
                 field="preset.geometry",
             )
-        from .hubbard import _MAX_SITES, chain_entries  # only a preset loads the Hubbard module
+        from .hubbard import _check_sites, chain_entries  # only a preset loads the Hubbard module
 
-        # checked before the chain is expanded: its entries grow with the sites
-        if sites > _MAX_SITES:
-            raise ConfigError(f"must be <= {_MAX_SITES}, the largest chain any command runs, "
-                              f"got {sites}", field="preset.sites")
+        _check_sites(sites, "preset.sites")  # before the expansion: its entries grow with the sites
         t_entries, g_entries, _shift = chain_entries(sites, hop, onsite)
     seed = _require_int(data.get("seed", 0), "seed")
     if seed < 0:

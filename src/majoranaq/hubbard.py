@@ -23,12 +23,19 @@ same chain, which the Majorana build is checked against, is a test oracle in
 
 from __future__ import annotations
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 __all__ = ["chain_entries"]
 
 # the longest chain any command runs: M = 16, the mode-count cap of ``flow``
 _MAX_SITES = 8
+
+
+def _check_sites(sites: int, field: str) -> None:
+    """Refuse a chain longer than :data:`_MAX_SITES`, naming the option or config ``field``."""
+    if sites > _MAX_SITES:
+        raise ConfigError(f"must be <= {_MAX_SITES}, the largest chain any command runs, "
+                          f"got {sites}", field=field)
 
 
 def chain_entries(sites: int, hop: float, onsite: float) -> tuple[tuple, tuple, float]:

@@ -92,17 +92,36 @@ class PairIndex(NamedTuple):
 
 def pair_enumerate(M: int) -> list[PairIndex]:
     """All independent pair indices in lexicographic order (1-based)."""
-    if M < 1:
-        raise DimensionError(f"mode count must be >= 1, got {M}")
+    _check_modes(M)
     rows, cols = _pair_rows_cols(M)
     return [PairIndex(a + 1, b + 1, p)
             for p, (a, b) in enumerate(zip(rows.tolist(), cols.tolist()))]
+
+
+def _check_modes(M: int) -> None:
+    if M < 1:
+        raise DimensionError(f"mode count must be >= 1, got {M}")
 
 
 def _check_index(M: int, *idx: int) -> None:
     for i in idx:
         if not 1 <= i <= 2 * M:
             raise IndexRangeError(f"index {i} outside [1, {2 * M}]")
+
+
+def _index_fault(M: int, idx: tuple) -> str | None:
+    """The first rule the 1-based coupling indices ``idx`` break, or None.
+
+    A canonical entry of t (i, j) or g (i, j, k, l) has its indices in
+    [1, 2M], repeats none of them, and lists them in increasing order.
+    """
+    if not all(1 <= i <= 2 * M for i in idx):
+        return f"indices {idx} outside [1, {2 * M}]"
+    if len(set(idx)) < len(idx):
+        return f"indices {idx} repeat; an antisymmetric coupling vanishes there"
+    if list(idx) != sorted(idx):
+        return f"indices {idx} not in canonical order {' < '.join('ijkl'[:len(idx)])}"
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +195,7 @@ class _PackedAntisymmetric(_Frozen):
     _STACKS = False
 
     def __init__(self, M: int, packed: np.ndarray):
-        if M < 1:
-            raise DimensionError(f"mode count must be >= 1, got {M}")
+        _check_modes(M)
         packed = np.asarray(packed, dtype=float)
         n = pair_count(M)
         if packed.shape != (n,) and not (self._STACKS and packed.ndim == 2
@@ -239,12 +257,11 @@ class CouplingMatrix(_PackedAntisymmetric):
 
     @classmethod
     def from_entries(cls, M: int, entries) -> "CouplingMatrix":
-        """Build from 1-based canonical entries [(i, j, value), ...] with i < j."""
+        """Build from 1-based canonical entries [(i, j, value), ...]."""
         packed = np.zeros(pair_count(M))
         for i, j, v in entries:
-            _check_index(M, i, j)
-            if i >= j:
-                raise IndexRangeError(f"entry ({i},{j}) must be in canonical order i < j")
+            if fault := _index_fault(M, (i, j)):
+                raise IndexRangeError(fault)
             packed[_pair_index_matrix(M)[i - 1, j - 1]] += v
         return cls(M, packed)
 
@@ -287,14 +304,12 @@ class QuarticCoupling(_Frozen):
     table: MappingProxyType
 
     def __init__(self, M: int, table=MappingProxyType({})):
-        if M < 1:
-            raise DimensionError(f"mode count must be >= 1, got {M}")
+        _check_modes(M)
         clean = {}
         for key, v in table.items():
             i, j, k, l = key
-            _check_index(M, i, j, k, l)
-            if not (i < j < k < l):
-                raise IndexRangeError(f"quadruple {key} must be strictly increasing")
+            if fault := _index_fault(M, (i, j, k, l)):
+                raise IndexRangeError(fault)
             if v != 0.0:
                 clean[(i, j, k, l)] = float(v)
         self.__dict__.update(M=M, table=MappingProxyType(clean))

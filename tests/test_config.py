@@ -29,6 +29,9 @@ class TestParse:
     def test_repeated_quartic_indices_rejected(self):
         with pytest.raises(ConfigError, match="repeat"):
             parse_config({"M": 1, "g_entries": [[1, 2, 2, 1, 1.0]]})
+        # the diagonal of t, which antisymmetry sets to zero
+        with pytest.raises(ConfigError, match="t_entries: .*repeat"):
+            parse_config({"M": 1, "t_entries": [[2, 2, 0.5]]})
 
     def test_non_canonical_order_rejected(self):
         with pytest.raises(ConfigError, match="canonical"):

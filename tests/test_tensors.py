@@ -17,7 +17,8 @@ from majoranaq import (
     random_interior_point,
     standard_complex_structure,
 )
-from majoranaq.errors import DimensionError, IndexRangeError
+from majoranaq.config import parse_config
+from majoranaq.errors import ConfigError, DimensionError, IndexRangeError
 
 from coupling_oracle import dense_by_permutations, dense_pair_matrix
 
@@ -35,6 +36,8 @@ class TestPairEnumeration:
     def test_m1(self):
         pairs = pair_enumerate(1)
         assert [(p.alpha, p.beta) for p in pairs] == [(1, 2)]
+        with pytest.raises(DimensionError):
+            pair_enumerate(0)
 
     def test_m2(self):
         pairs = pair_enumerate(2)
@@ -83,6 +86,8 @@ class TestPhasePoint:
     def test_bad_length(self):
         with pytest.raises(DimensionError):
             PhasePoint(2, np.zeros(5))
+        with pytest.raises(DimensionError):
+            PhasePoint(0, np.zeros(0))
 
 
 class TestQuarticAccessor:
@@ -101,6 +106,8 @@ class TestQuarticAccessor:
     def test_non_canonical_key_rejected(self):
         with pytest.raises(IndexRangeError):
             QuarticCoupling(2, {(2, 1, 3, 4): 1.0})
+        with pytest.raises(DimensionError):
+            QuarticCoupling(0, {})
 
     def test_out_of_range(self):
         g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 1.0)])
@@ -218,12 +225,46 @@ class TestCouplings:
     def test_non_canonical_entry_rejected(self):
         with pytest.raises(IndexRangeError):
             CouplingMatrix.from_entries(2, [(2, 1, 0.5)])
+        with pytest.raises(IndexRangeError, match="repeat"):
+            CouplingMatrix.from_entries(2, [(2, 2, 0.5)])
+        # an entry is checked against M = 0 before the mode count is
+        with pytest.raises(IndexRangeError):
+            CouplingMatrix.from_entries(0, [(1, 2, 0.5)])
+        with pytest.raises(DimensionError):
+            CouplingMatrix.from_entries(0, [])
 
     def test_spec_m_mismatch(self):
         t = CouplingMatrix.zero(2)
         g = QuarticCoupling.zero(3)
         with pytest.raises(DimensionError):
             HamiltonianSpec(2, t, g)
+
+
+# Coupling index tuples at M = 2 that break a canonical rule, and the rule the
+# error names first: range, then repeats, then order.
+BAD_INDEX_TUPLES = [
+    ((0, 2), "outside"), ((1, 5), "outside"), ((5, 1), "outside"), ((3, 3), "repeat"),
+    ((2, 1), "canonical order i < j"),
+    ((0, 1, 2, 3), "outside"), ((1, 2, 3, 5), "outside"), ((5, 4, 4, 1), "outside"),
+    ((1, 2, 2, 3), "repeat"), ((1, 1, 1, 1), "repeat"), ((4, 3, 2, 2), "repeat"),
+    ((1, 2, 4, 3), "canonical order i < j < k < l"), ((4, 3, 2, 1), "canonical order"),
+]
+
+
+@pytest.mark.parametrize("entry_point", ["parse_config", "constructor"])
+@pytest.mark.parametrize("idx,rule", BAD_INDEX_TUPLES, ids=str)
+def test_bad_index_tuple_rejected_by_every_entry_point(entry_point, idx, rule):
+    # a pair goes to CouplingMatrix.from_entries, a quadruple to QuarticCoupling
+    field = "t_entries" if len(idx) == 2 else "g_entries"
+    if entry_point == "parse_config":
+        with pytest.raises(ConfigError, match=rf"^{field}: .*{rule}"):
+            parse_config({"M": 2, field: [[*idx, 0.5]]})
+    elif len(idx) == 2:
+        with pytest.raises(IndexRangeError, match=rule):
+            CouplingMatrix.from_entries(2, [(*idx, 0.5)])
+    else:
+        with pytest.raises(IndexRangeError, match=rule):
+            QuarticCoupling(2, {idx: 0.5})
 
 
 class TestDomainGeometry:

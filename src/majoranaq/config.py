@@ -8,8 +8,7 @@ Schema::
       "g_entries": [[i, j, k, l, value], ...],
       "preset": {"name": "hubbard", "sites": 1, "hop": 0.0,
                  "onsite": 4.0, "geometry": "chain"},  # expanded into entries
-      "seed": 42,
-      "tolerances": {"fpe": 1e-5, ...}
+      "seed": 42
     }
 
 Either explicit entries or a preset may be given, not both.  Each coupling
@@ -20,9 +19,10 @@ value.  :func:`_parse_entries` enforces these rules, the first three through
 share.  Anything else is a user error and is rejected rather than silently
 antisymmetrized.  The preset's ``hop`` and ``onsite`` must be finite
 numbers, its geometry ``"chain"`` and its chain at most 8 sites long
-(M = 16, the largest model any command runs), the seed a non-negative
-integer, and tolerance overrides must name a pinned tolerance of
-:data:`TOLERANCES` and be finite and positive.
+(M = 16, the largest model any command runs), and the seed a non-negative
+integer.  Any other key is rejected: a config describes a model, and the
+bars that ``verify`` gates are pinned in :data:`majoranaq.suites.TOLERANCES`,
+which no config can change.
 
 A preset is expanded when the config is parsed: :func:`parse_config` stores
 the chain's canonical entries (:func:`majoranaq.hubbard.chain_entries`) in
@@ -30,58 +30,32 @@ the chain's canonical entries (:func:`majoranaq.hubbard.chain_entries`) in
 only, and :func:`config_to_spec` has one path from entries to the model.
 The chain's identity shift has no Majorana representation and is not kept.
 Only a preset loads :mod:`majoranaq.hubbard`.
-
-:data:`TOLERANCES`, the pinned bar of every check that a ``verify --suite``
-gates, is defined here, so that validating a config loads no verification
-code; :mod:`majoranaq.suites` re-exports the same dictionary.  The checks
-that only the acceptance tests run keep their bars with the tests, so a
-config that names one of them is rejected as naming an unknown tolerance.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ConfigError
 from .tensors import CouplingMatrix, HamiltonianSpec, QuarticCoupling, _index_fault
 
-__all__ = ["ModelConfig", "load_config", "parse_config", "config_to_spec", "TOLERANCES"]
+__all__ = ["ModelConfig", "load_config", "parse_config", "config_to_spec"]
 
 _PRESET_KEYS = {"name", "sites", "hop", "onsite", "geometry"}
 
-# Pinned tolerances: the bar of every check a ``verify --suite`` gates.
-TOLERANCES = {
-    "quadratic-identities": 1e-10,
-    "four-gamma": 1e-10,
-    "fpe": 1e-10,
-    "traceless-diagonal": 1e-12,
-    "traceless-eigsum": 1e-10,
-    "channel-reconstruction": 1e-12,
-    "channel-balance": 1e-12,
-    "channel-boundary": 1e-12,
-    "tangency": 1e-9,
-    "flow-boundary-margin": 1e-7,
-    "moment-m1": 1e-6,
-}
-
 
 class ModelConfig(NamedTuple):
-    """A validated model configuration.
+    """A validated model: its mode count, canonical coupling entries and seed.
 
     A preset is already expanded into ``t_entries`` and ``g_entries``.
-    ``tolerances`` maps pinned tolerance names to their overrides; its
-    default is an empty read-only map, which no two configs can share as
-    mutable state.
     """
 
     M: int
     t_entries: tuple = ()
     g_entries: tuple = ()
     seed: int = 0
-    tolerances: dict | MappingProxyType = MappingProxyType({})
 
 
 def _require_int(value, name: str) -> int:
@@ -110,24 +84,6 @@ def _require_number(value, name: str) -> float:
     return value
 
 
-def _parse_tolerances(tolerances) -> dict:
-    """Overrides of named pinned tolerances; each must be finite and positive."""
-    if not isinstance(tolerances, dict):
-        raise ConfigError("must be a map of named tolerances", field="tolerances")
-    parsed = {}
-    for name, value in tolerances.items():
-        if name not in TOLERANCES:
-            raise ConfigError(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(TOLERANCES))}",
-                field="tolerances",
-            )
-        value = _require_number(value, f"tolerances.{name}")
-        if value <= 0.0:
-            raise ConfigError(f"must be positive, got {value!r}", field=f"tolerances.{name}")
-        parsed[name] = value
-    return parsed
-
-
 def _parse_entries(data: dict, field: str, M: int, names: str) -> list:
     """The coupling entries under ``field``: lists of the indices ``names``, then a value."""
     entries, seen = [], set()
@@ -149,7 +105,7 @@ def parse_config(data: dict) -> ModelConfig:
     """Validate a decoded configuration dictionary."""
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
-    unknown = set(data) - {"M", "t_entries", "g_entries", "preset", "seed", "tolerances"}
+    unknown = set(data) - {"M", "t_entries", "g_entries", "preset", "seed"}
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}")
     if "M" not in data:
@@ -193,8 +149,7 @@ def parse_config(data: dict) -> ModelConfig:
     seed = _require_int(data.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"must be a non-negative integer, got {seed}", field="seed")
-    tolerances = _parse_tolerances(data.get("tolerances", {}))
-    return ModelConfig(M, tuple(t_entries), tuple(g_entries), seed, tolerances)
+    return ModelConfig(M, tuple(t_entries), tuple(g_entries), seed)
 
 
 def _read_json(path: str, field: str | None = None):

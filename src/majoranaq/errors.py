@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class IndexRangeError(ValueError):
-    """A 1-based operator index lies outside [1, 2M]."""
+    """A 1-based operator index is not an integer in [1, 2M], or a coupling entry is not canonical."""
 
 
 class OffBoundaryError(ValueError):

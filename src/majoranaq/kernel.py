@@ -394,17 +394,16 @@ def _derivative_arrays(M: int, grad, hess) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rhs_forms(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling, grad, hess,
-               conservative: tuple = (0.0, 0.0, 0.0), full_drift=drift) -> list:
+               full_drift=drift) -> list:
     """The two right sides of the FPE at x, as [defining, conservative].
 
     The defining form is dQ/dt = -sum_a Abar^a grad_a
     + (1/2) sum_{am} D^{am} hess_{am}.  The conservative form is the
     probability-conserving d_a [-A^a + (1/2) d_m D^{am}] Q, expanded as
-    -(div A) q - A.grad + (1/2)(div div D) q + (div D).grad + (1/2) D : hess,
-    with ``conservative`` = (q, div_a, double_div_d), in that order: the
-    value q of Q, the drift's divergence and the double divergence of D,
-    measured by the caller.  Both divergences vanish in closed form, and the
-    two sides then agree to rounding.
+    -(div A) q - A.grad + (1/2)(div div D) q + (div D).grad + (1/2) D : hess.
+    Both divergences vanish in closed form, so the q terms are left out and
+    the two sides agree to rounding; a caller that measures the divergences
+    adds -(div A) q + (1/2)(div div D) q itself.
 
     ``full_drift`` assembles the drift A of the conservative side:
     :func:`drift`, or :func:`drift_alternative` for the recorded eq50 form.
@@ -412,10 +411,8 @@ def _rhs_forms(x: PhasePoint, t: CouplingMatrix, g: QuarticCoupling, grad, hess,
     only for a coupling with quartic entries.
     """
     grad, hess = _derivative_arrays(x.M, grad, hess)
-    q, div_a, double_div_d = conservative
     sides = [-float(drift_bar(x, t, g) @ grad),
-             -div_a * q - float(full_drift(x, t, g) @ grad)
-             + (0.5 * double_div_d * q + float(div_diffusion(x, g) @ grad))]
+             -float(full_drift(x, t, g) @ grad) + float(div_diffusion(x, g) @ grad)]
     if g.table:
         term = 0.5 * float(np.einsum("pq,pq->", diffusion(x, g), hess))
         sides = [side + term for side in sides]

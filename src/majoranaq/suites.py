@@ -12,13 +12,9 @@ counts its instances, keeps the worst residual (with the record that
 re-runs its instance, where the check has one) and every other value that
 gates ``passed``, and builds the result.  NaN ranks above every number
 there, so a NaN residual or gated value at any instance fails its check,
-and ``verify`` exits 1.  ``TOLERANCES`` is defined in
-:mod:`majoranaq.config`, which validates overrides against it without
-loading this module; this module re-exports the same dictionary.  Every
-runner takes a ``tolerances`` map, the pinned ``TOLERANCES`` by default,
-and reads every bar it gates from it; :func:`_verify_checks` hands each
-one the pinned map updated by the config's overrides, so an override of
-any pinned name gates the suites that read it.  The Fock-space oracle and
+and ``verify`` exits 1.  :data:`TOLERANCES` pins the bar of every check
+here: each runner reads the bars it gates from it when it is called, and
+no config or argument changes them.  The Fock-space oracle and
 the flow are imported by the runners that use them, so the traceless sweep
 loads neither, and the tangency suite only the flow.
 """
@@ -33,7 +29,6 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import kernel
-from .config import TOLERANCES
 from .tensors import (
     CouplingMatrix,
     HamiltonianSpec,
@@ -62,6 +57,22 @@ __all__ = [
     "run_flow_margin",
     "run_moment_m1",
 ]
+
+
+# Pinned tolerances: the bar of every check a ``verify --suite`` gates.
+TOLERANCES = {
+    "quadratic-identities": 1e-10,
+    "four-gamma": 1e-10,
+    "fpe": 1e-10,
+    "traceless-diagonal": 1e-12,
+    "traceless-eigsum": 1e-10,
+    "channel-reconstruction": 1e-12,
+    "channel-balance": 1e-12,
+    "channel-boundary": 1e-12,
+    "tangency": 1e-9,
+    "flow-boundary-margin": 1e-7,
+    "moment-m1": 1e-6,
+}
 
 
 class CheckResult(NamedTuple):
@@ -257,13 +268,11 @@ class _Sweep:
 # ---------------------------------------------------------------------------
 
 
-def run_quadratic_identities(
-    M: int, seed: int = 0, n_points: int = 10, tolerances: dict = TOLERANCES,
-) -> CheckResult:
+def run_quadratic_identities(M: int, seed: int = 0, n_points: int = 10) -> CheckResult:
     """Quadratic identities at M modes; point i is drawn from seed ``seed + 100 M + i``."""
     from . import fock
 
-    with _Sweep("quadratic-identities", tolerances["quadratic-identities"], seed) as sweep:
+    with _Sweep("quadratic-identities", TOLERANCES["quadratic-identities"], seed) as sweep:
         for i in range(n_points):
             x = random_interior_point(M, seed + 100 * M + i, scale=_ORACLE_SCALE)
             res = fock.verify_quadratic_identities(x)
@@ -271,13 +280,11 @@ def run_quadratic_identities(
     return sweep.result()
 
 
-def run_four_gamma(
-    M: int, seed: int = 0, n_points: int = 3, tolerances: dict = TOLERANCES,
-) -> CheckResult:
+def run_four_gamma(M: int, seed: int = 0, n_points: int = 3) -> CheckResult:
     """Four-gamma identities at M >= 2 modes; point i is drawn from seed ``seed + i``."""
     from . import fock
 
-    with _Sweep("four-gamma", tolerances["four-gamma"], seed) as sweep:
+    with _Sweep("four-gamma", TOLERANCES["four-gamma"], seed) as sweep:
         for i in range(n_points):
             x = random_interior_point(M, seed + i, scale=_ORACLE_SCALE)
             report = fock.verify_four_gamma(x)
@@ -290,13 +297,12 @@ def run_fpe_sweep(
     seed: int,
     n_instances: int = 20,
     drift_form: str = "eq36",
-    tolerances: dict = TOLERANCES,
 ) -> CheckResult:
     """Exact-vs-kernel dQ/dt over seeded (rho, x) instances for one model."""
     from . import fock
 
     checks = []
-    with _Sweep("fpe", tolerances["fpe"], seed) as sweep:
+    with _Sweep("fpe", TOLERANCES["fpe"], seed) as sweep:
         for i in range(n_instances):
             rho, x = fpe_instance(spec.M, seed, i)
             checks.append(fock.verify_fpe(rho, spec, x, drift_form=drift_form))
@@ -320,7 +326,6 @@ def run_traceless_and_channels(
     seed: int,
     cases: int = 100,
     g: QuarticCoupling | None = None,
-    tolerances: dict = TOLERANCES,
 ) -> list[CheckResult]:
     """Diagonal/trace/eigensum of D plus its forward/backward split, one sweep.
 
@@ -374,11 +379,11 @@ def run_traceless_and_channels(
     ``_random_quartic(M, default_rng(seed + index))``) it re-runs that
     instance.
     """
-    tol_sum = tolerances["traceless-eigsum"]
-    tol_bnd = tolerances["channel-boundary"]
-    traceless = _Sweep(f"traceless-m{M}", tolerances["traceless-diagonal"], seed, eigsum=tol_sum)
-    channels = _Sweep(f"channels-m{M}", tolerances["channel-reconstruction"], seed,
-                      balance=tolerances["channel-balance"], boundary_tangency=tol_bnd,
+    tol_sum = TOLERANCES["traceless-eigsum"]
+    tol_bnd = TOLERANCES["channel-boundary"]
+    traceless = _Sweep(f"traceless-m{M}", TOLERANCES["traceless-diagonal"], seed, eigsum=tol_sum)
+    channels = _Sweep(f"channels-m{M}", TOLERANCES["channel-reconstruction"], seed,
+                      balance=TOLERANCES["channel-balance"], boundary_tangency=tol_bnd,
                       boundary_symmetry=tol_bnd, boundary_vanishing=tol_bnd)
     npairs = pair_count(M)
     on_boundary = np.arange(cases) % 2 == 1
@@ -437,8 +442,7 @@ def run_traceless_and_channels(
 
 
 def run_tangency(
-    M: int, seed: int = 0, n_points: int = 25, tolerances: dict = TOLERANCES,
-    spec: HamiltonianSpec | None = None,
+    M: int, seed: int = 0, n_points: int = 25, spec: HamiltonianSpec | None = None,
 ) -> CheckResult:
     """Boundary tangency of the drift at M modes; couplings random unless a model is given.
 
@@ -451,7 +455,7 @@ def run_tangency(
     re-runs that instance.
     """
     seeds = range(seed + 500 * M, seed + 500 * M + n_points)
-    with _Sweep("tangency", tolerances["tangency"], seed) as sweep:
+    with _Sweep("tangency", TOLERANCES["tangency"], seed) as sweep:
         points = random_points(M, seeds, True)
         for i, point_seed in enumerate(seeds):
             if spec is not None:
@@ -470,9 +474,7 @@ _MARGIN_DT = 1e-3
 _MARGIN_STEPS = 1000
 
 
-def run_flow_margin(
-    M: int, seed: int = 0, tolerances: dict = TOLERANCES, spec: HamiltonianSpec | None = None,
-) -> CheckResult:
+def run_flow_margin(M: int, seed: int = 0, spec: HamiltonianSpec | None = None) -> CheckResult:
     """Margin growth of a boundary-started trajectory of M modes over unit time.
 
     The flow starts at ``random_boundary_point(M, seed + M)`` and takes
@@ -489,7 +491,7 @@ def run_flow_margin(
     """
     from .dynamics import flow
 
-    with _Sweep("flow-boundary-margin", tolerances["flow-boundary-margin"], seed) as sweep:
+    with _Sweep("flow-boundary-margin", TOLERANCES["flow-boundary-margin"], seed) as sweep:
         x0 = random_boundary_point(M, seed + M)
         if spec is None:
             rng = np.random.default_rng(seed + M)
@@ -502,7 +504,7 @@ def run_flow_margin(
     return sweep.result()
 
 
-def run_moment_m1(seed: int = 0, tolerances: dict = TOLERANCES) -> CheckResult:
+def run_moment_m1(seed: int = 0) -> CheckResult:
     """The M = 1 moment identity over five states, the vacuum first.
 
     The vacuum's right side must also read -1.  ``info["worst"]`` records
@@ -510,7 +512,7 @@ def run_moment_m1(seed: int = 0, tolerances: dict = TOLERANCES) -> CheckResult:
     """
     from . import fock
 
-    tol = tolerances["moment-m1"]
+    tol = TOLERANCES["moment-m1"]
     with _Sweep("moment-m1", tol, seed, vacuum=tol) as sweep:
         states = [
             np.diag([1.0, 0.0]).astype(complex),
@@ -555,10 +557,8 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
     """The checks of ``verify --suite suite`` on the model of ``cfg``, in report order.
 
     Every cap of the suite is checked first, so an oversized config builds
-    no model and runs no check.  Every runner reads each bar it gates from
-    one map: the pinned :data:`TOLERANCES` updated by the config's overrides.
-    Each runs at its default size, except fpe: 20 instances at M <= 2, else 5.
-    The runners run with numpy's floating-point warnings off, as the flow
+    no model and runs no check.  Each runner runs at its default size,
+    except fpe: 20 instances at M <= 2, else 5.  The runners run with numpy's floating-point warnings off, as the flow
     does: an overflowing model shows in its residuals, where a NaN fails its
     check, or as a numerical error, not as warnings on stderr.
     """
@@ -568,24 +568,23 @@ def _verify_checks(cfg: ModelConfig, suite: str, seed: int, drift_form: str) -> 
 
     spec = config_to_spec(cfg)
     M = cfg.M
-    tolerances = {**TOLERANCES, **cfg.tolerances}
     checks = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if suite in ("identities", "all"):
-            checks.append(run_quadratic_identities(M, seed, tolerances=tolerances))
+            checks.append(run_quadratic_identities(M, seed))
             if 2 * M >= 4:
-                checks.append(run_four_gamma(M, seed, tolerances=tolerances))
+                checks.append(run_four_gamma(M, seed))
         if suite in ("fpe", "all"):
             checks.append(run_fpe_sweep(spec, seed, n_instances=20 if M <= 2 else 5,
-                                        drift_form=drift_form, tolerances=tolerances))
+                                        drift_form=drift_form))
         if suite in ("traceless", "all"):
             g = spec.g if spec.g.table else None
-            checks.extend(run_traceless_and_channels(M, seed, g=g, tolerances=tolerances))
+            checks.extend(run_traceless_and_channels(M, seed, g=g))
         if suite in ("tangency", "all"):
             has_model = bool(spec.g.table) or np.any(np.asarray(spec.t.packed) != 0.0)
             model = spec if has_model else None
-            checks.append(run_tangency(M, seed, tolerances=tolerances, spec=model))
-            checks.append(run_flow_margin(M, seed, tolerances=tolerances, spec=model))
+            checks.append(run_tangency(M, seed, spec=model))
+            checks.append(run_flow_margin(M, seed, spec=model))
         if suite == "moment-m1" or (suite == "all" and M == 1):
-            checks.append(run_moment_m1(seed=seed, tolerances=tolerances))
+            checks.append(run_moment_m1(seed=seed))
     return checks

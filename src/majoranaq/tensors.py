@@ -103,20 +103,33 @@ def _check_modes(M: int) -> None:
         raise DimensionError(f"mode count must be >= 1, got {M}")
 
 
-def _check_index(M: int, *idx: int) -> None:
-    for i in idx:
-        if not 1 <= i <= 2 * M:
-            raise IndexRangeError(f"index {i} outside [1, {2 * M}]")
+def _range_fault(M: int, idx: tuple) -> str | None:
+    """The fault of 1-based indices ``idx`` that are not all integers in [1, 2M], or None.
+
+    An integer is a Python or numpy integer, not a bool.
+    """
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx):
+        return f"indices {idx} are not all integers"
+    if not all(1 <= i <= 2 * M for i in idx):
+        return f"indices {idx} outside [1, {2 * M}]"
+    return None
+
+
+def _check_range(M: int, *idx) -> None:
+    """Raise :class:`IndexRangeError` unless every index is an integer in [1, 2M]."""
+    if fault := _range_fault(M, idx):
+        raise IndexRangeError(fault)
 
 
 def _index_fault(M: int, idx: tuple) -> str | None:
     """The first rule the 1-based coupling indices ``idx`` break, or None.
 
-    A canonical entry of t (i, j) or g (i, j, k, l) has its indices in
-    [1, 2M], repeats none of them, and lists them in increasing order.
+    A canonical entry of t (i, j) or g (i, j, k, l) has integer indices in
+    [1, 2M] (:func:`_range_fault`), repeats none of them, and lists them in
+    increasing order.
     """
-    if not all(1 <= i <= 2 * M for i in idx):
-        return f"indices {idx} outside [1, {2 * M}]"
+    if fault := _range_fault(M, idx):
+        return fault
     if len(set(idx)) < len(idx):
         return f"indices {idx} repeat; an antisymmetric coupling vanishes there"
     if list(idx) != sorted(idx):
@@ -182,6 +195,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# largest |mat + mat^T| entry that ``from_matrix`` accepts as rounding
+_ANTISYMMETRY_TOL = 1e-12
+
+
 class _PackedAntisymmetric(_Frozen):
     """Packed independent components of a real antisymmetric 2M x 2M matrix.
 
@@ -209,12 +226,13 @@ class _PackedAntisymmetric(_Frozen):
         return cls(M, np.zeros(pair_count(M)))
 
     @classmethod
-    def from_matrix(cls, mat: np.ndarray, tol: float = 1e-12):
+    def from_matrix(cls, mat: np.ndarray):
+        """Pack ``mat``, which must be antisymmetric to within :data:`_ANTISYMMETRY_TOL`."""
         mat = np.asarray(mat, dtype=float)
         n = mat.shape[0]
         if mat.shape != (n, n) or n % 2 != 0 or n == 0:
             raise DimensionError(f"expected even-dimensional square matrix, got {mat.shape}")
-        if np.max(np.abs(mat + mat.T)) > tol:
+        if np.max(np.abs(mat + mat.T)) > _ANTISYMMETRY_TOL:
             raise DimensionError(
                 f"matrix is not antisymmetric (residual {np.max(np.abs(mat + mat.T)):.2e})"
             )
@@ -224,7 +242,7 @@ class _PackedAntisymmetric(_Frozen):
         """The (a, b) entry with 1-based indices; antisymmetry exact by sign flip."""
         if self.packed.ndim != 1:
             raise DimensionError("entry() needs a single point, not a stack")
-        _check_index(self.M, a, b)
+        _check_range(self.M, a, b)
         if a == b:
             return 0.0
         value = float(self.packed[_pair_index_matrix(self.M)[a - 1, b - 1]])
@@ -329,7 +347,7 @@ class QuarticCoupling(_Frozen):
 
     def entry(self, i: int, j: int, k: int, l: int) -> float:
         """g_{ijkl} for any index order; 0 on repeats, sign flips on access."""
-        _check_index(self.M, i, j, k, l)
+        _check_range(self.M, i, j, k, l)
         idx = (i, j, k, l)
         if len(set(idx)) < 4:
             return 0.0

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import majoranaq
+from majoranaq import suites
 from majoranaq.cli import main
 from majoranaq.config import ModelConfig, config_to_spec, load_config
 from majoranaq.hubbard import chain_entries
@@ -124,6 +125,25 @@ class TestVerifyCommand:
         checks = json.loads(report_path.read_text())["checks"]
         assert [(c["name"], c["instances"]) for c in checks] == expected
 
+    @pytest.mark.parametrize("data", [{"M": 1, "seed": 1}, _MODEL_M3], ids=["m1", "m3"])
+    def test_every_check_reports_its_pinned_bar(self, tmp_path, data):
+        # the bar of each check, and the eigensum bar the traceless check
+        # reports, are the pinned ones
+        cfg = write_config(tmp_path, data)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--suite", "all",
+                     "--out", str(report_path)]) == 0
+        bars = {}
+        for c in json.loads(report_path.read_text())["checks"]:
+            name = re.sub(r"^traceless-m\d+$", "traceless-diagonal",
+                          re.sub(r"^channels-m\d+$", "channel-reconstruction", c["name"]))
+            bars[name] = c["tolerance"]
+            if c["name"].startswith("traceless-m"):
+                bars["traceless-eigsum"] = c["info"]["eigsum_tol"]
+        assert bars == {name: suites.TOLERANCES[name] for name in bars}
+        expected = set(suites.TOLERANCES) - {"channel-balance", "channel-boundary"}
+        assert set(bars) == expected - ({"four-gamma"} if data["M"] == 1 else {"moment-m1"})
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("M, suite", [(3, "traceless"), (3, "all"), (4, "traceless")])
     def test_failed_diffusion_eigensolve_exit_3(self, tmp_path, capsys, M, suite):
@@ -135,12 +155,10 @@ class TestVerifyCommand:
         assert err.count("error:") == 1 and f"traceless-m{M}: eigensolve of D failed" in err
         assert "Traceback" not in err
 
-    def test_overall_fail_exit_code(self, tmp_path, capsys):
+    def test_overall_fail_exit_code(self, tmp_path, capsys, monkeypatch):
         # impossible tolerance forces a verification failure
-        cfg = write_config(tmp_path, {
-            "M": 2, "t_entries": [[1, 2, 0.5]], "seed": 4,
-            "tolerances": {"tangency": 1e-30},
-        })
+        monkeypatch.setitem(suites.TOLERANCES, "tangency", 1e-30)
+        cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 2, 0.5]], "seed": 4})
         code = main(["verify", "--config", cfg, "--suite", "tangency"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
@@ -152,9 +170,11 @@ class TestVerifyCommand:
         ("channel-boundary", "channels-m3", None),
     ], ids=["traceless-diagonal", "traceless-eigsum", "channel-reconstruction",
             "channel-boundary"])
-    def test_traceless_suite_reads_the_config_tolerances(self, tmp_path, name, check, shown):
+    def test_traceless_suite_reads_the_pinned_bars(self, tmp_path, monkeypatch, name, check,
+                                                    shown):
         # each of these values is positive here, so a bar of 1e-300 fails its check
-        cfg = write_config(tmp_path, {"M": 3, "seed": 3, "tolerances": {name: 1e-300}})
+        monkeypatch.setitem(suites.TOLERANCES, name, 1e-300)
+        cfg = write_config(tmp_path, {"M": 3, "seed": 3})
         report_path = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--suite", "traceless",
                      "--out", str(report_path)]) == 1
@@ -165,14 +185,12 @@ class TestVerifyCommand:
         elif shown:
             assert checks[check]["info"][shown] == 1e-300
 
-    @pytest.mark.parametrize("override, code", [({}, 0), ({"channel-balance": 1e-15}, 1)],
-                             ids=["pinned", "override"])
-    def test_balance_override_gates_the_traceless_suite(self, tmp_path, monkeypatch,
-                                                         override, code):
+    @pytest.mark.parametrize("bar, code", [(None, 0), (1e-15, 1)], ids=["pinned", "patched"])
+    def test_balance_bar_gates_the_traceless_suite(self, tmp_path, monkeypatch, bar, code):
         from majoranaq import kernel
 
         # the balance reads exactly 0 on its own; a planted imbalance of 1e-14
-        # passes the pinned 1e-12 and fails an override of 1e-15
+        # passes the pinned 1e-12 and fails a bar patched to 1e-15
         traces_of = kernel.ChannelDecomposition.traces
 
         def unbalanced(self):
@@ -180,7 +198,9 @@ class TestVerifyCommand:
             return forward, backward - 1e-14 * np.maximum(forward, 1.0)
 
         monkeypatch.setattr(kernel.ChannelDecomposition, "traces", unbalanced)
-        cfg = write_config(tmp_path, {"M": 3, "seed": 3, "tolerances": override})
+        if bar is not None:
+            monkeypatch.setitem(suites.TOLERANCES, "channel-balance", bar)
+        cfg = write_config(tmp_path, {"M": 3, "seed": 3})
         report_path = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--suite", "traceless",
                      "--out", str(report_path)]) == code
@@ -207,8 +227,10 @@ class TestVerifyCommand:
         pytest.param({"M": 1, "seed": 1}, "moment-m1", "moment-m1", "moment-m1",
                      id="moment-m1-moment-m1"),
     ])
-    def test_every_override_a_suite_reads_gates_it(self, tmp_path, data, suite, name, check):
-        cfg = write_config(tmp_path, {**data, "tolerances": {name: 1e-300}})
+    def test_every_bar_a_suite_reads_gates_it(self, tmp_path, monkeypatch, data, suite, name,
+                                              check):
+        monkeypatch.setitem(suites.TOLERANCES, name, 1e-300)
+        cfg = write_config(tmp_path, data)
         report_path = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--suite", suite,
                      "--out", str(report_path)]) == 1
@@ -249,7 +271,7 @@ class TestVerifyCommand:
     def test_caps_are_checked_before_any_suite_runs(self, tmp_path, capsys, monkeypatch,
                                                     M, suite, message):
         # no model is built and no suite runs: every runner would raise here
-        from majoranaq import config, suites
+        from majoranaq import config
 
         def never(*args, **kwargs):
             raise AssertionError("ran past the caps")
@@ -277,15 +299,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("data,field", [
         ({"M": 1, "t_entries": [[1, 2, "a"]]}, "t_entries[0].value"),
         ({"M": 2, "g_entries": [[1, 2, 3, 4, float("nan")]]}, "g_entries[0].value"),
-        ({"M": 1, "tolerances": {"tangencyy": 1e-9}}, "tangencyy"),
-        ({"M": 1, "tolerances": {"tangency": -1.0}}, "tolerances.tangency"),
-        # replaced by channel-boundary: an override of it names no check
-        ({"M": 1, "tolerances": {"channel-psd": 1e-12}}, "channel-psd"),
-        # bars of acceptance-only checks, which no verify suite runs
-        ({"M": 1, "tolerances": {"hubbard-fidelity": 1e-12}}, "hubbard-fidelity"),
-        ({"M": 1, "tolerances": {"flow-matrix-equivalence": 2.0}}, "flow-matrix-equivalence"),
-    ], ids=["non-numeric", "nan-coupling", "unknown-tolerance", "negative-tolerance",
-            "retired-tolerance", "acceptance-only-tolerance", "acceptance-only-tolerance-2"])
+    ], ids=["non-numeric", "nan-coupling"])
     def test_malformed_config_numbers_exit_2(self, tmp_path, capsys, data, field):
         # json.dumps writes NaN, which Python's json reader accepts
         cfg = write_config(tmp_path, data)
@@ -672,7 +686,7 @@ def malformed_configs(draw):
     M = draw(st.integers(1, 4))
     n = 2 * M
     data = {"M": M, "t_entries": [[1, 2, 0.3]], "g_entries": [[1, 2, 3, 4, 0.05]] if M > 1 else [],
-            "seed": 3, "tolerances": {"tangency": 1e-9}}
+            "seed": 3}
     field = draw(st.sampled_from(["M", "seed", "t_entries", "g_entries", "preset", "tolerances",
                                   "unknown"]))
     value = draw(st.sampled_from(_BAD_NUMBERS))
@@ -736,6 +750,22 @@ class TestInputValidation:
         assert main([command, "--config", cfg, *extra]) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+    # the bars verify gates are pinned in suites.TOLERANCES: a config that
+    # names one, loosens one or names no check at all is refused alike
+    @pytest.mark.parametrize("command", ["verify", "flow"])
+    @pytest.mark.parametrize("tolerances", [
+        {"fpe": 1e-5}, {"tangency": 1e-300}, {"tangencyy": 1e-9}, {"hubbard-fidelity": 1e-12}, {},
+    ], ids=["loosened", "tightened", "unknown-name", "acceptance-only", "empty"])
+    def test_tolerances_key_exits_2(self, tmp_path, capsys, command, tolerances):
+        cfg = write_config(tmp_path, {"M": 2, "t_entries": [[1, 2, 0.5]], "seed": 1,
+                                      "tolerances": tolerances})
+        extra = ["--suite", "tangency"] if command == "verify" else \
+            ["--steps", "2", "--out", str(tmp_path / "t.csv")]
+        assert main([command, "--config", cfg, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown keys ['tolerances']\n" and captured.out == ""
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("command", ["verify", "flow", "preset"])
     def test_negative_seed_option_is_a_usage_error(self, tmp_path, capsys, command):
@@ -1102,15 +1132,23 @@ class TestProcessEntry:
         ("missing-config", 2),
         ("diverged", 3),
     ])
-    def test_exit_code_contract(self, tmp_path, case, expected):
+    def test_exit_code_contract(self, tmp_path, monkeypatch, case, expected):
         hub = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
                                                          "hop": 1.0, "onsite": 4.0}})
-        strict = write_config(tmp_path, {"M": 3, "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3,
-                                         "tolerances": {"tangency": 1e-300}},
-                              name="strict.json")
+        m3 = write_config(tmp_path, {"M": 3, "g_entries": [[1, 2, 3, 4, 0.05]], "seed": 3},
+                          name="m3.json")
+        if case == "failed-check":
+            # the child imports this sitecustomize at start-up, before the
+            # command runs, and so gates its tangency check at 1e-300
+            strict = tmp_path / "strict-bar"
+            strict.mkdir()
+            (strict / "sitecustomize.py").write_text(
+                "import majoranaq.suites\nmajoranaq.suites.TOLERANCES['tangency'] = 1e-300\n")
+            monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+                [str(strict), *filter(None, [os.environ.get("PYTHONPATH")])]))
         argv = {
             "flow": ["flow", "--config", hub, "--steps", "20", "--out", "t.csv"],
-            "failed-check": ["verify", "--config", strict, "--suite", "tangency"],
+            "failed-check": ["verify", "--config", m3, "--suite", "tangency"],
             "no-config": ["flow", "--out", "t.csv"],
             "missing-config": ["flow", "--config", "absent.json", "--out", "t.csv"],
             # the first step overflows the state to non-finite values
@@ -1119,6 +1157,8 @@ class TestProcessEntry:
         out = _process_run(tmp_path, *argv)
         assert out.returncode == expected, out.stderr
         assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+        if case == "failed-check":
+            assert "[FAIL    ] tangency" in out.stdout and "(tol 1.0e-300," in out.stdout
 
     def test_flow_csv_matches_in_process_main(self, tmp_path, capsys):
         hub = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,

@@ -62,7 +62,7 @@ def phase_points(draw):
     B = np.zeros((2 * M, 2 * M))
     for k, w in enumerate(weights):
         B[2 * k, 2 * k + 1], B[2 * k + 1, 2 * k] = w, -w
-    return PhasePoint.from_matrix(O @ B @ O.T, tol=1e-12)
+    return PhasePoint.from_matrix(O @ B @ O.T)
 
 
 class TestNormalOrdering:
@@ -264,7 +264,7 @@ class TestGaussianBasis:
         for k, w in enumerate(weights):
             B[2 * k, 2 * k + 1], B[2 * k + 1, 2 * k] = w, -w
         O, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
-        return PhasePoint.from_matrix(O @ B @ O.T, tol=1e-12)
+        return PhasePoint.from_matrix(O @ B @ O.T)
 
     @pytest.mark.parametrize("weights", [
         (0.6, 0.0, -0.4),          # rank-deficient: one zero block

@@ -448,7 +448,7 @@ class TestDrift:
         x = random_interior_point(3, 13)
         A = drift_matrix(x, t, g)
         np.testing.assert_allclose(A, -A.T, atol=0)
-        packed = PhasePoint.from_matrix(A, tol=1e-9).packed
+        packed = PhasePoint.from_matrix(A).packed
         np.testing.assert_allclose(packed, drift(x, t, g), atol=1e-14)
 
 
@@ -480,15 +480,14 @@ class TestRhsForms:
         g = QuarticCoupling.from_entries(M, [(1, 2, 3, 4, rng.uniform(-1, 1))])
         grad = rng.normal(size=6)
         hess = rng.normal(size=(6, 6)); hess = (hess + hess.T) / 2
-        q = float(rng.normal())
-        # the closed-form divergences: div A = 0 and div div D = 0
-        r1, r2 = _rhs_forms(x, t, g, grad, hess, (q, 0.0, 0.0))
+        # the closed-form divergences div A = 0 and div div D = 0 leave no q terms
+        r1, r2 = _rhs_forms(x, t, g, grad, hess)
         assert abs(r1 - r2) / max(abs(r1), 1e-12) <= 1e-12
 
     # the ids name the defining and the conservative side
     @pytest.mark.parametrize("rhs", [
         lambda x, t, g, grad, hess: _rhs_forms(x, t, g, grad, hess)[0],
-        lambda x, t, g, grad, hess: _rhs_forms(x, t, g, grad, hess, (1.0, 0.0, 0.0))[1],
+        lambda x, t, g, grad, hess: _rhs_forms(x, t, g, grad, hess)[1],
     ], ids=["fpe_rhs", "conservative_rhs"])
     def test_derivative_shapes_are_checked(self, rhs):
         x = random_interior_point(2, 17)
@@ -498,16 +497,6 @@ class TestRhsForms:
             rhs(x, t, g, np.zeros(5), np.zeros((6, 6)))
         with pytest.raises(DimensionError):
             rhs(x, t, g, np.zeros(6), np.zeros((6, 5)))
-
-    def test_conservative_form_reads_the_divergences(self):
-        x = random_interior_point(2, 16)
-        t = random_t(2, 16)
-        g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
-        grad = np.zeros(6)
-        hess = np.zeros((6, 6))
-        # with zero derivatives only the q terms -(div A) q + (1/2)(div div D) q remain
-        assert _rhs_forms(x, t, g, grad, hess, (2.0, 0.25, 0.0))[1] == -0.5
-        assert _rhs_forms(x, t, g, grad, hess, (2.0, 0.0, 0.25))[1] == 0.25
 
 
 class TestTracelessExpansion:

@@ -34,7 +34,19 @@ def test_from_import_of_names_and_modules():
 
     assert PhasePoint.__module__ == "majoranaq.tensors"
     assert fock.__name__ == "majoranaq.fock" and suites is majoranaq.suites
-    assert suites.TOLERANCES is importlib.import_module("majoranaq.config").TOLERANCES
+
+
+def test_pinned_bars_live_in_suites_only():
+    # TOLERANCES is defined once, in suites, and no runner takes a bar as an argument
+    import inspect
+
+    from majoranaq import config, suites
+
+    assert not hasattr(config, "TOLERANCES") and "TOLERANCES" in vars(suites)
+    functions = [fn for _name, fn in inspect.getmembers(suites, inspect.isfunction)
+                 if fn.__module__ == "majoranaq.suites"]
+    assert suites.run_tangency in functions
+    assert not [fn.__name__ for fn in functions if "tolerances" in inspect.signature(fn).parameters]
 
 
 def test_readme_quickstart_runs(tmp_path):

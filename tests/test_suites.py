@@ -443,33 +443,50 @@ def test_worst_divergence_instance_reproduces_its_residual():
 
 def test_conservative_equivalence_evaluates_one_diffusion_per_instance(monkeypatch):
     # both sides come from one kernel._rhs_forms call per instance, which
-    # evaluates D once, and the defining side does not read the conservative
-    # inputs; the stencils of the other checks call kernel.diffusion too, so
-    # only the calls made by _rhs_forms are counted
+    # evaluates D once, and the defining side does not read the q terms that
+    # conservative_rhs adds; the stencils of the other checks call
+    # kernel.diffusion too, so only the calls made by _rhs_forms are counted
     diffusion, rhs_forms = kernel.diffusion, kernel._rhs_forms
-    calls, from_rhs = [], []
+    conservative_rhs = acceptance_runners.conservative_rhs
+    calls, rhs_calls, from_rhs = [], [], []
 
     def counted(x, g):
         if sys._getframe(1).f_code is rhs_forms.__code__:
             from_rhs.append(x)
         return diffusion(x, g)
 
-    def recorded(*args):
-        calls.append(args)
+    def recorded_rhs(*args):
+        rhs_calls.append(args)
         return rhs_forms(*args)
 
+    def recorded(*args):
+        calls.append(args)
+        return conservative_rhs(*args)
+
     monkeypatch.setattr(kernel, "diffusion", counted)
-    monkeypatch.setattr(kernel, "_rhs_forms", recorded)
+    monkeypatch.setattr(kernel, "_rhs_forms", recorded_rhs)
+    monkeypatch.setattr(acceptance_runners, "conservative_rhs", recorded)
     equiv = acceptance_runners.run_appendix_c(Ms=(2, 3), seed=5, cases=6)[3]
     monkeypatch.undo()
     assert equiv.name == "conservative-equivalence"
-    assert len(calls) == len(from_rhs) == equiv.instances == 6
+    assert len(calls) == len(rhs_calls) == len(from_rhs) == equiv.instances == 6
     old = []
-    for x, t, g, grad, hess, conservative in calls:
-        r1, r2 = rhs_forms(x, t, g, grad, hess, conservative)
+    for x, t, g, grad, hess, q, div_a, div_div_d in calls:
+        r1, r2 = conservative_rhs(x, t, g, grad, hess, q, div_a, div_div_d)
         assert rhs_forms(x, t, g, grad, hess)[0] == r1
         old.append(abs(r1 - r2) / max(abs(r1), 1e-12))
     assert equiv.max_residual == max(old) > 0.0
+
+
+def test_conservative_rhs_adds_the_q_terms():
+    x = random_interior_point(2, 16)
+    t = suites._random_coupling_matrix(2, np.random.default_rng(16))
+    g = QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)])
+    grad = np.zeros(6)
+    hess = np.zeros((6, 6))
+    # with zero derivatives only the q terms -(div A) q + (1/2)(div div D) q remain
+    assert acceptance_runners.conservative_rhs(x, t, g, grad, hess, 2.0, 0.25, 0.0) == [0.0, -0.5]
+    assert acceptance_runners.conservative_rhs(x, t, g, grad, hess, 2.0, 0.0, 0.25)[1] == 0.25
 
 
 def test_worst_moment_state_reproduces_its_residual():

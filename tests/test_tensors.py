@@ -241,23 +241,27 @@ class TestCouplings:
 
 
 # Coupling index tuples at M = 2 that break a canonical rule, and the rule the
-# error names first: range, then repeats, then order.
+# error names first: integers, then range, then repeats, then order.
 BAD_INDEX_TUPLES = [
     ((0, 2), "outside"), ((1, 5), "outside"), ((5, 1), "outside"), ((3, 3), "repeat"),
     ((2, 1), "canonical order i < j"),
     ((0, 1, 2, 3), "outside"), ((1, 2, 3, 5), "outside"), ((5, 4, 4, 1), "outside"),
     ((1, 2, 2, 3), "repeat"), ((1, 1, 1, 1), "repeat"), ((4, 3, 2, 2), "repeat"),
     ((1, 2, 4, 3), "canonical order i < j < k < l"), ((4, 3, 2, 1), "canonical order"),
+    # 3.5 would compile as 3, so (1, 2, 3, 3.5) as the repeated (1, 2, 3, 3)
+    ((1, 2, 3, 3.5), "integer"), ((1, 2.5), "integer"), ((1.0, 2), "integer"),
+    ((True, 2), "integer"), ((1, 2, 3, True), "integer"), ((2.5, 1), "integer"),
 ]
 
 
 @pytest.mark.parametrize("entry_point", ["parse_config", "constructor"])
 @pytest.mark.parametrize("idx,rule", BAD_INDEX_TUPLES, ids=str)
 def test_bad_index_tuple_rejected_by_every_entry_point(entry_point, idx, rule):
-    # a pair goes to CouplingMatrix.from_entries, a quadruple to QuarticCoupling
+    # a pair goes to CouplingMatrix.from_entries, a quadruple to QuarticCoupling;
+    # a config names a non-integer index by its field, t_entries[0].j
     field = "t_entries" if len(idx) == 2 else "g_entries"
     if entry_point == "parse_config":
-        with pytest.raises(ConfigError, match=rf"^{field}: .*{rule}"):
+        with pytest.raises(ConfigError, match=rf"^{field}(\[0\]\.[ijkl])?: .*{rule}"):
             parse_config({"M": 2, field: [[*idx, 0.5]]})
     elif len(idx) == 2:
         with pytest.raises(IndexRangeError, match=rule):
@@ -265,6 +269,28 @@ def test_bad_index_tuple_rejected_by_every_entry_point(entry_point, idx, rule):
     else:
         with pytest.raises(IndexRangeError, match=rule):
             QuarticCoupling(2, {idx: 0.5})
+
+
+# the entry() accessors take any order and repeated indices, but only integers in range
+@pytest.mark.parametrize("idx,rule", [(idx, rule) for idx, rule in BAD_INDEX_TUPLES
+                                      if rule in ("outside", "integer")], ids=str)
+def test_bad_index_rejected_by_every_entry_accessor(idx, rule):
+    if len(idx) == 2:
+        accessors = [PhasePoint(2, np.arange(6.0)).entry,
+                     CouplingMatrix.from_entries(2, [(1, 2, 0.5)]).entry]
+    else:
+        accessors = [QuarticCoupling.from_entries(2, [(1, 2, 3, 4, 0.5)]).entry]
+    for entry in accessors:
+        with pytest.raises(IndexRangeError, match=rule):
+            entry(*idx)
+
+
+def test_numpy_integer_indices_accepted():
+    i, j, k, l = np.arange(1, 5)
+    g = QuarticCoupling(2, {(i, j, k, l): 0.5})
+    assert g.entry(j, i, k, l) == -0.5
+    t = CouplingMatrix.from_entries(2, [(np.int32(1), np.int64(3), 0.25)])
+    assert t.entry(np.int64(3), np.int8(1)) == -0.25
 
 
 class TestDomainGeometry:

@@ -65,8 +65,7 @@ def _trajectory():
 
 
 def _model_config():
-    fields = {"M": 2, "t_entries": ((1, 2, 0.5),), "g_entries": (), "seed": 7,
-              "tolerances": {"fpe": 1e-9}}
+    fields = {"M": 2, "t_entries": ((1, 2, 0.5),), "g_entries": (), "seed": 7}
     return config.ModelConfig(**fields), fields
 
 
@@ -141,10 +140,9 @@ def test_cached_properties_are_computed_once(name):
 
 
 @pytest.mark.parametrize("make, field", [
-    (lambda: config.ModelConfig(2), "tolerances"),
     (lambda: suites.CheckResult("fpe", 1, 0.0, 1e-10, True), "info"),
     (lambda: tensors.QuarticCoupling(2), "table"),
-], ids=["ModelConfig.tolerances", "CheckResult.info", "QuarticCoupling.table"])
+], ids=["CheckResult.info", "QuarticCoupling.table"])
 def test_no_record_shares_a_mutable_default(make, field):
     first, second = make(), make()
     default = getattr(first, field)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from majoranaq import PhasePoint
-from majoranaq.tensors import _check_index
+from majoranaq.tensors import _check_range
 
 
 def x_plus_minus(x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -34,14 +34,14 @@ def x_component(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> complex
     x-_{i alpha} x+_{beta j}; :func:`re_x` and :func:`im_x` are its closed-form
     real and imaginary parts.
     """
-    _check_index(x.M, i, j, alpha, beta)
+    _check_range(x.M, i, j, alpha, beta)
     xp, xm = x_plus_minus(x)
     return complex(xp[i - 1, alpha - 1] * xm[beta - 1, j - 1])
 
 
 def re_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
     """Re X_{ij}^{(alpha beta)} = x_{i alpha} x_{beta j} + d_{i alpha} d_{beta j}."""
-    _check_index(x.M, i, j, alpha, beta)
+    _check_range(x.M, i, j, alpha, beta)
     xm = x.matrix()
     i, j, a, b = i - 1, j - 1, alpha - 1, beta - 1
     return float(xm[i, a] * xm[b, j] + (i == a) * (b == j))
@@ -49,7 +49,7 @@ def re_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
 
 def im_x(x: PhasePoint, i: int, j: int, alpha: int, beta: int) -> float:
     """Im X_{ij}^{(alpha beta)} = -x_{i alpha} d_{beta j} + d_{i alpha} x_{beta j}."""
-    _check_index(x.M, i, j, alpha, beta)
+    _check_range(x.M, i, j, alpha, beta)
     xm = x.matrix()
     i, j, a, b = i - 1, j - 1, alpha - 1, beta - 1
     return float(-xm[i, a] * (b == j) + (i == a) * xm[b, j])

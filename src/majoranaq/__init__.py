@@ -73,6 +73,11 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+# the largest mode count any command runs, the cap of ``flow`` (x is then
+# 32 x 32; a coupling on all 496 packed pairs compiles a 3.9 MB block); the
+# suites' caps are lower, and a Hubbard chain has at most half as many sites
+_MAX_M = 16
+
 __all__ = [*_EXPORTS, *_MODULE_OF]
 __version__ = "0.1.0"
 

@@ -27,6 +27,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, NoReturn
 
+from . import _MAX_M
 from .errors import (
     ConfigError,
     DimensionError,
@@ -39,18 +40,6 @@ if TYPE_CHECKING:
     from .tensors import PhasePoint
 
 SUITES = ("identities", "fpe", "traceless", "tangency", "moment-m1", "all")
-
-# mode-count cap of the flow command: x is then 32 x 32, and a coupling that
-# touches all 496 packed pairs compiles a 992 x 496 block (3.9 MB).  The
-# suites' caps, checked in majoranaq.suites, are lower, so the longest
-# Hubbard chain a preset or a config may give, majoranaq.hubbard._MAX_SITES,
-# is _FLOW_MAX_M // 2.
-_FLOW_MAX_M = 16
-
-# trajectory rows formatted per write of the flow CSV: majoranaq._csvrows
-# lays out one block at a time, so its arrays and text are held for one
-# block, not for the whole run
-_CSV_BLOCK = 256
 
 # argparse destinations of the options that name a file
 _PATH_OPTIONS = ("config", "x0_file", "out")
@@ -105,7 +94,7 @@ def cmd_flow(args) -> int:
 
     from ._csvrows import format_rows
     from .config import _check_cap, config_to_spec, load_config
-    from .dynamics import flow
+    from .dynamics import _BLOCK, flow
     from .tensors import pair_enumerate
 
     if args.steps < 1:
@@ -117,7 +106,7 @@ def cmd_flow(args) -> int:
         raise ConfigError(f"the horizon --dt x --steps must be finite, got {args.dt!r} x "
                           f"{args.steps}", field="--dt")
     cfg = load_config(args.config)
-    _check_cap("flow", cfg.M, _FLOW_MAX_M)
+    _check_cap("flow", cfg.M, _MAX_M)
     spec = config_to_spec(cfg)
     x0 = _load_x0(args, cfg)
     start = time.perf_counter()
@@ -130,8 +119,9 @@ def cmd_flow(args) -> int:
     header = ["time"] + [f"x_{p.alpha}_{p.beta}" for p in pair_enumerate(cfg.M)] + ["margin"]
     with open(args.out, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, len(traj.times), _CSV_BLOCK):
-            hi = lo + _CSV_BLOCK
+        # the flow's own row blocks: one block's arrays and text at a time
+        for lo in range(0, len(traj.times), _BLOCK):
+            hi = lo + _BLOCK
             values = np.column_stack((traj.packed[lo:hi], traj.margins[lo:hi]))
             fh.write(format_rows(traj.times[lo:hi], values))
     written = time.perf_counter() - start

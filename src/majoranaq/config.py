@@ -18,11 +18,11 @@ value.  :func:`_parse_entries` enforces these rules, the first three through
 :func:`majoranaq.tensors._index_fault`, which the coupling constructors
 share.  Anything else is a user error and is rejected rather than silently
 antisymmetrized.  The preset's ``hop`` and ``onsite`` must be finite
-numbers, its geometry ``"chain"`` and its chain at most 8 sites long
-(M = 16, the largest model any command runs), and the seed a non-negative
-integer.  Any other key is rejected: a config describes a model, and the
-bars that ``verify`` gates are pinned in :data:`majoranaq.suites.TOLERANCES`,
-which no config can change.
+numbers, its geometry ``"chain"`` and its chain no longer than
+:data:`majoranaq.hubbard._MAX_SITES`, and the seed a non-negative integer.
+Any other key is rejected: a config describes a model, and the bars that
+``verify`` gates are pinned in :data:`majoranaq.suites.TOLERANCES`, which
+no config can change.
 
 A preset is expanded when the config is parsed: :func:`parse_config` stores
 the chain's canonical entries (:func:`majoranaq.hubbard.chain_entries`) in

@@ -11,11 +11,11 @@ compiled block over only the pairs its quadruples touch, and one matmul,
 with no scatter of x and no gather of the rate.  The flow imports that
 kernel from :mod:`majoranaq.tensors`, so it loads neither
 :mod:`majoranaq.kernel` nor the verification suites.  Each step writes its
-state straight into a block buffer of at most 64 full matrices; each block
-is checked for non-finite entries with one vectorised ``isfinite``, written
-to the run's packed array with one gather and given its margins by one
-stacked eigensolve.  A non-finite state first evaluates the margins before
-it, so the earliest failing step is reported, with its own cause.
+state straight into a block buffer of :data:`_BLOCK` full matrices; each
+block is checked for non-finite entries with one vectorised ``isfinite``,
+written to the run's packed array with one gather and given its margins by
+one stacked eigensolve.  A non-finite state first evaluates the margins
+before it, so the earliest failing step is reported, with its own cause.
 
 In the quadratic sector the flow transports the covariance of a pure Gaussian
 state at the generator rate 4; the tests check that rate against exact
@@ -40,9 +40,9 @@ from .tensors import (
     pair_count,
 )
 
-# stored states per block buffer and stacked margin eigensolve: a
-# (64, 2M, 2M) block is 32 KB at M = 4 and 0.5 MB at the M = 16 flow cap
-_MARGIN_BLOCK = 64
+# stored states per block buffer and stacked margin eigensolve, and rows per
+# write of the flow CSV: 128 KB at M = 4, 2 MB at the flow cap majoranaq._MAX_M
+_BLOCK = 256
 
 __all__ = [
     "Trajectory",
@@ -124,11 +124,9 @@ def flow(
     coupling's compiled block
     (:attr:`majoranaq.tensors.QuarticCoupling.pair_block`, built once per
     coupling) scaled by the drift's coefficient, and one matmul
-    (:func:`majoranaq.tensors._compile_rate`).
-    Each step writes its state straight into a block buffer of at most 64
-    full matrices; each full block is checked for non-finite entries with
-    one ``isfinite``, gives its packed rows to ``Trajectory.packed`` with one
-    gather and its margins with one stacked eigensolve.
+    (:func:`majoranaq.tensors._compile_rate`).  The stored states are
+    checked, packed and given margins in the row blocks ``k * _BLOCK`` to
+    ``(k + 1) * _BLOCK``, the blocks in which the flow command writes them.
 
     A trajectory too large to allocate raises :class:`MemoryError` before
     any step.  A non-finite state or margin, or a failed margin eigensolve,
@@ -161,7 +159,7 @@ def flow(
     except ValueError as exc:  # numpy refuses a byte count past the index range
         raise MemoryError(f"cannot allocate a trajectory of {steps} steps ({exc})") from None
     margins = np.empty(steps + 1)
-    block = np.empty((min(steps + 1, _MARGIN_BLOCK), 2 * M, 2 * M))
+    block = np.empty((min(steps + 1, _BLOCK), 2 * M, 2 * M))
     X = block[0] = x0.matrix()
     pending = 0  # first step whose state is not yet settled
     # the step factors as read-only full matrices, built once: a Python float
@@ -182,7 +180,7 @@ def flow(
                 k4 = rate(X + full * k3)
                 np.add(X, sixth * (k1 + (k2 + k2) + (k3 + k3) + k4), out=out)
             X = out
-            if step + 1 - pending == _MARGIN_BLOCK:
+            if step + 1 - pending == _BLOCK:
                 _settle_block(block, packed, margins, pending, step + 1)
                 pending = step + 1
         _settle_block(block, packed, margins, pending, steps + 1)

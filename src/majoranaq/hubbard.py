@@ -23,12 +23,13 @@ same chain, which the Majorana build is checked against, is a test oracle in
 
 from __future__ import annotations
 
+from . import _MAX_M
 from .errors import ConfigError, DimensionError
 
 __all__ = ["chain_entries"]
 
-# the longest chain any command runs: M = 16, the mode-count cap of ``flow``
-_MAX_SITES = 8
+# the longest chain any command runs: two modes per site
+_MAX_SITES = _MAX_M // 2
 
 
 def _check_sites(sites: int, field: str) -> None:

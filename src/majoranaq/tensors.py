@@ -106,10 +106,11 @@ def _check_modes(M: int) -> None:
 def _range_fault(M: int, idx: tuple) -> str | None:
     """The fault of 1-based indices ``idx`` that are not all integers in [1, 2M], or None.
 
-    An integer is a Python or numpy integer, not a bool.
+    An integer is a Python or numpy integer, not a bool; faults print plain ints.
     """
     if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx):
         return f"indices {idx} are not all integers"
+    idx = tuple(map(int, idx))
     if not all(1 <= i <= 2 * M for i in idx):
         return f"indices {idx} outside [1, {2 * M}]"
     return None
@@ -130,6 +131,7 @@ def _index_fault(M: int, idx: tuple) -> str | None:
     """
     if fault := _range_fault(M, idx):
         return fault
+    idx = tuple(map(int, idx))
     if len(set(idx)) < len(idx):
         return f"indices {idx} repeat; an antisymmetric coupling vanishes there"
     if list(idx) != sorted(idx):

@@ -370,6 +370,35 @@ class TestFlowCommand:
                                   + [f"{margin:.16e}"]))
         return ("\n".join(lines) + "\n").encode()
 
+    def test_flow_settles_and_writes_the_same_row_blocks(self, tmp_path, monkeypatch):
+        # 2B + 1 steps store 2B + 2 rows: the flow's stacked margin solves
+        # and the writer's format_rows calls each take the same three blocks
+        from majoranaq import _csvrows, dynamics
+
+        block = dynamics._BLOCK
+        solved, formatted = [], []
+        margin, format_rows = dynamics._margin, _csvrows.format_rows
+
+        def counted_margin(xs):
+            if xs.ndim == 3:
+                solved.append(len(xs))
+            return margin(xs)
+
+        def counted_format_rows(times, values):
+            formatted.append(len(times))
+            return format_rows(times, values)
+
+        monkeypatch.setattr(dynamics, "_margin", counted_margin)
+        monkeypatch.setattr(_csvrows, "format_rows", counted_format_rows)
+        cfg = write_config(tmp_path, {"M": 4, "preset": {"name": "hubbard", "sites": 2,
+                                                         "hop": 1.0, "onsite": 4.0}})
+        assert main(["flow", "--config", cfg, "--steps", str(2 * block + 1),
+                     "--out", str(tmp_path / "traj.csv")]) == 0
+        ranges = [(0, block), (block, 2 * block), (2 * block, 2 * block + 2)]
+        for lengths in (solved, formatted):
+            stops = list(itertools.accumulate(lengths))
+            assert list(zip([0, *stops], stops)) == ranges
+
     # 2000 steps are 8 blocks of 256 rows and a partial ninth
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("cfg,dt,steps", [

@@ -26,7 +26,7 @@ from majoranaq import (
     random_boundary_point,
     random_interior_point,
 )
-from majoranaq.dynamics import _MARGIN_BLOCK
+from majoranaq.dynamics import _BLOCK
 from majoranaq.config import ModelConfig, config_to_spec
 from majoranaq.errors import DimensionError, DivergenceError
 from majoranaq.hubbard import chain_entries
@@ -132,12 +132,12 @@ class TestFlow:
         x0 = random_boundary_point(M, 30 + M)
         self._assert_matches_public_loop(x0, spec, 1e-2, 20, "rk4")
 
-    # margins are evaluated in blocks of 64 stored states: runs that end
+    # margins are evaluated in blocks of _BLOCK stored states: runs that end
     # inside, on and just past a block boundary, and past the second one,
     # from a boundary point (margin near 0) and from an interior one
     @pytest.mark.parametrize("interior", [False, True])
     @pytest.mark.parametrize("method", ["rk4", "euler"])
-    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
     def test_packed_flow_matches_public_drift_across_blocks(self, steps, method, interior):
         spec = random_spec(3, 23, g_entries=[(1, 2, 3, 4, 0.6), (1, 3, 5, 6, -0.4)])
         x0 = random_interior_point(3, 33, scale=0.5) if interior else random_boundary_point(3, 33)
@@ -145,7 +145,8 @@ class TestFlow:
 
     def test_packed_flow_matches_public_drift_at_m16(self):
         spec = config_to_spec(ModelConfig(16, *chain_entries(8, 1.0, 4.0)[:2]))
-        self._assert_matches_public_loop(random_boundary_point(16, 3), spec, 1e-3, 130, "rk4")
+        x0 = random_boundary_point(16, 3)
+        self._assert_matches_public_loop(x0, spec, 1e-3, _BLOCK + 1, "rk4")
 
     @staticmethod
     def _assert_matches_public_loop(x0, spec, dt, steps, method):
@@ -218,18 +219,18 @@ class TestFlow:
             return poisoned
         return wrap
 
-    # finiteness is checked once per block of 64 stored states: a state
+    # finiteness is checked once per block of _BLOCK stored states: a state
     # that first goes non-finite in the last slot of the first block, in the
     # first slot of the next one, and inside the final partial block; for
     # RK4 the poisoned stage varies with the step
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("method", ["rk4", "euler"])
-    @pytest.mark.parametrize("bad_step", [_MARGIN_BLOCK - 1, _MARGIN_BLOCK, 2 * _MARGIN_BLOCK + 13])
+    @pytest.mark.parametrize("bad_step", [_BLOCK - 1, _BLOCK, 2 * _BLOCK + 13])
     def test_non_finite_state_raises_at_its_step(self, monkeypatch, bad_step, method, value):
         spec = random_spec(3, 23, g_entries=[(1, 2, 3, 4, 0.6), (1, 3, 5, 6, -0.4)])
         x0 = random_boundary_point(3, 33)
-        steps = 2 * _MARGIN_BLOCK + 22
+        steps = 2 * _BLOCK + 22
         stages = 4 if method == "rk4" else 1
         wrap = self._poison(stages * (bad_step - 1) + bad_step % stages, value)
         margin_step, state_step = self._first_failures(x0, spec, 1e-3, steps, method, wrap)
@@ -262,15 +263,15 @@ class TestFlow:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_margin_failure_past_first_block(self):
-        # Euler steps of a quadratic model with a huge dt grow a tiny start
+        # Euler steps of a quadratic model with a large dt grow a tiny start
         # geometrically: the margin of a finite state overflows the
         # eigensolver in the second block, and the state stays finite to the
         # end, so the failure is found by that block's stacked eigensolve
         spec = random_spec(3, 0, t_scale=1.0)
         x0 = PhasePoint(3, 1e-150 * np.asarray(random_boundary_point(3, 7).packed))
-        dt, steps = 100.0, 130
+        dt, steps = 0.2, 520
         margin_step, state_step = self._first_failures(x0, spec, dt, steps)
-        assert _MARGIN_BLOCK <= margin_step < 2 * _MARGIN_BLOCK <= steps
+        assert _BLOCK <= margin_step < 2 * _BLOCK <= steps
         assert state_step is None
         with pytest.raises(DivergenceError) as err:
             flow(x0, spec, dt=dt, steps=steps, method="euler")
@@ -285,10 +286,10 @@ class TestFlow:
         # is raised, so the margin's earlier step is reported
         spec = random_spec(3, 0, t_scale=1.0)
         x0 = PhasePoint(3, 1e-150 * np.asarray(random_boundary_point(3, 7).packed))
-        dt, steps = 300.0, 200
+        dt, steps = 0.5, 450
         margin_step, state_step = self._first_failures(x0, spec, dt, steps)
         assert margin_step < state_step
-        assert margin_step // _MARGIN_BLOCK == state_step // _MARGIN_BLOCK == 1
+        assert margin_step // _BLOCK == state_step // _BLOCK == 1
         with pytest.raises(DivergenceError) as err:
             flow(x0, spec, dt=dt, steps=steps, method="euler")
         assert err.value.step == margin_step
@@ -301,12 +302,12 @@ class TestFlow:
         # state are evaluated first, so the margin's step is reported
         spec = random_spec(3, 0, t_scale=1.0)
         x0 = PhasePoint(3, 1e-150 * np.asarray(random_boundary_point(3, 7).packed))
-        dt, steps = 100.0, 130
+        dt, steps = 0.2, 520
         clean_margin_step, _ = self._first_failures(x0, spec, dt, steps)
         wrap = self._poison(clean_margin_step + 1, np.inf)
         margin_step, state_step = self._first_failures(x0, spec, dt, steps, wrap=wrap)
         assert (margin_step, state_step) == (clean_margin_step, clean_margin_step + 2)
-        assert margin_step // _MARGIN_BLOCK == state_step // _MARGIN_BLOCK == 1
+        assert margin_step // _BLOCK == state_step // _BLOCK == 1
         monkeypatch.setattr(dynamics, "_drift_rate", lambda g, t: wrap(_drift_rate(g, t)))
         with pytest.raises(DivergenceError) as err:
             flow(x0, spec, dt=dt, steps=steps, method="euler")

@@ -293,6 +293,36 @@ def test_numpy_integer_indices_accepted():
     assert t.entry(np.int64(3), np.int8(1)) == -0.25
 
 
+def _assert_plain_faults(faults, dtype):
+    # once the integer rule has passed, numpy indices print as plain ints
+    # (not np.int64(2)): a pair goes to CouplingMatrix, a quadruple to QuarticCoupling
+    for idx, fault in faults:
+        entries = [(*map(dtype, idx), 0.5)]
+        with pytest.raises(IndexRangeError) as err:
+            if len(idx) == 2:
+                CouplingMatrix.from_entries(2, entries)
+            else:
+                QuarticCoupling.from_entries(2, entries)
+        assert str(err.value) == f"indices {idx} {fault}"
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_numpy_index_range_fault_prints_ints(dtype):
+    _assert_plain_faults([((1, 5), "outside [1, 4]"), ((0, 1, 2, 3), "outside [1, 4]")], dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_numpy_index_repeat_fault_prints_ints(dtype):
+    fault = "repeat; an antisymmetric coupling vanishes there"
+    _assert_plain_faults([((3, 3), fault), ((1, 2, 2, 3), fault)], dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_numpy_index_order_fault_prints_ints(dtype):
+    _assert_plain_faults([((2, 1), "not in canonical order i < j"),
+                          ((1, 2, 4, 3), "not in canonical order i < j < k < l")], dtype)
+
+
 class TestDomainGeometry:
     def test_margin_at_origin(self):
         assert domain_margin(PhasePoint.zero(1)) == pytest.approx(1.0)
